@@ -1,6 +1,7 @@
 """Exact truncation-aware series calculus and identity-verification engine.
 
-Submodules: series (scalar arithmetic), useries (u-extension), ode (the
+Submodules: series (scalar arithmetic), useries (u-extension), graded
+(class-valued vectors, signed table products and linear maps), ode (the
 equation chain and mirror identities), quantum (product relations and the
 rank-3 derivation), bv (graded algebra checks with connections), operad
 (disc gluing and signed composition), cli (batch verification front end).

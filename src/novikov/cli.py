@@ -15,6 +15,7 @@ from . import bv as bvmod
 from . import operad as opmod
 from . import quantum as qmod
 from .errors import InsufficientPrecision, NovikovError, ParseError
+from .graded import vec_from_json
 from .ode import (
     LatticeSeed,
     ODEProblem,
@@ -44,10 +45,6 @@ EXIT_DOMAIN = 4
 
 def _series(data) -> NovikovSeries:
     return NovikovSeries.from_json(data)
-
-
-def _vec(data) -> dict:
-    return {k: _series(v) for k, v in (data or {}).items()}
 
 
 def _working_order(payload: dict, trunc, *series_list) -> Fraction:
@@ -158,7 +155,7 @@ def run_gw(payload: dict, trunc=None) -> Report:
             eq = qmod.EqModuleModel(prob, order=order)
             report.checks += qmod.gauss_manin_check(eq).checks
         elif name == "uueq":
-            report.checks += qmod.uueq_rewrite_check(model, gw, prob).checks
+            report.checks += qmod.uueq_rewrite_check(model, gw).checks
         else:
             raise ParseError(f"unknown gw check {name!r}")
     return report
@@ -219,7 +216,7 @@ def run_bv(payload: dict, trunc=None) -> Report:
             report.checks += bvmod.check_delta_nabla(nabla, a, model).checks
             report.checks += bvmod.check_minus1_delta(nabla, a, model).checks
         elif name == "gauge":
-            alpha = _vec(payload.get("alpha"))
+            alpha = vec_from_json(payload.get("alpha", {}))
             tilde, a_tilde = bvmod.gauge_change(nabla, alpha, a, model)
             gauged = bvmod.check_delta_nabla(tilde, a_tilde, model)
             for row in gauged.checks:
@@ -339,8 +336,6 @@ def run(path: str, output: str = "text", trunc=None,
         return EXIT_PARSE, f"parse error: unknown task {task!r}"
     if check_override:
         payload = dict(payload, checks=check_override)
-    if "output" in payload and output is None:
-        output = payload["output"]
     try:
         report = RUNNERS[task](payload, trunc)
     except ParseError as exc:

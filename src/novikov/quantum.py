@@ -24,79 +24,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed
+from .graded import (
+    Vec,
+    linear_apply,
+    table_mul,
+    vec_add,
+    vec_from_json,
+    vec_get,
+    vec_is_zero,
+    vec_render,
+    vec_scale,
+    vec_sub,
+)
 from .ode import ODEProblem
 from .report import Report
 from .series import NovikovSeries, Trunc
 from .useries import USeries
 
-Vec = dict  # name -> NovikovSeries
 UVec = dict  # name -> USeries
 
-_ZERO = NovikovSeries.zero()
 _Q_INV = NovikovSeries.monomial(1, -1)
-
-
-# ---------------------------------------------------------------------------
-# class-valued series helpers
-# ---------------------------------------------------------------------------
-
-
-def vec_get(x: Vec, name: str) -> NovikovSeries:
-    return x.get(name, _ZERO)
-
-
-def vec_add(*xs: Vec) -> Vec:
-    out: Vec = {}
-    for x in xs:
-        for k, s in x.items():
-            out[k] = vec_get(out, k) + s
-    return out
-
-
-def vec_scale(f, x: Vec) -> Vec:
-    return {k: f * s for k, s in x.items()}
-
-
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    return vec_add(x, vec_scale(-1, y))
-
-
-def vec_is_zero(x: Vec) -> bool:
-    return all(s.is_zero() for s in x.values())
-
-
-def vec_render(x: Vec) -> str:
-    live = {k: s for k, s in sorted(x.items()) if not s.is_zero()}
-    if not live:
-        return "0"
-    return " + ".join(f"({s.render()})*{k}" for k, s in live.items())
-
-
-def uvec_add(*xs: UVec) -> UVec:
-    out: UVec = {}
-    for x in xs:
-        for k, s in x.items():
-            out[k] = out.get(k, USeries.zero()) + s
-    return out
-
-
-def uvec_scale(f, x: UVec) -> UVec:
-    return {k: s * f if isinstance(f, USeries) else s.scale(f) for k, s in x.items()}
-
-
-def uvec_sub(x: UVec, y: UVec) -> UVec:
-    return uvec_add(x, {k: -s for k, s in y.items()})
-
-
-def uvec_is_zero(x: UVec) -> bool:
-    return all(s.is_zero() for s in x.values())
-
-
-def uvec_render(x: UVec) -> str:
-    live = {k: s for k, s in sorted(x.items()) if not s.is_zero()}
-    if not live:
-        return "0"
-    return " + ".join(f"({s.render()})*{k}" for k, s in live.items())
 
 
 # ---------------------------------------------------------------------------
@@ -155,44 +102,22 @@ class CohomologyModel:
             out[k] = d
         return out
 
-    def _table_mul(self, table: dict[tuple[str, str], Vec], x: Vec, y: Vec) -> Vec:
-        out: Vec = {}
-        for kx, sx in x.items():
-            for ky, sy in y.items():
-                entry = table.get((kx, ky))
-                if entry is None:
-                    swapped = table.get((ky, kx))
-                    if swapped is None:
-                        continue
-                    sign = (-1) ** (self.degrees[kx] * self.degrees[ky])
-                    entry = vec_scale(sign, swapped)
-                coeff = sx * sy
-                for kz, sz in entry.items():
-                    out[kz] = vec_get(out, kz) + coeff * sz
-        return out
-
     def cup_mul(self, x: Vec, y: Vec) -> Vec:
-        return self._table_mul(self.cup, x, y)
+        return table_mul(self.cup, self.degrees, x, y)
 
     def quantum_piece(self, x: Vec, y: Vec, k: int) -> Vec:
         if k < 0:
             return {}
-        return self._table_mul(self.qpieces.get(k, {}), x, y)
+        return table_mul(self.qpieces.get(k, {}), self.degrees, x, y)
 
     def quantum_mul(self, x: Vec, y: Vec, homogeneous: bool = False) -> Vec:
         if homogeneous:
             self.degree_of(x), self.degree_of(y)
-        out: Vec = {}
-        for k in self.qpieces:
-            out = vec_add(out, self.quantum_piece(x, y, k))
-        return out
+        return vec_add(*(self.quantum_piece(x, y, k) for k in self.qpieces))
 
     def restrict(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for k, s in x.items():
-            for ke, se in self.restriction[k].items():
-                out[ke] = vec_get(out, ke) + s * se
-        return out
+        # an undeclared basis name is a KeyError here, not a zero image
+        return linear_apply({k: self.restriction[k] for k in x}, x)
 
     # -- structural invariants ----------------------------------------------
 
@@ -235,29 +160,21 @@ class CohomologyModel:
             degrees = {b["name"]: int(b["degree"]) for b in data["basis"]}
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad basis declaration: {exc}") from exc
-        def load_table(entries):
-            table = {}
-            for rec in entries or []:
-                result = {k: NovikovSeries.from_json(v)
-                          for k, v in rec["result"].items()}
-                table[(rec["left"], rec["right"])] = result
-            return table
+        cup = {(rec["left"], rec["right"]): vec_from_json(rec["result"])
+               for rec in data.get("cup") or []}
         qpieces: dict[int, dict] = {}
         for rec in data.get("qpieces", []):
-            k = int(rec.get("k", 0))
-            result = {n: NovikovSeries.from_json(v) for n, v in rec["result"].items()}
-            qpieces.setdefault(k, {})[(rec["left"], rec["right"])] = result
+            table = qpieces.setdefault(int(rec.get("k", 0)), {})
+            table[(rec["left"], rec["right"])] = vec_from_json(rec["result"])
         omega = None
         if "omega" in data:
-            omega = {k: NovikovSeries.from_json(v) for k, v in data["omega"].items()}
-        twists = {}
-        for name, t in data.get("twists", {}).items():
-            twists[name] = NovikovSeries.from_json(t)
+            omega = vec_from_json(data["omega"])
+        twists = vec_from_json(data.get("twists", {}))
         restriction = None
         if "restriction" in data:
-            restriction = {name: {k: NovikovSeries.from_json(v) for k, v in img.items()}
+            restriction = {name: vec_from_json(img)
                            for name, img in data["restriction"].items()}
-        return cls(degrees=degrees, cup=load_table(data.get("cup")),
+        return cls(degrees=degrees, cup=cup,
                    qpieces=qpieces, unit=data.get("unit"),
                    m_class=data.get("m_class", "M"), omega=omega,
                    twists=twists, restriction=restriction)
@@ -277,9 +194,7 @@ class GWData:
     def from_json(cls, data: dict) -> "GWData":
         def load(key):
             raw = data.get(key)
-            if raw is None:
-                return None
-            return {k: NovikovSeries.from_json(v) for k, v in raw.items()}
+            return None if raw is None else vec_from_json(raw)
         return cls(z0=load("z0") or {}, z1=load("z1") or {}, z2=load("z2") or {},
                    z2tilde=load("z2tilde"),
                    gamma=Fraction(data.get("gamma", 0)))
@@ -465,10 +380,7 @@ class EqModuleModel:
 
     def apply_dictionary(self, element: dict[str, USeries]) -> UVec:
         table = self.dictionary()
-        out: UVec = {}
-        for sym, coeff in element.items():
-            out = uvec_add(out, uvec_scale(coeff, table[sym]))
-        return out
+        return vec_add(*(vec_scale(coeff, table[sym]) for sym, coeff in element.items()))
 
 
 def gauss_manin_derivation(eqmodel: EqModuleModel) -> tuple[UVec, UVec]:
@@ -507,8 +419,8 @@ def gamma_apply(x: UVec, eqmodel: EqModuleModel) -> UVec:
             if not f.is_zero():
                 raise ValueError("Gamma is not modeled on the ss_eq line")
             continue
-        out = uvec_add(out, uvec_scale(f, table[name]),
-                       {name: f.d_q().times_u()})
+        out = vec_add(out, vec_scale(f, table[name]),
+                      {name: f.d_q().times_u()})
     return out
 
 
@@ -517,15 +429,15 @@ def gauss_manin_check(eqmodel: EqModuleModel) -> Report:
     psi, eta, z2 = eqmodel.prob.psi, eqmodel.prob.eta, eqmodel.prob.z2
     gamma_e, u_gamma_s = gauss_manin_derivation(eqmodel)
     expect_e = {S_EQ: USeries({1: psi})}
-    res_e = uvec_sub(gamma_e, expect_e)
+    res_e = vec_sub(gamma_e, expect_e)
     report.add("gauss-manin-e", "Gamma(e_eq) = u*psi*s_eq",
-               uvec_is_zero(res_e), uvec_render(gamma_e))
+               vec_is_zero(res_e), vec_render(gamma_e))
     expect_s = {SS_EQ: USeries({2: 2 * psi}), S_EQ: USeries({2: -eta}),
                 E_EQ: USeries({2: -4 * z2 * psi})}
-    res_s = uvec_sub(u_gamma_s, expect_s)
+    res_s = vec_sub(u_gamma_s, expect_s)
     report.add("gauss-manin-s",
                "u*Gamma(s_eq) = 2u^2*psi*ss_eq - u^2*eta*s_eq - 4u^2*z2*psi*e_eq",
-               uvec_is_zero(res_s), uvec_render(u_gamma_s))
+               vec_is_zero(res_s), vec_render(u_gamma_s))
     return report
 
 
@@ -534,15 +446,12 @@ def gauss_manin_check(eqmodel: EqModuleModel) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def uueq_rewrite_check(model: CohomologyModel, gw: GWData,
-                       prob: ODEProblem | None = None) -> Report:
+def uueq_rewrite_check(model: CohomologyModel, gw: GWData) -> Report:
     """Check that the u^2-level dictionary entry, rewritten through the
     associativity instance and the relative reduction, matches term by term.
 
     Requires a unit class (z2 is a multiple of it) and a supplied z2~.
-    Raises PrerequisiteFailed when the feeding identities fail.  *prob* is
-    accepted for interface parity with the other checks; the rewrite is
-    driven by the model and invariant data alone.
+    Raises PrerequisiteFailed when the feeding identities fail.
     """
     if model.unit is None:
         raise ValueError("model needs a unit class to place z2")
@@ -578,9 +487,9 @@ def uueq_rewrite_check(model: CohomologyModel, gw: GWData,
     rhs = {k: USeries({0: vec_get(rhs_u0, k), 1: vec_get(rhs_u1, k)})
            for k in set(rhs_u0) | set(rhs_u1)}
 
-    res = uvec_sub(lhs, rhs)
+    res = vec_sub(lhs, rhs)
     report.add("uueq-rewrite",
                "(1/2)(z1 *0 z1 + u*z1 *1 M)|E + 2u^2(z2 - z2.e)|E = "
                "(1/2)((z1.M) *1 M)|E + u*z2~|E",
-               uvec_is_zero(res), uvec_render(res))
+               vec_is_zero(res), vec_render(res))
     return report

@@ -7,7 +7,6 @@ each with a :class:`NovikovSeries` coefficient, plus an integer truncation
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InsufficientPrecision
@@ -70,8 +69,6 @@ class USeries:
             return self.scale(other)
         trunc = min(self.u_truncation + other.u_valuation(),
                     other.u_truncation + self.u_valuation())
-        if trunc != INF and math.isnan(trunc):  # inf + (-inf) cannot occur; guard anyway
-            trunc = INF
         acc: dict[int, NovikovSeries] = {}
         for ka, sa in self.coeffs.items():
             for kb, sb in other.coeffs.items():

@@ -22,11 +22,9 @@ from novikov.bv import (
     minus1_ambiguity_check,
     polyvector_model,
     class_equation_residual,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
 )
 from novikov.errors import ResonantExponent
+from novikov.graded import vec_add, vec_is_zero, vec_sub
 from novikov.ode import (
     log_derivative,
     mirror_a,

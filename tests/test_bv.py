@@ -23,11 +23,8 @@ from novikov.bv import (
     polyvector_model_with_k,
     r_endomorphism_check,
     second_order_on_e,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
+from novikov.graded import vec_add, vec_is_zero, vec_scale, vec_sub
 from novikov.ode import ODEProblem, projective_residual
 from novikov.series import NovikovSeries
 
@@ -237,6 +234,9 @@ def test_r_endomorphism_with_central_k():
     model = polyvector_model_with_k(3)
     report = r_endomorphism_check(model)
     assert report.passed, failures(report)
+    for n in (2, 3):
+        report = check_bv_axioms(polyvector_model_with_k(n))
+        assert report.passed, failures(report)
 
 
 def test_r_endomorphism_unit():

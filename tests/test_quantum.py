@@ -7,6 +7,7 @@ import pytest
 
 from _generators import adjacent_root_problem
 from novikov.errors import DegreeMismatch, NoSolution, PrerequisiteFailed
+from novikov.graded import vec_add, vec_is_zero, vec_scale, vec_sub
 from novikov.ode import ODEProblem
 from novikov.quantum import (
     CohomologyModel,
@@ -22,14 +23,6 @@ from novikov.quantum import (
     relative_z2_check,
     solve_psi_eta,
     uueq_rewrite_check,
-    uvec_add,
-    uvec_is_zero,
-    uvec_scale,
-    uvec_sub,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
     wdvv_check,
     wdvv_residual,
 )
@@ -252,9 +245,9 @@ def test_connection_leibniz_random_scalar():
                            for _ in range(3)], truncation=7)
         x = {"1": S((0, 2), (1, 1), trunc=7), "D": S((1, -1), trunc=7)}
         lhs = quantum_connection(vec_scale(f, x), model)
-        rhs = uvec_add(uvec_scale(USeries.scalar(f), quantum_connection(x, model)),
+        rhs = vec_add(vec_scale(USeries.scalar(f), quantum_connection(x, model)),
                        {k: USeries({1: f.d_q() * s}) for k, s in x.items()})
-        assert uvec_is_zero(uvec_sub(lhs, rhs))
+        assert vec_is_zero(vec_sub(lhs, rhs))
 
 
 def test_connection_on_scaled_omega_matches_twist_formula():
@@ -265,10 +258,10 @@ def test_connection_on_scaled_omega_matches_twist_formula():
     x = vec_scale(psi_inv, model.omega)
     out = quantum_connection(x, model)
     coeff = psi_inv * (-(psi.d_q() * psi.invert()) - Q_INV)
-    expect = uvec_add(uvec_scale(USeries({1: coeff}), {k: USeries.scalar(s) for k, s in model.omega.items()}),
+    expect = vec_add(vec_scale(USeries({1: coeff}), {k: USeries.scalar(s) for k, s in model.omega.items()}),
                       {k: USeries.scalar(psi_inv * s)
                        for k, s in model.quantum_piece(model.omega, model.omega, 0).items()})
-    assert uvec_is_zero(uvec_sub(out, expect))
+    assert vec_is_zero(vec_sub(out, expect))
 
 
 def test_twisted_basis_derivative():
@@ -315,10 +308,10 @@ def test_gamma_operator_leibniz():
                      1: NovikovSeries([(0, F(rng.randint(-2, 2)))], truncation=6)})
         for base in ("e_eq", "s_eq"):
             x = {base: USeries.scalar(ONE)}
-            lhs = gamma_apply(uvec_scale(f, x), eqmodel)
-            rhs = uvec_add(uvec_scale(f, gamma_apply(x, eqmodel)),
-                           uvec_scale(f.d_q().times_u(), x))
-            assert uvec_is_zero(uvec_sub(lhs, rhs))
+            lhs = gamma_apply(vec_scale(f, x), eqmodel)
+            rhs = vec_add(vec_scale(f, gamma_apply(x, eqmodel)),
+                           vec_scale(f.d_q().times_u(), x))
+            assert vec_is_zero(vec_sub(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
