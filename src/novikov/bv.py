@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import graded
 from .errors import ParseError
-from .graded import Vec, linear_apply, table_mul, vec_from_json
+from .graded import Vec, linear_apply, table_mul, vec_from_json, vec_map_from_json
 from .ode import ODEProblem
 from .report import Report
 from .series import NovikovSeries, Trunc
@@ -142,8 +142,8 @@ class BVModel:
             raise ParseError(f"bad basis declaration: {exc}") from exc
         product = {(r["left"], r["right"]): vec_from_json(r["result"])
                    for r in data.get("product", [])}
-        delta = {k: vec_from_json(v) for k, v in data.get("delta", {}).items()}
-        elements = {k: vec_from_json(v) for k, v in data.get("elements", {}).items()}
+        delta = vec_map_from_json(data.get("delta", {}))
+        elements = vec_map_from_json(data.get("elements", {}))
         bracket = None
         if "bracket" in data:
             bracket = {(r["left"], r["right"]): vec_from_json(r["result"])

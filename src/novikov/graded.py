@@ -2,8 +2,8 @@
 
 A vector is a dict from basis name to coefficient.  The coefficients are
 :class:`NovikovSeries` (cohomology and BV models) or :class:`USeries` (the
-u-extension); every helper here except :func:`vec_get` and
-:func:`vec_from_json` works for either.  A missing name is a zero
+u-extension); every helper here except :func:`vec_get` and the JSON
+decoders works for either.  A missing name is a zero
 coefficient.
 
 A structure table maps an ordered pair of basis names to the vector of
@@ -63,6 +63,14 @@ def vec_from_json(data) -> Vec:
     if not isinstance(data, dict):
         raise ParseError(f"vector must be an object, got {type(data).__name__}")
     return {k: NovikovSeries.from_json(v) for k, v in data.items()}
+
+
+def vec_map_from_json(data) -> dict[str, Vec]:
+    """Decode ``{key: vector}``; an outer map that is not an object is a
+    :class:`ParseError` too."""
+    if not isinstance(data, dict):
+        raise ParseError(f"vector map must be an object, got {type(data).__name__}")
+    return {k: vec_from_json(v) for k, v in data.items()}
 
 
 def table_mul(table: dict[tuple[str, str], Vec], degrees: dict[str, int],

@@ -32,6 +32,7 @@ from .graded import (
     vec_from_json,
     vec_get,
     vec_is_zero,
+    vec_map_from_json,
     vec_render,
     vec_scale,
     vec_sub,
@@ -172,8 +173,7 @@ class CohomologyModel:
         twists = vec_from_json(data.get("twists", {}))
         restriction = None
         if "restriction" in data:
-            restriction = {name: vec_from_json(img)
-                           for name, img in data["restriction"].items()}
+            restriction = vec_map_from_json(data["restriction"])
         return cls(degrees=degrees, cup=cup,
                    qpieces=qpieces, unit=data.get("unit"),
                    m_class=data.get("m_class", "M"), omega=omega,
@@ -359,12 +359,10 @@ class EqModuleModel:
     prob: ODEProblem
     order: Trunc | None = None
 
-    def _psi_inv(self) -> NovikovSeries:
-        return self.prob.psi.invert(self.order)
-
-    def dictionary(self) -> dict[str, UVec]:
+    def dictionary(self, psi_inv: NovikovSeries) -> dict[str, UVec]:
+        """The images of 1, w and w *_E w; *psi_inv* is
+        ``psi.invert(order)``, which the caller needs as well."""
         psi, eta, z2 = self.prob.psi, self.prob.eta, self.prob.z2
-        psi_inv = self._psi_inv()
         log_psi = psi.d_q() * psi_inv
         u = USeries.u_power(1)
         u2 = USeries.u_power(2)
@@ -378,10 +376,6 @@ class EqModuleModel:
             },
         }
 
-    def apply_dictionary(self, element: dict[str, USeries]) -> UVec:
-        table = self.dictionary()
-        return vec_add(*(vec_scale(coeff, table[sym]) for sym, coeff in element.items()))
-
 
 def gauss_manin_derivation(eqmodel: EqModuleModel) -> tuple[UVec, UVec]:
     """Push the quantum connection through the dictionary.
@@ -394,11 +388,12 @@ def gauss_manin_derivation(eqmodel: EqModuleModel) -> tuple[UVec, UVec]:
 
     using d_q w = -q^{-1} w.
     """
-    psi_inv = eqmodel._psi_inv()
-    gamma_e = eqmodel.apply_dictionary({"w": USeries.scalar(NovikovSeries.one())})
+    psi_inv = eqmodel.prob.psi.invert(eqmodel.order)
+    table = eqmodel.dictionary(psi_inv)
+    gamma_e = vec_scale(USeries.scalar(NovikovSeries.one()), table["w"])
     w_coeff = USeries({1: psi_inv.d_q() - psi_inv * _Q_INV})
-    u_gamma_s = eqmodel.apply_dictionary({"w": w_coeff,
-                                          "ww": USeries.scalar(psi_inv)})
+    u_gamma_s = vec_add(vec_scale(w_coeff, table["w"]),
+                        vec_scale(USeries.scalar(psi_inv), table["ww"]))
     return gamma_e, u_gamma_s
 
 

@@ -16,6 +16,7 @@ variable's name.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -68,6 +69,18 @@ class NovikovSeries:
                 acc[e] = c
         self.terms: tuple[tuple[Fraction, Fraction], ...] = tuple(sorted(acc.items()))
         self.truncation: Trunc = trunc
+
+    @classmethod
+    def _canonical(cls, acc: dict[int, Fraction], scale: int,
+                   truncation: Trunc) -> "NovikovSeries":
+        """Build ``sum c*q^(k/scale)`` over the ``{k: c}`` of *acc* from data
+        that needs no conversion: Fraction coefficients, every ``k/scale``
+        below *truncation*, and *truncation* a Fraction or ``INF``.  Zero
+        coefficients are dropped."""
+        out = object.__new__(cls)
+        out.terms = tuple((Fraction(k, scale), c) for k, c in sorted(acc.items()) if c)
+        out.truncation = truncation
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -140,9 +153,20 @@ class NovikovSeries:
         # factor of exact zero yields exact zero.
         trunc = min(self.truncation + other.valuation(),
                     other.truncation + self.valuation())
-        prods = ((ea + eb, ca * cb)
-                 for ea, ca in self.terms for eb, cb in other.terms)
-        return NovikovSeries(prods, trunc)
+        # exponents as integers over a common denominator: the sums, the
+        # truncation test and the dict keys below are integer operations
+        scale = _common_denominator(self.terms + other.terms)
+        bound = trunc if trunc == INF else math.ceil(trunc * scale)
+        bterms = _scaled(other.terms, scale)
+        acc: dict[int, Fraction] = {}
+        for ka, ca in _scaled(self.terms, scale):
+            for kb, cb in bterms:
+                k = ka + kb
+                if k >= bound:
+                    break  # the terms ascend, so every later product is too
+                p = ca * cb
+                acc[k] = acc[k] + p if k in acc else p
+        return NovikovSeries._canonical(acc, scale, trunc)
 
     __rmul__ = __mul__
 
@@ -160,6 +184,17 @@ class NovikovSeries:
         The leading term must be nonzero within truncation.  An exact
         multi-term series has an infinite inverse expansion, so *order*
         must then be supplied.
+
+        Write ``a = lead*q^v*(1 + x)`` with ``x = sum_i c_i q^(d_i)``, every
+        ``d_i > 0``.  The coefficients of ``1/(1 + x)`` below the relative
+        order ``rel = target + v`` satisfy ``b_0 = 1`` and
+        ``b_e = -sum_i c_i * b_(e - d_i)``.  They are computed in increasing
+        ``e``, walking the monoid generated by the ``d_i`` with a heap (the
+        ``d_i`` are arbitrary positive rationals, not steps of one lattice);
+        each finished ``b_e`` is pushed into the sums of ``e + d_i``, and an
+        exponent enters the heap once.  Exponents are integers over the
+        common denominator of the exponents of ``a``.  The cost is
+        O(#terms x #monoid exponents below rel) coefficient products.
         """
         if not self.terms:
             raise ZeroDivisionError("no invertible leading term within truncation")
@@ -171,21 +206,34 @@ class NovikovSeries:
         if target == INF and len(self.terms) > 1:
             raise ValueError(
                 "inverse of a multi-term exact series is infinite; pass order=")
-        head = NovikovSeries.monomial(1 / lead, -v)
+        inv_lead = 1 / lead
         if len(self.terms) == 1:
-            return head.truncate(target)
-        # a = lead*q^v*(1+x): expand 1/(1+x) geometrically to relative
-        # precision target + v, then shift back.
+            return NovikovSeries.monomial(inv_lead, -v).truncate(target)
         rel = target + v
-        x = NovikovSeries(((e - v, c / lead) for e, c in self.terms[1:]), rel)
-        acc = NovikovSeries.one(rel)
-        power = NovikovSeries.one(rel)
-        while True:
-            power = (power * (-x)).truncate(rel)
-            if power.is_zero():
-                break
-            acc = acc + power
-        return (head * acc).truncate(target)
+        scale = _common_denominator(self.terms)
+        shift = v.numerator * (scale // v.denominator)
+        # x's terms c_i/lead at d_i*scale, negated for the recurrence
+        steps = [(k - shift, -c * inv_lead) for k, c in _scaled(self.terms[1:], scale)]
+        bound = math.ceil(rel * scale)
+        sums = {0: Fraction(1)} if bound > 0 else {}
+        heap = list(sums)
+        out: dict[int, Fraction] = {}
+        while heap:
+            k = heapq.heappop(heap)
+            b = sums.pop(k)
+            if not b:
+                continue  # contributes nothing to higher exponents
+            out[k - shift] = b * inv_lead
+            for step, c in steps:
+                n = k + step
+                if n >= bound:
+                    break  # the steps ascend
+                if n in sums:
+                    sums[n] += c * b
+                else:
+                    sums[n] = c * b
+                    heapq.heappush(heap, n)
+        return NovikovSeries._canonical(out, scale, target)
 
     def d_q(self) -> "NovikovSeries":
         """Termwise derivative ``c*d*q^(d-1)``; truncation drops by one."""
@@ -255,6 +303,16 @@ class NovikovSeries:
         for rec in data.get("terms", []):
             terms.append((_rat(rec["exp"]), _rat(rec["coeff"])))
         return cls(terms, trunc)
+
+
+def _common_denominator(terms) -> int:
+    return math.lcm(*(e.denominator for e, _ in terms))
+
+
+def _scaled(terms, scale: int) -> list[tuple[int, Fraction]]:
+    """*terms* with each exponent as an integer over *scale*, a multiple of
+    every exponent's denominator."""
+    return [(e.numerator * (scale // e.denominator), c) for e, c in terms]
 
 
 def _coerce(x) -> NovikovSeries:

@@ -94,21 +94,32 @@ def test_parse_error_exit_code(tmp_path):
     assert "parse error" in text
 
 
-@pytest.mark.parametrize("payload", [
-    {"task": "bv",
-     "model": {"basis": [{"name": "e", "degree": 0}],
-               "product": [{"left": "e", "right": "e", "result": "1"}]},
-     "checks": ["axioms"]},
-    {"task": "gw",
-     "model": {"basis": [{"name": "M", "degree": 2}], "omega": [1]},
-     "gw": {}, "checks": ["relations"]},
-], ids=["bv-product-result", "gw-omega"])
-def test_vector_field_not_an_object_is_parse_error(tmp_path, payload):
+_BV_BASIS = [{"name": "e", "degree": 0}]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"task": "bv",
+      "model": {"basis": _BV_BASIS,
+                "product": [{"left": "e", "right": "e", "result": "1"}]},
+      "checks": ["axioms"]}, "vector must be an object"),
+    ({"task": "gw",
+      "model": {"basis": [{"name": "M", "degree": 2}], "omega": [1]},
+      "gw": {}, "checks": ["relations"]}, "vector must be an object"),
+    ({"task": "bv", "model": {"basis": _BV_BASIS, "delta": [1]},
+      "checks": ["axioms"]}, "vector map must be an object"),
+    ({"task": "bv", "model": {"basis": _BV_BASIS, "elements": [1]},
+      "checks": ["axioms"]}, "vector map must be an object"),
+    ({"task": "gw",
+      "model": {"basis": [{"name": "M", "degree": 2}], "restriction": [1]},
+      "gw": {}, "checks": ["relations"]}, "vector map must be an object"),
+], ids=["bv-product-result", "gw-omega", "bv-delta", "bv-elements",
+        "gw-restriction"])
+def test_vector_field_not_an_object_is_parse_error(tmp_path, payload, message):
     bad = tmp_path / "vector.json"
     bad.write_text(json.dumps(payload))
     code, text = cli.run(str(bad))
     assert code == cli.EXIT_PARSE, text
-    assert "vector must be an object" in text
+    assert message in text
 
 
 def test_unreadable_json_exit_code(tmp_path):

@@ -183,6 +183,116 @@ def test_truncation_monotonic(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the kernels against the expansions they replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_mul(a, b):
+    """Every term product, handed to the public constructor."""
+    trunc = min(a.truncation + b.valuation(), b.truncation + a.valuation())
+    return NovikovSeries(((ea + eb, ca * cb)
+                          for ea, ca in a.terms for eb, cb in b.terms), trunc)
+
+
+def oracle_invert(a, order=None):
+    """``1/(1 + x)`` summed as the geometric series of full products."""
+    if not a.terms:
+        raise ZeroDivisionError("no invertible leading term within truncation")
+    v = a.valuation()
+    lead = a.leading_coefficient()
+    target = a.truncation - 2 * v
+    if order is not None:
+        target = min(target, F(order))
+    if target == INF and len(a.terms) > 1:
+        raise ValueError("inverse of a multi-term exact series is infinite")
+    head = NovikovSeries.monomial(1 / lead, -v)
+    if len(a.terms) == 1:
+        return head.truncate(target)
+    rel = target + v
+    x = NovikovSeries(((e - v, c / lead) for e, c in a.terms[1:]), rel)
+    acc = NovikovSeries.one(rel)
+    power = NovikovSeries.one(rel)
+    while True:
+        power = oracle_mul(power, -x).truncate(rel)
+        if power.is_zero():
+            break
+        acc = acc + power
+    return oracle_mul(head, acc).truncate(target)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+
+
+# steps with denominators 2, 3 and 5 at once: the exponent monoid is not
+# one lattice
+mixed_exponents = st.builds(F, st.integers(min_value=-6, max_value=12),
+                            st.sampled_from([1, 2, 3, 5]))
+truncations = st.one_of(st.just(INF), mixed_exponents)
+
+
+@st.composite
+def mixed_series(draw, max_terms=5):
+    terms = draw(st.lists(st.tuples(mixed_exponents, coeffs), max_size=max_terms))
+    return NovikovSeries(terms, draw(truncations))
+
+
+@st.composite
+def invertible_series(draw):
+    """A nonzero leading term at a valuation that may be negative, then
+    terms above it at offsets with mixed denominators."""
+    v = draw(st.builds(F, st.integers(min_value=-6, max_value=4),
+                       st.sampled_from([1, 2, 3])))
+    lead = draw(coeffs.filter(bool))
+    offsets = st.builds(F, st.integers(min_value=1, max_value=6),
+                        st.sampled_from([2, 3, 5]))
+    rest = draw(st.lists(st.tuples(offsets, coeffs), max_size=5))
+    terms = [(v, lead)] + [(v + d, c) for d, c in rest]
+    return NovikovSeries(terms, draw(truncations.filter(lambda t: t > v)))
+
+
+@settings(max_examples=150)
+@given(mixed_series(), mixed_series())
+def test_mul_matches_full_product(a, b):
+    assert a * b == oracle_mul(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(invertible_series(), st.one_of(st.none(), mixed_exponents))
+def test_invert_matches_geometric_expansion(a, order):
+    assert outcome(a.invert, order) == outcome(oracle_invert, a, order)
+
+
+def test_invert_steps_half_third_fifth():
+    a = S((-1, 3), (F(-1, 2), 1), (F(-2, 3), -2), (F(-4, 5), F(1, 2)), trunc=3)
+    inv = a.invert(order=F(5, 2))
+    assert inv == oracle_invert(a, F(5, 2))
+    assert len(inv.terms) > 20
+    assert (a * inv).equal_up_to(NovikovSeries.one(), F(3, 2))
+
+
+@settings(max_examples=40)
+@given(invertible_series(), st.integers(min_value=0, max_value=3))
+def test_invert_to_order_at_or_below_minus_valuation_is_empty(a, below):
+    order = -a.valuation() - below
+    inv = a.invert(order)
+    assert inv == NovikovSeries.zero(min(a.truncation - 2 * a.valuation(), order))
+    assert inv == oracle_invert(a, order)
+
+
+def test_invert_200_terms_is_not_cubic():
+    # The geometric expansion took about 30 s here; the recurrence takes
+    # well under a second.
+    a = S((0, 2), *((i, F(i % 11 - 5, i % 3 + 1)) for i in range(1, 200)))
+    inv = a.invert(200)
+    assert inv.truncation == 200
+    assert (a * inv).equal_up_to(NovikovSeries.one(), 200)
+
+
+# ---------------------------------------------------------------------------
 # rendering and JSON round-trip
 # ---------------------------------------------------------------------------
 
