@@ -62,12 +62,22 @@ def vec_render(x: Vec) -> str:
 
 @dataclass
 class BVModel:
+    """A finite BV model given by its structure tables.
+
+    ``bracket`` reads the bracket of each ordered pair of basis names from
+    a per-model table of structure constants, filled on first use from
+    ``degrees``, ``product`` and ``delta``.  Those tables must not be
+    mutated after the first bracket: the filled entries would not follow.
+    """
+
     degrees: dict[str, int]
     product: dict[tuple[str, str], Vec] = field(default_factory=dict)
     delta: dict[str, Vec] = field(default_factory=dict)
     unit: str = "e"
     elements: dict[str, Vec] = field(default_factory=dict)
     bracket_table: dict[tuple[str, str], Vec] | None = None
+    _bracket_constants: dict[tuple[str, str], Vec] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- algebra -------------------------------------------------------------
 
@@ -100,7 +110,22 @@ class BVModel:
         return linear_apply(self.delta, x)
 
     def bracket(self, x1: Vec, x2: Vec) -> Vec:
-        """Derived bracket; x1 is split into homogeneous parts for the sign."""
+        """The derived bracket, extended bilinearly from the bracket of each
+        pair of basis names, which is computed once per model."""
+        live = {k: s for k, s in x1.items() if not s.is_zero()}
+        constants = self._bracket_constants
+        for a in live:
+            if a not in self.degrees:
+                raise KeyError(a)
+            for b in x2:
+                if (a, b) not in constants:
+                    constants[(a, b)] = self._derived_bracket(self.basis_vec(a),
+                                                              self.basis_vec(b))
+        return table_mul(constants, self.degrees, live, x2)
+
+    def _derived_bracket(self, x1: Vec, x2: Vec) -> Vec:
+        """Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.(Delta x2); x1 is split
+        into homogeneous parts for the sign."""
         return vec_add(*(
             vec_sub(self.delta_apply(self.mul(part, x2)),
                     vec_add(self.mul(self.delta_apply(part), x2),

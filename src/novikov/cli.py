@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import bv as bvmod
 from . import operad as opmod
 from . import quantum as qmod
-from .errors import InsufficientPrecision, NovikovError, ParseError
+from .errors import InsufficientPrecision, NovikovError, ParseError, require_object
 from .graded import vec_from_json
 from .ode import (
     LatticeSeed,
@@ -325,14 +325,14 @@ def run(path: str, output: str = "text", trunc=None,
         check_override: list[str] | None = None) -> tuple[int, str]:
     try:
         with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            payload = require_object(json.load(fh), "task file")
+    except (OSError, json.JSONDecodeError, ParseError) as exc:
         return EXIT_PARSE, f"parse error: {exc}"
     task = payload.get("task")
     if expect_task is not None and task != expect_task:
         return EXIT_PARSE, (f"parse error: task file declares {task!r}, "
                             f"subcommand expects {expect_task!r}")
-    if task not in RUNNERS:
+    if not isinstance(task, str) or task not in RUNNERS:
         return EXIT_PARSE, f"parse error: unknown task {task!r}"
     if check_override:
         payload = dict(payload, checks=check_override)

@@ -51,3 +51,11 @@ class ZConflict(NovikovError):
 
 class ParseError(NovikovError):
     """An input file or literal could not be parsed."""
+
+
+def require_object(data, what: str) -> dict:
+    """*data* if it is a JSON object; anything else is a :class:`ParseError`
+    naming *what* was expected."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be an object, got {type(data).__name__}")
+    return data

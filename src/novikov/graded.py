@@ -16,7 +16,7 @@ supplied BV bracket are all such tables.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import require_object
 from .series import NovikovSeries
 
 Vec = dict  # basis name -> NovikovSeries or USeries
@@ -60,17 +60,15 @@ def vec_render(x: Vec) -> str:
 def vec_from_json(data) -> Vec:
     """Decode ``{basis name: series}``; anything but an object is a
     :class:`ParseError`."""
-    if not isinstance(data, dict):
-        raise ParseError(f"vector must be an object, got {type(data).__name__}")
-    return {k: NovikovSeries.from_json(v) for k, v in data.items()}
+    return {k: NovikovSeries.from_json(v)
+            for k, v in require_object(data, "vector").items()}
 
 
 def vec_map_from_json(data) -> dict[str, Vec]:
     """Decode ``{key: vector}``; an outer map that is not an object is a
     :class:`ParseError` too."""
-    if not isinstance(data, dict):
-        raise ParseError(f"vector map must be an object, got {type(data).__name__}")
-    return {k: vec_from_json(v) for k, v in data.items()}
+    return {k: vec_from_json(v)
+            for k, v in require_object(data, "vector map").items()}
 
 
 def table_mul(table: dict[tuple[str, str], Vec], degrees: dict[str, int],

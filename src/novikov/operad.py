@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError, ZConflict
+from .errors import ParseError, ZConflict, require_object
 
 EPS = 1e-9
 
@@ -88,6 +88,7 @@ class DiscConfiguration:
 
     @classmethod
     def from_json(cls, data: dict) -> "DiscConfiguration":
+        data = require_object(data, "disc configuration")
         exact = data.get("mode", "exact") == "exact"
         conv = Fraction if exact else float
         try:

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed
+from .errors import (DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed,
+                     require_object)
 from .graded import (
     Vec,
     linear_apply,
@@ -165,6 +166,7 @@ class CohomologyModel:
                for rec in data.get("cup") or []}
         qpieces: dict[int, dict] = {}
         for rec in data.get("qpieces", []):
+            rec = require_object(rec, "qpieces record")
             table = qpieces.setdefault(int(rec.get("k", 0)), {})
             table[(rec["left"], rec["right"])] = vec_from_json(rec["result"])
         omega = None
@@ -192,6 +194,8 @@ class GWData:
 
     @classmethod
     def from_json(cls, data: dict) -> "GWData":
+        require_object(data, "gw block")
+
         def load(key):
             raw = data.get(key)
             return None if raw is None else vec_from_json(raw)

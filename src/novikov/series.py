@@ -77,8 +77,15 @@ class NovikovSeries:
         that needs no conversion: Fraction coefficients, every ``k/scale``
         below *truncation*, and *truncation* a Fraction or ``INF``.  Zero
         coefficients are dropped."""
+        return cls._raw(tuple((Fraction(k, scale), c)
+                              for k, c in sorted(acc.items()) if c), truncation)
+
+    @classmethod
+    def _raw(cls, terms: tuple, truncation: Trunc) -> "NovikovSeries":
+        """Wrap *terms* as they are: ascending Fraction exponents, each below
+        *truncation*, with nonzero Fraction coefficients."""
         out = object.__new__(cls)
-        out.terms = tuple((Fraction(k, scale), c) for k, c in sorted(acc.items()) if c)
+        out.terms = terms
         out.truncation = truncation
         return out
 
@@ -149,17 +156,23 @@ class NovikovSeries:
 
     def __mul__(self, other) -> "NovikovSeries":
         other = _coerce(other)
-        # min(T_a + val(b), T_b + val(a)); valuation of zero is +inf, so a
-        # factor of exact zero yields exact zero.
-        trunc = min(self.truncation + other.valuation(),
-                    other.truncation + self.valuation())
+        a, b = self.terms, other.terms
+        # min(T_a + v_b, T_b + v_a), where v is a lower bound of the valuation:
+        # the lowest term, or for a zero known only below its truncation, that
+        # truncation.  A factor of exact zero (T = v = INF) yields exact zero.
+        trunc = min(_plus(self.truncation, b[0][0] if b else other.truncation),
+                    _plus(other.truncation, a[0][0] if a else self.truncation))
+        if len(a) == 1 and len(b) == 1:
+            # e_a < T_a and e_b < T_b, so the one product lies below trunc
+            (ea, ca), (eb, cb) = a[0], b[0]
+            return NovikovSeries._raw(((ea + eb, ca * cb),), trunc)
         # exponents as integers over a common denominator: the sums, the
         # truncation test and the dict keys below are integer operations
-        scale = _common_denominator(self.terms + other.terms)
-        bound = trunc if trunc == INF else math.ceil(trunc * scale)
-        bterms = _scaled(other.terms, scale)
+        scale = _common_denominator(a + b)
+        bound = trunc if isinstance(trunc, float) else math.ceil(trunc * scale)
+        bterms = _scaled(b, scale)
         acc: dict[int, Fraction] = {}
-        for ka, ca in _scaled(self.terms, scale):
+        for ka, ca in _scaled(a, scale):
             for kb, cb in bterms:
                 k = ka + kb
                 if k >= bound:
@@ -305,6 +318,16 @@ class NovikovSeries:
         return cls(terms, trunc)
 
 
+def _plus(t: Trunc, v: Trunc) -> Trunc:
+    """``t + v`` for truncations and valuation bounds.  The only float either
+    can be is ``INF``; testing the type keeps ``Fraction + INF`` (a float
+    conversion inside ``Fraction.__radd__``) off this hot path."""
+    return INF if isinstance(t, float) or isinstance(v, float) else t + v
+
+
+_EXP0 = Fraction(0)
+
+
 def _common_denominator(terms) -> int:
     return math.lcm(*(e.denominator for e, _ in terms))
 
@@ -319,7 +342,7 @@ def _coerce(x) -> NovikovSeries:
     if isinstance(x, NovikovSeries):
         return x
     if isinstance(x, (int, Fraction)):
-        return NovikovSeries.monomial(x, 0)
+        return NovikovSeries._raw(((_EXP0, _rat(x)),) if x else (), INF)
     raise TypeError(f"cannot treat {type(x).__name__} as a series")
 
 

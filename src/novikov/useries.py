@@ -49,6 +49,12 @@ class USeries:
         live = [k for k, s in self.coeffs.items() if not s.is_zero()]
         return min(live) if live else INF
 
+    def _valuation_bound(self):
+        """A lower bound of the u-valuation: for a zero known only below its
+        u-truncation, that truncation (``INF`` for an exact zero)."""
+        v = self.u_valuation()
+        return self.u_truncation if v == INF else v
+
     def coefficient(self, k: int) -> NovikovSeries:
         return self.coeffs.get(k, _ZERO)
 
@@ -67,8 +73,8 @@ class USeries:
     def __mul__(self, other) -> "USeries":
         if isinstance(other, (int, Fraction, NovikovSeries)):
             return self.scale(other)
-        trunc = min(self.u_truncation + other.u_valuation(),
-                    other.u_truncation + self.u_valuation())
+        trunc = min(self.u_truncation + other._valuation_bound(),
+                    other.u_truncation + self._valuation_bound())
         acc: dict[int, NovikovSeries] = {}
         for ka, sa in self.coeffs.items():
             for kb, sb in other.coeffs.items():

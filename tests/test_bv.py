@@ -3,6 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from _generators import adjacent_root_problem
 from novikov.bv import (
     BVModel,
@@ -26,7 +30,7 @@ from novikov.bv import (
 )
 from novikov.graded import vec_add, vec_is_zero, vec_scale, vec_sub
 from novikov.ode import ODEProblem, projective_residual
-from novikov.series import NovikovSeries
+from novikov.series import INF, NovikovSeries
 
 F = Fraction
 ONE = NovikovSeries.one()
@@ -72,6 +76,57 @@ def test_axioms_detect_derivation_delta():
     by_name = {c.name: c.passed for c in report.checks}
     assert not by_name["delta-bracket"]
     assert by_name["delta-squared"]
+
+
+# ---------------------------------------------------------------------------
+# the bracket's structure constants against the defining formula
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def model_and_vectors(draw, truncations):
+    factory = draw(st.sampled_from([polyvector_model, polyvector_model_with_k]))
+    model = factory(draw(st.integers(min_value=1, max_value=4)))
+    names = sorted(model.degrees)
+    series = st.builds(
+        NovikovSeries,
+        st.lists(st.tuples(st.integers(min_value=-2, max_value=4),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+                 max_size=2),
+        truncations)
+    vector = st.dictionaries(st.sampled_from(names), series, max_size=5)
+    return model, draw(vector), draw(vector)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_and_vectors(st.just(INF)))
+def test_bracket_constants_match_formula_exactly(case):
+    model, x1, x2 = case
+    assert model.bracket(x1, x2) == model._derived_bracket(x1, x2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_and_vectors(st.integers(min_value=1, max_value=6)))
+def test_bracket_constants_match_formula_below_truncation(case):
+    model, x1, x2 = case
+    assert vec_is_zero(vec_sub(model.bracket(x1, x2), model._derived_bracket(x1, x2)))
+
+
+def test_bracket_constants_fill_lazily_and_stay_out_of_the_model():
+    model, fresh = polyvector_model(3), polyvector_model(3)
+    shown = repr(model)
+    model.bracket(model.basis_vec("t1x"), model.basis_vec("t1"))
+    assert list(model._bracket_constants) == [("t1x", "t1")]
+    assert model == fresh
+    assert repr(model) == shown == repr(fresh)
+
+
+def test_bracket_name_without_degree():
+    model = polyvector_model(2)
+    with pytest.raises(KeyError):
+        model.bracket({"nope": ONE}, model.basis_vec("t1"))
+    # a zero coefficient is skipped before its degree is looked up
+    assert model.bracket({"nope": NovikovSeries.zero(3)}, model.basis_vec("t1")) == {}
 
 
 def test_modified_bracket_examples():

@@ -112,8 +112,18 @@ _BV_BASIS = [{"name": "e", "degree": 0}]
     ({"task": "gw",
       "model": {"basis": [{"name": "M", "degree": 2}], "restriction": [1]},
       "gw": {}, "checks": ["relations"]}, "vector map must be an object"),
+    ([{"task": "bv"}], "task file must be an object"),
+    ({"task": ["bv"]}, "unknown task"),
+    ({"task": "gw",
+      "model": {"basis": [{"name": "M", "degree": 2}], "qpieces": [1]},
+      "gw": {}, "checks": ["relations"]}, "qpieces record must be an object"),
+    ({"task": "gw", "model": {"basis": [{"name": "M", "degree": 2}]},
+      "gw": [1], "checks": ["relations"]}, "gw block must be an object"),
+    ({"task": "operad", "action": "glue", "first": [1], "slot": 1,
+      "second": {"points": []}}, "disc configuration must be an object"),
 ], ids=["bv-product-result", "gw-omega", "bv-delta", "bv-elements",
-        "gw-restriction"])
+        "gw-restriction", "top-level-array", "task-array", "gw-qpieces-record",
+        "gw-block", "operad-config"])
 def test_vector_field_not_an_object_is_parse_error(tmp_path, payload, message):
     bad = tmp_path / "vector.json"
     bad.write_text(json.dumps(payload))

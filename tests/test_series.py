@@ -62,6 +62,18 @@ def test_mul_by_exact_zero_is_exact_zero():
     assert out.truncation == INF
 
 
+def test_mul_of_truncated_zeros_keeps_truncation():
+    # the valuation of a zero known below q^T is at least T, so the product
+    # is known below q^(5+3); exact zero times anything stays exact zero
+    assert NovikovSeries.zero(5) * NovikovSeries.zero(3) == NovikovSeries.zero(8)
+    assert NovikovSeries.zero(5) * NovikovSeries.zero() == NovikovSeries.zero()
+    assert NovikovSeries.zero() * NovikovSeries.zero(3) == NovikovSeries.zero()
+    a, b = NovikovSeries.zero(F(-1, 2)), NovikovSeries.zero(F(1, 3))
+    assert a * b == NovikovSeries.zero(F(-1, 6))
+    # against a stored term the bound min(5 + 2, 9 + 5) is unchanged
+    assert NovikovSeries.zero(5) * S((2, 1), trunc=9) == NovikovSeries.zero(7)
+
+
 def test_invert_binomial_matches_geometric_expansion():
     a = S((0, 2), (1, 1))
     inv = a.invert(order=4)
@@ -187,9 +199,14 @@ def test_truncation_monotonic(a, b):
 # ---------------------------------------------------------------------------
 
 
+def valuation_bound(a):
+    """The lowest term, or the truncation of a series with no stored term."""
+    return a.valuation() if a.terms else a.truncation
+
+
 def oracle_mul(a, b):
     """Every term product, handed to the public constructor."""
-    trunc = min(a.truncation + b.valuation(), b.truncation + a.valuation())
+    trunc = min(a.truncation + valuation_bound(b), b.truncation + valuation_bound(a))
     return NovikovSeries(((ea + eb, ca * cb)
                           for ea, ca in a.terms for eb, cb in b.terms), trunc)
 
@@ -258,6 +275,29 @@ def invertible_series(draw):
 @given(mixed_series(), mixed_series())
 def test_mul_matches_full_product(a, b):
     assert a * b == oracle_mul(a, b)
+
+
+# one stored term, or none when the drawn term lies at or above the
+# truncation (a truncated zero) or the series is exact zero
+one_term_series = st.one_of(
+    st.builds(lambda e, c, t: NovikovSeries([(e, c)], t),
+              mixed_exponents, coeffs.filter(bool), truncations),
+    st.builds(NovikovSeries.zero, truncations))
+scalars = st.one_of(st.integers(min_value=-4, max_value=4), coeffs)
+
+
+@settings(max_examples=200)
+@given(one_term_series, one_term_series)
+def test_one_term_mul_matches_full_product(a, b):
+    assert a * b == oracle_mul(a, b)
+
+
+@settings(max_examples=100)
+@given(scalars, st.one_of(one_term_series, mixed_series()))
+def test_scalar_mul_matches_full_product(c, a):
+    expected = oracle_mul(NovikovSeries.monomial(c, 0), a)
+    assert c * a == expected
+    assert a * c == expected
 
 
 @settings(max_examples=150, deadline=None)

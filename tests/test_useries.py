@@ -42,6 +42,14 @@ def test_mul_truncation_rule():
     assert out.coefficient(2) == ONE
 
 
+def test_mul_of_truncated_zeros_keeps_truncation():
+    # a zero known below u^3 times one known below u^2 is known below u^5;
+    # a factor of exact zero still gives exact zero
+    assert USeries.zero(3) * USeries.zero(2) == USeries.zero(5)
+    assert USeries.zero(3) * USeries.zero() == USeries.zero()
+    assert USeries.zero() * USeries.zero(2) == USeries.zero()
+
+
 def test_times_u_shifts_truncation():
     a = USeries({0: ONE}, u_truncation=2)
     out = a.times_u(2)
