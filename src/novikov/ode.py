@@ -27,8 +27,10 @@ variable ``h`` (same series type).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InconsistentSeed, InsufficientPrecision, LatticeMismatch, ResonantExponent
 from .series import INF, NovikovSeries, Trunc
@@ -170,25 +172,24 @@ def _lattice_coeffs(series: NovikovSeries, shift: int, step: Fraction,
     return out
 
 
-def indicial_polynomial(prob: ODEProblem, order: Trunc | None = None):
-    """Returns d |-> d*(d-1) + P*d + R with P the q^-1 coefficient of p and
-    R the q^-2 coefficient of r."""
-    p, r = second_order_coeffs(prob, order)
-    P = p.coefficient(-1)
-    R = r.coefficient(-2)
-    return lambda d: d * (d - 1) + P * d + R
-
-
 def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
                        order) -> NovikovSeries:
     """Determine rho = sum c_k q^(e0 + k*step) with the seeded c_0, c_1 and
     second_order_residual(rho) = 0 below *order*.
 
     The coefficient c_k of a yet-undetermined exponent enters the residual
-    multiplied by the indicial factor I(e0 + k*step); a vanishing factor
-    there means the recursion does not determine the solution and raises
-    ResonantExponent.  The two seeded orders are instead checked for
-    consistency (their equations involve no new unknown).
+    multiplied by the indicial factor I(d) = d*(d-1) + P_0*d + R_0 at
+    d = e0 + k*step, with P_0 the q^-1 coefficient of p and R_0 the q^-2
+    coefficient of r; a vanishing factor there means the recursion does not
+    determine the solution and raises ResonantExponent.  The two seeded
+    orders are instead checked for consistency (their equations involve no
+    new unknown).
+
+    The known part of the order-k equation is
+    sum_(j<k) c_j*(e0*P_m + R_m) + j*c_j*(step*P_m) with m = k - j.  It is
+    summed in integers: w_m = e0*P_m + R_m and s_m = step*P_m over one
+    common denominator D, and c_j, j*c_j over the lcm L of the denominators
+    of the c_j so far, so each order reduces one Fraction.
     """
     order = Fraction(order)
     e0, step = seed.base_exponent, seed.step
@@ -197,7 +198,7 @@ def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
     vpsi = prob.psi.valuation()
     inv_order = order - e0 + 2 + 2 * abs(vpsi if vpsi != INF else 0)
     p, r = second_order_coeffs(prob, order=inv_order)
-    ind = indicial_polynomial(prob, order=inv_order)
+    P0, R0 = p.coefficient(-1), r.coefficient(-2)
     kmax = int((order - e0) / step)
     if e0 + kmax * step >= order:
         kmax -= 1
@@ -210,31 +211,43 @@ def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
             f"cannot drive the recursion to q^{order}")
     P = _lattice_coeffs(p, -1, step, min(order - e0 - 1, p.truncation), "p")
     R = _lattice_coeffs(r, -2, step, min(order - e0 - 2, r.truncation), "r")
-    coeffs: dict[int, Fraction] = {}
+    zero = Fraction(0)
+    w = [e0 * P.get(m, zero) + R.get(m, zero) for m in range(kmax + 1)]
+    s = [step * P.get(m, zero) for m in range(kmax + 1)]
+    D = math.lcm(*(c.denominator for c in w + s))
+    W = [c.numerator * (D // c.denominator) for c in w]
+    S = [c.numerator * (D // c.denominator) for c in s]
+    coeffs: list[Fraction] = []
+    L = 1
+    cl: list[int] = []   # c_j * L
+    jcl: list[int] = []  # j * c_j * L
     for k in range(kmax + 1):
         d = e0 + k * step
-        known = Fraction(0)
-        for j in range(k):
-            cj = coeffs.get(j)
-            if not cj:
-                continue
-            known += cj * ((e0 + j * step) * P.get(k - j, Fraction(0))
-                           + R.get(k - j, Fraction(0)))
-        factor = ind(d)
+        # c_j pairs with w_(k-j), s_(k-j): W and S read backwards from k to 1
+        known = Fraction(sum(map(mul, cl, W[k:0:-1])) + sum(map(mul, jcl, S[k:0:-1])),
+                         L * D)
+        factor = d * (d - 1) + P0 * d + R0
         if k < 2:
             ck = seed.coeffs[k]
             if factor * ck + known != 0:
                 raise InconsistentSeed(
                     f"seeded coefficient c_{k} violates the order-q^{d - 2} "
                     f"equation: {factor}*{ck} + {known} != 0")
-            coeffs[k] = ck
         else:
             if factor == 0:
                 raise ResonantExponent(
                     f"indicial factor vanishes at exponent {d}; the lattice "
                     f"recursion does not determine c_{k}")
-            coeffs[k] = -known / factor
-    return NovikovSeries(((e0 + k * step, c) for k, c in coeffs.items()),
+            ck = -known / factor
+        grow = ck.denominator // math.gcd(L, ck.denominator)
+        if grow > 1:
+            L *= grow
+            cl = [c * grow for c in cl]
+            jcl = [c * grow for c in jcl]
+        coeffs.append(ck)
+        cl.append(ck.numerator * (L // ck.denominator))
+        jcl.append(k * cl[-1])
+    return NovikovSeries(((e0 + k * step, c) for k, c in enumerate(coeffs)),
                          truncation=order)
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import InsufficientPrecision, ParseError
@@ -69,16 +71,6 @@ class NovikovSeries:
                 acc[e] = c
         self.terms: tuple[tuple[Fraction, Fraction], ...] = tuple(sorted(acc.items()))
         self.truncation: Trunc = trunc
-
-    @classmethod
-    def _canonical(cls, acc: dict[int, Fraction], scale: int,
-                   truncation: Trunc) -> "NovikovSeries":
-        """Build ``sum c*q^(k/scale)`` over the ``{k: c}`` of *acc* from data
-        that needs no conversion: Fraction coefficients, every ``k/scale``
-        below *truncation*, and *truncation* a Fraction or ``INF``.  Zero
-        coefficients are dropped."""
-        return cls._raw(tuple((Fraction(k, scale), c)
-                              for k, c in sorted(acc.items()) if c), truncation)
 
     @classmethod
     def _raw(cls, terms: tuple, truncation: Trunc) -> "NovikovSeries":
@@ -133,20 +125,42 @@ class NovikovSeries:
         return len(self.terms) == 1
 
     def truncate(self, order: Trunc) -> "NovikovSeries":
-        order = _trunc(order)
-        return NovikovSeries(self.terms, min(self.truncation, order))
+        trunc = min(self.truncation, _trunc(order))
+        return NovikovSeries._raw(_below(self.terms, trunc), trunc)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
         other = _coerce(other)
         trunc = min(self.truncation, other.truncation)
-        return NovikovSeries(self.terms + other.terms, trunc)
+        a, b = _below(self.terms, trunc), _below(other.terms, trunc)
+        if not a or not b:
+            return NovikovSeries._raw(a or b, trunc)
+        # merge the two ascending term lists, summing on equal exponents
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (ea, ca), (eb, cb) = a[i], b[j]
+            if ea < eb:
+                out.append(a[i])
+                i += 1
+            elif eb < ea:
+                out.append(b[j])
+                j += 1
+            else:
+                c = ca + cb
+                if c:
+                    out.append((ea, c))
+                i += 1
+                j += 1
+        out.extend(a[i:] or b[j:])
+        return NovikovSeries._raw(tuple(out), trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NovikovSeries":
-        return NovikovSeries(((e, -c) for e, c in self.terms), self.truncation)
+        return NovikovSeries._raw(tuple((e, -c) for e, c in self.terms),
+                                  self.truncation)
 
     def __sub__(self, other: "NovikovSeries") -> "NovikovSeries":
         return self + (-_coerce(other))
@@ -166,20 +180,25 @@ class NovikovSeries:
             # e_a < T_a and e_b < T_b, so the one product lies below trunc
             (ea, ca), (eb, cb) = a[0], b[0]
             return NovikovSeries._raw(((ea + eb, ca * cb),), trunc)
-        # exponents as integers over a common denominator: the sums, the
-        # truncation test and the dict keys below are integer operations
+        # exponents as integers over a common denominator, and coefficients
+        # as integer numerators over each operand's coefficient lcm: the sums,
+        # the truncation test and the dict below are integer operations, and
+        # each output coefficient is reduced once
         scale = _common_denominator(a + b)
         bound = trunc if isinstance(trunc, float) else math.ceil(trunc * scale)
-        bterms = _scaled(b, scale)
-        acc: dict[int, Fraction] = {}
-        for ka, ca in _scaled(a, scale):
-            for kb, cb in bterms:
+        da, db = _coefficient_lcm(a), _coefficient_lcm(b)
+        bterms = _scaled(b, scale, db)
+        acc: dict[int, int] = {}
+        for ka, na in _scaled(a, scale, da):
+            for kb, nb in bterms:
                 k = ka + kb
                 if k >= bound:
                     break  # the terms ascend, so every later product is too
-                p = ca * cb
+                p = na * nb
                 acc[k] = acc[k] + p if k in acc else p
-        return NovikovSeries._canonical(acc, scale, trunc)
+        d = da * db
+        return NovikovSeries._raw(tuple((Fraction(k, scale), Fraction(n, d))
+                                        for k, n in sorted(acc.items()) if n), trunc)
 
     __rmul__ = __mul__
 
@@ -206,7 +225,9 @@ class NovikovSeries:
         ``d_i`` are arbitrary positive rationals, not steps of one lattice);
         each finished ``b_e`` is pushed into the sums of ``e + d_i``, and an
         exponent enters the heap once.  Exponents are integers over the
-        common denominator of the exponents of ``a``.  The cost is
+        common denominator of the exponents of ``a``, and the sums are
+        integers over one common denominator, so each ``b_e`` is reduced
+        once.  The cost is
         O(#terms x #monoid exponents below rel) coefficient products.
         """
         if not self.terms:
@@ -225,33 +246,47 @@ class NovikovSeries:
         rel = target + v
         scale = _common_denominator(self.terms)
         shift = v.numerator * (scale // v.denominator)
-        # x's terms c_i/lead at d_i*scale, negated for the recurrence
-        steps = [(k - shift, -c * inv_lead) for k, c in _scaled(self.terms[1:], scale)]
+        # x's terms c_i/lead, negated for the recurrence, at d_i*scale, with
+        # integer numerators m_i over their lcm dc
+        x = [(e, -c * inv_lead) for e, c in self.terms[1:]]
+        dc = _coefficient_lcm(x)
+        steps = [(k - shift, m) for k, m in _scaled(x, scale, dc)]
         bound = math.ceil(rel * scale)
-        sums = {0: Fraction(1)} if bound > 0 else {}
+        # a pending sum is an integer over dc*L, where L is the lcm of the
+        # denominators of the b_e finished so far; b_0 = 1 = dc/(dc*1)
+        L = 1
+        sums = {0: dc} if bound > 0 else {}
         heap = list(sums)
-        out: dict[int, Fraction] = {}
+        out = []
         while heap:
             k = heapq.heappop(heap)
-            b = sums.pop(k)
-            if not b:
+            s = sums.pop(k)
+            if not s:
                 continue  # contributes nothing to higher exponents
-            out[k - shift] = b * inv_lead
-            for step, c in steps:
+            b = Fraction(s, dc * L)
+            grow = b.denominator // math.gcd(L, b.denominator)
+            if grow > 1:
+                L *= grow
+                for n in sums:
+                    sums[n] *= grow
+            bl = b.numerator * (L // b.denominator)
+            out.append((Fraction(k - shift, scale), b * inv_lead))
+            for step, m in steps:
                 n = k + step
                 if n >= bound:
                     break  # the steps ascend
                 if n in sums:
-                    sums[n] += c * b
+                    sums[n] += m * bl
                 else:
-                    sums[n] = c * b
+                    sums[n] = m * bl
                     heapq.heappush(heap, n)
-        return NovikovSeries._canonical(out, scale, target)
+        # the heap yields the exponents in increasing order
+        return NovikovSeries._raw(tuple(out), target)
 
     def d_q(self) -> "NovikovSeries":
         """Termwise derivative ``c*d*q^(d-1)``; truncation drops by one."""
-        return NovikovSeries(((e - 1, c * e) for e, c in self.terms),
-                             self.truncation - 1)
+        return NovikovSeries._raw(tuple((e - 1, c * e) for e, c in self.terms if e),
+                                  _plus(self.truncation, -1))
 
     # -- comparisons -------------------------------------------------------
 
@@ -332,10 +367,23 @@ def _common_denominator(terms) -> int:
     return math.lcm(*(e.denominator for e, _ in terms))
 
 
-def _scaled(terms, scale: int) -> list[tuple[int, Fraction]]:
-    """*terms* with each exponent as an integer over *scale*, a multiple of
-    every exponent's denominator."""
-    return [(e.numerator * (scale // e.denominator), c) for e, c in terms]
+def _coefficient_lcm(terms) -> int:
+    return math.lcm(*(c.denominator for _, c in terms))
+
+
+def _scaled(terms, scale: int, denominator: int) -> list[tuple[int, int]]:
+    """*terms* with each exponent as an integer over *scale* and each
+    coefficient as an integer over *denominator*, multiples of every
+    exponent's and every coefficient's denominator."""
+    return [(e.numerator * (scale // e.denominator),
+             c.numerator * (denominator // c.denominator)) for e, c in terms]
+
+
+def _below(terms: tuple, trunc: Trunc) -> tuple:
+    """The ascending *terms* with exponent below *trunc*."""
+    if isinstance(trunc, float) or not terms or terms[-1][0] < trunc:
+        return terms
+    return terms[:bisect_left(terms, trunc, key=itemgetter(0))]
 
 
 def _coerce(x) -> NovikovSeries:

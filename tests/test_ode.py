@@ -4,10 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _generators import adjacent_root_problem, random_problem, seed_for
-from novikov.errors import InconsistentSeed, LatticeMismatch, ResonantExponent
+from novikov.errors import (
+    InconsistentSeed,
+    InsufficientPrecision,
+    LatticeMismatch,
+    NovikovError,
+    ResonantExponent,
+)
 from novikov.ode import (
+    _lattice_coeffs,
     LatticeSeed,
     ODEProblem,
     log_derivative,
@@ -24,7 +33,7 @@ from novikov.ode import (
     solve_second_order,
     system_residual,
 )
-from novikov.series import NovikovSeries
+from novikov.series import INF, NovikovSeries
 
 F = Fraction
 ONE = NovikovSeries.one()
@@ -256,6 +265,113 @@ def test_random_resonance_from_smaller_root():
         except ResonantExponent:
             hits += 1
     assert hits == 10
+
+
+def oracle_solve(prob, seed, order):
+    """The Fraction recurrence the integer solver replaced: every product of
+    the known part is a Fraction operation."""
+    order = F(order)
+    e0, step = seed.base_exponent, seed.step
+    if e0 >= order:
+        raise ValueError("requested order lies at or below the base exponent")
+    vpsi = prob.psi.valuation()
+    inv_order = order - e0 + 2 + 2 * abs(vpsi if vpsi != INF else 0)
+    p, r = second_order_coeffs(prob, order=inv_order)
+    P0, R0 = p.coefficient(-1), r.coefficient(-2)
+    kmax = int((order - e0) / step)
+    if e0 + kmax * step >= order:
+        kmax -= 1
+    if p.truncation <= kmax * step - 1 or r.truncation <= kmax * step - 2:
+        raise InsufficientPrecision(
+            f"coefficients known below q^{min(p.truncation, r.truncation + 1)} "
+            f"cannot drive the recursion to q^{order}")
+    P = _lattice_coeffs(p, -1, step, min(order - e0 - 1, p.truncation), "p")
+    R = _lattice_coeffs(r, -2, step, min(order - e0 - 2, r.truncation), "r")
+    coeffs = {}
+    for k in range(kmax + 1):
+        d = e0 + k * step
+        known = F(0)
+        for j in range(k):
+            cj = coeffs.get(j)
+            if not cj:
+                continue
+            known += cj * ((e0 + j * step) * P.get(k - j, F(0)) + R.get(k - j, F(0)))
+        factor = d * (d - 1) + P0 * d + R0
+        if k < 2:
+            ck = seed.coeffs[k]
+            if factor * ck + known != 0:
+                raise InconsistentSeed(
+                    f"seeded coefficient c_{k} violates the order-q^{d - 2} "
+                    f"equation: {factor}*{ck} + {known} != 0")
+            coeffs[k] = ck
+        else:
+            if factor == 0:
+                raise ResonantExponent(
+                    f"indicial factor vanishes at exponent {d}; the lattice "
+                    f"recursion does not determine c_{k}")
+            coeffs[k] = -known / factor
+    return NovikovSeries(((e0 + k * step, c) for k, c in coeffs.items()),
+                         truncation=order)
+
+
+def solve_outcome(solver, *args):
+    try:
+        return solver(*args)
+    except (NovikovError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+mixed_coeffs = st.builds(F, st.integers(min_value=-9, max_value=9),
+                         st.integers(min_value=1, max_value=7))
+
+
+@st.composite
+def solver_cases(draw):
+    """A problem with indicial roots d1 and d1 + gap on the lattice of
+    *step*, and a seed at one of the roots or off them.  A gap of two or
+    more steps makes the smaller root resonant; a seed off the roots, or a
+    c_1 not fitted to the order-1 equation, is inconsistent."""
+    step = draw(st.sampled_from([F(1), F(1, 2), F(1, 3)]))
+    d1 = draw(st.builds(F, st.integers(min_value=-6, max_value=6),
+                        st.sampled_from([1, 2, 3])))
+    gap = step * draw(st.integers(min_value=0, max_value=4))
+    d2 = d1 + gap
+    v = draw(st.builds(F, st.integers(min_value=-3, max_value=3),
+                       st.sampled_from([1, 2, 3])))
+    lead = draw(mixed_coeffs.filter(bool))
+    n = draw(st.integers(min_value=0, max_value=4))
+    trunc = draw(st.one_of(st.just(INF), st.integers(min_value=4, max_value=12)))
+
+    def rest(base):
+        return [(base + j * step, draw(mixed_coeffs)) for j in range(1, n + 1)]
+
+    psi = NovikovSeries([(v, lead)] + rest(v))
+    # p = eta - psi'/psi has q^-1 coefficient eta_(-1) - v, and
+    # r = -4*z2*psi^2 has q^-2 coefficient -4*z2_(-2-2v)*lead^2
+    eta = NovikovSeries([(-1, 1 - d1 - d2 + v)] + rest(F(-1)), trunc)
+    z2 = NovikovSeries([(-2 - 2 * v, -d1 * d2 / (4 * lead * lead))]
+                       + rest(-2 - 2 * v), trunc)
+    pr = ODEProblem(psi, eta, z2)
+    e0 = draw(st.sampled_from([d1, d2, d1 + step / 2]))
+    c0 = draw(mixed_coeffs)
+    c1 = draw(mixed_coeffs)
+    if draw(st.booleans()):
+        # fit c_1 to the order-1 equation where its factor allows
+        p, r = second_order_coeffs(pr, order=12)
+        d = e0 + step
+        factor = d * (d - 1) + (1 - d1 - d2) * d + d1 * d2
+        if factor:
+            c1 = -c0 * (e0 * p.coefficient(step - 1) + r.coefficient(step - 2)) / factor
+    order = e0 + draw(st.integers(min_value=1, max_value=10)) * step
+    return pr, LatticeSeed(step=step, base_exponent=e0, coeffs=(c0, c1)), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(solver_cases())
+def test_solver_matches_fraction_recurrence(case):
+    pr, seed, order = case
+    assert solve_outcome(solve_second_order, pr, seed, order) == \
+        solve_outcome(oracle_solve, pr, seed, order)
 
 
 # ---------------------------------------------------------------------------

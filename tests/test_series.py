@@ -1,6 +1,8 @@
 """Arithmetic and truncation contracts of the scalar series type."""
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -163,8 +165,10 @@ def lattice_series(draw, min_terms=0):
 def test_add_associative_and_distributive(a, b, c):
     lhs = (a + b) + c
     assert lhs.equal_up_to(a + (b + c), lhs.truncation)
-    d = a * (b + c)
-    assert d.equal_up_to(a * b + a * c, d.truncation)
+    # a*(b + c) can be known further than a*b + a*c: when b + c cancels to a
+    # truncated zero, its valuation bound exceeds those of b and c
+    d, e = a * (b + c), a * b + a * c
+    assert d.equal_up_to(e, min(d.truncation, e.truncation))
 
 
 @settings(max_examples=60)
@@ -330,6 +334,90 @@ def test_invert_200_terms_is_not_cubic():
     inv = a.invert(200)
     assert inv.truncation == 200
     assert (a * inv).equal_up_to(NovikovSeries.one(), 200)
+
+
+# ---------------------------------------------------------------------------
+# bigint numerators and denominators
+# ---------------------------------------------------------------------------
+
+PRIMES = [p for p in range(2, 420) if all(p % d for d in range(2, p))][:80]
+
+
+def test_invert_steps_with_new_denominators():
+    # the step coefficients have denominators 2, 3, 5, ..., so the lcm of
+    # the finished coefficients' denominators grows at several steps
+    a = S((0, 1), *((i, F(1, p)) for i, p in enumerate(PRIMES[:10], start=1)),
+          trunc=40)
+    inv = a.invert(30)
+    assert inv == oracle_invert(a, 30)
+    lcms = set(accumulate((c.denominator for _, c in inv.terms), lcm))
+    assert len(lcms) > 5
+
+
+def test_mul_of_coprime_denominators():
+    a = S(*((F(i, 2), F(i % 7 - 3, p)) for i, p in enumerate(PRIMES[:40])),
+          trunc=F(41, 2))
+    b = S(*((F(i, 3), F(1 - i, p)) for i, p in enumerate(PRIMES[40:80])))
+    out = a * b
+    assert out == oracle_mul(a, b)
+    assert out.truncation == F(41, 2)
+    assert max(c.denominator for _, c in out.terms).bit_length() > 100
+
+
+def test_mul_of_an_order_60_inverse():
+    a = S((0, F(3, 7)), *((i, F(i % 5 - 2, PRIMES[i])) for i in range(1, 20)),
+          trunc=80)
+    inv = a.invert(60)
+    assert inv == oracle_invert(a, 60)
+    assert len(inv.terms) == 60
+    b = S(*((F(i, 2), F(1, PRIMES[i])) for i in range(40)), trunc=F(45, 2))
+    assert inv * b == oracle_mul(inv, b)
+    assert inv * inv == oracle_mul(inv, inv)
+
+
+# ---------------------------------------------------------------------------
+# results built without the public constructor stay canonical
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Two mixed series; the second repeats some exponents of the first,
+    some with the cancelling coefficient, and has its own truncation."""
+    a = draw(mixed_series())
+    b = draw(mixed_series())
+    shared = draw(st.lists(st.tuples(st.sampled_from(a.terms), st.booleans()),
+                           max_size=len(a.terms))) if a.terms else []
+    extra = [(e, -c if cancel else c) for (e, c), cancel in shared]
+    return a, NovikovSeries(b.terms + tuple(extra), draw(truncations))
+
+
+def assert_canonical(s):
+    exps = [e for e, _ in s.terms]
+    assert all(type(e) is Fraction for e in exps)
+    assert all(x < y for x, y in zip(exps, exps[1:]))
+    assert all(type(c) is Fraction and c != 0 for _, c in s.terms)
+    assert all(e < s.truncation for e in exps)
+    assert s.truncation == INF or type(s.truncation) is Fraction
+
+
+@settings(max_examples=200)
+@given(overlapping_pairs(), truncations)
+def test_add_neg_d_q_truncate_are_canonical(pair, order):
+    a, b = pair
+    trunc = min(a.truncation, b.truncation)
+    neg_b = tuple((e, -c) for e, c in b.terms)
+    expected = [
+        (a + b, NovikovSeries(a.terms + b.terms, trunc)),
+        (a - b, NovikovSeries(a.terms + neg_b, trunc)),
+        (-b, NovikovSeries(neg_b, b.truncation)),
+        (a + (-a), NovikovSeries.zero(a.truncation)),
+        (a.d_q(), NovikovSeries(((e - 1, c * e) for e, c in a.terms), a.truncation - 1)),
+        (a.truncate(order), NovikovSeries(a.terms, min(a.truncation, order))),
+    ]
+    for got, want in expected:
+        assert got == want
+        assert_canonical(got)
 
 
 # ---------------------------------------------------------------------------
