@@ -32,7 +32,7 @@ from .ode import (
     system_residual,
 )
 from .report import Report
-from .series import INF, NovikovSeries
+from .series import INF, NovikovSeries, rat
 
 SCHEMA_VERSION = 1
 
@@ -49,9 +49,9 @@ def _series(data) -> NovikovSeries:
 
 def _working_order(payload: dict, trunc, *series_list) -> Fraction:
     if trunc is not None:
-        return Fraction(trunc)
+        return rat(trunc)
     if "order" in payload:
-        return Fraction(payload["order"])
+        return rat(payload["order"])
     finite = [s.truncation for s in series_list
               if s is not None and s.truncation != INF]
     if finite:
@@ -74,51 +74,40 @@ def run_ode(payload: dict, trunc=None) -> Report:
             rho = _series(check["rho"]).truncate(order)
             sigma = sigma_from_rho(rho, prob, order)
             r1, r2 = system_residual(rho, sigma, prob)
-            report.add("system-1", "d_q rho + psi*sigma = 0",
-                       r1.is_zero(), r1.render())
-            report.add("system-2", "d_q sigma + 4*z2*psi*rho + eta*sigma = 0",
-                       r2.is_zero(), r2.render())
-            res = second_order_residual(rho, prob, order)
-            report.add("second-order",
-                       "d_q^2 rho + (eta - psi'/psi) d_q rho - 4*z2*psi^2*rho = 0",
-                       res.is_zero(), res.render())
+            report.residual("system-1", "d_q rho + psi*sigma = 0", r1)
+            report.residual("system-2", "d_q sigma + 4*z2*psi*rho + eta*sigma = 0", r2)
+            report.residual("second-order",
+                            "d_q^2 rho + (eta - psi'/psi) d_q rho - 4*z2*psi^2*rho = 0",
+                            second_order_residual(rho, prob, order))
             alpha = rho.invert(order) * rho.d_q()
-            res = riccati_residual(alpha, prob, order)
-            report.add("riccati",
-                       "d_q a + a^2 + (eta - psi'/psi)*a - 4*z2*psi^2 = 0",
-                       res.is_zero(), res.render())
+            report.residual("riccati",
+                            "d_q a + a^2 + (eta - psi'/psi)*a - 4*z2*psi^2 = 0",
+                            riccati_residual(alpha, prob, order))
             lam = -(prob.psi.invert(order) * alpha)
-            res = projective_residual(lam, prob)
-            report.add("projective",
-                       "d_q l - psi*l^2 + eta*l + 4*z2*psi = 0",
-                       res.is_zero(), res.render())
+            report.residual("projective", "d_q l - psi*l^2 + eta*l + 4*z2*psi = 0",
+                            projective_residual(lam, prob))
         elif kind == "system":
-            r1, r2 = system_residual(_series(check["rho"]),
-                                     _series(check["sigma"]), prob)
-            ok = r1.is_zero() and r2.is_zero()
-            report.add("system", "first-order linear system", ok,
-                       f"({r1.render()}, {r2.render()})")
+            report.residual("system", "first-order linear system",
+                            *system_residual(_series(check["rho"]),
+                                             _series(check["sigma"]), prob))
         elif kind == "second-order":
-            res = second_order_residual(_series(check["rho"]), prob, order)
-            report.add("second-order", "second-order form",
-                       res.is_zero(), res.render())
+            report.residual("second-order", "second-order form",
+                            second_order_residual(_series(check["rho"]), prob, order))
         elif kind == "riccati":
-            res = riccati_residual(_series(check["alpha"]), prob, order)
-            report.add("riccati", "riccati form", res.is_zero(), res.render())
+            report.residual("riccati", "riccati form",
+                            riccati_residual(_series(check["alpha"]), prob, order))
         elif kind == "projective":
-            res = projective_residual(_series(check["lambda"]), prob)
-            report.add("projective", "projective form",
-                       res.is_zero(), res.render())
+            report.residual("projective", "projective form",
+                            projective_residual(_series(check["lambda"]), prob))
         elif kind == "schwarzian":
-            res = schwarz_residual(_series(check["theta"]), prob, order)
-            report.add("schwarzian", "schwarzian form",
-                       res.is_zero(), res.render())
+            report.residual("schwarzian", "schwarzian form",
+                            schwarz_residual(_series(check["theta"]), prob, order))
         elif kind == "solve":
             seed = LatticeSeed.from_json(check["seed"])
-            rho = solve_second_order(prob, seed, Fraction(check["order"]))
-            res = second_order_residual(rho, prob, order)
-            report.add("solve", "lattice recursion solves the second-order form",
-                       res.is_zero(), f"rho = {rho.render()}")
+            rho = solve_second_order(prob, seed, rat(check["order"]))
+            report.residual("solve", "lattice recursion solves the second-order form",
+                            second_order_residual(rho, prob, order),
+                            detail=f"rho = {rho.render()}")
         else:
             raise ParseError(f"unknown ode check type {kind!r}")
     return report
@@ -149,7 +138,7 @@ def run_gw(payload: dict, trunc=None) -> Report:
         elif name == "relative":
             report.checks += qmod.relative_z2_check(model, gw).checks
         elif name == "psi-eta":
-            psi_order = Fraction(trunc) if trunc is not None else None
+            psi_order = rat(trunc) if trunc is not None else None
             report.checks += qmod.psi_eta_check(model, gw, psi_order).checks
         elif name == "gauss-manin":
             eq = qmod.EqModuleModel(prob, order=order)
@@ -163,16 +152,15 @@ def run_gw(payload: dict, trunc=None) -> Report:
 
 def run_mirror(payload: dict, trunc=None) -> Report:
     report = Report()
-    order = Fraction(trunc) if trunc is not None else Fraction(payload.get("order", 10))
+    order = rat(trunc if trunc is not None else payload.get("order", 10))
     for case in payload.get("a_cases", []):
-        p0 = Fraction(case["p0"])
+        p0 = rat(case["p0"])
         f = _series(case["f"])
         l = log_derivative(f, order) if not f.is_zero() else NovikovSeries.zero()
         a = mirror_a(p0, f, order)
-        res = mirror_a_residual(a, l)
-        report.add(f"mirror-a[p0={p0}]",
-                   "d_h a + a^2 + 2*l*a + (d_h l + l^2) = 0",
-                   res.is_zero(), res.render("h"))
+        report.residual(f"mirror-a[p0={p0}]",
+                        "d_h a + a^2 + 2*l*a + (d_h l + l^2) = 0",
+                        mirror_a_residual(a, l), var="h")
     for case in payload.get("ode_cases", []):
         f = _series(case["f"])
         l = log_derivative(f, order)
@@ -183,10 +171,9 @@ def run_mirror(payload: dict, trunc=None) -> Report:
             cand = NovikovSeries.monomial(1, 1) * f.invert(order)
         else:
             cand = _series(eta)
-        res = mirror_ode_residual(cand, l)
-        report.add(f"mirror-ode[eta={eta if isinstance(eta, str) else 'series'}]",
-                   "d_h^2 eta + 2*l*d_h eta + (d_h l + l^2)*eta = 0",
-                   res.is_zero(), res.render("h"))
+        report.residual(f"mirror-ode[eta={eta if isinstance(eta, str) else 'series'}]",
+                        "d_h^2 eta + 2*l*d_h eta + (d_h l + l^2)*eta = 0",
+                        mirror_ode_residual(cand, l), var="h")
     return report
 
 
@@ -271,7 +258,7 @@ def run_operad(payload: dict, trunc=None) -> Report:
             table = {}
             for rec in raw.get("table", []):
                 table[tuple(rec["inputs"])] = {
-                    int(g): Fraction(c) for g, c in rec["output"].items()}
+                    int(g): rat(c) for g, c in rec["output"].items()}
             return opmod.GradedOperation(space=space, arity=int(raw["arity"]),
                                          degree=int(raw["degree"]), table=table)
         phi1 = load_op(payload["phi1"])

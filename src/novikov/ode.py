@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InconsistentSeed, InsufficientPrecision, LatticeMismatch, ResonantExponent
-from .series import INF, NovikovSeries, Trunc
+from .series import INF, NovikovSeries, Trunc, rat
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,8 @@ class LatticeSeed:
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeSeed":
-        return cls(step=Fraction(data["step"]),
-                   base_exponent=Fraction(data["base"]),
-                   coeffs=tuple(Fraction(c) for c in data["coeffs"]))
+        return cls(step=rat(data["step"]), base_exponent=rat(data["base"]),
+                   coeffs=tuple(map(rat, data["coeffs"])))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .graded import (
 )
 from .ode import ODEProblem
 from .report import Report
-from .series import NovikovSeries, Trunc
+from .series import NovikovSeries, Trunc, rat
 from .useries import USeries
 
 UVec = dict  # name -> USeries
@@ -201,7 +201,7 @@ class GWData:
             return None if raw is None else vec_from_json(raw)
         return cls(z0=load("z0") or {}, z1=load("z1") or {}, z2=load("z2") or {},
                    z2tilde=load("z2tilde"),
-                   gamma=Fraction(data.get("gamma", 0)))
+                   gamma=rat(data.get("gamma", 0)))
 
     def omega_vec(self, d_class: str = "D", m_class: str = "M") -> Vec:
         """q^{-1}[omega] for omega = D + gamma*M."""
@@ -234,24 +234,19 @@ def divisor_relations_check(model: CohomologyModel, gw: GWData) -> Report:
 
     lhs = model.quantum_mul(m, m)
     rhs = vec_add(gw.z1, vec_scale(4, gw.z2))
-    res = vec_sub(lhs, rhs)
-    report.add("m-star-m", "M*M = z1 + 4*z2", vec_is_zero(res), vec_render(res))
+    report.residual("m-star-m", "M*M = z1 + 4*z2", vec_sub(lhs, rhs))
 
     lhs = model.quantum_mul(w, m)
     rhs = vec_add(model.cup_mul(w, m),
                   model.d_q(vec_add(gw.z1, vec_scale(2, gw.z2))))
-    res = vec_sub(lhs, rhs)
-    report.add("omega-star-m", "W*M = W.M + d_q(z1 + 2*z2)",
-               vec_is_zero(res), vec_render(res))
+    report.residual("omega-star-m", "W*M = W.M + d_q(z1 + 2*z2)", vec_sub(lhs, rhs))
 
     lhs = model.quantum_mul(w, w)
     zsum = vec_add(gw.z0, gw.z1, gw.z2)
     dz = model.d_q(zsum)
     rhs = vec_add(model.cup_mul(w, w), vec_scale(_Q_INV, dz), model.d_q(dz))
-    res = vec_sub(lhs, rhs)
-    report.add("omega-star-omega",
-               "W*W = W.W + (q^-1 d_q + d_q^2)(z0 + z1 + z2)",
-               vec_is_zero(res), vec_render(res))
+    report.residual("omega-star-omega",
+                    "W*W = W.W + (q^-1 d_q + d_q^2)(z0 + z1 + z2)", vec_sub(lhs, rhs))
     return report
 
 
@@ -272,9 +267,8 @@ def wdvv_check(model: CohomologyModel, gw: GWData,
     else:
         names = [f"x{i}" for i in range(len(xs))]
     for name, x in zip(names, xs):
-        res = wdvv_residual(x, model, gw)
-        report.add(f"wdvv[{name}]", "x *0 z1 = (x.M) *1 M + (x *1 M).M",
-                   vec_is_zero(res), vec_render(res))
+        report.residual(f"wdvv[{name}]", "x *0 z1 = (x.M) *1 M + (x *1 M).M",
+                        wdvv_residual(x, model, gw))
     return report
 
 
@@ -291,9 +285,8 @@ def relative_z2_check(model: CohomologyModel, gw: GWData) -> Report:
         report.add("relative-z2", "z2~|E = (1/2)(z1 *1 M)|E", True,
                    f"computed {vec_render(half)} (no z2~ supplied to compare)")
         return report
-    res = vec_sub(model.restrict(gw.z2tilde), half)
-    report.add("relative-z2", "z2~|E = (1/2)(z1 *1 M)|E",
-               vec_is_zero(res), vec_render(res))
+    report.residual("relative-z2", "z2~|E = (1/2)(z1 *1 M)|E",
+                    vec_sub(model.restrict(gw.z2tilde), half))
     return report
 
 
@@ -325,9 +318,9 @@ def psi_eta_check(model: CohomologyModel, gw: GWData,
     recon = vec_sub(vec_scale(psi, gw.z1),
                     vec_scale(eta, model.m_vec()))
     res = vec_sub(recon, gw.omega_vec(m_class=model.m_class))
-    report.add("psi-eta-round-trip", "q^-1*[omega] = psi*z1 - eta*M",
-               vec_is_zero(res),
-               f"psi = {psi.render()}; eta = {eta.render()}; residual {vec_render(res)}")
+    report.residual("psi-eta-round-trip", "q^-1*[omega] = psi*z1 - eta*M", res,
+                    detail=f"psi = {psi.render()}; eta = {eta.render()}; "
+                           f"residual {vec_render(res)}")
     return report
 
 
@@ -428,15 +421,13 @@ def gauss_manin_check(eqmodel: EqModuleModel) -> Report:
     psi, eta, z2 = eqmodel.prob.psi, eqmodel.prob.eta, eqmodel.prob.z2
     gamma_e, u_gamma_s = gauss_manin_derivation(eqmodel)
     expect_e = {S_EQ: USeries({1: psi})}
-    res_e = vec_sub(gamma_e, expect_e)
-    report.add("gauss-manin-e", "Gamma(e_eq) = u*psi*s_eq",
-               vec_is_zero(res_e), vec_render(gamma_e))
+    report.residual("gauss-manin-e", "Gamma(e_eq) = u*psi*s_eq",
+                    vec_sub(gamma_e, expect_e), detail=vec_render(gamma_e))
     expect_s = {SS_EQ: USeries({2: 2 * psi}), S_EQ: USeries({2: -eta}),
                 E_EQ: USeries({2: -4 * z2 * psi})}
-    res_s = vec_sub(u_gamma_s, expect_s)
-    report.add("gauss-manin-s",
-               "u*Gamma(s_eq) = 2u^2*psi*ss_eq - u^2*eta*s_eq - 4u^2*z2*psi*e_eq",
-               vec_is_zero(res_s), vec_render(u_gamma_s))
+    report.residual("gauss-manin-s",
+                    "u*Gamma(s_eq) = 2u^2*psi*ss_eq - u^2*eta*s_eq - 4u^2*z2*psi*e_eq",
+                    vec_sub(u_gamma_s, expect_s), detail=vec_render(u_gamma_s))
     return report
 
 
@@ -486,9 +477,7 @@ def uueq_rewrite_check(model: CohomologyModel, gw: GWData) -> Report:
     rhs = {k: USeries({0: vec_get(rhs_u0, k), 1: vec_get(rhs_u1, k)})
            for k in set(rhs_u0) | set(rhs_u1)}
 
-    res = vec_sub(lhs, rhs)
-    report.add("uueq-rewrite",
-               "(1/2)(z1 *0 z1 + u*z1 *1 M)|E + 2u^2(z2 - z2.e)|E = "
-               "(1/2)((z1.M) *1 M)|E + u*z2~|E",
-               vec_is_zero(res), vec_render(res))
+    report.residual("uueq-rewrite",
+                    "(1/2)(z1 *0 z1 + u*z1 *1 M)|E + 2u^2(z2 - z2.e)|E = "
+                    "(1/2)((z1.M) *1 M)|E + u*z2~|E", vec_sub(lhs, rhs))
     return report

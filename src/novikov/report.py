@@ -1,8 +1,26 @@
-"""Verification report records shared by the check engines and the CLI."""
+"""Verification report records shared by the check engines and the CLI.
+
+A residual row is decided here and nowhere else: :meth:`Report.residual`
+and :meth:`Report.identity` pass a row when each of its residuals
+vanishes (:func:`vanishes`) and render the residual as its detail
+(:func:`render`).  A residual is a :class:`NovikovSeries`, a
+:class:`USeries`, or a class-valued vector (a dict).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .graded import vec_is_zero, vec_render
+
+
+def vanishes(residual) -> bool:
+    """The verdict rule: True when *residual* has no nonzero term."""
+    return vec_is_zero(residual) if isinstance(residual, dict) else residual.is_zero()
+
+
+def render(residual, var: str = "q") -> str:
+    return vec_render(residual) if isinstance(residual, dict) else residual.render(var)
 
 
 @dataclass
@@ -29,6 +47,23 @@ class Report:
         result = CheckResult(name, equation, passed, detail)
         self.checks.append(result)
         return result
+
+    def residual(self, name: str, equation: str, *residuals,
+                 detail: str | None = None, var: str = "q") -> CheckResult:
+        """A row that passes when every residual vanishes.  Its detail is
+        *detail* if given, else the residual, or ``(r1, r2)`` for two."""
+        if detail is None:
+            shown = [render(r, var) for r in residuals]
+            detail = shown[0] if len(shown) == 1 else f"({', '.join(shown)})"
+        return self.add(name, equation, all(map(vanishes, residuals)), detail)
+
+    def identity(self, name: str, equation: str, cases) -> CheckResult:
+        """One row for an identity over (label, residual) cases: it passes
+        when every residual vanishes, and its detail names the first case
+        that does not."""
+        failing = [(label, res) for label, res in cases if not vanishes(res)]
+        detail = f"{failing[0][0]}: {render(failing[0][1])}" if failing else "0"
+        return self.add(name, equation, not failing, detail)
 
     @property
     def passed(self) -> bool:

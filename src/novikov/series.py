@@ -33,7 +33,9 @@ Rat = Union[int, Fraction]
 Trunc = Union[Fraction, float]
 
 
-def _rat(x) -> Fraction:
+def rat(x) -> Fraction:
+    """A rational literal: a Fraction, an int or a string such as "3/4".
+    A malformed string is a ParseError; a float is a TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -49,7 +51,7 @@ def _rat(x) -> Fraction:
 def _trunc(x) -> Trunc:
     if x == INF:
         return INF
-    return _rat(x)
+    return rat(x)
 
 
 class NovikovSeries:
@@ -61,14 +63,14 @@ class NovikovSeries:
         trunc = _trunc(truncation)
         acc: dict[Fraction, Fraction] = {}
         for exp, coeff in terms:
-            e, c = _rat(exp), _rat(coeff)
+            e, c = rat(exp), rat(coeff)
             if c == 0 or e >= trunc:
                 continue
-            c = acc.get(e, Fraction(0)) + c
-            if c == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = c
+            if e in acc:
+                c += acc.pop(e)
+                if not c:
+                    continue
+            acc[e] = c
         self.terms: tuple[tuple[Fraction, Fraction], ...] = tuple(sorted(acc.items()))
         self.truncation: Trunc = trunc
 
@@ -115,7 +117,7 @@ class NovikovSeries:
         return self.terms[0][1]
 
     def coefficient(self, exp: Rat) -> Fraction:
-        e = _rat(exp)
+        e = rat(exp)
         for te, tc in self.terms:
             if te == e:
                 return tc
@@ -340,17 +342,14 @@ class NovikovSeries:
     @classmethod
     def from_json(cls, data) -> "NovikovSeries":
         if isinstance(data, (int, str)):
-            return cls.monomial(_rat(data), 0)
+            return cls.monomial(data, 0)
         if not isinstance(data, dict):
             raise ParseError(f"series must be an object, got {type(data).__name__}")
         trunc: Trunc = INF
         raw = data.get("trunc", "inf")
         if raw not in ("inf", None):
-            trunc = _rat(raw)
-        terms = []
-        for rec in data.get("terms", []):
-            terms.append((_rat(rec["exp"]), _rat(rec["coeff"])))
-        return cls(terms, trunc)
+            trunc = rat(raw)
+        return cls([(rec["exp"], rec["coeff"]) for rec in data.get("terms", [])], trunc)
 
 
 def _plus(t: Trunc, v: Trunc) -> Trunc:
@@ -390,7 +389,7 @@ def _coerce(x) -> NovikovSeries:
     if isinstance(x, NovikovSeries):
         return x
     if isinstance(x, (int, Fraction)):
-        return NovikovSeries._raw(((_EXP0, _rat(x)),) if x else (), INF)
+        return NovikovSeries._raw(((_EXP0, rat(x)),) if x else (), INF)
     raise TypeError(f"cannot treat {type(x).__name__} as a series")
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,13 @@ TASKS = ["riccati_chain.json", "gauss_manin.json", "mirror_suite.json",
 
 def task_path(name: str) -> str:
     return str(resources.files("novikov").joinpath("taskfiles", name))
+
+
+def child_env(**extra) -> dict:
+    """The environment for a child interpreter that imports the same
+    package as this one, installed or not."""
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **extra}
 
 
 @pytest.mark.parametrize("name", TASKS)
@@ -55,6 +63,198 @@ def test_bundled_reports_match_golden_digest(name, output):
     code, text = cli.run(task_path(name), output=output)
     assert code == 0, text
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(name, output)]
+
+
+def _s(*terms, trunc="inf"):
+    """A series literal from (exp, coeff) pairs."""
+    return {"terms": [{"exp": e, "coeff": c} for e, c in terms], "trunc": trunc}
+
+
+# psi = 1, eta = z2 = 0: the second-order form is d_q^2 rho = 0, solved by
+# rho = 1 + q with sigma = -1, alpha = rho'/rho, lambda = -alpha, theta = q
+_FLAT = {"psi": "1", "eta": "0", "z2": "0"}
+_INV_1PQ = _s(*((str(k), str((-1) ** k)) for k in range(8)), trunc="8")
+_NEG_INV_1PQ = _s(*((str(k), str((-1) ** (k + 1))) for k in range(8)), trunc="8")
+
+
+def _ode(check):
+    return {"task": "ode", "problem": _FLAT, "order": "8", "checks": [check]}
+
+
+_GW_BASIS = [{"name": "e", "degree": 0}, {"name": "D", "degree": 2},
+             {"name": "M", "degree": 2}]
+_GW_Q1 = [{"left": "M", "right": "M", "k": 1, "result": {"D": _s(("2", "1"))}},
+          {"left": "D", "right": "M", "k": 1, "result": {"D": _s(("2", "-1"))}}]
+# a *0 piece and a cup product that keep the associativity instance for z1
+# but break the u^0 level of the uueq rewrite
+_GW_Q0 = [{"left": "D", "right": "D", "k": 0, "result": {"D": "1"}}]
+_GW_CUP = [{"left": "D", "right": "M", "result": {"D": "-1/2"}}]
+
+
+def _gw(checks, gw, qpieces=_GW_Q1, cup=()):
+    return {"task": "gw",
+            "model": {"basis": _GW_BASIS, "unit": "e", "qpieces": qpieces,
+                      "cup": list(cup)},
+            "gw": gw, "checks": checks}
+
+
+_Z1 = {"D": _s(("2", "1"))}
+_Z2T = {"D": _s(("4", "-1/2"))}
+# an odd x with Delta x = e, so Delta k != 0 for k = x
+_BV_ODD = {"basis": [{"name": "e", "degree": 0}, {"name": "x", "degree": 1}],
+           "product": [{"left": "e", "right": "e", "result": {"e": "1"}},
+                       {"left": "e", "right": "x", "result": {"x": "1"}}],
+           "delta": {"x": {"e": "1"}}, "elements": {"k": {"x": "1"}}}
+
+# Inline tasks for the row shapes the bundled files leave unpinned, each in
+# a passing and (where the identity can fail) a failing variant.  The
+# solver is exact, so `solve` has no failing variant.
+ROW_SHAPES = {
+    "chain-fail": _ode({"type": "chain", "rho": _s(("0", "1"), ("2", "1"))}),
+    "system-pass": _ode({"type": "system", "rho": _s(("0", "1"), ("1", "1")),
+                         "sigma": "-1"}),
+    "system-fail": _ode({"type": "system", "rho": _s(("0", "1"), ("1", "1")),
+                         "sigma": "1"}),
+    "second-order-pass": _ode({"type": "second-order",
+                               "rho": _s(("0", "1"), ("1", "1"))}),
+    "second-order-fail": _ode({"type": "second-order",
+                               "rho": _s(("0", "1"), ("2", "1"))}),
+    "riccati-pass": _ode({"type": "riccati", "alpha": _INV_1PQ}),
+    "riccati-fail": _ode({"type": "riccati", "alpha": "1"}),
+    "projective-pass": _ode({"type": "projective", "lambda": _NEG_INV_1PQ}),
+    "projective-fail": _ode({"type": "projective", "lambda": "1"}),
+    "schwarzian-pass": _ode({"type": "schwarzian", "theta": _s(("1", "1"))}),
+    "schwarzian-fail": _ode({"type": "schwarzian", "theta": _s(("2", "1"))}),
+    "solve-pass": _ode({"type": "solve", "order": "6",
+                        "seed": {"step": "1", "base": "0", "coeffs": ["1", "1"]}}),
+    "mirror-fail": {"task": "mirror", "order": "6",
+                    "a_cases": [{"p0": "1/2", "f": _s(("0", "1"), ("2", "1"))}],
+                    "ode_cases": [{"f": _s(("0", "1"), ("2", "1")), "eta": "1"}]},
+    "relations-fail": _gw(["relations"], {"z1": _Z1, "gamma": "3"}),
+    "psi-eta-fail": _gw(["psi-eta"], {"z1": {**_Z1, "e": "1"}, "gamma": "3"}),
+    "wdvv-pass": _gw(["wdvv"], {"z1": _Z1}),
+    "wdvv-fail": _gw(["wdvv"], {"z1": _Z1}, qpieces=_GW_Q1 + _GW_Q0),
+    "relative-pass": _gw(["relative"], {"z1": _Z1, "z2tilde": _Z2T}),
+    "relative-fail": _gw(["relative"], {"z1": _Z1, "z2tilde": {"D": "1"}}),
+    "relative-no-z2tilde": _gw(["relative"], {"z1": _Z1}),
+    "uueq-pass": _gw(["uueq"], {"z1": _Z1, "z2": {"e": "2"}, "z2tilde": _Z2T}),
+    "uueq-fail": _gw(["uueq"], {"z1": _Z1, "z2tilde": _Z2T},
+                     qpieces=_GW_Q1 + _GW_Q0, cup=_GW_CUP),
+    "r-endomorphism-pass": {"task": "bv", "model": "polyvector-k", "n": 2,
+                            "checks": ["r-endomorphism"]},
+    "r-endomorphism-fail": {"task": "bv", "model": _BV_ODD,
+                            "checks": ["r-endomorphism"]},
+    # x.x = e breaks graded commutativity first at the last pair, [x,x]
+    "axioms-fail": {"task": "bv", "checks": ["axioms"],
+                    "model": {**_BV_ODD, "product": _BV_ODD["product"] + [
+                        {"left": "x", "right": "x", "result": {"e": "1"}}]}},
+}
+
+ROW_GOLDEN = {
+    ("chain-fail", "json"): "9f0b654e3757e8e475e5ad531e1af5c1bac7878de66726422f7338074b6c2a42",
+    ("chain-fail", "text"): "e7a7492801fe6326dfbfd50299b2e7ca50d1dcc2b59fa7adea3111f1d291568d",
+    ("system-pass", "json"): "4d61cc8e34d8170e368d403d446ef30eb674cf3367ba2b3b079bf580afdd0dc7",
+    ("system-pass", "text"): "b27970ac726ec1ec5ffa655ac3caf0fb062b98b418131a86920508ea456295ad",
+    ("system-fail", "json"): "0dda7321485ededba21ce59dc3dda8e6ee37776eeabcef546fb9ae3bf0562da6",
+    ("system-fail", "text"): "244f1bf95ac776f5b37a1a7696681c96a04611a814b6e5affd1f1958577f2d06",
+    ("second-order-pass", "json"): "fa5fe1d302fc9e84260f573d63309ffff96ab08f2a045d473effe612efae5f92",
+    ("second-order-pass", "text"): "dfcd877f853f25fb7461e8ffa5c9ba755bc8aa7a2ee5068bf78babebfcc7ace2",
+    ("second-order-fail", "json"): "b413b9cd6e666f52b449bada24e894e8a9a5384c64b6e352b1bb0f7bf9ca890e",
+    ("second-order-fail", "text"): "22b9d507dfc4946196ce6ae2ac6a0d9ee090d799edeefea75113db6fb08a965c",
+    ("riccati-pass", "json"): "7c92ed90f7911fd154ca71a35b7069c0acd9f55f3fceb4e20f395bb08646185f",
+    ("riccati-pass", "text"): "3900b3ce87cf9c0a1a0d6f95753027d4412db40ffce000f02827c81400546105",
+    ("riccati-fail", "json"): "3fd335d3c0f9a01290c1bcee52a4a3586073853afba8585bae8488eb349c598c",
+    ("riccati-fail", "text"): "b10ca95e252e82664da56781a824a55f869333a77469e7b8004e6a65067e5c85",
+    ("projective-pass", "json"): "514b848f50ade89842d6bb2c01c3a7e6d0ce3266ce181f32c45ed4794a9e3c67",
+    ("projective-pass", "text"): "c2c6bc4b831020d236aaa0f7a1556dbd4bf9cd6140a4657af0329eafc62a3649",
+    ("projective-fail", "json"): "986c2bb0f0cb41e50af94632c99b9de7e6c4d7a4f956e2b7f30862851bb82980",
+    ("projective-fail", "text"): "eccb8d99b86c029aedd0b56e2174040888983ece6ce2480c72bcab74ca4f35f0",
+    ("schwarzian-pass", "json"): "31628854e661441ff369cb15eaab7a0b6c4d1567de0add8587797b7fe052d4c1",
+    ("schwarzian-pass", "text"): "ab9c5661854a2f2fc7ab0de15d46305505ce1134c0d786515b99318e117ab104",
+    ("schwarzian-fail", "json"): "6b2be7ce19c864f678ec2d917920e2363f30ad7c0cf5a94938d31273cd16430f",
+    ("schwarzian-fail", "text"): "510d6d783c26c20022f07abbb3f22563e17104d0e76631729128d07242299ca9",
+    ("solve-pass", "json"): "f54229fb20cd9e36e6220b11c810fd1310fcb4198de014049c47359eee11b690",
+    ("solve-pass", "text"): "2ee6994c7e1452dc13d74aab436b2aa1199b85b83d174560fc53b77777fb065e",
+    ("mirror-fail", "json"): "f26c463d68779bb2078eb9cc4d826bf2473a16a3acd5b1fae4800580566cc2b1",
+    ("mirror-fail", "text"): "49c1d611f0632f54e08c49c1423671d1c72771561974f22cefbf54ed126c3f47",
+    ("relations-fail", "json"): "c2510942047f8f931425d1095fab10d5dfd6d5cb912a7428c530bae1597c1394",
+    ("relations-fail", "text"): "2ce4a40f0be1e4368850aa8370e81121eeb9c531580d0b8167fdb118252442f6",
+    ("psi-eta-fail", "json"): "5ab289d66be492a242ea3f735fad596a9fe053719c6b1f78e44c031d16b32cb6",
+    ("psi-eta-fail", "text"): "26ae3b2cfdb565c6294cc8564add5823d61394cc8b8568560623c5f4036a2e13",
+    ("wdvv-pass", "json"): "0daba317d0485b6d7b9e126de51fe36fc048d22a370e96a97b2bd031b81d5bb6",
+    ("wdvv-pass", "text"): "c7ec78a664c97200d95ae8ef93062704b844ce8bd3da4de0271fb47c6a046557",
+    ("wdvv-fail", "json"): "5ff36a7bf3dac5ce0f4de36babadcac4abdb03d907e2df236152c927e269584d",
+    ("wdvv-fail", "text"): "1b418d85ac0cb041e49a88fa4dc5a597caa4bc13ea9bfb7f26412339949f1666",
+    ("relative-pass", "json"): "956b8e5332cfd9f83926bd51ec65176d83de4a2353757426e5c2dbcb56e5e1a7",
+    ("relative-pass", "text"): "439ddc065a9fb283304b95791e9c1dd2881d7dc1df9a91b924f882e587abaf5a",
+    ("relative-fail", "json"): "6024ecfd409d9a4877aa4b9b940cdb38e3d9d4e6fa73bebd374e1ebf4d5b4efd",
+    ("relative-fail", "text"): "68db57f000e06e862a1ba78a652904f8b493a40b0e4bb2ef9e06b89ecce0f486",
+    ("relative-no-z2tilde", "json"): "02e3a36dd6d9354e31c0076d7ae1789ca65eebe1836f5ccaa704896ceed1977e",
+    ("relative-no-z2tilde", "text"): "e9d74de4d72c971e4b3ca43af8dd08f3d7ee442bce1adfad1fab2a36b8f3b14e",
+    ("uueq-pass", "json"): "98c0d60aff2833c75d457316e716021fea7ea68977b69436d376f0fc551fade5",
+    ("uueq-pass", "text"): "7fd58828d7e7860e245b430c5ba5510805b5e0398cec5e4d389bce07a66f02e1",
+    ("uueq-fail", "json"): "8f61e8e480baefe1b806488b5f7782e92a52be487f10ac1bfc6cbd8d72d1430a",
+    ("uueq-fail", "text"): "28f497184c064479c308bdcde49b9821d411c122d7abc86896a9cfa533348adf",
+    ("r-endomorphism-pass", "json"): "4b3b56b79621950d387c71e1b3ee2794017467c7da1aa9507c2956d1fc15d26b",
+    ("r-endomorphism-pass", "text"): "4acc6fb5f85874106dca547109b94edb0742c12c7441c40c1147a5aa11dc45c8",
+    ("r-endomorphism-fail", "json"): "e2965c3747c1555b0c31cded539f3f9fcce3038b22b59a876c8e9d1dba49bb8d",
+    ("r-endomorphism-fail", "text"): "32c5e86f20170fc7d5c1f3ea7a9a3c1a0ccd7fc5ec716e7a7cbeed32b8c23cd6",
+    ("axioms-fail", "json"): "adff6b3f988ec39c141f5dccf16dcc9121d14c630896df28b088dfd58431c81d",
+    ("axioms-fail", "text"): "974c829a2dbbc38d1a39e35713acca575603c86225a7d33322a80774df35cf1d",
+}
+
+
+@pytest.mark.parametrize("shape,output", sorted(ROW_GOLDEN))
+def test_row_shapes_match_golden_digest(tmp_path, shape, output):
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps(ROW_SHAPES[shape]))
+    code, text = cli.run(str(task), output=output)
+    assert code == (cli.EXIT_CHECK_FAILED if shape.endswith("-fail")
+                    else cli.EXIT_OK), text
+    assert hashlib.sha256(text.encode()).hexdigest() == ROW_GOLDEN[(shape, output)]
+
+
+_SOLVE = {"type": "solve", "order": "6",
+          "seed": {"step": "1", "base": "0", "coeffs": ["1", "1"]}}
+_OP = {"arity": 1, "degree": 0, "table": [{"inputs": [0], "output": {"0": "1"}}]}
+
+
+def _seed(**field):
+    return _ode({**_SOLVE, "seed": {**_SOLVE["seed"], **field}})
+
+
+@pytest.mark.parametrize("payload, trunc", [
+    (ROW_SHAPES["second-order-pass"], "x"),
+    ({**ROW_SHAPES["second-order-pass"], "order": "x"}, None),
+    ({**ROW_SHAPES["riccati-pass"], "order": 7.9}, None),
+    (_ode({**_SOLVE, "order": "x"}), None),
+    (_seed(step="1/0"), None),
+    (_seed(base="x"), None),
+    (_seed(coeffs=["1", 0.5]), None),
+    ({"task": "mirror", "order": 7.9}, None),
+    ({"task": "mirror", "a_cases": [{"p0": "q", "f": "1"}]}, None),
+    ({"task": "operad", "action": "compose", "space": [0], "slot": 1, "phi1": _OP,
+      "phi2": {**_OP, "table": [{"inputs": [0], "output": {"0": "1/x"}}]}}, None),
+    (_gw(["relations"], {"z1": _Z1, "gamma": "q"}), None),
+    (_gw(["relations"], {"z1": _Z1, "gamma": 0.1}), None),
+], ids=["trunc", "order", "order-float", "solve-order", "seed-step", "seed-base",
+        "seed-coeffs", "mirror-order-float", "p0", "operad-coefficient", "gamma",
+        "gamma-float"])
+def test_rational_literal_outside_a_series_is_parse_error(tmp_path, payload, trunc):
+    task = tmp_path / "literal.json"
+    task.write_text(json.dumps(payload))
+    code, text = cli.run(str(task), trunc=trunc)
+    assert code == cli.EXIT_PARSE, text
+
+
+@pytest.mark.xfail(strict=True, reason="a residual truncated below the working "
+                   "order still passes (ROADMAP item 1)")
+def test_truncated_residual_does_not_pass_vacuously(tmp_path):
+    task = tmp_path / "shallow.json"
+    task.write_text(json.dumps(_ode({"type": "second-order",
+                                     "rho": _s(("0", "5"), ("1", "7"), trunc="2")})))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PRECISION, text
 
 
 def test_riccati_chain_reports_four_equations():
@@ -220,7 +420,7 @@ def test_reports_are_deterministic_across_processes(name):
             [sys.executable, "-m", "novikov.cli", "run", task_path(name),
              "--output", "json"],
             capture_output=True, text=True,
-            env={**__import__("os").environ, "PYTHONHASHSEED": seed})
+            env=child_env(PYTHONHASHSEED=seed))
         assert proc.returncode == 0, proc.stderr
         outs.add(proc.stdout)
     assert len(outs) == 1
@@ -250,6 +450,6 @@ def test_console_script_smoke():
     else:
         cmd = [sys.executable, "-m", "novikov.cli"]
     out = subprocess.run(cmd + ["run", task_path("operad_glue.json")],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     assert "PASS glue" in out.stdout

@@ -1,0 +1,64 @@
+"""The verdict rule of a residual row: Report.residual and Report.identity."""
+
+from novikov.report import Report
+from novikov.series import INF, NovikovSeries
+from novikov.useries import USeries
+
+ZERO = NovikovSeries.zero()
+
+
+def S(*terms, trunc=INF):
+    return NovikovSeries(terms, trunc)
+
+
+def row(*residuals, **kwargs):
+    report = Report()
+    result = report.residual("r", "eq", *residuals, **kwargs)
+    assert report.checks == [result]
+    return result
+
+
+def test_series_residual():
+    result = row(S((0, 1), (1, 2), trunc=3))
+    assert (result.passed, result.detail) == (False, "1 + 2*q^1 + O(q^3)")
+    assert (row(ZERO).passed, row(ZERO).detail) == (True, "0")
+
+
+def test_series_residual_renders_in_the_given_variable():
+    result = row(S((1, 2), trunc=4), var="h")
+    assert (result.passed, result.detail) == (False, "2*h^1 + O(h^4)")
+
+
+def test_vector_residual():
+    result = row({"a": ZERO, "b": S((2, 1))})
+    assert (result.passed, result.detail) == (False, "(q^2)*b")
+    assert row({"a": ZERO}).passed
+    assert row({}).detail == "0"
+
+
+def test_useries_vector_residual():
+    result = row({"s": USeries({1: S((0, 3))})})
+    assert (result.passed, result.detail) == (False, "((3)*u^1)*s")
+    assert row({"s": USeries({1: ZERO})}).passed
+
+
+def test_two_residuals_pass_only_together():
+    result = row(ZERO, S((0, 2)))
+    assert (result.passed, result.detail) == (False, "(0, 2)")
+    assert row(ZERO, ZERO).passed
+
+
+def test_supplied_detail_does_not_decide_the_row():
+    result = row(S((0, 1)), detail="rho = 1")
+    assert (result.passed, result.detail) == (False, "rho = 1")
+    assert row(ZERO, detail="rho = 1").passed
+
+
+def test_identity_names_the_first_failing_case_in_case_order():
+    report = Report()
+    result = report.identity("id", "eq", [("c1", {}), ("c2", {"x": S((0, -1))}),
+                                          ("c3", {"y": S((0, 1))})])
+    assert (result.passed, result.detail) == (False, "c2: (-1)*x")
+    assert report.identity("id", "eq", [("c1", {}), ("c2", {"x": ZERO})]).detail == "0"
+    assert report.passed is False
+    assert [c.passed for c in report.checks] == [False, True]
