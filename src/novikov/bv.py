@@ -28,10 +28,21 @@ from fractions import Fraction
 
 from . import graded
 from .errors import ParseError
-from .graded import Vec, linear_apply, table_mul, vec_from_json, vec_map_from_json
+from .graded import (
+    Row,
+    Vec,
+    add_row,
+    compile_vec,
+    entry_is_zero,
+    linear_apply,
+    series_vec,
+    signed_rows,
+    vec_from_json,
+    vec_map_from_json,
+)
 from .ode import ODEProblem
 from .report import Report, vanishes
-from .series import NovikovSeries, Trunc
+from .series import NovikovSeries, Trunc, integer
 
 
 # Wrappers, not re-exports: the benchmark's tracer times these names as
@@ -64,10 +75,11 @@ def vec_render(x: Vec) -> str:
 class BVModel:
     """A finite BV model given by its structure tables.
 
-    ``bracket`` reads the bracket of each ordered pair of basis names from
-    a per-model table of structure constants, filled on first use from
-    ``degrees``, ``product`` and ``delta``.  Those tables must not be
-    mutated after the first bracket: the filled entries would not follow.
+    On first use the product, Delta and a supplied bracket compile to
+    signed rows (:func:`graded.signed_rows`), and the bracket of each
+    ordered pair of basis names becomes a row of its own the first time
+    it is needed, computed from the product and Delta rows.  The tables
+    must not be mutated after first use: the rows would not follow.
     """
 
     degrees: dict[str, int]
@@ -76,7 +88,8 @@ class BVModel:
     unit: str = "e"
     elements: dict[str, Vec] = field(default_factory=dict)
     bracket_table: dict[tuple[str, str], Vec] | None = None
-    _bracket_constants: dict[tuple[str, str], Vec] = field(
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _bracket_constants: dict[tuple[str, str], Row] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     # -- algebra -------------------------------------------------------------
@@ -103,25 +116,58 @@ class BVModel:
             parts.setdefault(self.degrees[k], {})[k] = s
         return parts
 
+    def compiled(self) -> tuple[dict, dict, dict | None]:
+        """The product, Delta and supplied bracket rows, compiled on first use."""
+        if self._rows is None:
+            self._rows = (
+                signed_rows(self.product, self.degrees),
+                {k: compile_vec(img) for k, img in self.delta.items()},
+                None if self.bracket_table is None
+                else signed_rows(self.bracket_table, self.degrees))
+        return self._rows
+
+    def bracket_row(self, a: str, b: str) -> Row:
+        """The bracket of the basis names a and b, computed once per model:
+        Delta(a.b) - (Delta a).b - (-1)^|a| a.(Delta b).  An entry that
+        cancels keeps its class, as the defining formula does."""
+        row = self._bracket_constants.get((a, b))
+        if row is None:
+            product, delta, _ = self.compiled()
+            out: dict = {}
+            for k, c in product.get((a, b), ()):
+                add_row(out, delta.get(k, ()), c)
+            for k, c in delta.get(a, ()):
+                add_row(out, product.get((k, b), ()), -c)
+            odd = self.degrees[a] % 2
+            for k, c in delta.get(b, ()):
+                add_row(out, product.get((a, k), ()), c if odd else -c)
+            row = self._bracket_constants[(a, b)] = tuple(out.items())
+        return row
+
     def mul(self, x: Vec, y: Vec) -> Vec:
-        return table_mul(self.product, self.degrees, x, y)
+        return _contract(self.compiled()[0].get, x, y)
 
     def delta_apply(self, x: Vec) -> Vec:
-        return linear_apply(self.delta, x)
+        delta = self.compiled()[1]
+        out: Vec = {}
+        for k, s in x.items():
+            add_row(out, delta.get(k, ()), s)
+        return out
 
     def bracket(self, x1: Vec, x2: Vec) -> Vec:
-        """The derived bracket, extended bilinearly from the bracket of each
-        pair of basis names, which is computed once per model."""
-        live = {k: s for k, s in x1.items() if not s.is_zero()}
-        constants = self._bracket_constants
-        for a in live:
+        """The derived bracket, extended bilinearly from the bracket row of
+        each pair of basis names."""
+        out: Vec = {}
+        for a, sa in x1.items():
+            if entry_is_zero(sa):
+                continue
             if a not in self.degrees:
                 raise KeyError(a)
-            for b in x2:
-                if (a, b) not in constants:
-                    constants[(a, b)] = self._derived_bracket(self.basis_vec(a),
-                                                              self.basis_vec(b))
-        return table_mul(constants, self.degrees, live, x2)
+            for b, sb in x2.items():
+                row = self.bracket_row(a, b)
+                if row:
+                    add_row(out, row, sa * sb)
+        return out
 
     def _derived_bracket(self, x1: Vec, x2: Vec) -> Vec:
         """Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.(Delta x2); x1 is split
@@ -133,9 +179,10 @@ class BVModel:
             for deg, part in self.homogeneous_parts(x1).items()))
 
     def supplied_bracket(self, x1: Vec, x2: Vec) -> Vec:
-        if self.bracket_table is None:
+        supplied = self.compiled()[2]
+        if supplied is None:
             return self.bracket(x1, x2)
-        return table_mul(self.bracket_table, self.degrees, x1, x2)
+        return _contract(supplied.get, x1, x2)
 
     def modified_bracket(self, x1: Vec, x2: Vec) -> Vec:
         """[x1, x2]^{-1} = [x1, x2] + (Delta x1).x2."""
@@ -161,21 +208,47 @@ class BVModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "BVModel":
+        """Decode a model; a product, Delta or bracket row naming a class
+        outside ``"basis"`` is a :class:`ParseError`."""
         try:
-            degrees = {b["name"]: int(b["degree"]) for b in data["basis"]}
+            degrees = {b["name"]: integer(b["degree"]) for b in data["basis"]}
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad basis declaration: {exc}") from exc
-        product = {(r["left"], r["right"]): vec_from_json(r["result"])
-                   for r in data.get("product", [])}
+
+        def declared(where: str, *names: str) -> None:
+            for name in names:
+                if name not in degrees:
+                    raise ParseError(f"{where} names undeclared class {name!r}")
+
+        def table(key: str) -> dict[tuple[str, str], Vec]:
+            out = {}
+            for r in data[key]:
+                pair, result = (r["left"], r["right"]), vec_from_json(r["result"])
+                declared(f"{key} row {pair}", *pair, *result)
+                out[pair] = result
+            return out
+
+        product = table("product") if "product" in data else {}
         delta = vec_map_from_json(data.get("delta", {}))
+        for name, image in delta.items():
+            declared("delta", name, *image)
         elements = vec_map_from_json(data.get("elements", {}))
-        bracket = None
-        if "bracket" in data:
-            bracket = {(r["left"], r["right"]): vec_from_json(r["result"])
-                       for r in data["bracket"]}
+        bracket = table("bracket") if "bracket" in data else None
         return cls(degrees=degrees, product=product, delta=delta,
                    unit=data.get("unit", "e"), elements=elements,
                    bracket_table=bracket)
+
+
+def _contract(rows, x: Vec, y: Vec) -> Vec:
+    """The bilinear product of *x* and *y* whose basis pairs multiply to
+    ``rows(pair)``: the sum of ``(x[a]*y[b]) * c`` over each row entry."""
+    out: Vec = {}
+    for a, sa in x.items():
+        for b, sb in y.items():
+            row = rows((a, b))
+            if row:
+                add_row(out, row, sa * sb)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +263,8 @@ class Connection:
     linear: dict[str, Vec] = field(default_factory=dict)
 
     def apply(self, x: Vec, model: BVModel) -> Vec:
-        return vec_add({k: s.d_q() for k, s in x.items()},
+        # a rational coefficient is a constant, whose d_q is zero
+        return vec_add({k: s.d_q() for k, s in x.items() if isinstance(s, NovikovSeries)},
                        linear_apply(self.linear, x))
 
 
@@ -224,100 +298,110 @@ def _basis_vecs(model: BVModel):
     return [(n, model.basis_vec(n)) for n in model.degrees]
 
 
+def _cases(cases):
+    """(label, residual) cases with rational coefficients made series."""
+    return ((label, series_vec(res)) for label, res in cases)
+
+
+def _rational_basis(model: BVModel):
+    """Each basis name with its basis vector over the exact rational 1.
+    mul, bracket and delta_apply contract such vectors over the model's
+    rows, so an identity on them makes a series operation only where a row
+    entry is a series."""
+    return [(n, {n: 1}) for n in model.degrees]
+
+
 def check_bv_axioms(model: BVModel) -> Report:
     report = Report()
-    basis = _basis_vecs(model)
+    basis = _rational_basis(model)
     pairs = [(n1, x1, n2, x2) for n1, x1 in basis for n2, x2 in basis]
     triples = [(n1, x1, n2, x2, n3, x3)
                for n1, x1, n2, x2 in pairs for n3, x3 in basis]
     deg = model.degrees
-    e = model.unit_vec()
+    e = {model.unit: 1}
+    mul, bracket, delta = model.mul, model.bracket, model.delta_apply
 
     report.identity("unit", "e.x = x",
-                    ((f"e.{n}", vec_sub(model.mul(e, x), x)) for n, x in basis))
+                    _cases((f"e.{n}", vec_sub(mul(e, x), x)) for n, x in basis))
 
     report.identity("commutativity", "x1.x2 = (-1)^(|x1||x2|) x2.x1",
-                    ((f"[{n1},{n2}]",
-                      vec_sub(model.mul(x1, x2),
-                              vec_scale((-1) ** (deg[n1] * deg[n2]), model.mul(x2, x1))))
-                     for n1, x1, n2, x2 in pairs))
+                    _cases((f"[{n1},{n2}]",
+                            vec_sub(mul(x1, x2),
+                                    vec_scale((-1) ** (deg[n1] * deg[n2]), mul(x2, x1))))
+                           for n1, x1, n2, x2 in pairs))
 
     report.identity("associativity", "(x1.x2).x3 = x1.(x2.x3)",
-                    ((f"({n1}.{n2}).{n3}",
-                      vec_sub(model.mul(model.mul(x1, x2), x3),
-                              model.mul(x1, model.mul(x2, x3))))
-                     for n1, x1, n2, x2, n3, x3 in triples))
+                    _cases((f"({n1}.{n2}).{n3}",
+                            vec_sub(mul(mul(x1, x2), x3), mul(x1, mul(x2, x3))))
+                           for n1, x1, n2, x2, n3, x3 in triples))
 
-    report.residual("delta-e", "Delta e = 0", model.delta_apply(e))
+    report.residual("delta-e", "Delta e = 0", series_vec(delta(e)))
 
     report.identity("delta-squared", "Delta Delta x = 0",
-                    ((f"Delta^2 {n}", model.delta_apply(model.delta_apply(x)))
-                     for n, x in basis))
+                    _cases((f"Delta^2 {n}", delta(delta(x))) for n, x in basis))
 
     if model.bracket_table is not None:
         report.identity("delta-bracket",
                         "[x1,x2] = Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.Delta x2",
-                        ((f"[{n1},{n2}]",
-                          vec_sub(model.supplied_bracket(x1, x2), model.bracket(x1, x2)))
-                         for n1, x1, n2, x2 in pairs))
+                        _cases((f"[{n1},{n2}]",
+                                vec_sub(model.supplied_bracket(x1, x2), bracket(x1, x2)))
+                               for n1, x1, n2, x2 in pairs))
 
     report.identity("antisymmetry", "[x2,x1] = (-1)^(|x1||x2|) [x1,x2]",
-                    ((f"[{n2},{n1}]",
-                      vec_sub(model.bracket(x2, x1),
-                              vec_scale((-1) ** (deg[n1] * deg[n2]), model.bracket(x1, x2))))
-                     for n1, x1, n2, x2 in pairs))
+                    _cases((f"[{n2},{n1}]",
+                            vec_sub(bracket(x2, x1),
+                                    vec_scale((-1) ** (deg[n1] * deg[n2]), bracket(x1, x2))))
+                           for n1, x1, n2, x2 in pairs))
 
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
-                    ((f"[{n1},{n2}.{n3}]",
-                      vec_sub(model.bracket(x1, model.mul(x2, x3)),
-                              vec_add(model.mul(model.bracket(x1, x2), x3),
-                                      vec_scale((-1) ** ((deg[n1] + 1) * deg[n2]),
-                                                model.mul(x2, model.bracket(x1, x3))))))
-                     for n1, x1, n2, x2, n3, x3 in triples))
+                    _cases((f"[{n1},{n2}.{n3}]",
+                            vec_sub(bracket(x1, mul(x2, x3)),
+                                    vec_add(mul(bracket(x1, x2), x3),
+                                            vec_scale((-1) ** ((deg[n1] + 1) * deg[n2]),
+                                                      mul(x2, bracket(x1, x3))))))
+                           for n1, x1, n2, x2, n3, x3 in triples))
 
     report.identity("jacobi", "signed cyclic sum of [x1,[x2,x3]] = 0",
-                    ((f"jacobi({n1},{n2},{n3})",
-                      vec_add(vec_scale((-1) ** deg[n1],
-                                        model.bracket(x1, model.bracket(x2, x3))),
-                              vec_scale((-1) ** (deg[n1] * (deg[n2] + deg[n3]) + deg[n2]),
-                                        model.bracket(x2, model.bracket(x3, x1))),
-                              vec_scale((-1) ** (deg[n3] * (deg[n1] + deg[n2] + 1)),
-                                        model.bracket(x3, model.bracket(x1, x2)))))
-                     for n1, x1, n2, x2, n3, x3 in triples))
+                    _cases((f"jacobi({n1},{n2},{n3})",
+                            vec_add(vec_scale((-1) ** deg[n1], bracket(x1, bracket(x2, x3))),
+                                    vec_scale((-1) ** (deg[n1] * (deg[n2] + deg[n3]) + deg[n2]),
+                                              bracket(x2, bracket(x3, x1))),
+                                    vec_scale((-1) ** (deg[n3] * (deg[n1] + deg[n2] + 1)),
+                                              bracket(x3, bracket(x1, x2)))))
+                           for n1, x1, n2, x2, n3, x3 in triples))
 
     report.identity("e-is-ideal", "[e,x] = 0",
-                    ((f"[e,{n}]", model.bracket(e, x)) for n, x in basis))
+                    _cases((f"[e,{n}]", bracket(e, x)) for n, x in basis))
 
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
-                    ((f"({n1},{n2})",
-                      vec_add(model.delta_apply(model.bracket(x1, x2)),
-                              model.bracket(model.delta_apply(x1), x2),
-                              vec_scale((-1) ** deg[n1],
-                                        model.bracket(x1, model.delta_apply(x2)))))
-                     for n1, x1, n2, x2 in pairs))
+                    _cases((f"({n1},{n2})",
+                            vec_add(delta(bracket(x1, x2)),
+                                    bracket(delta(x1), x2),
+                                    vec_scale((-1) ** deg[n1], bracket(x1, delta(x2)))))
+                           for n1, x1, n2, x2 in pairs))
     return report
 
 
 def check_leibniz(nabla: Connection, model: BVModel) -> Report:
     report = Report()
-    basis = _basis_vecs(model)
+    basis = _rational_basis(model)
     pairs = [(n1, x1, n2, x2) for n1, x1 in basis for n2, x2 in basis]
+    mul, bracket = model.mul, model.bracket
+    apply = lambda x: nabla.apply(x, model)
     report.identity("nabla-product",
                     "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)",
-                    ((f"({n1},{n2})",
-                      vec_sub(nabla.apply(model.mul(x1, x2), model),
-                              vec_add(model.mul(nabla.apply(x1, model), x2),
-                                      model.mul(x1, nabla.apply(x2, model)))))
-                     for n1, x1, n2, x2 in pairs))
+                    _cases((f"({n1},{n2})",
+                            vec_sub(apply(mul(x1, x2)),
+                                    vec_add(mul(apply(x1), x2), mul(x1, apply(x2)))))
+                           for n1, x1, n2, x2 in pairs))
     report.identity("nabla-bracket",
                     "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]",
-                    ((f"({n1},{n2})",
-                      vec_sub(nabla.apply(model.bracket(x1, x2), model),
-                              vec_add(model.bracket(nabla.apply(x1, model), x2),
-                                      model.bracket(x1, nabla.apply(x2, model)))))
-                     for n1, x1, n2, x2 in pairs))
+                    _cases((f"({n1},{n2})",
+                            vec_sub(apply(bracket(x1, x2)),
+                                    vec_add(bracket(apply(x1), x2), bracket(x1, apply(x2)))))
+                           for n1, x1, n2, x2 in pairs))
     return report
 
 

@@ -32,7 +32,7 @@ from .ode import (
     system_residual,
 )
 from .report import Report
-from .series import INF, NovikovSeries, rat
+from .series import INF, NovikovSeries, integer, rat
 
 SCHEMA_VERSION = 1
 
@@ -180,7 +180,7 @@ def run_mirror(payload: dict, trunc=None) -> Report:
 def run_bv(payload: dict, trunc=None) -> Report:
     report = Report()
     spec = payload.get("model", "polyvector")
-    n = int(payload.get("n", 4))
+    n = integer(payload.get("n", 4))
     if spec == "polyvector":
         model = bvmod.polyvector_model(n)
     elif spec == "polyvector-k":
@@ -242,28 +242,28 @@ def run_operad(payload: dict, trunc=None) -> Report:
     elif action == "glue":
         c1 = opmod.DiscConfiguration.from_json(payload["first"])
         c2 = opmod.DiscConfiguration.from_json(payload["second"])
-        out = opmod.glue(c1, int(payload["slot"]), c2)
+        out = opmod.glue(c1, integer(payload["slot"]), c2)
         ok, problems = opmod.validate(out)
         report.add("glue", "rescale, rotate, insert", ok,
                    json.dumps(out.to_json(), sort_keys=True))
     elif action == "sign":
-        sign = opmod.koszul_sign(int(payload["phi1_degree"]),
-                                 int(payload["phi2_degree"]),
-                                 int(payload["slot"]),
-                                 [int(d) for d in payload.get("prefix", [])])
+        sign = opmod.koszul_sign(integer(payload["phi1_degree"]),
+                                 integer(payload["phi2_degree"]),
+                                 integer(payload["slot"]),
+                                 [integer(d) for d in payload.get("prefix", [])])
         report.add("sign", "composition-law sign", True, str(sign))
     elif action == "compose":
-        space = tuple(int(d) for d in payload["space"])
+        space = tuple(integer(d) for d in payload["space"])
         def load_op(raw):
             table = {}
             for rec in raw.get("table", []):
                 table[tuple(rec["inputs"])] = {
-                    int(g): rat(c) for g, c in rec["output"].items()}
-            return opmod.GradedOperation(space=space, arity=int(raw["arity"]),
-                                         degree=int(raw["degree"]), table=table)
+                    integer(g): rat(c) for g, c in rec["output"].items()}
+            return opmod.GradedOperation(space=space, arity=integer(raw["arity"]),
+                                         degree=integer(raw["degree"]), table=table)
         phi1 = load_op(payload["phi1"])
         phi2 = load_op(payload["phi2"])
-        out = opmod.compose(phi1, int(payload["slot"]), phi2)
+        out = opmod.compose(phi1, integer(payload["slot"]), phi2)
         rendered = [{"inputs": list(k),
                      "output": {str(g): str(c) for g, c in sorted(v.items())}}
                     for k, v in sorted(out.table.items())]

@@ -40,7 +40,7 @@ from .graded import (
 )
 from .ode import ODEProblem
 from .report import Report
-from .series import NovikovSeries, Trunc, rat
+from .series import NovikovSeries, Trunc, integer, rat
 from .useries import USeries
 
 UVec = dict  # name -> USeries
@@ -159,7 +159,7 @@ class CohomologyModel:
     @classmethod
     def from_json(cls, data: dict) -> "CohomologyModel":
         try:
-            degrees = {b["name"]: int(b["degree"]) for b in data["basis"]}
+            degrees = {b["name"]: integer(b["degree"]) for b in data["basis"]}
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad basis declaration: {exc}") from exc
         cup = {(rec["left"], rec["right"]): vec_from_json(rec["result"])
@@ -167,7 +167,7 @@ class CohomologyModel:
         qpieces: dict[int, dict] = {}
         for rec in data.get("qpieces", []):
             rec = require_object(rec, "qpieces record")
-            table = qpieces.setdefault(int(rec.get("k", 0)), {})
+            table = qpieces.setdefault(integer(rec.get("k", 0)), {})
             table[(rec["left"], rec["right"])] = vec_from_json(rec["result"])
         omega = None
         if "omega" in data:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
@@ -46,6 +47,22 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational literal: {x!r}") from exc
     raise TypeError(f"expected a rational, got {type(x).__name__}")
+
+
+def integer(x) -> int:
+    """An integer literal: an int (not a bool) or a decimal string such as
+    "-3".  Anything else, a float or "2.9" included, is a ParseError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and _INTEGER.fullmatch(x):
+        try:
+            return int(x)
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise ParseError(f"not an integer literal: {x[:20]!r}...") from exc
+    raise ParseError(f"not an integer literal: {x!r}")
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _trunc(x) -> Trunc:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,16 @@ from novikov.bv import (
     r_endomorphism_check,
     second_order_on_e,
 )
-from novikov.graded import vec_add, vec_is_zero, vec_scale, vec_sub
+from novikov.graded import (
+    linear_apply,
+    table_mul,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+)
 from novikov.ode import ODEProblem, projective_residual
+from novikov.report import Report
 from novikov.series import INF, NovikovSeries
 
 F = Fraction
@@ -76,6 +85,282 @@ def test_axioms_detect_derivation_delta():
     by_name = {c.name: c.passed for c in report.checks}
     assert not by_name["delta-bracket"]
     assert by_name["delta-squared"]
+
+
+# ---------------------------------------------------------------------------
+# the compiled checks against per-tuple oracles
+# ---------------------------------------------------------------------------
+
+
+class Oracle:
+    """A model's operations straight from its tables: the signed table
+    multiply, the linear Delta, and the bracket of each pair of basis names
+    from its defining formula on basis vectors."""
+
+    def __init__(self, model):
+        self.model, self.degrees = model, model.degrees
+        self.constants = {}
+
+    def basis(self, name):
+        return {name: ONE}
+
+    def mul(self, x, y):
+        return table_mul(self.model.product, self.degrees, x, y)
+
+    def delta_apply(self, x):
+        return linear_apply(self.model.delta, x)
+
+    def bracket(self, x1, x2):
+        live = {k: s for k, s in x1.items() if not s.is_zero()}
+        for a in live:
+            if a not in self.degrees:
+                raise KeyError(a)
+            for b in x2:
+                if (a, b) not in self.constants:
+                    x, y, sign = self.basis(a), self.basis(b), (-1) ** self.degrees[a]
+                    self.constants[(a, b)] = vec_sub(
+                        self.delta_apply(self.mul(x, y)),
+                        vec_add(self.mul(self.delta_apply(x), y),
+                                vec_scale(sign, self.mul(x, self.delta_apply(y)))))
+        return table_mul(self.constants, self.degrees, live, x2)
+
+    def supplied_bracket(self, x1, x2):
+        if self.model.bracket_table is None:
+            return self.bracket(x1, x2)
+        return table_mul(self.model.bracket_table, self.degrees, x1, x2)
+
+
+def oracle_bv_axioms(model):
+    """The BV axioms, one residual per basis tuple through the oracle."""
+    o = Oracle(model)
+    report = Report()
+    basis = [(n, o.basis(n)) for n in model.degrees]
+    pairs = [(n1, x1, n2, x2) for n1, x1 in basis for n2, x2 in basis]
+    triples = [(n1, x1, n2, x2, n3, x3)
+               for n1, x1, n2, x2 in pairs for n3, x3 in basis]
+    deg = model.degrees
+    e = o.basis(model.unit)
+    report.identity("unit", "e.x = x",
+                    ((f"e.{n}", vec_sub(o.mul(e, x), x)) for n, x in basis))
+    report.identity("commutativity", "",
+                    ((f"[{n1},{n2}]",
+                      vec_sub(o.mul(x1, x2),
+                              vec_scale((-1) ** (deg[n1] * deg[n2]), o.mul(x2, x1))))
+                     for n1, x1, n2, x2 in pairs))
+    report.identity("associativity", "",
+                    ((f"({n1}.{n2}).{n3}",
+                      vec_sub(o.mul(o.mul(x1, x2), x3), o.mul(x1, o.mul(x2, x3))))
+                     for n1, x1, n2, x2, n3, x3 in triples))
+    report.residual("delta-e", "", o.delta_apply(e))
+    report.identity("delta-squared", "",
+                    ((f"Delta^2 {n}", o.delta_apply(o.delta_apply(x))) for n, x in basis))
+    if model.bracket_table is not None:
+        report.identity("delta-bracket", "",
+                        ((f"[{n1},{n2}]",
+                          vec_sub(o.supplied_bracket(x1, x2), o.bracket(x1, x2)))
+                         for n1, x1, n2, x2 in pairs))
+    report.identity("antisymmetry", "",
+                    ((f"[{n2},{n1}]",
+                      vec_sub(o.bracket(x2, x1),
+                              vec_scale((-1) ** (deg[n1] * deg[n2]), o.bracket(x1, x2))))
+                     for n1, x1, n2, x2 in pairs))
+    report.identity("derivation-bracket", "",
+                    ((f"[{n1},{n2}.{n3}]",
+                      vec_sub(o.bracket(x1, o.mul(x2, x3)),
+                              vec_add(o.mul(o.bracket(x1, x2), x3),
+                                      vec_scale((-1) ** ((deg[n1] + 1) * deg[n2]),
+                                                o.mul(x2, o.bracket(x1, x3))))))
+                     for n1, x1, n2, x2, n3, x3 in triples))
+    report.identity("jacobi", "",
+                    ((f"jacobi({n1},{n2},{n3})",
+                      vec_add(vec_scale((-1) ** deg[n1], o.bracket(x1, o.bracket(x2, x3))),
+                              vec_scale((-1) ** (deg[n1] * (deg[n2] + deg[n3]) + deg[n2]),
+                                        o.bracket(x2, o.bracket(x3, x1))),
+                              vec_scale((-1) ** (deg[n3] * (deg[n1] + deg[n2] + 1)),
+                                        o.bracket(x3, o.bracket(x1, x2)))))
+                     for n1, x1, n2, x2, n3, x3 in triples))
+    report.identity("e-is-ideal", "",
+                    ((f"[e,{n}]", o.bracket(e, x)) for n, x in basis))
+    report.identity("delta-bracket-2", "",
+                    ((f"({n1},{n2})",
+                      vec_add(o.delta_apply(o.bracket(x1, x2)),
+                              o.bracket(o.delta_apply(x1), x2),
+                              vec_scale((-1) ** deg[n1], o.bracket(x1, o.delta_apply(x2)))))
+                     for n1, x1, n2, x2 in pairs))
+    return report
+
+
+def oracle_leibniz(nabla, model):
+    """The two Leibniz rules, one residual per basis pair through the oracle."""
+    o = Oracle(model)
+    report = Report()
+    basis = [(n, o.basis(n)) for n in model.degrees]
+    pairs = [(n1, x1, n2, x2) for n1, x1 in basis for n2, x2 in basis]
+    apply = lambda x: nabla.apply(x, model)
+    report.identity("nabla-product", "",
+                    ((f"({n1},{n2})",
+                      vec_sub(apply(o.mul(x1, x2)),
+                              vec_add(o.mul(apply(x1), x2), o.mul(x1, apply(x2)))))
+                     for n1, x1, n2, x2 in pairs))
+    report.identity("nabla-bracket", "",
+                    ((f"({n1},{n2})",
+                      vec_sub(apply(o.bracket(x1, x2)),
+                              vec_add(o.bracket(apply(x1), x2), o.bracket(x1, apply(x2)))))
+                     for n1, x1, n2, x2 in pairs))
+    return report
+
+
+def decided(check, *args):
+    """The rows of ``check(*args)`` and every case behind them: (row name,
+    case label, residual with exact zeros dropped), truncated zeros kept."""
+    cases = []
+    identity = Report.identity
+
+    def recording(self, name, equation, items):
+        items = list(items)
+        cases.extend((name, label, {k: s for k, s in res.items()
+                                    if s.terms or s.truncation != INF})
+                     for label, res in items)
+        return identity(self, name, equation, items)
+
+    with mock.patch.object(Report, "identity", recording):
+        report = check(*args)
+    return [(c.name, c.passed, c.detail) for c in report.checks], cases
+
+
+def exterior_model():
+    """Exterior algebra on two odd classes, whose odd products reach the
+    swap sign: y.x = -xy.  Not a BV algebra; only the oracle cares."""
+    names = {"e": 0, "x": 1, "y": 1, "xy": 2}
+    product = {("e", n): {n: ONE} for n in names}
+    product[("x", "y")] = {"xy": ONE}
+    delta = {"x": {"e": ONE}, "y": {"e": 2 * ONE}, "xy": {"x": ONE, "y": -ONE}}
+    return BVModel(degrees=names, product=product, delta=delta, unit="e")
+
+
+small_series = st.builds(
+    NovikovSeries,
+    st.lists(st.tuples(st.integers(min_value=-1, max_value=3),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+             max_size=2),
+    st.one_of(st.just(INF), st.integers(min_value=1, max_value=5)))
+
+
+@st.composite
+def bv_models(draw):
+    """A polyvector (n <= 4), polyvector-k (n <= 3, 12 names: n = 4 costs
+    the oracle seconds per example) or exterior model, optionally in a
+    basis rescaled by rationals or by monomials c*q^k, with some product
+    rows truncated and given a truncated zero O(q^3), one entry perturbed,
+    and a supplied bracket table."""
+    base = draw(st.one_of(
+        st.builds(polyvector_model, st.integers(min_value=1, max_value=4)),
+        st.builds(polyvector_model_with_k, st.integers(min_value=1, max_value=3)),
+        st.builds(exterior_model)))
+    names = list(base.degrees)
+    kind = draw(st.sampled_from(["plain", "rational", "q-dependent"]))
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+    if kind == "plain":
+        scale = {b: ONE for b in names}
+    else:
+        power = st.integers(min_value=-1, max_value=2) if kind == "q-dependent" else st.just(0)
+        scale = {b: NovikovSeries.monomial(draw(nonzero), draw(power)) for b in names}
+    inverse = {b: s.invert() for b, s in scale.items()}
+    product = {(l, r): {z: s * scale[l] * scale[r] * inverse[z] for z, s in entry.items()}
+               for (l, r), entry in base.product.items()}
+    delta = {b: {z: s * scale[b] * inverse[z] for z, s in image.items()}
+             for b, image in base.delta.items()}
+    cut = draw(st.sampled_from([None, 2, 3, 5]))
+    if cut is not None:
+        for pair in draw(st.lists(st.sampled_from(sorted(product)), max_size=6)):
+            product[pair] = {draw(st.sampled_from(names)): NovikovSeries.zero(3),
+                             **{z: s.truncate(cut) for z, s in product[pair].items()}}
+    perturb = draw(st.sampled_from([None, "product", "swapped", "delta"]))
+    if perturb == "product":
+        pair = draw(st.sampled_from(sorted(product)))
+        z = draw(st.sampled_from(names))
+        product[pair] = {**product[pair], z: vec_add(product[pair], {z: draw(small_series)})[z]}
+    elif perturb == "swapped":
+        # the swapped order stored as well, at twice the value commutativity implies
+        l, r = draw(st.sampled_from([p for p in sorted(product) if p[::-1] not in product]))
+        product[(r, l)] = vec_scale(2 * (-1) ** (base.degrees[l] * base.degrees[r]),
+                                    product[(l, r)])
+    elif perturb == "delta":
+        b, z = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        value = draw(st.one_of(small_series, st.builds(NovikovSeries.zero, st.just(2))))
+        delta[b] = {**delta.get(b, {}), z: value}
+    model = BVModel(degrees=dict(base.degrees), product=product, delta=delta,
+                    unit=base.unit)
+    if draw(st.booleans()):
+        # each unordered pair once: the other order takes the swap sign
+        o = Oracle(model)
+        table = {(a, b): o.bracket(o.basis(a), o.basis(b))
+                 for i, a in enumerate(names) for b in names[i:]}
+        if draw(st.booleans()):
+            pair = draw(st.sampled_from(sorted(table)))
+            table[pair] = vec_add(table[pair], {draw(st.sampled_from(names)): draw(small_series)})
+        model.bracket_table = table
+    return model
+
+
+@st.composite
+def connections(draw, names):
+    images = st.dictionaries(st.sampled_from(names), small_series, max_size=2)
+    return Connection(draw(st.dictionaries(st.sampled_from(names), images, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bv_models())
+def test_axioms_match_per_tuple_oracle(model):
+    assert decided(check_bv_axioms, model) == decided(oracle_bv_axioms, model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_leibniz_matches_per_tuple_oracle(data):
+    model = data.draw(bv_models())
+    nabla = data.draw(st.one_of(st.just(Connection()), connections(sorted(model.degrees))))
+    assert decided(check_leibniz, nabla, model) == decided(oracle_leibniz, nabla, model)
+
+
+def test_truncated_zero_first_factor_matches_oracle():
+    # bracket() skips a first factor that is a truncated zero, as the
+    # oracle's bracket does; here it meets one in [Delta x1, x2] and in
+    # [nabla x1, x2]
+    model = polyvector_model(4)
+    model.delta["t0"] = {"t1x": NovikovSeries.zero(2)}
+    nabla = Connection({"t1": {"t1x": NovikovSeries.zero(2)}})
+    assert decided(check_bv_axioms, model) == decided(oracle_bv_axioms, model)
+    assert decided(check_leibniz, nabla, model) == decided(oracle_leibniz, nabla, model)
+
+
+def count_series_products(monkeypatch):
+    calls = []
+    original = NovikovSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(NovikovSeries, "__mul__", counted)
+    monkeypatch.setattr(NovikovSeries, "__rmul__", counted)
+    return calls
+
+
+def test_constant_model_checks_make_no_series_products(monkeypatch):
+    model = polyvector_model(8)
+    calls = count_series_products(monkeypatch)
+    assert check_bv_axioms(model).passed
+    assert check_leibniz(Connection(), model).passed
+    assert not calls
+
+
+def test_q_dependent_entry_makes_series_products(monkeypatch):
+    model = polyvector_model(3)
+    model.product[("t1", "t1")] = {"t2": S((0, 1), (1, 1))}
+    calls = count_series_products(monkeypatch)
+    assert not check_leibniz(Connection(), model).passed
+    assert calls
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,85 @@ def test_rational_literal_outside_a_series_is_parse_error(tmp_path, payload, tru
     assert code == cli.EXIT_PARSE, text
 
 
+def _glue(slot):
+    with open(task_path("operad_glue.json")) as fh:
+        return {**json.load(fh), "slot": slot}
+
+
+def _sign(**field):
+    return {"task": "operad", "action": "sign", "phi1_degree": 1,
+            "phi2_degree": 1, "slot": 2, "prefix": [0], **field}
+
+
+def _compose(space=0, slot=1, generator="0", **op):
+    # a non-string generator key becomes "2.9" or "true" in the JSON text
+    phi = {**_OP, **op, "table": [{"inputs": [0], "output": {generator: "1"}}]}
+    return {"task": "operad", "action": "compose", "space": [space],
+            "slot": slot, "phi1": phi, "phi2": _OP}
+
+
+# each integer field of a task file, as a task builder and a valid value
+INTEGER_FIELDS = {
+    "bv-n": (lambda v: {"task": "bv", "n": v, "checks": ["axioms"]}, 2),
+    "bv-degree": (lambda v: {"task": "bv", "checks": ["axioms"], "model": {
+        "basis": [{"name": "e", "degree": v}],
+        "product": [{"left": "e", "right": "e", "result": {"e": "1"}}]}}, 0),
+    "gw-degree": (lambda v: _gw(["relations"], {"z1": _Z1}) | {"model": {
+        "basis": [*_GW_BASIS[:2], {"name": "M", "degree": v}], "unit": "e",
+        "qpieces": _GW_Q1}}, 2),
+    "gw-k": (lambda v: _gw(["relations"], {"z1": _Z1},
+                           qpieces=[{**_GW_Q1[0], "k": v}, _GW_Q1[1]]), 1),
+    "glue-slot": (_glue, 1),
+    "sign-phi1-degree": (lambda v: _sign(phi1_degree=v), 1),
+    "sign-phi2-degree": (lambda v: _sign(phi2_degree=v), 1),
+    "sign-slot": (lambda v: _sign(slot=v), 2),
+    "sign-prefix": (lambda v: _sign(prefix=[v]), 0),
+    "compose-space": (lambda v: _compose(space=v), 0),
+    "compose-slot": (lambda v: _compose(slot=v), 1),
+    "compose-arity": (lambda v: _compose(arity=v), 1),
+    "compose-degree": (lambda v: _compose(degree=v), 0),
+    "compose-generator": (lambda v: _compose(generator=v), "0"),
+}
+
+
+# a decimal string past int()'s digit limit is a malformed literal too
+@pytest.mark.parametrize("bad", ["x", 2.9, True, "9" * 5000],
+                         ids=["string", "float", "bool", "too-long"])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_literal_is_parse_error(tmp_path, field, bad):
+    build, good = INTEGER_FIELDS[field]
+    task = tmp_path / "integer.json"
+    task.write_text(json.dumps(build(good)))
+    code, text = cli.run(str(task))
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED), text
+    task.write_text(json.dumps(build(bad)))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text
+    assert "not an integer literal" in text
+
+
+_BV_E = {"basis": [{"name": "e", "degree": 0}],
+         "product": [{"left": "e", "right": "e", "result": {"e": "1"}}]}
+
+
+@pytest.mark.parametrize("model", [
+    {**_BV_E, "product": [{"left": "e", "right": "e", "result": {"zz": "1"}}]},
+    {**_BV_E, "product": [*_BV_E["product"],
+                          {"left": "e", "right": "zz", "result": {}}]},
+    {**_BV_E, "delta": {"e": {"zz": "1"}}},
+    {**_BV_E, "delta": {"zz": {"e": "1"}}},
+    {**_BV_E, "bracket": [{"left": "zz", "right": "e", "result": {}}]},
+    {**_BV_E, "bracket": [{"left": "e", "right": "e", "result": {"zz": "0"}}]},
+], ids=["product-result", "product-key", "delta-result", "delta-key",
+        "bracket-key", "bracket-result"])
+def test_undeclared_basis_name_is_parse_error(tmp_path, model):
+    task = tmp_path / "undeclared.json"
+    task.write_text(json.dumps({"task": "bv", "model": model, "checks": ["axioms"]}))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text
+    assert "undeclared class 'zz'" in text
+
+
 @pytest.mark.xfail(strict=True, reason="a residual truncated below the working "
                    "order still passes (ROADMAP item 1)")
 def test_truncated_residual_does_not_pass_vacuously(tmp_path):
