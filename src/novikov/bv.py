@@ -208,8 +208,8 @@ class BVModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "BVModel":
-        """Decode a model; a product, Delta or bracket row naming a class
-        outside ``"basis"`` is a :class:`ParseError`."""
+        """Decode a model; a product, Delta or bracket row, an element or
+        the unit naming a class outside ``"basis"`` is a :class:`ParseError`."""
         try:
             degrees = {b["name"]: integer(b["degree"]) for b in data["basis"]}
         except (KeyError, TypeError) as exc:
@@ -233,10 +233,13 @@ class BVModel:
         for name, image in delta.items():
             declared("delta", name, *image)
         elements = vec_map_from_json(data.get("elements", {}))
+        for name, image in elements.items():
+            declared(f"element {name!r}", *image)
+        unit = data.get("unit", "e")
+        declared("unit", unit)
         bracket = table("bracket") if "bracket" in data else None
         return cls(degrees=degrees, product=product, delta=delta,
-                   unit=data.get("unit", "e"), elements=elements,
-                   bracket_table=bracket)
+                   unit=unit, elements=elements, bracket_table=bracket)
 
 
 def _contract(rows, x: Vec, y: Vec) -> Vec:

@@ -254,15 +254,39 @@ def run_operad(payload: dict, trunc=None) -> Report:
         report.add("sign", "composition-law sign", True, str(sign))
     elif action == "compose":
         space = tuple(integer(d) for d in payload["space"])
-        def load_op(raw):
+
+        def generator(x, where: str) -> int:
+            g = integer(x)
+            if not 0 <= g < len(space):
+                raise ParseError(f"{where} names generator {g} outside the "
+                                 f"{len(space)}-generator space")
+            return g
+
+        def load_op(name: str) -> opmod.GradedOperation:
+            # strict, so that compose's join sees only tuples of `arity`
+            # generators of the space, each at most once
+            raw = require_object(payload[name], f"operation {name!r}")
+            arity = integer(raw["arity"])
+            records = raw.get("table", [])
+            if not isinstance(records, list):
+                raise ParseError(f"{name} table must be a list")
             table = {}
-            for rec in raw.get("table", []):
-                table[tuple(rec["inputs"])] = {
-                    integer(g): rat(c) for g, c in rec["output"].items()}
-            return opmod.GradedOperation(space=space, arity=integer(raw["arity"]),
+            for rec in records:
+                rec = require_object(rec, f"{name} table record")
+                inputs = rec["inputs"]
+                if not isinstance(inputs, list) or len(inputs) != arity:
+                    raise ParseError(f"{name} inputs must be a list of "
+                                     f"{arity} generators, one per input")
+                key = tuple(generator(g, f"{name} inputs") for g in inputs)
+                if key in table:
+                    raise ParseError(f"{name} inputs {list(key)} appear in two records")
+                output = require_object(rec["output"], f"{name} output")
+                table[key] = {generator(g, f"{name} output"): rat(c)
+                              for g, c in output.items()}
+            return opmod.GradedOperation(space=space, arity=arity,
                                          degree=integer(raw["degree"]), table=table)
-        phi1 = load_op(payload["phi1"])
-        phi2 = load_op(payload["phi2"])
+        phi1 = load_op("phi1")
+        phi2 = load_op("phi2")
         out = opmod.compose(phi1, integer(payload["slot"]), phi2)
         rendered = [{"inputs": list(k),
                      "output": {str(g): str(c) for g, c in sorted(v.items())}}

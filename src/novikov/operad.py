@@ -20,7 +20,6 @@ this module's range.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -281,9 +280,6 @@ class GradedOperation:
                     return False
         return True
 
-    def apply(self, inputs: tuple[int, ...]) -> dict[int, Fraction]:
-        return self.table.get(tuple(inputs), {})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedOperation):
             return NotImplemented
@@ -301,30 +297,38 @@ class GradedOperation:
 
 def compose(phi1: GradedOperation, slot: int,
             phi2: GradedOperation) -> GradedOperation:
-    """Signed insertion of phi2 into input *slot* of phi1 (1-based)."""
+    """Signed insertion of phi2 into input *slot* of phi1 (1-based).
+
+    A join over the two tables: each phi2 entry meets only the phi1
+    entries whose *slot* input is one of its output generators, so the
+    cost is the number of matching pairs, not ``gens**arity``.  Every
+    table key must be a tuple of ``arity`` generators of the space."""
     if phi1.space != phi2.space:
         raise ValueError("operations live on different spaces")
     if not 1 <= slot <= phi1.arity:
         raise IndexError(f"slot {slot} out of range 1..{phi1.arity}")
-    arity = phi1.arity + phi2.arity - 1
-    out = GradedOperation(space=phi1.space, arity=arity,
-                          degree=phi1.degree + phi2.degree)
-    gens = range(len(phi1.space))
-    for inputs in itertools.product(gens, repeat=arity):
-        prefix = inputs[:slot - 1]
-        inner_args = inputs[slot - 1:slot - 1 + phi2.arity]
-        suffix = inputs[slot - 1 + phi2.arity:]
-        inner = phi2.apply(inner_args)
-        if not inner:
-            continue
+    i = slot - 1
+    # phi1's entries by their slot input; the sign needs only the prefix
+    by_mid: dict[int, list] = {}
+    for k1, v1 in phi1.table.items():
+        prefix = k1[:i]
         sign = koszul_sign(phi1.degree, phi2.degree, slot,
                            [phi1.space[g] for g in prefix])
-        acc: dict[int, Fraction] = {}
-        for mid, cmid in inner.items():
-            outer = phi1.apply(prefix + (mid,) + suffix)
-            for gen, cout in outer.items():
-                acc[gen] = acc.get(gen, Fraction(0)) + sign * cmid * cout
+        by_mid.setdefault(k1[i], []).append(
+            (prefix, k1[slot:], [(g, sign * c) for g, c in v1.items()]))
+    table: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for k2, v2 in phi2.table.items():
+        for mid, cmid in v2.items():
+            for prefix, suffix, signed in by_mid.get(mid, ()):
+                acc = table.setdefault(prefix + k2 + suffix, {})
+                for gen, cout in signed:
+                    term = cmid * cout
+                    acc[gen] = acc[gen] + term if gen in acc else term
+    for key, acc in list(table.items()):
         acc = {g: c for g, c in acc.items() if c}
         if acc:
-            out.table[tuple(inputs)] = acc
-    return out
+            table[key] = acc
+        else:
+            del table[key]
+    return GradedOperation(space=phi1.space, arity=phi1.arity + phi2.arity - 1,
+                           degree=phi1.degree + phi2.degree, table=table)

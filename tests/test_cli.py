@@ -259,7 +259,7 @@ def _sign(**field):
 
 def _compose(space=0, slot=1, generator="0", **op):
     # a non-string generator key becomes "2.9" or "true" in the JSON text
-    phi = {**_OP, **op, "table": [{"inputs": [0], "output": {generator: "1"}}]}
+    phi = {**_OP, "table": [{"inputs": [0], "output": {generator: "1"}}], **op}
     return {"task": "operad", "action": "compose", "space": [space],
             "slot": slot, "phi1": phi, "phi2": _OP}
 
@@ -285,6 +285,8 @@ INTEGER_FIELDS = {
     "compose-arity": (lambda v: _compose(arity=v), 1),
     "compose-degree": (lambda v: _compose(degree=v), 0),
     "compose-generator": (lambda v: _compose(generator=v), "0"),
+    "compose-inputs": (lambda v: _compose(table=[{"inputs": [v],
+                                                  "output": {"0": "1"}}]), 0),
 }
 
 
@@ -316,14 +318,51 @@ _BV_E = {"basis": [{"name": "e", "degree": 0}],
     {**_BV_E, "delta": {"zz": {"e": "1"}}},
     {**_BV_E, "bracket": [{"left": "zz", "right": "e", "result": {}}]},
     {**_BV_E, "bracket": [{"left": "e", "right": "e", "result": {"zz": "0"}}]},
+    {**_BV_E, "unit": "zz"},
+    {**_BV_E, "elements": {"k": {"zz": "1"}}},
 ], ids=["product-result", "product-key", "delta-result", "delta-key",
-        "bracket-key", "bracket-result"])
+        "bracket-key", "bracket-result", "unit", "element"])
 def test_undeclared_basis_name_is_parse_error(tmp_path, model):
     task = tmp_path / "undeclared.json"
     task.write_text(json.dumps({"task": "bv", "model": model, "checks": ["axioms"]}))
     code, text = cli.run(str(task))
     assert code == cli.EXIT_PARSE, text
     assert "undeclared class 'zz'" in text
+
+
+def _row(inputs, output="0"):
+    return {"inputs": inputs, "output": {output: "1"}}
+
+
+# an operation table on the 2-generator space (degrees 0, 0): each case is
+# phi1 at arity 1 and the field its parse error must name
+@pytest.mark.parametrize("table, field", [
+    ([_row([1, 1])], "inputs"),
+    ([_row([])], "inputs"),
+    ([{"inputs": 5, "output": {"0": "1"}}], "inputs"),
+    ([_row([5])], "inputs"),
+    ([_row([-1])], "inputs"),
+    ([_row([0], output="2")], "output"),
+    ([_row([1]), _row([1], output="0")], "inputs"),
+    ([_row([1]), _row(["1"])], "inputs"),
+    ([{"inputs": [0], "output": [1]}], "output"),
+    ([[0]], "table"),
+    (5, "table"),
+], ids=["too-long", "empty", "not-a-list", "input-out-of-range",
+        "input-negative", "output-out-of-range", "repeated", "repeated-as-string",
+        "output-not-an-object", "record-not-an-object", "table-not-a-list"])
+def test_malformed_operation_table_is_parse_error(tmp_path, table, field):
+    phi = {"arity": 1, "degree": 0, "table": [_row([0])]}
+    payload = {"task": "operad", "action": "compose", "space": [0, 0],
+               "slot": 1, "phi1": phi, "phi2": phi}
+    task = tmp_path / "compose.json"
+    task.write_text(json.dumps(payload))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_OK, text
+    task.write_text(json.dumps({**payload, "phi1": {**phi, "table": table}}))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text
+    assert f"phi1 {field}" in text
 
 
 @pytest.mark.xfail(strict=True, reason="a residual truncated below the working "
@@ -400,9 +439,11 @@ _BV_BASIS = [{"name": "e", "degree": 0}]
       "gw": [1], "checks": ["relations"]}, "gw block must be an object"),
     ({"task": "operad", "action": "glue", "first": [1], "slot": 1,
       "second": {"points": []}}, "disc configuration must be an object"),
+    ({"task": "operad", "action": "compose", "space": [0], "slot": 1,
+      "phi1": [1], "phi2": _OP}, "operation 'phi1' must be an object"),
 ], ids=["bv-product-result", "gw-omega", "bv-delta", "bv-elements",
         "gw-restriction", "top-level-array", "task-array", "gw-qpieces-record",
-        "gw-block", "operad-config"])
+        "gw-block", "operad-config", "operad-operation"])
 def test_vector_field_not_an_object_is_parse_error(tmp_path, payload, message):
     bad = tmp_path / "vector.json"
     bad.write_text(json.dumps(payload))

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from novikov.errors import ZConflict
 from novikov.operad import (
@@ -315,6 +317,74 @@ def test_compose_associativity_exhaustive(space):
                     lhs = compose(compose(phi1, i, phi2), i + j - 1, phi3)
                     rhs = compose(phi1, i, compose(phi2, j, phi3))
                     assert lhs == rhs
+
+
+def oracle_compose(phi1, slot, phi2):
+    """The enumeration that compose's join replaced: every tuple of
+    generators of the output arity, looked up in both tables."""
+    arity = phi1.arity + phi2.arity - 1
+    out = GradedOperation(space=phi1.space, arity=arity,
+                          degree=phi1.degree + phi2.degree)
+    for inputs in itertools.product(range(len(phi1.space)), repeat=arity):
+        prefix = inputs[:slot - 1]
+        inner = phi2.table.get(inputs[slot - 1:slot - 1 + phi2.arity], {})
+        suffix = inputs[slot - 1 + phi2.arity:]
+        if not inner:
+            continue
+        sign = koszul_sign(phi1.degree, phi2.degree, slot,
+                           [phi1.space[g] for g in prefix])
+        acc = {}
+        for mid, cmid in inner.items():
+            outer = phi1.table.get(prefix + (mid,) + suffix, {})
+            for gen, cout in outer.items():
+                acc[gen] = acc.get(gen, F(0)) + sign * cmid * cout
+        acc = {g: c for g, c in acc.items() if c}
+        if acc:
+            out.table[tuple(inputs)] = acc
+    return out
+
+
+# few coefficient values, so that sums over several middle generators
+# often cancel; zero entries and empty rows must leave no key behind
+_COEFFS = st.sampled_from([F(0), F(1), F(-1), F(2), F(-1, 2)])
+
+
+@st.composite
+def compositions(draw):
+    space = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))
+    gens = st.integers(0, len(space) - 1)
+
+    def operation():
+        # a row may be empty or have up to three generators
+        arity = draw(st.integers(1, 3))
+        table = draw(st.dictionaries(st.tuples(*[gens] * arity),
+                                     st.dictionaries(gens, _COEFFS, max_size=3),
+                                     max_size=10))
+        return GradedOperation(space=space, arity=arity,
+                               degree=draw(st.integers(-1, 1)), table=table)
+
+    phi1, phi2 = operation(), operation()
+    return phi1, draw(st.integers(1, phi1.arity)), phi2
+
+
+def _op(space, arity, degree, table):
+    return GradedOperation(space=space, arity=arity, degree=degree, table=table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(compositions())
+# two middle generators whose terms cancel at input (0,), and an odd prefix
+@example((_op((0, 0), 1, 0, {(0,): {0: F(1)}, (1,): {0: F(-1)}}), 1,
+          _op((0, 0), 1, 0, {(0,): {0: F(1), 1: F(1)}, (1,): {0: F(2)}})))
+@example((_op((1, 0), 2, 0, {(0, 1): {0: F(1), 1: F(3)}}), 2,
+          _op((1, 0), 1, 1, {(0,): {1: F(1)}})))
+def test_compose_matches_enumeration_oracle(case):
+    phi1, slot, phi2 = case
+    got, want = compose(phi1, slot, phi2), oracle_compose(phi1, slot, phi2)
+    assert (got.space, got.arity, got.degree) == \
+        (want.space, want.arity, want.degree)
+    # plain dicts: GradedOperation.__eq__ equates a missing and an empty key
+    assert got.table == want.table
 
 
 def test_homogeneity_validation():
