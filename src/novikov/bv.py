@@ -25,24 +25,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import graded
-from .errors import ParseError
 from .graded import (
     Row,
     Vec,
     add_row,
     compile_vec,
+    contract,
     entry_is_zero,
     linear_apply,
     series_vec,
     signed_rows,
-    vec_from_json,
     vec_map_from_json,
 )
 from .ode import ODEProblem
 from .report import Report, vanishes
-from .series import NovikovSeries, Trunc, integer
+from .series import NovikovSeries, Trunc
 
 
 # Wrappers, not re-exports: the benchmark's tracer times these names as
@@ -76,10 +76,11 @@ class BVModel:
     """A finite BV model given by its structure tables.
 
     On first use the product, Delta and a supplied bracket compile to
-    signed rows (:func:`graded.signed_rows`), and the bracket of each
-    ordered pair of basis names becomes a row of its own the first time
-    it is needed, computed from the product and Delta rows.  The tables
-    must not be mutated after first use: the rows would not follow.
+    signed rows (:func:`graded.signed_rows`), cached on the instance
+    outside ``==`` and ``repr``, and the bracket of each ordered pair of
+    basis names becomes a row of its own the first time it is needed,
+    computed from the product and Delta rows.  The tables must not be
+    mutated after first use: the rows would not follow.
     """
 
     degrees: dict[str, int]
@@ -88,7 +89,6 @@ class BVModel:
     unit: str = "e"
     elements: dict[str, Vec] = field(default_factory=dict)
     bracket_table: dict[tuple[str, str], Vec] | None = None
-    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _bracket_constants: dict[tuple[str, str], Row] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -116,15 +116,18 @@ class BVModel:
             parts.setdefault(self.degrees[k], {})[k] = s
         return parts
 
-    def compiled(self) -> tuple[dict, dict, dict | None]:
-        """The product, Delta and supplied bracket rows, compiled on first use."""
-        if self._rows is None:
-            self._rows = (
-                signed_rows(self.product, self.degrees),
-                {k: compile_vec(img) for k, img in self.delta.items()},
-                None if self.bracket_table is None
+    @cached_property
+    def product_rows(self) -> dict[tuple[str, str], Row]:
+        return signed_rows(self.product, self.degrees)
+
+    @cached_property
+    def delta_rows(self) -> dict[str, Row]:
+        return {k: compile_vec(img) for k, img in self.delta.items()}
+
+    @cached_property
+    def bracket_rows(self) -> dict[tuple[str, str], Row] | None:
+        return (None if self.bracket_table is None
                 else signed_rows(self.bracket_table, self.degrees))
-        return self._rows
 
     def bracket_row(self, a: str, b: str) -> Row:
         """The bracket of the basis names a and b, computed once per model:
@@ -132,27 +135,23 @@ class BVModel:
         cancels keeps its class, as the defining formula does."""
         row = self._bracket_constants.get((a, b))
         if row is None:
-            product, delta, _ = self.compiled()
-            out: dict = {}
-            for k, c in product.get((a, b), ()):
-                add_row(out, delta.get(k, ()), c)
-            for k, c in delta.get(a, ()):
-                add_row(out, product.get((k, b), ()), -c)
+            product, delta = self.product_rows, self.delta_rows
+            row = {}
+            for k, c in product.get((a, b), {}).items():
+                add_row(row, delta.get(k, {}), c)
+            for k, c in delta.get(a, {}).items():
+                add_row(row, product.get((k, b), {}), -c)
             odd = self.degrees[a] % 2
-            for k, c in delta.get(b, ()):
-                add_row(out, product.get((a, k), ()), c if odd else -c)
-            row = self._bracket_constants[(a, b)] = tuple(out.items())
+            for k, c in delta.get(b, {}).items():
+                add_row(row, product.get((a, k), {}), c if odd else -c)
+            self._bracket_constants[(a, b)] = row
         return row
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        return _contract(self.compiled()[0].get, x, y)
+        return contract(self.product_rows, x, y)
 
     def delta_apply(self, x: Vec) -> Vec:
-        delta = self.compiled()[1]
-        out: Vec = {}
-        for k, s in x.items():
-            add_row(out, delta.get(k, ()), s)
-        return out
+        return linear_apply(self.delta_rows, x)
 
     def bracket(self, x1: Vec, x2: Vec) -> Vec:
         """The derived bracket, extended bilinearly from the bracket row of
@@ -179,10 +178,9 @@ class BVModel:
             for deg, part in self.homogeneous_parts(x1).items()))
 
     def supplied_bracket(self, x1: Vec, x2: Vec) -> Vec:
-        supplied = self.compiled()[2]
-        if supplied is None:
+        if self.bracket_rows is None:
             return self.bracket(x1, x2)
-        return _contract(supplied.get, x1, x2)
+        return contract(self.bracket_rows, x1, x2)
 
     def modified_bracket(self, x1: Vec, x2: Vec) -> Vec:
         """[x1, x2]^{-1} = [x1, x2] + (Delta x1).x2."""
@@ -210,48 +208,21 @@ class BVModel:
     def from_json(cls, data: dict) -> "BVModel":
         """Decode a model; a product, Delta or bracket row, an element or
         the unit naming a class outside ``"basis"`` is a :class:`ParseError`."""
-        try:
-            degrees = {b["name"]: integer(b["degree"]) for b in data["basis"]}
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad basis declaration: {exc}") from exc
-
-        def declared(where: str, *names: str) -> None:
-            for name in names:
-                if name not in degrees:
-                    raise ParseError(f"{where} names undeclared class {name!r}")
+        degrees = graded.basis_from_json(data)
 
         def table(key: str) -> dict[tuple[str, str], Vec]:
-            out = {}
-            for r in data[key]:
-                pair, result = (r["left"], r["right"]), vec_from_json(r["result"])
-                declared(f"{key} row {pair}", *pair, *result)
-                out[pair] = result
-            return out
+            return dict(graded.table_row_from_json(r, degrees, key) for r in data[key])
 
         product = table("product") if "product" in data else {}
-        delta = vec_map_from_json(data.get("delta", {}))
-        for name, image in delta.items():
-            declared("delta", name, *image)
+        delta = graded.vec_map_of_declared(data.get("delta", {}), degrees, "delta")
         elements = vec_map_from_json(data.get("elements", {}))
         for name, image in elements.items():
-            declared(f"element {name!r}", *image)
+            graded.declared(degrees, f"element {name!r}", *image)
         unit = data.get("unit", "e")
-        declared("unit", unit)
+        graded.declared(degrees, "unit", unit)
         bracket = table("bracket") if "bracket" in data else None
         return cls(degrees=degrees, product=product, delta=delta,
                    unit=unit, elements=elements, bracket_table=bracket)
-
-
-def _contract(rows, x: Vec, y: Vec) -> Vec:
-    """The bilinear product of *x* and *y* whose basis pairs multiply to
-    ``rows(pair)``: the sum of ``(x[a]*y[b]) * c`` over each row entry."""
-    out: Vec = {}
-    for a, sa in x.items():
-        for b, sb in y.items():
-            row = rows((a, b))
-            if row:
-                add_row(out, row, sa * sb)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +248,7 @@ def nabla_c(nabla: Connection, a: Vec, c, model: BVModel) -> Connection:
     if c == 0 or vec_is_zero(a):
         return Connection(dict(nabla.linear))
     return Connection({name: vec_add(nabla.linear.get(name, {}),
-                                     vec_scale(c, model.mul(a, model.basis_vec(name))))
+                                     vec_scale(c, model.mul(a, {name: 1})))
                        for name in model.degrees})
 
 
@@ -287,7 +258,7 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
     if model.degree_of(alpha) not in (None, 1):
         raise ValueError("gauge parameter must have degree 1")
     linear = {name: vec_sub(nabla.linear.get(name, {}),
-                            model.bracket(alpha, model.basis_vec(name)))
+                            model.bracket(alpha, {name: 1}))
               for name in model.degrees}
     return Connection(linear), vec_add(a, model.delta_apply(alpha))
 
@@ -297,10 +268,6 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
 # ---------------------------------------------------------------------------
 
 
-def _basis_vecs(model: BVModel):
-    return [(n, model.basis_vec(n)) for n in model.degrees]
-
-
 def _cases(cases):
     """(label, residual) cases with rational coefficients made series."""
     return ((label, series_vec(res)) for label, res in cases)
@@ -308,9 +275,9 @@ def _cases(cases):
 
 def _rational_basis(model: BVModel):
     """Each basis name with its basis vector over the exact rational 1.
-    mul, bracket and delta_apply contract such vectors over the model's
-    rows, so an identity on them makes a series operation only where a row
-    entry is a series."""
+    mul, bracket, delta_apply and a connection contract such vectors over
+    rows and images, so an identity on them makes a series operation only
+    where a row entry or an image is a series."""
     return [(n, {n: 1}) for n in model.degrees]
 
 
@@ -419,8 +386,8 @@ def delta_nabla_residual(nabla: Connection, a: Vec, x: Vec, model: BVModel) -> V
 def check_delta_nabla(nabla: Connection, a: Vec, model: BVModel) -> Report:
     report = Report()
     report.identity("delta-nabla", "nabla(Delta x) = Delta(nabla x) - [a,x]",
-                    ((n, delta_nabla_residual(nabla, a, x, model))
-                     for n, x in _basis_vecs(model)))
+                    _cases((n, delta_nabla_residual(nabla, a, x, model))
+                           for n, x in _rational_basis(model)))
     return report
 
 
@@ -437,12 +404,12 @@ def check_minus1_delta(nabla: Connection, a: Vec, model: BVModel) -> Report:
 
     report.identity("minus1-delta-commutator",
                     "nabla^{-1}(Delta x) - Delta(nabla^{-1} x) = (Delta a).x",
-                    ((n, vec_sub(commutator(x), model.mul(da, x)))
-                     for n, x in _basis_vecs(model)))
+                    _cases((n, vec_sub(commutator(x), model.mul(da, x)))
+                           for n, x in _rational_basis(model)))
     if vec_is_zero(da):
         report.identity("minus1-delta-compatible",
                         "Delta a = 0 => nabla^{-1} commutes with Delta",
-                        ((n, commutator(x)) for n, x in _basis_vecs(model)))
+                        _cases((n, commutator(x)) for n, x in _rational_basis(model)))
     return report
 
 
@@ -456,11 +423,11 @@ def minus1_ambiguity_check(nabla: Connection, alpha: Vec, a: Vec,
     minus1_tilde = nabla_c(tilde, a_tilde, -1, model)
     report.identity("minus1-ambiguity",
                     "nabla~^{-1} x = nabla^{-1} x - Delta(alpha.x) - alpha.Delta x",
-                    ((n, vec_sub(minus1_tilde.apply(x, model),
-                                 vec_sub(minus1.apply(x, model),
-                                         vec_add(model.delta_apply(model.mul(alpha, x)),
-                                                 model.mul(alpha, model.delta_apply(x))))))
-                     for n, x in _basis_vecs(model)))
+                    _cases((n, vec_sub(minus1_tilde.apply(x, model),
+                                       vec_sub(minus1.apply(x, model),
+                                               vec_add(model.delta_apply(model.mul(alpha, x)),
+                                                       model.mul(alpha, model.delta_apply(x))))))
+                           for n, x in _rational_basis(model)))
     return report
 
 
@@ -471,8 +438,8 @@ def r_endomorphism_check(model: BVModel, k_name: str = "k") -> Report:
     k = model.element(k_name)
     report.residual("delta-k", "Delta k = 0", model.delta_apply(k))
     fails = []
-    for n, x in _basis_vecs(model):
-        res = vec_sub(model.bracket(k, x), model.modified_bracket(k, x))
+    for n, res in _cases((n, vec_sub(model.bracket(k, x), model.modified_bracket(k, x)))
+                         for n, x in _rational_basis(model)):
         if not vanishes(res):
             fails.append(f"{n}: {vec_render(res)} (= -(Delta k).{n})")
     report.add("r-two-forms", "[k,x] = [k,x]^{-1}", not fails,

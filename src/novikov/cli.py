@@ -15,7 +15,7 @@ from . import bv as bvmod
 from . import operad as opmod
 from . import quantum as qmod
 from .errors import InsufficientPrecision, NovikovError, ParseError, require_object
-from .graded import vec_from_json
+from .graded import declared, vec_from_json
 from .ode import (
     LatticeSeed,
     ODEProblem,
@@ -120,6 +120,9 @@ def run_gw(payload: dict, trunc=None) -> Report:
         model = qmod.CohomologyModel.from_json(payload["model"])
     if "gw" in payload:
         gw = qmod.GWData.from_json(payload["gw"])
+        if model is not None:
+            for key in ("z0", "z1", "z2", "z2tilde"):
+                declared(model.degrees, f"gw {key}", *(getattr(gw, key) or {}))
     if "prob" in payload:
         prob = ODEProblem.from_json(payload["prob"])
     order = None
@@ -204,6 +207,7 @@ def run_bv(payload: dict, trunc=None) -> Report:
             report.checks += bvmod.check_minus1_delta(nabla, a, model).checks
         elif name == "gauge":
             alpha = vec_from_json(payload.get("alpha", {}))
+            declared(model.degrees, "alpha", *alpha)
             tilde, a_tilde = bvmod.gauge_change(nabla, alpha, a, model)
             gauged = bvmod.check_delta_nabla(tilde, a_tilde, model)
             for row in gauged.checks:
@@ -231,6 +235,12 @@ def run_bv(payload: dict, trunc=None) -> Report:
     return report
 
 
+def _list(data, field: str) -> list:
+    if not isinstance(data, list):
+        raise ParseError(f"{field} must be a list, got {type(data).__name__}")
+    return data
+
+
 def run_operad(payload: dict, trunc=None) -> Report:
     report = Report()
     action = payload.get("action")
@@ -250,10 +260,10 @@ def run_operad(payload: dict, trunc=None) -> Report:
         sign = opmod.koszul_sign(integer(payload["phi1_degree"]),
                                  integer(payload["phi2_degree"]),
                                  integer(payload["slot"]),
-                                 [integer(d) for d in payload.get("prefix", [])])
+                                 [integer(d) for d in _list(payload.get("prefix", []), "prefix")])
         report.add("sign", "composition-law sign", True, str(sign))
     elif action == "compose":
-        space = tuple(integer(d) for d in payload["space"])
+        space = tuple(integer(d) for d in _list(payload["space"], "space"))
 
         def generator(x, where: str) -> int:
             g = integer(x)
@@ -267,11 +277,8 @@ def run_operad(payload: dict, trunc=None) -> Report:
             # generators of the space, each at most once
             raw = require_object(payload[name], f"operation {name!r}")
             arity = integer(raw["arity"])
-            records = raw.get("table", [])
-            if not isinstance(records, list):
-                raise ParseError(f"{name} table must be a list")
             table = {}
-            for rec in records:
+            for rec in _list(raw.get("table", []), f"{name} table"):
                 rec = require_object(rec, f"{name} table record")
                 inputs = rec["inputs"]
                 if not isinstance(inputs, list) or len(inputs) != arity:

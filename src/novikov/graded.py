@@ -3,33 +3,29 @@
 A vector is a dict from basis name to coefficient.  The coefficients are
 :class:`NovikovSeries` (cohomology and BV models) or :class:`USeries` (the
 u-extension); every helper here except :func:`vec_get` and the JSON
-decoders works for either.  A missing name is a zero
-coefficient.
+decoders works for either.  A missing name is a zero coefficient.
 
-A structure table maps an ordered pair of basis names to the vector of
-their product.  A pair stored in one order serves the other with the
-Koszul sign ``(-1)^(|a||b|)`` of the basis degrees, and a pair stored in
-neither order multiplies to zero; :func:`table_mul` extends that
-bilinearly.  The cup product, each quantum piece, the BV product and a
-supplied BV bracket are all such tables.
-
-A table compiles to signed rows (:func:`signed_rows`): one row
-``((z, c), ...)`` per ordered pair of declared names, with the swap sign
-folded in.  A row entry is an exact ``q^0`` constant as an ``int`` or
-``Fraction``, or any other series as itself; exact zeros are dropped.
-Entries of both kinds multiply and add with Python's operators (a series
-operator takes a rational as the exact constant), with exactly the
-results of the same operations on series, so a contraction over rows can
-run on rationals and meet a series only where the table has one.
+A structure table (the cup product, a quantum piece, the BV product or a
+supplied BV bracket) maps an ordered pair of basis names to the vector of
+their product.  It compiles to signed rows (:func:`signed_rows`), one per
+ordered pair of declared names: a pair stored in one order serves the
+other with the Koszul sign ``(-1)^(|a||b|)``, and a pair stored in
+neither order is zero.  A row is a vector ``{z: c}`` whose entries are
+exact ``q^0`` constants as an ``int`` or ``Fraction``, or other series as
+themselves, exact zeros dropped.  Both kinds multiply and add with
+Python's operators (a series operator takes a rational as the exact
+constant) with exactly the results of series arithmetic, so a product
+meets a series only where the table has one.  :func:`contract` is the
+one bilinear kernel and :func:`linear_apply` the one linear kernel.
 """
 
 from __future__ import annotations
 
-from .errors import require_object
-from .series import INF, NovikovSeries
+from .errors import ParseError, require_object
+from .series import INF, NovikovSeries, integer
 
 Vec = dict  # basis name -> NovikovSeries or USeries
-Row = tuple  # ((basis name, row entry), ...), a row entry being a rational or a series
+Row = dict  # basis name -> row entry, a rational or a series
 
 _ZERO = NovikovSeries.zero()
 
@@ -81,51 +77,41 @@ def vec_map_from_json(data) -> dict[str, Vec]:
             for k, v in require_object(data, "vector map").items()}
 
 
-def stored_entry(table: dict[tuple[str, str], Vec], degrees: dict[str, int],
-                 a: str, b: str) -> tuple[Vec | None, int]:
-    """The table's entry for the ordered pair (a, b) and its sign: the pair
-    as stored with sign 1, else the swapped pair with the Koszul sign
-    ``(-1)^(|a||b|)``, else ``(None, 0)``."""
-    entry = table.get((a, b))
-    if entry is not None:
-        return entry, 1
-    entry = table.get((b, a))
-    if entry is None:
-        return None, 0
-    return entry, (-1) ** (degrees[a] * degrees[b])
+def basis_from_json(data) -> dict[str, int]:
+    """Decode ``"basis"``, a list of ``{name, degree}``, into the degrees."""
+    try:
+        return {b["name"]: integer(b["degree"]) for b in data["basis"]}
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad basis declaration: {exc}") from exc
 
 
-def table_mul(table: dict[tuple[str, str], Vec], degrees: dict[str, int],
-              x: Vec, y: Vec) -> Vec:
-    """The signed bilinear product of *x* and *y* given by a structure table."""
-    out: Vec = {}
-    for kx, sx in x.items():
-        for ky, sy in y.items():
-            entry, sign = stored_entry(table, degrees, kx, ky)
-            if entry is None:
-                continue
-            if sign < 0:
-                entry = {kz: -sz for kz, sz in entry.items()}
-            coeff = sx * sy
-            for kz, sz in entry.items():
-                term = coeff * sz
-                out[kz] = out[kz] + term if kz in out else term
-    return out
+def declared(degrees: dict[str, int], where: str, *names: str) -> None:
+    """A :class:`ParseError` unless every name is a declared class."""
+    for name in names:
+        if name not in degrees:
+            raise ParseError(f"{where} names undeclared class {name!r}")
 
 
-def linear_apply(images: dict[str, Vec], x: Vec) -> Vec:
-    """The linear map sending each basis name to its image; a name with no
-    image maps to zero."""
-    out: Vec = {}
-    for k, s in x.items():
-        for kz, sz in images.get(k, {}).items():
-            term = s * sz
-            out[kz] = out[kz] + term if kz in out else term
+def table_row_from_json(rec, degrees: dict[str, int],
+                        where: str) -> tuple[tuple[str, str], Vec]:
+    """Decode one ``{left, right, result}`` record of a structure table."""
+    rec = require_object(rec, f"{where} record")
+    pair, result = (rec["left"], rec["right"]), vec_from_json(rec["result"])
+    declared(degrees, f"{where} row {pair}", *pair, *result)
+    return pair, result
+
+
+def vec_map_of_declared(data, degrees: dict[str, int],
+                        where: str) -> dict[str, Vec]:
+    """Decode ``{basis name: vector}`` over declared classes only."""
+    out = vec_map_from_json(data)
+    for name, image in out.items():
+        declared(degrees, where, name, *image)
     return out
 
 
 # ---------------------------------------------------------------------------
-# compiled rows
+# compiled rows and the two kernels
 # ---------------------------------------------------------------------------
 
 
@@ -133,7 +119,7 @@ def compile_vec(x: Vec, sign: int = 1) -> Row:
     """The row of *sign* times *x*: an exact ``q^0`` constant becomes its
     rational (an ``int`` when whole), an exact zero is dropped, and any
     other series stays itself."""
-    out = []
+    out = {}
     for z, c in x.items():
         if c.truncation == INF:
             if not c.terms:
@@ -142,18 +128,21 @@ def compile_vec(x: Vec, sign: int = 1) -> Row:
                 c = c.terms[0][1]
                 if c.denominator == 1:
                     c = c.numerator
-        out.append((z, c if sign > 0 else -c))
-    return tuple(out)
+        out[z] = c if sign > 0 else -c
+    return out
 
 
 def signed_rows(table: dict[tuple[str, str], Vec],
                 degrees: dict[str, int]) -> dict[tuple[str, str], Row]:
     """The row of every ordered pair of declared names that the table
-    multiplies to a nonzero vector, the swap sign folded in."""
+    multiplies to a nonzero vector: the pair as stored, else the swapped
+    pair with the Koszul sign ``(-1)^(|a||b|)``."""
     rows = {}
     for a in degrees:
         for b in degrees:
-            entry, sign = stored_entry(table, degrees, a, b)
+            entry, sign = table.get((a, b)), 1
+            if entry is None:
+                entry, sign = table.get((b, a)), (-1) ** (degrees[a] * degrees[b])
             if entry:
                 row = compile_vec(entry, sign)
                 if row:
@@ -163,10 +152,31 @@ def signed_rows(table: dict[tuple[str, str], Vec],
 
 def add_row(out: dict, row: Row, c=None) -> dict:
     """``out += c * row`` over row entries (``c`` None: the row itself)."""
-    for z, v in row:
+    for z, v in row.items():
         if c is not None:
             v = c * v
         out[z] = out[z] + v if z in out else v
+    return out
+
+
+def contract(rows: dict[tuple[str, str], Row], x: Vec, y: Vec) -> Vec:
+    """The bilinear product of *x* and *y* whose basis pairs multiply to
+    their rows: the sum of ``(x[a]*y[b]) * c`` over each row entry."""
+    out: Vec = {}
+    for a, sa in x.items():
+        for b, sb in y.items():
+            row = rows.get((a, b))
+            if row:
+                add_row(out, row, sa * sb)
+    return out
+
+
+def linear_apply(images: dict[str, Row], x: Vec) -> Vec:
+    """The linear map sending each basis name to its image, a row or a
+    vector; a name with no image maps to zero."""
+    out: Vec = {}
+    for k, s in x.items():
+        add_row(out, images.get(k, {}), s)
     return out
 
 

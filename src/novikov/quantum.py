@@ -22,18 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import (DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed,
-                     require_object)
+from . import graded
+from .errors import DegreeMismatch, NoSolution, PrerequisiteFailed, require_object
 from .graded import (
     Vec,
+    contract,
     linear_apply,
-    table_mul,
+    signed_rows,
     vec_add,
     vec_from_json,
     vec_get,
     vec_is_zero,
-    vec_map_from_json,
     vec_render,
     vec_scale,
     vec_sub,
@@ -61,7 +62,9 @@ class CohomologyModel:
     entries are zero, and a pair stored in one order serves the other with
     the Koszul sign of the degrees.  ``restriction`` sends each basis class
     to its image on the fibre-complement model (by default it kills ``M``
-    and keeps everything else).
+    and keeps everything else).  As in a BV model, the tables compile to
+    signed rows on first use and must not be mutated after it; build a
+    changed model with :func:`dataclasses.replace`.
     """
 
     degrees: dict[str, int]
@@ -104,13 +107,19 @@ class CohomologyModel:
             out[k] = d
         return out
 
+    @cached_property
+    def cup_rows(self) -> dict[tuple[str, str], graded.Row]:
+        return signed_rows(self.cup, self.degrees)
+
+    @cached_property
+    def qpiece_rows(self) -> dict[int, dict[tuple[str, str], graded.Row]]:
+        return {k: signed_rows(table, self.degrees) for k, table in self.qpieces.items()}
+
     def cup_mul(self, x: Vec, y: Vec) -> Vec:
-        return table_mul(self.cup, self.degrees, x, y)
+        return contract(self.cup_rows, x, y)
 
     def quantum_piece(self, x: Vec, y: Vec, k: int) -> Vec:
-        if k < 0:
-            return {}
-        return table_mul(self.qpieces.get(k, {}), self.degrees, x, y)
+        return contract(self.qpiece_rows.get(k, {}), x, y)
 
     def quantum_mul(self, x: Vec, y: Vec, homogeneous: bool = False) -> Vec:
         if homogeneous:
@@ -158,24 +167,20 @@ class CohomologyModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "CohomologyModel":
-        try:
-            degrees = {b["name"]: integer(b["degree"]) for b in data["basis"]}
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad basis declaration: {exc}") from exc
-        cup = {(rec["left"], rec["right"]): vec_from_json(rec["result"])
-               for rec in data.get("cup") or []}
+        """Decode a model; a class outside ``"basis"`` is a :class:`ParseError`."""
+        degrees = graded.basis_from_json(data)
+        cup = dict(graded.table_row_from_json(rec, degrees, "cup")
+                   for rec in data.get("cup") or [])
         qpieces: dict[int, dict] = {}
         for rec in data.get("qpieces", []):
-            rec = require_object(rec, "qpieces record")
-            table = qpieces.setdefault(integer(rec.get("k", 0)), {})
-            table[(rec["left"], rec["right"])] = vec_from_json(rec["result"])
-        omega = None
-        if "omega" in data:
-            omega = vec_from_json(data["omega"])
+            pair, result = graded.table_row_from_json(rec, degrees, "qpieces")
+            qpieces.setdefault(integer(rec.get("k", 0)), {})[pair] = result
+        omega = vec_from_json(data["omega"]) if "omega" in data else None
         twists = vec_from_json(data.get("twists", {}))
-        restriction = None
-        if "restriction" in data:
-            restriction = vec_map_from_json(data["restriction"])
+        graded.declared(degrees, "omega", *(omega or {}))
+        graded.declared(degrees, "twists", *twists)
+        restriction = (graded.vec_map_of_declared(data["restriction"], degrees, "restriction")
+                       if "restriction" in data else None)
         return cls(degrees=degrees, cup=cup,
                    qpieces=qpieces, unit=data.get("unit"),
                    m_class=data.get("m_class", "M"), omega=omega,
@@ -405,15 +410,10 @@ def gamma_apply(x: UVec, eqmodel: EqModuleModel) -> UVec:
         S_EQ: {SS_EQ: u.scale(2 * psi), S_EQ: u.scale(-eta),
                E_EQ: u.scale(-4 * z2 * psi)},
     }
-    out: UVec = {}
-    for name, f in x.items():
-        if name == SS_EQ:
-            if not f.is_zero():
-                raise ValueError("Gamma is not modeled on the ss_eq line")
-            continue
-        out = vec_add(out, vec_scale(f, table[name]),
-                      {name: f.d_q().times_u()})
-    return out
+    if SS_EQ in x and not x[SS_EQ].is_zero():
+        raise ValueError("Gamma is not modeled on the ss_eq line")
+    return vec_add(linear_apply(table, x),
+                   {name: f.d_q().times_u() for name, f in x.items() if name != SS_EQ})
 
 
 def gauss_manin_check(eqmodel: EqModuleModel) -> Report:

@@ -30,10 +30,12 @@ from novikov.bv import (
     second_order_on_e,
 )
 from novikov.graded import (
+    contract,
     linear_apply,
-    table_mul,
+    signed_rows,
     vec_add,
     vec_is_zero,
+    vec_render,
     vec_scale,
     vec_sub,
 )
@@ -90,6 +92,63 @@ def test_axioms_detect_derivation_delta():
 # ---------------------------------------------------------------------------
 # the compiled checks against per-tuple oracles
 # ---------------------------------------------------------------------------
+
+
+def table_mul(table, degrees, x, y):
+    """The signed bilinear product of x and y straight from a structure
+    table: a pair stored in one order serves the other with the Koszul
+    sign (-1)^(|a||b|), and a pair stored in neither order is zero."""
+    out = {}
+    for kx, sx in x.items():
+        for ky, sy in y.items():
+            entry, sign = table.get((kx, ky)), 1
+            if entry is None:
+                entry = table.get((ky, kx))
+                if entry is None:
+                    continue
+                sign = (-1) ** (degrees[kx] * degrees[ky])
+            for kz, sz in entry.items():
+                term = (sx * sy) * (sz if sign > 0 else -sz)
+                out[kz] = out[kz] + term if kz in out else term
+    return out
+
+
+@st.composite
+def tables_and_vectors(draw):
+    """A structure table over a few names of mixed parity, each unordered
+    pair stored in one order, the other, both, neither or as an empty row,
+    with entries among exact and truncated zeros, q^0 constants and other
+    series; and two vectors over those names."""
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    degrees = {n: draw(st.sampled_from([-1, 0, 1, 2, 3])) for n in names}
+    entry = st.one_of(
+        small_series,
+        st.builds(NovikovSeries.zero, st.one_of(st.just(INF), st.integers(1, 4))),
+        st.builds(NovikovSeries.monomial,
+                  st.fractions(min_value=-3, max_value=3, max_denominator=3), st.just(0)))
+    row = st.dictionaries(st.sampled_from(names), entry, min_size=1, max_size=3)
+    table = {}
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            stored = draw(st.sampled_from(["ab", "ba", "both", "neither", "empty"]))
+            if stored in ("ab", "both"):
+                table[(a, b)] = draw(row)
+            if stored in ("ba", "both"):
+                table[(b, a)] = draw(row)
+            if stored == "empty":
+                table[(a, b)] = {}
+    vector = st.fixed_dictionaries({n: entry for n in names})
+    return table, degrees, draw(vector), draw(vector)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_and_vectors())
+def test_contract_over_signed_rows_matches_table_oracle(case):
+    table, degrees, x, y = case
+    got = contract(signed_rows(table, degrees), x, y)
+    want = table_mul(table, degrees, x, y)
+    assert vec_is_zero(vec_sub(got, want))
+    assert vec_render(got) == vec_render(want)
 
 
 class Oracle:

@@ -310,24 +310,55 @@ _BV_E = {"basis": [{"name": "e", "degree": 0}],
          "product": [{"left": "e", "right": "e", "result": {"e": "1"}}]}
 
 
-@pytest.mark.parametrize("model", [
-    {**_BV_E, "product": [{"left": "e", "right": "e", "result": {"zz": "1"}}]},
-    {**_BV_E, "product": [*_BV_E["product"],
-                          {"left": "e", "right": "zz", "result": {}}]},
-    {**_BV_E, "delta": {"e": {"zz": "1"}}},
-    {**_BV_E, "delta": {"zz": {"e": "1"}}},
-    {**_BV_E, "bracket": [{"left": "zz", "right": "e", "result": {}}]},
-    {**_BV_E, "bracket": [{"left": "e", "right": "e", "result": {"zz": "0"}}]},
-    {**_BV_E, "unit": "zz"},
-    {**_BV_E, "elements": {"k": {"zz": "1"}}},
+def _bv(model):
+    return {"task": "bv", "model": model, "checks": ["axioms"]}
+
+
+def _gw_with(model=(), gw=()):
+    task = _gw(["relations"], {"z1": _Z1, **dict(gw)})
+    task["model"].update(model)
+    return task
+
+
+@pytest.mark.parametrize("task", [
+    _bv({**_BV_E, "product": [{"left": "e", "right": "e", "result": {"zz": "1"}}]}),
+    _bv({**_BV_E, "product": [*_BV_E["product"],
+                              {"left": "e", "right": "zz", "result": {}}]}),
+    _bv({**_BV_E, "delta": {"e": {"zz": "1"}}}),
+    _bv({**_BV_E, "delta": {"zz": {"e": "1"}}}),
+    _bv({**_BV_E, "bracket": [{"left": "zz", "right": "e", "result": {}}]}),
+    _bv({**_BV_E, "bracket": [{"left": "e", "right": "e", "result": {"zz": "0"}}]}),
+    _bv({**_BV_E, "unit": "zz"}),
+    _bv({**_BV_E, "elements": {"k": {"zz": "1"}}}),
+    {"task": "bv", "checks": ["gauge"], "alpha": {"zz": "1"}},
+    _gw_with({"cup": [{"left": "zz", "right": "D", "result": {"D": "1"}}]}),
+    _gw_with({"cup": [{"left": "D", "right": "D", "result": {"zz": "1"}}]}),
+    _gw_with({"qpieces": [{"left": "zz", "right": "M", "k": 1, "result": {"D": "1"}}]}),
+    _gw_with({"qpieces": [{"left": "M", "right": "M", "k": 1, "result": {"zz": "1"}}]}),
+    _gw_with({"restriction": {"zz": {}}}),
+    _gw_with({"restriction": {"D": {"zz": "1"}}}),
+    _gw_with({"omega": {"zz": "1"}}),
+    _gw_with({"twists": {"zz": "1"}}),
+    *(_gw_with(gw={key: {"zz": "1"}}) for key in ("z0", "z1", "z2", "z2tilde")),
 ], ids=["product-result", "product-key", "delta-result", "delta-key",
-        "bracket-key", "bracket-result", "unit", "element"])
-def test_undeclared_basis_name_is_parse_error(tmp_path, model):
-    task = tmp_path / "undeclared.json"
-    task.write_text(json.dumps({"task": "bv", "model": model, "checks": ["axioms"]}))
-    code, text = cli.run(str(task))
+        "bracket-key", "bracket-result", "unit", "element", "alpha",
+        "cup-key", "cup-result", "qpieces-key", "qpieces-result",
+        "restriction-key", "restriction-result", "omega", "twists",
+        "gw-z0", "gw-z1", "gw-z2", "gw-z2tilde"])
+def test_undeclared_basis_name_is_parse_error(tmp_path, task):
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps(task))
+    code, text = cli.run(str(path))
     assert code == cli.EXIT_PARSE, text
     assert "undeclared class 'zz'" in text
+
+
+def test_gw_model_with_declared_names_runs(tmp_path):
+    # the base of the gw payloads above decodes and checks
+    path = tmp_path / "declared.json"
+    path.write_text(json.dumps(_gw_with()))
+    code, text = cli.run(str(path))
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED), text
 
 
 def _row(inputs, output="0"):
@@ -363,6 +394,18 @@ def test_malformed_operation_table_is_parse_error(tmp_path, table, field):
     code, text = cli.run(str(task))
     assert code == cli.EXIT_PARSE, text
     assert f"phi1 {field}" in text
+
+
+@pytest.mark.parametrize("payload, field", [
+    (_sign(prefix=5), "prefix"),
+    ({**_compose(), "space": 5}, "space"),
+], ids=["prefix", "space"])
+def test_non_list_space_or_prefix_names_the_field(tmp_path, payload, field):
+    task = tmp_path / "operad.json"
+    task.write_text(json.dumps(payload))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text
+    assert f"{field} must be a list, got int" in text
 
 
 @pytest.mark.xfail(strict=True, reason="a residual truncated below the working "

@@ -1,5 +1,6 @@
 """Quantum-product relations, the psi/eta solver, and the rank-3 derivation."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -334,7 +335,9 @@ def test_uueq_rewrite_passes():
 
 def test_uueq_prerequisite_failure():
     model, gw = uueq_model()
-    model.qpieces[0][("D", "D")] = {"P": ONE}  # break the associativity instance
+    # break the associativity instance in a fresh model: the used one keeps its rows
+    qp0 = {**model.qpieces[0], ("D", "D"): {"P": ONE}}
+    model = dataclasses.replace(model, qpieces={**model.qpieces, 0: qp0})
     with pytest.raises(PrerequisiteFailed):
         uueq_rewrite_check(model, gw)
 
@@ -394,5 +397,5 @@ def test_star_restriction_compatibility():
     # the induced product, so compatibility must hold
     violations = model.check_star_restriction()
     assert violations == [], violations
-    emodel.qpieces[0][("1", "D")] = {"D": 2 * ONE}
+    model.e_model = dataclasses.replace(emodel, qpieces={0: {**qp0, ("1", "D"): {"D": 2 * ONE}}})
     assert model.check_star_restriction()
