@@ -42,6 +42,18 @@ EXIT_PARSE = 2
 EXIT_PRECISION = 3
 EXIT_DOMAIN = 4
 
+#: Most lattice terms, ``(order - base)/step``, that a ``solve`` check may
+#: ask for.  The solver is quadratic in this count (about 0.2 s for 1000
+#: terms of ``rho'' + rho = 0``); the bundled and benchmark files ask for
+#: at most 60.
+MAX_SOLVE_TERMS = 1000
+
+#: Largest ``n`` a ``bv`` task may give.  ``polyvector`` models have 2n
+#: basis names and the axioms check is cubic in that (about 0.8 s at
+#: n = 16 and 2.5 s at n = 24); the bundled and benchmark files give at
+#: most 6.
+MAX_BV_N = 24
+
 
 def _series(data) -> NovikovSeries:
     return NovikovSeries.from_json(data)
@@ -104,7 +116,12 @@ def run_ode(payload: dict, trunc=None) -> Report:
                             schwarz_residual(_series(check["theta"]), prob, order))
         elif kind == "solve":
             seed = LatticeSeed.from_json(check["seed"])
-            rho = solve_second_order(prob, seed, rat(check["order"]))
+            solve_order = rat(check["order"])
+            if (solve_order - seed.base_exponent) / seed.step > MAX_SOLVE_TERMS:
+                raise ParseError(
+                    f"solve order {solve_order} asks for more than MAX_SOLVE_TERMS = "
+                    f"{MAX_SOLVE_TERMS} lattice terms")
+            rho = solve_second_order(prob, seed, solve_order)
             report.residual("solve", "lattice recursion solves the second-order form",
                             second_order_residual(rho, prob, order),
                             detail=f"rho = {rho.render()}")
@@ -184,6 +201,8 @@ def run_bv(payload: dict, trunc=None) -> Report:
     report = Report()
     spec = payload.get("model", "polyvector")
     n = integer(payload.get("n", 4))
+    if n > MAX_BV_N:
+        raise ParseError(f"n = {n} is above MAX_BV_N = {MAX_BV_N}")
     if spec == "polyvector":
         model = bvmod.polyvector_model(n)
     elif spec == "polyvector-k":

@@ -21,6 +21,8 @@ one bilinear kernel and :func:`linear_apply` the one linear kernel.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import ParseError, require_object
 from .series import INF, NovikovSeries, integer
 
@@ -122,12 +124,10 @@ def compile_vec(x: Vec, sign: int = 1) -> Row:
     out = {}
     for z, c in x.items():
         if c.truncation == INF:
-            if not c.terms:
+            if not c.exps:
                 continue
-            if len(c.terms) == 1 and not c.terms[0][0]:
-                c = c.terms[0][1]
-                if c.denominator == 1:
-                    c = c.numerator
+            if c.exps == [0]:
+                c = c.nums[0] if c.den == 1 else Fraction(c.nums[0], c.den)
         out[z] = c if sign > 0 else -c
     return out
 

@@ -159,15 +159,19 @@ def _lattice_coeffs(series: NovikovSeries, shift: int, step: Fraction,
     LatticeMismatch.
     """
     out: dict[int, Fraction] = {}
-    for e, c in series.terms:
-        if e >= bound:
-            continue
-        j = (e - shift) / step
-        if j < 0 or j.denominator != 1:
+    scale, den = series.scale, series.den
+    limit = INF if bound == INF else math.ceil(bound * scale)
+    # j = (k/scale - shift)/step over the stored exponent numerators k
+    unit = scale * step.numerator
+    for k, n in zip(series.exps, series.nums):
+        if k >= limit:
+            break  # the exponents ascend
+        j, off = divmod((k - shift * scale) * step.denominator, unit)
+        if j < 0 or off:
             raise LatticeMismatch(
-                f"{what} has a term at q^{e}, not on the lattice "
+                f"{what} has a term at q^{Fraction(k, scale)}, not on the lattice "
                 f"{shift} + ({step})*Z>=0")
-        out[int(j)] = c
+        out[j] = Fraction(n, den)
     return out
 
 

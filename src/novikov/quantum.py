@@ -179,6 +179,10 @@ class CohomologyModel:
         twists = vec_from_json(data.get("twists", {}))
         graded.declared(degrees, "omega", *(omega or {}))
         graded.declared(degrees, "twists", *twists)
+        if "unit" in data:
+            graded.declared(degrees, "unit", data["unit"])
+        if "m_class" in data:
+            graded.declared(degrees, "m_class", data["m_class"])
         restriction = (graded.vec_map_of_declared(data["restriction"], degrees, "restriction")
                        if "restriction" in data else None)
         return cls(degrees=degrees, cup=cup,

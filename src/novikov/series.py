@@ -9,6 +9,15 @@ All arithmetic propagates truncation so that identity checks either hold
 exactly, fail exactly, or raise :class:`InsufficientPrecision` - they never
 silently pass because terms fell off the end.
 
+A series is stored as integers: exponent numerators over one exponent
+scale and coefficient numerators over one coefficient denominator, in
+lowest terms as a whole rather than term by term.  Every kernel (products,
+sums, ``d_q``, inversion, truncation) works on those integer lists and
+reduces once per result.  Fractions appear only at the edges: literals are
+read into the integer form, and ``terms``, the ``(exponent, coefficient)``
+Fraction pairs that rendering, JSON and ``coefficient`` use, is built on
+first use and cached.
+
 The same type doubles as the Laurent-type series field in an auxiliary
 variable (``h`` in the mirror computations); only rendering cares about the
 variable's name.
@@ -21,7 +30,6 @@ import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import InsufficientPrecision, ParseError
@@ -63,6 +71,23 @@ def integer(x) -> int:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(x) -> tuple[int, int]:
+    """``rat(x)`` as a ``(numerator, denominator)`` pair, denominator
+    positive but not always in lowest terms; a plain integer or ``"n/d"``
+    string is read without building a Fraction."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is str and len(x) < 200:
+        m = _RATIO.fullmatch(x)
+        if m:
+            n, d = int(m[1]), int(m[2] or 1)
+            if d:
+                return n, d
+    f = rat(x)
+    return f.numerator, f.denominator
 
 
 def _trunc(x) -> Trunc:
@@ -72,33 +97,49 @@ def _trunc(x) -> Trunc:
 
 
 class NovikovSeries:
-    """Finite rational-exponent series with a carried truncation order."""
+    """Finite rational-exponent series with a carried truncation order.
 
-    __slots__ = ("terms", "truncation")
+    Term ``i`` is ``(nums[i]/den) * q^(exps[i]/scale)``: ``exps`` ascends
+    strictly, each exponent lies below ``truncation`` (a Fraction, or
+    ``INF`` for an exact series) and each ``nums[i]`` is nonzero.
+    ``scale`` and ``den`` are the lcms of the exponents' and the
+    coefficients' denominators, i.e. ``gcd(scale, *exps) == gcd(den,
+    *nums) == 1``, and both are 1 when no term is stored.  The form is
+    canonical, so ``==`` and ``hash`` compare the fields.  ``terms`` is the
+    read-only, lazily built view of the ascending Fraction pairs.
+    """
+
+    __slots__ = ("exps", "scale", "nums", "den", "truncation", "_terms")
 
     def __init__(self, terms: Iterable[tuple[Rat, Rat]] = (), truncation: Trunc = INF):
         trunc = _trunc(truncation)
-        acc: dict[Fraction, Fraction] = {}
-        for exp, coeff in terms:
-            e, c = rat(exp), rat(coeff)
-            if c == 0 or e >= trunc:
-                continue
-            if e in acc:
-                c += acc.pop(e)
-                if not c:
-                    continue
-            acc[e] = c
-        self.terms: tuple[tuple[Fraction, Fraction], ...] = tuple(sorted(acc.items()))
-        self.truncation: Trunc = trunc
+        quads = [(*_ratio(exp), *_ratio(coeff)) for exp, coeff in terms]
+        if isinstance(trunc, float):
+            quads = [t for t in quads if t[2]]
+        else:
+            tn, td = trunc.numerator, trunc.denominator
+            quads = [t for t in quads if t[2] and t[0] * td < tn * t[1]]
+        scale = math.lcm(*(t[1] for t in quads))
+        den = math.lcm(*(t[3] for t in quads))
+        acc: dict[int, int] = {}
+        for en, ed, cn, cd in quads:
+            k, n = en * (scale // ed), cn * (den // cd)
+            acc[k] = acc[k] + n if k in acc else n
+        exps = sorted(acc)
+        # unreduced literals and repeated exponents can leave a common
+        # factor, and a repeated exponent can cancel a term
+        self.exps, self.scale, self.nums, self.den = _canonical(
+            exps, scale, [acc[k] for k in exps], den)
+        self.truncation, self._terms = trunc, None
 
-    @classmethod
-    def _raw(cls, terms: tuple, truncation: Trunc) -> "NovikovSeries":
-        """Wrap *terms* as they are: ascending Fraction exponents, each below
-        *truncation*, with nonzero Fraction coefficients."""
-        out = object.__new__(cls)
-        out.terms = terms
-        out.truncation = truncation
-        return out
+    @property
+    def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The ascending ``(exponent, coefficient)`` pairs, as Fractions."""
+        if self._terms is None:
+            s, d = self.scale, self.den
+            self._terms = tuple((Fraction(k, s), Fraction(n, d))
+                                for k, n in zip(self.exps, self.nums))
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -122,64 +163,69 @@ class NovikovSeries:
 
     def is_zero(self) -> bool:
         """True if no nonzero term is stored (zero as far as representable)."""
-        return not self.terms
+        return not self.exps
 
     def valuation(self) -> Trunc:
         """Exponent of the lowest term; +inf for zero by convention."""
-        return self.terms[0][0] if self.terms else INF
+        return Fraction(self.exps[0], self.scale) if self.exps else INF
 
     def leading_coefficient(self) -> Fraction:
-        if not self.terms:
+        if not self.exps:
             raise ZeroDivisionError("zero series has no leading coefficient")
-        return self.terms[0][1]
+        return Fraction(self.nums[0], self.den)
 
     def coefficient(self, exp: Rat) -> Fraction:
         e = rat(exp)
-        for te, tc in self.terms:
-            if te == e:
-                return tc
+        if self.scale % e.denominator:
+            return Fraction(0)
+        k = e.numerator * (self.scale // e.denominator)
+        i = bisect_left(self.exps, k)
+        if i < len(self.exps) and self.exps[i] == k:
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.exps) == 1
 
     def truncate(self, order: Trunc) -> "NovikovSeries":
-        trunc = min(self.truncation, _trunc(order))
-        return NovikovSeries._raw(_below(self.terms, trunc), trunc)
+        return _cut(self, _min(self.truncation, _trunc(order)))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "NovikovSeries") -> "NovikovSeries":
-        other = _coerce(other)
-        trunc = min(self.truncation, other.truncation)
-        a, b = _below(self.terms, trunc), _below(other.terms, trunc)
-        if not a or not b:
-            return NovikovSeries._raw(a or b, trunc)
-        # merge the two ascending term lists, summing on equal exponents
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (ea, ca), (eb, cb) = a[i], b[j]
-            if ea < eb:
-                out.append(a[i])
-                i += 1
-            elif eb < ea:
-                out.append(b[j])
-                j += 1
-            else:
-                c = ca + cb
-                if c:
-                    out.append((ea, c))
-                i += 1
-                j += 1
-        out.extend(a[i:] or b[j:])
-        return NovikovSeries._raw(tuple(out), trunc)
+        if type(other) is not NovikovSeries:
+            other = _coerce(other)
+        ta, tb = self.truncation, other.truncation
+        # only the operand with the larger truncation can hold terms at or
+        # above the result's
+        if ta == tb:
+            trunc = ta
+        elif _min(ta, tb) is tb:
+            trunc, self = tb, _cut(self, tb)
+        else:
+            trunc, other = ta, _cut(other, ta)
+        # either operand's truncation now equals trunc
+        if not self.exps:
+            return other
+        if not other.exps:
+            return self
+        ea, eb, s = _common(self.exps, self.scale, other.exps, other.scale)
+        na, nb, d = _common(self.nums, self.den, other.nums, other.den)
+        if ea == eb:
+            exps, nums = ea, [x + y for x, y in zip(na, nb)]
+        else:
+            acc = dict(zip(ea, na))
+            for k, n in zip(eb, nb):
+                acc[k] = acc[k] + n if k in acc else n
+            exps = sorted(acc)
+            nums = [acc[k] for k in exps]
+        return _reduced(exps, s, nums, d, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NovikovSeries":
-        return NovikovSeries._raw(tuple((e, -c) for e, c in self.terms),
-                                  self.truncation)
+        return _new(self.exps, self.scale, [-n for n in self.nums], self.den,
+                    self.truncation)
 
     def __sub__(self, other: "NovikovSeries") -> "NovikovSeries":
         return self + (-_coerce(other))
@@ -188,36 +234,41 @@ class NovikovSeries:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "NovikovSeries":
-        other = _coerce(other)
-        a, b = self.terms, other.terms
+        if type(other) is not NovikovSeries:
+            if isinstance(other, (int, Fraction)):
+                # an exact constant has valuation 0, so the truncation stays
+                if not other:
+                    return _new([], 1, [], 1, INF)
+                return _reduced(self.exps, self.scale,
+                                _times(self.nums, other.numerator),
+                                self.den * other.denominator, self.truncation)
+            other = _coerce(other)
+        ea, eb = self.exps, other.exps
+        sa, sb = self.scale, other.scale
         # min(T_a + v_b, T_b + v_a), where v is a lower bound of the valuation:
         # the lowest term, or for a zero known only below its truncation, that
         # truncation.  A factor of exact zero (T = v = INF) yields exact zero.
-        trunc = min(_plus(self.truncation, b[0][0] if b else other.truncation),
-                    _plus(other.truncation, a[0][0] if a else self.truncation))
-        if len(a) == 1 and len(b) == 1:
+        ta, tb = self.truncation, other.truncation
+        trunc = _min(_shift(ta, eb[0], sb) if eb else _plus(ta, tb),
+                     _shift(tb, ea[0], sa) if ea else _plus(tb, ta))
+        if not ea or not eb:
+            return _new([], 1, [], 1, trunc)
+        ea, eb, s = _common(ea, sa, eb, sb)
+        na, nb = self.nums, other.nums
+        d = self.den * other.den
+        if len(ea) == 1 and len(eb) == 1:
             # e_a < T_a and e_b < T_b, so the one product lies below trunc
-            (ea, ca), (eb, cb) = a[0], b[0]
-            return NovikovSeries._raw(((ea + eb, ca * cb),), trunc)
-        # exponents as integers over a common denominator, and coefficients
-        # as integer numerators over each operand's coefficient lcm: the sums,
-        # the truncation test and the dict below are integer operations, and
-        # each output coefficient is reduced once
-        scale = _common_denominator(a + b)
-        bound = trunc if isinstance(trunc, float) else math.ceil(trunc * scale)
-        da, db = _coefficient_lcm(a), _coefficient_lcm(b)
-        bterms = _scaled(b, scale, db)
+            return _reduced([ea[0] + eb[0]], s, [na[0] * nb[0]], d, trunc)
+        bound = _bound(trunc, s)
         acc: dict[int, int] = {}
-        for ka, na in _scaled(a, scale, da):
-            for kb, nb in bterms:
+        for ka, x in zip(ea, na):
+            for kb, y in zip(eb, nb):
                 k = ka + kb
                 if k >= bound:
                     break  # the terms ascend, so every later product is too
-                p = na * nb
-                acc[k] = acc[k] + p if k in acc else p
-        d = da * db
-        return NovikovSeries._raw(tuple((Fraction(k, scale), Fraction(n, d))
-                                        for k, n in sorted(acc.items()) if n), trunc)
+                acc[k] = acc[k] + x * y if k in acc else x * y
+        exps = sorted(acc)
+        return _reduced(exps, s, [acc[k] for k in exps], d, trunc)
 
     __rmul__ = __mul__
 
@@ -243,53 +294,55 @@ class NovikovSeries:
         ``e``, walking the monoid generated by the ``d_i`` with a heap (the
         ``d_i`` are arbitrary positive rationals, not steps of one lattice);
         each finished ``b_e`` is pushed into the sums of ``e + d_i``, and an
-        exponent enters the heap once.  Exponents are integers over the
-        common denominator of the exponents of ``a``, and the sums are
-        integers over one common denominator, so each ``b_e`` is reduced
-        once.  The cost is
+        exponent enters the heap once.  Exponents are the stored integers
+        over ``scale``, each ``c_i`` is ``-m_i/dc`` for integers ``m_i`` and
+        one ``dc``, and the pending sums are integers over one common
+        denominator, so each ``b_e`` costs one gcd.  The cost is
         O(#terms x #monoid exponents below rel) coefficient products.
         """
-        if not self.terms:
+        exps, nums, s = self.exps, self.nums, self.scale
+        if not exps:
             raise ZeroDivisionError("no invertible leading term within truncation")
-        v = self.valuation()
-        lead = self.leading_coefficient()
-        target = self.truncation - 2 * v
+        v = Fraction(exps[0], s)
+        target = _plus(self.truncation, -2 * v)
         if order is not None:
-            target = min(target, _trunc(order))
-        if target == INF and len(self.terms) > 1:
+            target = _min(target, _trunc(order))
+        if target == INF and len(exps) > 1:
             raise ValueError(
                 "inverse of a multi-term exact series is infinite; pass order=")
-        inv_lead = 1 / lead
-        if len(self.terms) == 1:
-            return NovikovSeries.monomial(inv_lead, -v).truncate(target)
-        rel = target + v
-        scale = _common_denominator(self.terms)
-        shift = v.numerator * (scale // v.denominator)
-        # x's terms c_i/lead, negated for the recurrence, at d_i*scale, with
-        # integer numerators m_i over their lcm dc
-        x = [(e, -c * inv_lead) for e, c in self.terms[1:]]
-        dc = _coefficient_lcm(x)
-        steps = [(k - shift, m) for k, m in _scaled(x, scale, dc)]
-        bound = math.ceil(rel * scale)
+        # 1/lead = den/n0; its sign goes to the numerators
+        n0, shift = nums[0], exps[0]
+        sign = 1 if n0 > 0 else -1
+        if len(exps) == 1:
+            return _cut(_new([-shift], s, [sign * self.den], abs(n0), target), target)
+        # c_i = n_i/n0 = -m_i/dc with dc > 0, at d_i*scale = k_i - shift
+        g = math.gcd(n0, *nums[1:])
+        dc = abs(n0) // g
+        steps = [(k - shift, -sign * (n // g)) for k, n in zip(exps[1:], nums[1:])]
+        bound = _bound(target + v, s)
         # a pending sum is an integer over dc*L, where L is the lcm of the
         # denominators of the b_e finished so far; b_0 = 1 = dc/(dc*1)
         L = 1
         sums = {0: dc} if bound > 0 else {}
         heap = list(sums)
-        out = []
+        out_k, out_n, out_d = [], [], []
         while heap:
             k = heapq.heappop(heap)
-            s = sums.pop(k)
-            if not s:
+            t = sums.pop(k)
+            if not t:
                 continue  # contributes nothing to higher exponents
-            b = Fraction(s, dc * L)
-            grow = b.denominator // math.gcd(L, b.denominator)
+            D = dc * L
+            g = math.gcd(t, D)
+            bn, bd = t // g, D // g
+            grow = bd // math.gcd(L, bd)
             if grow > 1:
                 L *= grow
                 for n in sums:
                     sums[n] *= grow
-            bl = b.numerator * (L // b.denominator)
-            out.append((Fraction(k - shift, scale), b * inv_lead))
+            bl = bn * (L // bd)
+            out_k.append(k - shift)
+            out_n.append(bn)
+            out_d.append(bd)
             for step, m in steps:
                 n = k + step
                 if n >= bound:
@@ -299,13 +352,21 @@ class NovikovSeries:
                 else:
                     sums[n] = m * bl
                     heapq.heappush(heap, n)
-        # the heap yields the exponents in increasing order
-        return NovikovSeries._raw(tuple(out), target)
+        # the heap yields the exponents in increasing order; b_e*den/n0
+        # over L*|n0|
+        f = sign * self.den
+        return _reduced(out_k, s, [bn * (L // bd) * f for bn, bd in zip(out_n, out_d)],
+                        L * abs(n0), target)
 
     def d_q(self) -> "NovikovSeries":
         """Termwise derivative ``c*d*q^(d-1)``; truncation drops by one."""
-        return NovikovSeries._raw(tuple((e - 1, c * e) for e, c in self.terms if e),
-                                  _plus(self.truncation, -1))
+        s = self.scale
+        exps, nums = [], []
+        for k, n in zip(self.exps, self.nums):
+            if k:
+                exps.append(k - s)
+                nums.append(n * k)
+        return _reduced(exps, s, nums, self.den * s, _shift(self.truncation, -1, 1))
 
     # -- comparisons -------------------------------------------------------
 
@@ -313,10 +374,13 @@ class NovikovSeries:
         if not isinstance(other, (NovikovSeries, int, Fraction)):
             return NotImplemented
         other = _coerce(other)
-        return self.terms == other.terms and self.truncation == other.truncation
+        return (self.exps == other.exps and self.nums == other.nums
+                and self.scale == other.scale and self.den == other.den
+                and self.truncation == other.truncation)
 
     def __hash__(self):
-        return hash((self.terms, self.truncation))
+        return hash((tuple(self.exps), self.scale, tuple(self.nums), self.den,
+                     self.truncation))
 
     def equal_up_to(self, other: "NovikovSeries", order: Rat) -> bool:
         """Compare all terms below *order*; both operands must carry at
@@ -329,13 +393,13 @@ class NovikovSeries:
                 f"comparison up to q^{d} needs truncation >= {d}, have "
                 f"{self.truncation} and {other.truncation}")
         diff = self - other
-        return all(e >= d for e, _ in diff.terms)
+        return diff.is_zero() or diff.valuation() >= d
 
     # -- rendering / encoding ---------------------------------------------
 
     def render(self, var: str = "q") -> str:
         """Canonical text form, e.g. ``1/2*q^-1 + 3*q^2 + O(q^5)``."""
-        if not self.terms:
+        if not self.exps:
             body = "0"
         else:
             parts = []
@@ -369,6 +433,84 @@ class NovikovSeries:
         return cls([(rec["exp"], rec["coeff"]) for rec in data.get("terms", [])], trunc)
 
 
+def _new(exps: list, scale: int, nums: list, den: int, trunc: Trunc) -> NovikovSeries:
+    """Wrap the lists as they are: they must already be in stored form."""
+    out = object.__new__(NovikovSeries)
+    out.exps, out.scale, out.nums, out.den = exps, scale, nums, den
+    out.truncation, out._terms = trunc, None
+    return out
+
+
+def _canonical(exps: list, scale: int, nums: list, den: int) -> tuple:
+    """The stored form of ``sum nums[i]/den * q^(exps[i]/scale)`` for
+    ascending *exps* and positive *den*: zero coefficients dropped and the
+    common factors divided out."""
+    if 0 in nums:
+        pairs = [(k, n) for k, n in zip(exps, nums) if n]
+        exps, nums = [k for k, _ in pairs], [n for _, n in pairs]
+    if not nums:
+        return [], 1, [], 1
+    g = math.gcd(den, *nums) if den > 1 else 1
+    if g > 1:
+        nums, den = [n // g for n in nums], den // g
+    g = math.gcd(scale, *exps) if scale > 1 else 1
+    if g > 1:
+        exps, scale = [k // g for k in exps], scale // g
+    return exps, scale, nums, den
+
+
+def _reduced(exps: list, scale: int, nums: list, den: int, trunc: Trunc) -> NovikovSeries:
+    """The canonical series of the lists, with every exponent below *trunc*."""
+    return _new(*_canonical(exps, scale, nums, den), trunc)
+
+
+def _cut(a: NovikovSeries, trunc: Trunc) -> NovikovSeries:
+    """*a* with truncation *trunc*, at most its own, keeping the terms
+    below it."""
+    i = bisect_left(a.exps, _bound(trunc, a.scale))
+    if i == len(a.exps):
+        return a if trunc is a.truncation else _new(a.exps, a.scale, a.nums, a.den, trunc)
+    return _reduced(a.exps[:i], a.scale, a.nums[:i], a.den, trunc)
+
+
+def _times(xs: list, m: int) -> list:
+    return [x * m for x in xs]
+
+
+def _common(xs: list, x_unit: int, ys: list, y_unit: int) -> tuple[list, list, int]:
+    """The numerators *xs* over *x_unit* and *ys* over *y_unit*, both
+    rewritten over the lcm of the two units, and that lcm."""
+    if x_unit == y_unit:
+        return xs, ys, x_unit
+    m = math.lcm(x_unit, y_unit)
+    return _times(xs, m // x_unit), _times(ys, m // y_unit), m
+
+
+def _bound(t: Trunc, scale: int):
+    """The least integer ``k`` with ``k/scale >= t`` (``INF`` for ``INF``):
+    an exponent numerator over *scale* lies below *t* iff it is below this."""
+    if isinstance(t, float):
+        return INF
+    return -(-t.numerator * scale // t.denominator)
+
+
+def _min(t: Trunc, u: Trunc) -> Trunc:
+    """The smaller truncation, compared in integers."""
+    if isinstance(t, float):
+        return u
+    if isinstance(u, float):
+        return t
+    return t if t.numerator * u.denominator <= u.numerator * t.denominator else u
+
+
+def _shift(t: Trunc, k: int, scale: int) -> Trunc:
+    """``t + k/scale`` for a truncation *t*."""
+    if isinstance(t, float) or not k:
+        return t
+    n, d = t.numerator, t.denominator
+    return Fraction(n * scale + k * d, d * scale)
+
+
 def _plus(t: Trunc, v: Trunc) -> Trunc:
     """``t + v`` for truncations and valuation bounds.  The only float either
     can be is ``INF``; testing the type keeps ``Fraction + INF`` (a float
@@ -376,37 +518,13 @@ def _plus(t: Trunc, v: Trunc) -> Trunc:
     return INF if isinstance(t, float) or isinstance(v, float) else t + v
 
 
-_EXP0 = Fraction(0)
-
-
-def _common_denominator(terms) -> int:
-    return math.lcm(*(e.denominator for e, _ in terms))
-
-
-def _coefficient_lcm(terms) -> int:
-    return math.lcm(*(c.denominator for _, c in terms))
-
-
-def _scaled(terms, scale: int, denominator: int) -> list[tuple[int, int]]:
-    """*terms* with each exponent as an integer over *scale* and each
-    coefficient as an integer over *denominator*, multiples of every
-    exponent's and every coefficient's denominator."""
-    return [(e.numerator * (scale // e.denominator),
-             c.numerator * (denominator // c.denominator)) for e, c in terms]
-
-
-def _below(terms: tuple, trunc: Trunc) -> tuple:
-    """The ascending *terms* with exponent below *trunc*."""
-    if isinstance(trunc, float) or not terms or terms[-1][0] < trunc:
-        return terms
-    return terms[:bisect_left(terms, trunc, key=itemgetter(0))]
-
-
 def _coerce(x) -> NovikovSeries:
     if isinstance(x, NovikovSeries):
         return x
     if isinstance(x, (int, Fraction)):
-        return NovikovSeries._raw(((_EXP0, rat(x)),) if x else (), INF)
+        if not x:
+            return _new([], 1, [], 1, INF)
+        return _new([0], 1, [x.numerator], x.denominator, INF)
     raise TypeError(f"cannot treat {type(x).__name__} as a series")
 
 

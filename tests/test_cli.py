@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -340,17 +341,32 @@ def _gw_with(model=(), gw=()):
     _gw_with({"omega": {"zz": "1"}}),
     _gw_with({"twists": {"zz": "1"}}),
     *(_gw_with(gw={key: {"zz": "1"}}) for key in ("z0", "z1", "z2", "z2tilde")),
+    _gw_with({"m_class": "zz"}),
+    _gw_with({"unit": "zz"}),
 ], ids=["product-result", "product-key", "delta-result", "delta-key",
         "bracket-key", "bracket-result", "unit", "element", "alpha",
         "cup-key", "cup-result", "qpieces-key", "qpieces-result",
         "restriction-key", "restriction-result", "omega", "twists",
-        "gw-z0", "gw-z1", "gw-z2", "gw-z2tilde"])
+        "gw-z0", "gw-z1", "gw-z2", "gw-z2tilde", "gw-m-class", "gw-unit"])
 def test_undeclared_basis_name_is_parse_error(tmp_path, task):
     path = tmp_path / "undeclared.json"
     path.write_text(json.dumps(task))
     code, text = cli.run(str(path))
     assert code == cli.EXIT_PARSE, text
     assert "undeclared class 'zz'" in text
+
+
+@pytest.mark.parametrize("field", ["m_class", "unit"])
+def test_undeclared_gw_class_field_is_named(tmp_path, field):
+    # the bundled divisor relations with the field pointing outside the basis
+    task = json.loads(resources.files("novikov").joinpath(
+        "taskfiles/divisor_relations.json").read_text())
+    task["model"][field] = "zz"
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps(task))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert f"{field} names undeclared class 'zz'" in text
 
 
 def test_gw_model_with_declared_names_runs(tmp_path):
@@ -616,3 +632,38 @@ def test_console_script_smoke():
                          capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     assert "PASS glue" in out.stdout
+
+
+# ---------------------------------------------------------------------------
+# caps on the work a task file can ask for
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("task, cap", [
+    (_ode({"type": "solve", "order": "100000",
+           "seed": {"step": "1", "base": "0", "coeffs": ["1", "0"]}}), "MAX_SOLVE_TERMS"),
+    (_ode({"type": "solve", "order": str(cli.MAX_SOLVE_TERMS // 2 + 1),
+           "seed": {"step": "1/2", "base": "0", "coeffs": ["1", "0"]}}), "MAX_SOLVE_TERMS"),
+    ({"task": "bv", "n": 10 ** 9, "checks": ["axioms"]}, "MAX_BV_N"),
+    ({"task": "bv", "n": cli.MAX_BV_N + 1, "checks": ["axioms"]}, "MAX_BV_N"),
+], ids=["solve-order-100000", "solve-half-step", "bv-n-huge", "bv-n-one-over"])
+def test_oversized_request_is_refused_fast(tmp_path, task, cap):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(task))
+    t0 = time.perf_counter()
+    code, text = cli.run(str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == cli.EXIT_PARSE, text
+    assert cap in text
+
+
+def test_requests_at_the_caps_run(tmp_path):
+    # the caps sit above the benchmark's and the planned large workload's
+    # sizes (order 300, n = 16)
+    assert cli.MAX_SOLVE_TERMS >= 2 * 300 and cli.MAX_BV_N >= 16
+    path = tmp_path / "at-cap.json"
+    path.write_text(json.dumps(_ode({
+        "type": "solve", "order": str(cli.MAX_SOLVE_TERMS),
+        "seed": {"step": "1", "base": "0", "coeffs": ["1", "1"]}})))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_OK, text

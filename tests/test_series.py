@@ -5,7 +5,7 @@ from itertools import accumulate
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from novikov.errors import InsufficientPrecision, ParseError
@@ -255,16 +255,50 @@ mixed_exponents = st.builds(F, st.integers(min_value=-6, max_value=12),
 truncations = st.one_of(st.just(INF), mixed_exponents)
 
 
+def literal(x):
+    """The rational *x* as the constructor may receive it: itself, an int
+    when whole, or a string, reduced ("1/2") or not ("2/4")."""
+    forms = [st.just(x), st.just(str(x)),
+             st.integers(min_value=2, max_value=4).map(
+                 lambda m: f"{x.numerator * m}/{x.denominator * m}")]
+    if x.denominator == 1:
+        forms.append(st.just(int(x)))
+    return st.one_of(forms)
+
+
+@st.composite
+def mixed_literals(draw, max_terms=5):
+    """``(pairs, truncation)`` for the constructor: literal pairs with
+    repeated exponents, zero coefficients, unreduced strings and, at times,
+    a negated copy of every pair, so that the sum cancels fully."""
+    raw = draw(st.lists(st.tuples(mixed_exponents, coeffs), max_size=max_terms))
+    if raw and draw(st.booleans()):
+        raw = raw + [(e, -c) for e, c in raw]
+    pairs = [(draw(literal(e)), draw(literal(c))) for e, c in raw]
+    trunc = draw(truncations)
+    return pairs, trunc if trunc == INF else draw(literal(trunc))
+
+
+@st.composite
+def lattice_literals(draw):
+    """``(pairs, truncation)`` on integer exponents with an integer
+    truncation, where products and sums land on the truncation often."""
+    small = st.integers(min_value=-3, max_value=6)
+    raw = draw(st.lists(st.tuples(small, coeffs), max_size=5))
+    pairs = [(draw(literal(F(e))), draw(literal(c))) for e, c in raw]
+    return pairs, draw(st.one_of(st.just(INF), small.map(F)))
+
+
 @st.composite
 def mixed_series(draw, max_terms=5):
-    terms = draw(st.lists(st.tuples(mixed_exponents, coeffs), max_size=max_terms))
-    return NovikovSeries(terms, draw(truncations))
+    return NovikovSeries(*draw(mixed_literals(max_terms)))
 
 
 @st.composite
-def invertible_series(draw):
-    """A nonzero leading term at a valuation that may be negative, then
-    terms above it at offsets with mixed denominators."""
+def invertible_literals(draw):
+    """``(pairs, truncation)``: a nonzero leading term at a valuation that
+    may be negative, then terms above it at offsets with mixed
+    denominators, all as literals."""
     v = draw(st.builds(F, st.integers(min_value=-6, max_value=4),
                        st.sampled_from([1, 2, 3])))
     lead = draw(coeffs.filter(bool))
@@ -272,7 +306,14 @@ def invertible_series(draw):
                         st.sampled_from([2, 3, 5]))
     rest = draw(st.lists(st.tuples(offsets, coeffs), max_size=5))
     terms = [(v, lead)] + [(v + d, c) for d, c in rest]
-    return NovikovSeries(terms, draw(truncations.filter(lambda t: t > v)))
+    pairs = [(draw(literal(e)), draw(literal(c))) for e, c in terms]
+    trunc = draw(truncations.filter(lambda t: t > v))
+    return pairs, trunc if trunc == INF else draw(literal(trunc))
+
+
+@st.composite
+def invertible_series(draw):
+    return NovikovSeries(*draw(invertible_literals()))
 
 
 @settings(max_examples=150)
@@ -418,6 +459,209 @@ def test_add_neg_d_q_truncate_are_canonical(pair, order):
     for got, want in expected:
         assert got == want
         assert_canonical(got)
+
+
+# ---------------------------------------------------------------------------
+# an independent reference over plain {exponent: coefficient} dicts
+# ---------------------------------------------------------------------------
+#
+# A reference series is a pair (terms, trunc): a dict of nonzero Fraction
+# coefficients keyed by Fraction exponents below trunc, and trunc, a
+# Fraction or INF.  It reads literals with Fraction alone and never looks
+# at how NovikovSeries stores a series.
+
+
+def ref(pairs, trunc=INF):
+    t = INF if trunc == INF else F(trunc)
+    terms = {}
+    for e, c in pairs:
+        e, c = F(e), F(c)
+        if e < t:
+            terms[e] = terms.get(e, 0) + c
+    return {e: c for e, c in terms.items() if c}, t
+
+
+def ref_scalar(c):
+    return ({F(0): F(c)} if c else {}), INF
+
+
+def ref_low(a):
+    """A lower bound of the valuation: the lowest term, else the truncation."""
+    terms, t = a
+    return min(terms) if terms else t
+
+
+def ref_add(a, b):
+    t = min(a[1], b[1])
+    return ref(list(a[0].items()) + list(b[0].items()), t)
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a[0].items()}, a[1]
+
+
+def ref_mul(a, b):
+    t = min(a[1] + ref_low(b), b[1] + ref_low(a))
+    return ref([(ea + eb, ca * cb) for ea, ca in a[0].items()
+                for eb, cb in b[0].items()], t)
+
+
+def ref_d_q(a):
+    return ref([(e - 1, c * e) for e, c in a[0].items()], a[1] - 1)
+
+
+def ref_truncate(a, order):
+    t = min(a[1], order)
+    return ref(a[0].items(), t)
+
+
+def ref_invert(a, order=None):
+    """``q^-v/lead`` times the geometric sum of ``-x``, with every power
+    cut at the relative order."""
+    terms, t = a
+    if not terms:
+        raise ZeroDivisionError("no leading term")
+    v = min(terms)
+    lead = terms[v]
+    target = t - 2 * v
+    if order is not None:
+        target = min(target, F(order))
+    if target == INF and len(terms) > 1:
+        raise ValueError("infinite expansion")
+    rel = target + v
+    minus_x = ({e - v: -c / lead for e, c in terms.items() if e != v}, INF)
+    total, power = ({}, INF), ({F(0): F(1)}, INF)
+    while power[0]:
+        total = ref_add(total, power)
+        power = ref_truncate(ref_mul(power, minus_x), rel)
+    return ref([(e - v, c / lead) for e, c in total[0].items()], target)
+
+
+def ref_render(a, var="q"):
+    def exp(e):
+        return str(e) if e.denominator == 1 else f"({e})"
+
+    out = ""
+    for e, c in sorted(a[0].items()):
+        mag = abs(c)
+        body = str(mag) if e == 0 else f"{var}^{exp(e)}" if mag == 1 else f"{mag}*{var}^{exp(e)}"
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = body if c > 0 else "-" + body
+    if a[1] == INF:
+        return out or "0"
+    tail = f"O({var}^{exp(a[1])})"
+    return f"{out} + {tail}" if out else tail
+
+
+def assert_matches(got, want):
+    assert got.terms == tuple(sorted(want[0].items()))
+    assert got.truncation == want[1]
+    assert got.render() == ref_render(want)
+    assert got.render("h") == ref_render(want, "h")
+
+
+# the second operand: a series, or a scalar that the operators take as an
+# exact constant (zero included)
+series_literals = st.one_of(mixed_literals(), lattice_literals())
+operands = st.one_of(series_literals, scalars)
+
+
+def build(x):
+    return NovikovSeries(*x) if isinstance(x, tuple) else x
+
+
+def ref_of(x):
+    return ref(*x) if isinstance(x, tuple) else ref_scalar(x)
+
+
+# an exact zero, a truncated zero (its one term at the truncation), a sum
+# that cancels fully, unreduced literals, and scalar operands
+@settings(max_examples=200)
+@given(series_literals, operands, truncations)
+@example(([(0, 1)], F(1)), ([(0, 1), (1, 1)], INF), F(1))
+@example(([], INF), ([("1", "2")], F(3)), F(1))
+@example(([("5/2", "1")], "5/2"), ([("-1", "1/3")], INF), INF)
+@example(([("1/2", "1"), ("2/4", "-1")], INF), ([("2/4", "3/6")], "8/4"), F(1, 2))
+@example(([("2/4", "3/6"), (0, "-4/6")], "9/3"), F(-1, 2), F(7, 5))
+@example(([(1, 1), ("1/3", "2/4")], F(4)), 0, INF)
+@example(([(-1, 1)], INF), 3, F(-2))
+def test_kernels_match_the_dict_reference(a_lit, b_lit, order):
+    a, b = NovikovSeries(*a_lit), build(b_lit)
+    ra, rb = ref(*a_lit), ref_of(b_lit)
+    assert_matches(a, ra)
+    assert_matches(a * b, ref_mul(ra, rb))
+    assert_matches(b * a, ref_mul(ra, rb))
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(b + a, ref_add(ra, rb))
+    assert_matches(a - b, ref_add(ra, ref_neg(rb)))
+    assert_matches(b - a, ref_add(rb, ref_neg(ra)))
+    assert_matches(-a, ref_neg(ra))
+    assert_matches(a.d_q(), ref_d_q(ra))
+    assert_matches(a.truncate(order), ref_truncate(ra, order))
+    assert_matches(a + (-a), ref_add(ra, ref_neg(ra)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(invertible_literals(), mixed_literals()),
+       st.one_of(st.none(), mixed_exponents))
+@example(([], F(3)), None)
+@example(([("2/4", "-3/6"), ("3/2", "2/4"), ("4/3", "1")], "18/4"), F(3))
+@example(([("1", "2")], INF), None)
+@example(([("1", "2"), ("2", "1")], INF), None)
+def test_invert_matches_the_dict_reference(a_lit, order):
+    a, ra = NovikovSeries(*a_lit), ref(*a_lit)
+    got = outcome(a.invert, order)
+    want = outcome(ref_invert, ra, order)
+    if isinstance(want, tuple):
+        assert_matches(got, want)
+    else:
+        assert got is want
+
+
+def fields(s):
+    return s.exps, s.scale, s.nums, s.den, s.truncation
+
+
+@settings(max_examples=100)
+@given(series_literals, series_literals, truncations)
+@example(([(0, 1), ("1/2", "1/2")], INF), ([], INF), F(1, 2))
+def test_equal_series_by_different_routes_are_equal(a_lit, b_lit, order):
+    a, b = NovikovSeries(*a_lit), NovikovSeries(*b_lit)
+    ra = ref(*a_lit)
+    t = min(a.truncation, b.truncation)
+    cut = ref_truncate(ra, order)
+    left, right = a.truncate(order), NovikovSeries(sorted(cut[0].items()), cut[1])
+    assert left == right and hash(left) == hash(right)
+    assert fields(left) == fields(right)
+    # the reduced literals, the JSON round trip, and results of the kernels
+    routes = [
+        NovikovSeries(sorted(ra[0].items()), ra[1]),
+        NovikovSeries.from_json(a.to_json()),
+        a + NovikovSeries.zero(),
+        a * 1,
+        F(1, 2) * (2 * a),
+        -(-a),
+        a.truncate(INF),
+    ]
+    for other in routes:
+        assert other == a
+        assert hash(other) == hash(a)
+        assert fields(other) == fields(a)
+    left, right = (a + b) - b, a.truncate(t)
+    assert left == right and hash(left) == hash(right)
+    assert fields(left) == fields(right)
+
+
+@pytest.mark.parametrize("literals", [
+    [("2/4", "3/6"), ("1/2", "-1/2"), ("4/2", "6/4")],
+    [("0", "2/4")], [(0, F(1, 2))], [("-0/3", "5/10")],
+])
+def test_unreduced_literals_store_reduced(literals):
+    s = NovikovSeries(literals)
+    assert fields(s) == fields(NovikovSeries((F(e), F(c)) for e, c in literals))
+    assert fields(NovikovSeries([("2/4", "1"), ("1/2", "-1")], 3)) == ([], 1, [], 1, 3)
 
 
 # ---------------------------------------------------------------------------
