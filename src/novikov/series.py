@@ -71,21 +71,10 @@ def integer(x) -> int:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _ratio(x) -> tuple[int, int]:
-    """``rat(x)`` as a ``(numerator, denominator)`` pair, denominator
-    positive but not always in lowest terms; a plain integer or ``"n/d"``
-    string is read without building a Fraction."""
-    if type(x) is int:
-        return x, 1
-    if type(x) is str and len(x) < 200:
-        m = _RATIO.fullmatch(x)
-        if m:
-            n, d = int(m[1]), int(m[2] or 1)
-            if d:
-                return n, d
+    """``rat(x)`` as a ``(numerator, denominator)`` pair."""
     f = rat(x)
     return f.numerator, f.denominator
 
@@ -126,8 +115,7 @@ class NovikovSeries:
             k, n = en * (scale // ed), cn * (den // cd)
             acc[k] = acc[k] + n if k in acc else n
         exps = sorted(acc)
-        # unreduced literals and repeated exponents can leave a common
-        # factor, and a repeated exponent can cancel a term
+        # a repeated exponent can leave a common factor or cancel a term
         self.exps, self.scale, self.nums, self.den = _canonical(
             exps, scale, [acc[k] for k in exps], den)
         self.truncation, self._terms = trunc, None
@@ -211,14 +199,11 @@ class NovikovSeries:
             return self
         ea, eb, s = _common(self.exps, self.scale, other.exps, other.scale)
         na, nb, d = _common(self.nums, self.den, other.nums, other.den)
-        if ea == eb:
-            exps, nums = ea, [x + y for x, y in zip(na, nb)]
-        else:
-            acc = dict(zip(ea, na))
-            for k, n in zip(eb, nb):
-                acc[k] = acc[k] + n if k in acc else n
-            exps = sorted(acc)
-            nums = [acc[k] for k in exps]
+        acc = dict(zip(ea, na))
+        for k, n in zip(eb, nb):
+            acc[k] = acc[k] + n if k in acc else n
+        exps = sorted(acc)
+        nums = [acc[k] for k in exps]
         return _reduced(exps, s, nums, d, trunc)
 
     __radd__ = __add__

@@ -269,10 +269,10 @@ def literal(x):
 @st.composite
 def mixed_literals(draw, max_terms=5):
     """``(pairs, truncation)`` for the constructor: literal pairs with
-    repeated exponents, zero coefficients, unreduced strings and, at times,
-    a negated copy of every pair, so that the sum cancels fully."""
+    repeated exponents, zero coefficients, unreduced strings and, now and
+    then, a negated copy of every pair, so that the sum cancels fully."""
     raw = draw(st.lists(st.tuples(mixed_exponents, coeffs), max_size=max_terms))
-    if raw and draw(st.booleans()):
+    if raw and draw(st.integers(min_value=0, max_value=7)) == 0:
         raw = raw + [(e, -c) for e, c in raw]
     pairs = [(draw(literal(e)), draw(literal(c))) for e, c in raw]
     trunc = draw(truncations)
