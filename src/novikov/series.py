@@ -71,10 +71,25 @@ def integer(x) -> int:
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _ratio(x) -> tuple[int, int]:
-    """``rat(x)`` as a ``(numerator, denominator)`` pair."""
+    """``rat(x)`` as a ``(numerator, denominator)`` pair, denominator
+    positive but not always in lowest terms.  An int or an ``"n"``/``"n/d"``
+    string, the forms task files use, is read with ``int()`` and builds no
+    Fraction; any other form goes through ``rat``."""
+    if type(x) is int:
+        return x, 1
+    # int() raises a bare ValueError past the interpreter's digit limit
+    # (4300 digits); a string of 200 characters or more goes through rat,
+    # which turns that into a ParseError
+    if type(x) is str and len(x) < 200:
+        m = _RATIO.fullmatch(x)
+        if m:
+            n, d = int(m[1]), int(m[2] or 1)
+            if d:
+                return n, d
     f = rat(x)
     return f.numerator, f.denominator
 
@@ -115,7 +130,8 @@ class NovikovSeries:
             k, n = en * (scale // ed), cn * (den // cd)
             acc[k] = acc[k] + n if k in acc else n
         exps = sorted(acc)
-        # a repeated exponent can leave a common factor or cancel a term
+        # unreduced literals and repeated exponents can leave a common
+        # factor, and a repeated exponent can cancel a term
         self.exps, self.scale, self.nums, self.den = _canonical(
             exps, scale, [acc[k] for k in exps], den)
         self.truncation, self._terms = trunc, None

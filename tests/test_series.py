@@ -664,6 +664,16 @@ def test_unreduced_literals_store_reduced(literals):
     assert fields(NovikovSeries([("2/4", "1"), ("1/2", "-1")], 3)) == ([], 1, [], 1, 3)
 
 
+def test_long_literals():
+    # a long literal is read in full, and one past int()'s digit limit is a
+    # ParseError, whichever side of the pair it is on
+    n = "3" * 250
+    assert NovikovSeries([(0, f"{n}/{n}1")]).terms == ((0, F(int(n), int(n + "1"))),)
+    for pair in [("9" * 5000, 1), (0, "9" * 5000), (0, "1/" + "9" * 5000)]:
+        with pytest.raises(ParseError):
+            NovikovSeries([pair])
+
+
 # ---------------------------------------------------------------------------
 # rendering and JSON round-trip
 # ---------------------------------------------------------------------------
