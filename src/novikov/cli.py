@@ -54,20 +54,38 @@ MAX_SOLVE_TERMS = 1000
 #: most 6.
 MAX_BV_N = 24
 
+#: Highest working order a task may ask for: an ``"order"``, ``--trunc``,
+#: or a problem series' truncation when ``"order"`` is absent.  Series
+#: work grows with the order and coefficient sizes with it, so the cost is
+#: steeper than quadratic: ``mirror_suite.json`` takes about 0.85 s at
+#: order 600 and 2.7 s at 1000, and ran past 25 s at 3000.  The bundled
+#: and benchmark files ask for at most 60.
+MAX_ORDER = 1000
+
 
 def _series(data) -> NovikovSeries:
     return NovikovSeries.from_json(data)
 
 
+def _order(value) -> Fraction:
+    """A working order, refused above :data:`MAX_ORDER` before any work."""
+    order = rat(value)
+    if order > MAX_ORDER:
+        raise ParseError(f"working order {order} is above MAX_ORDER = {MAX_ORDER}")
+    return order
+
+
 def _working_order(payload: dict, trunc, *series_list) -> Fraction:
+    """*trunc* (``--trunc``, already read) if given, else ``"order"``, else
+    the least truncation of the problem series, else 8."""
     if trunc is not None:
-        return rat(trunc)
+        return trunc
     if "order" in payload:
-        return rat(payload["order"])
+        return _order(payload["order"])
     finite = [s.truncation for s in series_list
               if s is not None and s.truncation != INF]
     if finite:
-        return min(finite)
+        return _order(min(finite))
     return Fraction(8)
 
 
@@ -158,8 +176,7 @@ def run_gw(payload: dict, trunc=None) -> Report:
         elif name == "relative":
             report.checks += qmod.relative_z2_check(model, gw).checks
         elif name == "psi-eta":
-            psi_order = rat(trunc) if trunc is not None else None
-            report.checks += qmod.psi_eta_check(model, gw, psi_order).checks
+            report.checks += qmod.psi_eta_check(model, gw, trunc).checks
         elif name == "gauss-manin":
             eq = qmod.EqModuleModel(prob, order=order)
             report.checks += qmod.gauss_manin_check(eq).checks
@@ -172,7 +189,7 @@ def run_gw(payload: dict, trunc=None) -> Report:
 
 def run_mirror(payload: dict, trunc=None) -> Report:
     report = Report()
-    order = rat(trunc if trunc is not None else payload.get("order", 10))
+    order = trunc if trunc is not None else _order(payload.get("order", 10))
     for case in payload.get("a_cases", []):
         p0 = rat(case["p0"])
         f = _series(case["f"])
@@ -203,6 +220,10 @@ def run_bv(payload: dict, trunc=None) -> Report:
     n = integer(payload.get("n", 4))
     if n > MAX_BV_N:
         raise ParseError(f"n = {n} is above MAX_BV_N = {MAX_BV_N}")
+    prob = order = None
+    if "prob" in payload:
+        prob = ODEProblem.from_json(payload["prob"])
+        order = _working_order(payload, trunc, prob.psi, prob.eta, prob.z2)
     if spec == "polyvector":
         model = bvmod.polyvector_model(n)
     elif spec == "polyvector-k":
@@ -212,9 +233,6 @@ def run_bv(payload: dict, trunc=None) -> Report:
     else:
         raise ParseError(f"unknown bv model {spec!r}")
     nabla = bvmod.Connection()
-    prob = None
-    if "prob" in payload:
-        prob = ODEProblem.from_json(payload["prob"])
     a = model.distinguished_a()
     for name in payload.get("checks", []):
         if name == "axioms":
@@ -238,7 +256,6 @@ def run_bv(payload: dict, trunc=None) -> Report:
         elif name in ("class-equation", "second-order"):
             if prob is None:
                 raise ParseError(f"check {name!r} needs a problem block")
-            order = _working_order(payload, trunc, prob.psi, prob.eta, prob.z2)
             suite = bvmod.class_equation_suite(prob, n, order)
             if name == "class-equation":
                 rows = suite.checks
@@ -374,6 +391,8 @@ def run(path: str, output: str = "text", trunc=None,
     if check_override:
         payload = dict(payload, checks=check_override)
     try:
+        if trunc is not None:
+            trunc = _order(trunc)
         report = RUNNERS[task](payload, trunc)
     except ParseError as exc:
         return EXIT_PARSE, f"parse error: {exc}"

@@ -37,7 +37,8 @@ class NoSolution(NovikovError):
 
 
 class DegreeMismatch(NovikovError):
-    """A homogeneous result was requested for non-homogeneous inputs."""
+    """A class-valued input lies outside the degrees or classes a check
+    requires."""
 
 
 class PrerequisiteFailed(NovikovError):

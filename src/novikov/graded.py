@@ -1,9 +1,12 @@
 """Class-valued vectors over a graded basis and the maps between them.
 
 A vector is a dict from basis name to coefficient.  The coefficients are
-:class:`NovikovSeries` (cohomology and BV models) or :class:`USeries` (the
-u-extension); every helper here except :func:`vec_get` and the JSON
-decoders works for either.  A missing name is a zero coefficient.
+:class:`NovikovSeries` (cohomology and BV models), :class:`USeries` (the
+u-extension), or row entries as the kernels below produce them (exact
+rationals and series mixed); every helper here except :func:`vec_get` and
+the JSON decoders works for each.  A missing name is a zero coefficient.
+:func:`entry_is_zero` decides a coefficient of any of these kinds, so a
+residual is decided and rendered as the kernels leave it.
 
 A structure table (the cup product, a quantum piece, the BV product or a
 supplied BV bracket) maps an ordered pair of basis names to the vector of
@@ -24,9 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, require_object
-from .series import INF, NovikovSeries, integer
+from .series import INF, NovikovSeries, integer, render_rational
 
-Vec = dict  # basis name -> NovikovSeries or USeries
+Vec = dict  # basis name -> NovikovSeries, USeries or row entry
 Row = dict  # basis name -> row entry, a rational or a series
 
 _ZERO = NovikovSeries.zero()
@@ -54,15 +57,24 @@ def vec_sub(x: Vec, y: Vec) -> Vec:
     return vec_add(x, vec_scale(-1, y))
 
 
+def entry_is_zero(v) -> bool:
+    """True for a zero rational and for a series with no nonzero term."""
+    return not v if isinstance(v, (int, Fraction)) else v.is_zero()
+
+
 def vec_is_zero(x: Vec) -> bool:
-    return all(s.is_zero() for s in x.values())
+    return all(map(entry_is_zero, x.values()))
 
 
 def vec_render(x: Vec) -> str:
-    live = {k: s for k, s in sorted(x.items()) if not s.is_zero()}
-    if not live:
-        return "0"
-    return " + ".join(f"({s.render()})*{k}" for k, s in live.items())
+    """Each nonzero coefficient as ``(c)*name``, by name; a rational
+    renders as ``str(c)``, the bytes of its exact constant series."""
+    parts = []
+    for k, s in sorted(x.items()):
+        if not entry_is_zero(s):
+            shown = render_rational(s) if isinstance(s, (int, Fraction)) else s.render()
+            parts.append(f"({shown})*{k}")
+    return " + ".join(parts) or "0"
 
 
 def vec_from_json(data) -> Vec:
@@ -150,11 +162,10 @@ def signed_rows(table: dict[tuple[str, str], Vec],
     return rows
 
 
-def add_row(out: dict, row: Row, c=None) -> dict:
-    """``out += c * row`` over row entries (``c`` None: the row itself)."""
+def add_row(out: dict, row: Row, c) -> dict:
+    """``out += c * row`` over row entries."""
     for z, v in row.items():
-        if c is not None:
-            v = c * v
+        v = c * v
         out[z] = out[z] + v if z in out else v
     return out
 
@@ -178,13 +189,3 @@ def linear_apply(images: dict[str, Row], x: Vec) -> Vec:
     for k, s in x.items():
         add_row(out, images.get(k, {}), s)
     return out
-
-
-def entry_is_zero(v) -> bool:
-    return v.is_zero() if isinstance(v, NovikovSeries) else not v
-
-
-def series_vec(x: dict) -> Vec:
-    """A vector of row entries as a vector of series, rational zeros dropped."""
-    return {k: v if isinstance(v, NovikovSeries) else NovikovSeries.monomial(v, 0)
-            for k, v in x.items() if isinstance(v, NovikovSeries) or v}

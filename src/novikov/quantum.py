@@ -84,12 +84,6 @@ class CohomologyModel:
             self.restriction = {name: ({} if name == self.m_class else {name: NovikovSeries.one()})
                                 for name in self.degrees}
 
-    def degree_of(self, x: Vec) -> int:
-        degs = {self.degrees[k] for k, s in x.items() if not s.is_zero()}
-        if len(degs) > 1:
-            raise DegreeMismatch(f"mixed degrees {sorted(degs)}")
-        return degs.pop() if degs else 0
-
     def basis_vec(self, name: str) -> Vec:
         return {name: NovikovSeries.one()}
 
@@ -121,9 +115,7 @@ class CohomologyModel:
     def quantum_piece(self, x: Vec, y: Vec, k: int) -> Vec:
         return contract(self.qpiece_rows.get(k, {}), x, y)
 
-    def quantum_mul(self, x: Vec, y: Vec, homogeneous: bool = False) -> Vec:
-        if homogeneous:
-            self.degree_of(x), self.degree_of(y)
+    def quantum_mul(self, x: Vec, y: Vec) -> Vec:
         return vec_add(*(self.quantum_piece(x, y, k) for k in self.qpieces))
 
     def restrict(self, x: Vec) -> Vec:
@@ -340,7 +332,9 @@ def psi_eta_check(model: CohomologyModel, gw: GWData,
 
 def quantum_connection(x: Vec, model: CohomologyModel) -> UVec:
     """D(x) = u * d_q(x) + W *_E x, with *_E the degree-preserving product
-    (piece k = 0) of the given model and W its omega class."""
+    (piece k = 0) of the given model and W its omega class.
+
+    Library API: no task file reaches it; the tests check it directly."""
     if model.omega is None:
         raise ValueError("model carries no omega class")
     du = model.d_q(x)
@@ -406,7 +400,9 @@ def gauss_manin_derivation(eqmodel: EqModuleModel) -> tuple[UVec, UVec]:
 def gamma_apply(x: UVec, eqmodel: EqModuleModel) -> UVec:
     """The connection-type operator on the rank-3 module:
     Gamma(f*b) = f*Gamma(b) + u*(d_q f)*b, with Gamma(e) and Gamma(s) from
-    the derivation (Gamma(ss) is outside the modeled range)."""
+    the derivation (Gamma(ss) is outside the modeled range).
+
+    Library API: no task file reaches it; the tests check it directly."""
     psi, eta, z2 = eqmodel.prob.psi, eqmodel.prob.eta, eqmodel.prob.z2
     u = USeries.u_power(1)
     table = {

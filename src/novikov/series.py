@@ -28,11 +28,12 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InsufficientPrecision, ParseError
+from .errors import InsufficientPrecision, NovikovError, ParseError
 
 #: Truncation value meaning "exact": comparisons and sums with Fractions
 #: behave correctly (Fraction < INF, Fraction + INF == INF).
@@ -159,10 +160,6 @@ class NovikovSeries:
     def monomial(cls, coeff: Rat, exp: Rat, truncation: Trunc = INF) -> "NovikovSeries":
         return cls(((exp, coeff),), truncation)
 
-    @classmethod
-    def q(cls) -> "NovikovSeries":
-        return cls.monomial(1, 1)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -173,11 +170,6 @@ class NovikovSeries:
         """Exponent of the lowest term; +inf for zero by convention."""
         return Fraction(self.exps[0], self.scale) if self.exps else INF
 
-    def leading_coefficient(self) -> Fraction:
-        if not self.exps:
-            raise ZeroDivisionError("zero series has no leading coefficient")
-        return Fraction(self.nums[0], self.den)
-
     def coefficient(self, exp: Rat) -> Fraction:
         e = rat(exp)
         if self.scale % e.denominator:
@@ -187,9 +179,6 @@ class NovikovSeries:
         if i < len(self.exps) and self.exps[i] == k:
             return Fraction(self.nums[i], self.den)
         return Fraction(0)
-
-    def is_monomial(self) -> bool:
-        return len(self.exps) == 1
 
     def truncate(self, order: Trunc) -> "NovikovSeries":
         return _cut(self, _min(self.truncation, _trunc(order)))
@@ -272,14 +261,6 @@ class NovikovSeries:
         return _reduced(exps, s, [acc[k] for k in exps], d, trunc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "NovikovSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = NovikovSeries.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def invert(self, order: Trunc | None = None) -> "NovikovSeries":
         """Multiplicative inverse, exact up to ``T - 2*val`` (capped by *order*).
@@ -535,15 +516,29 @@ def _render_exp(e) -> str:
     return str(e) if e.denominator == 1 else f"({e})"
 
 
+def render_rational(c: Rat) -> str:
+    """``str(c)``; a rational past the interpreter's limit on int -> str
+    conversion is a :class:`NovikovError` that names its size and the
+    limit, which stays as it is."""
+    try:
+        return str(c)
+    except ValueError:
+        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        raise NovikovError(
+            f"cannot render a coefficient of {bits} bits (about "
+            f"{int(bits * math.log10(2)) + 1} decimal digits): the interpreter "
+            f"converts at most {sys.get_int_max_str_digits()} digits") from None
+
+
 def _render_term(e: Fraction, c: Fraction, var: str, first: bool) -> str:
     sign = "-" if c < 0 else "+"
     mag = -c if c < 0 else c
     if e == 0:
-        body = str(mag)
+        body = render_rational(mag)
     elif mag == 1:
         body = f"{var}^{_render_exp(e)}"
     else:
-        body = f"{mag}*{var}^{_render_exp(e)}"
+        body = f"{render_rational(mag)}*{var}^{_render_exp(e)}"
     if first:
         return body if c > 0 else f"-{body}"
     return f" {sign} {body}"

@@ -638,35 +638,71 @@ def test_console_script_smoke():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("task, cap", [
+@pytest.mark.parametrize("task, trunc, cap", [
     (_ode({"type": "solve", "order": "100000",
-           "seed": {"step": "1", "base": "0", "coeffs": ["1", "0"]}}), "MAX_SOLVE_TERMS"),
+           "seed": {"step": "1", "base": "0", "coeffs": ["1", "0"]}}), None,
+     "MAX_SOLVE_TERMS"),
     (_ode({"type": "solve", "order": str(cli.MAX_SOLVE_TERMS // 2 + 1),
-           "seed": {"step": "1/2", "base": "0", "coeffs": ["1", "0"]}}), "MAX_SOLVE_TERMS"),
-    ({"task": "bv", "n": 10 ** 9, "checks": ["axioms"]}, "MAX_BV_N"),
-    ({"task": "bv", "n": cli.MAX_BV_N + 1, "checks": ["axioms"]}, "MAX_BV_N"),
-], ids=["solve-order-100000", "solve-half-step", "bv-n-huge", "bv-n-one-over"])
-def test_oversized_request_is_refused_fast(tmp_path, monkeypatch, task, cap):
-    # refused before any work: neither the solver nor a model builder runs
+           "seed": {"step": "1/2", "base": "0", "coeffs": ["1", "0"]}}), None,
+     "MAX_SOLVE_TERMS"),
+    ({"task": "bv", "n": 10 ** 9, "checks": ["axioms"]}, None, "MAX_BV_N"),
+    ({"task": "bv", "n": cli.MAX_BV_N + 1, "checks": ["axioms"]}, None, "MAX_BV_N"),
+    ({"task": "mirror", "order": "1000000",
+      "a_cases": [{"p0": "1/2", "f": _s(("0", "1"), ("2", "1"))}]}, None, "MAX_ORDER"),
+    (_ode({"type": "second-order", "rho": _s(("0", "1"), ("1", "1"))}), "1000000",
+     "MAX_ORDER"),
+    ({"task": "ode", "problem": dict(_FLAT, psi=_s(("0", "1"), trunc=str(10 ** 6))),
+      "checks": [{"type": "second-order", "rho": _s(("0", "1"), ("1", "1"))}]}, None,
+     "MAX_ORDER"),
+    ({"task": "bv", "n": 2, "order": "1000000", "prob": _FLAT,
+      "checks": ["class-equation"]}, None, "MAX_ORDER"),
+    ({"task": "gw", "order": "1000000", "prob": _FLAT, "checks": ["gauss-manin"]}, None,
+     "MAX_ORDER"),
+], ids=["solve-order-100000", "solve-half-step", "bv-n-huge", "bv-n-one-over",
+        "mirror-order-1000000", "trunc-1000000", "problem-truncated-at-1000000",
+        "bv-class-equation-order-1000000", "gw-order-1000000"])
+def test_oversized_request_is_refused_fast(tmp_path, monkeypatch, task, trunc, cap):
+    # refused before any work: neither the solver, nor a model builder, nor
+    # a residual or mirror kernel runs
     started = []
-    monkeypatch.setattr(cli, "solve_second_order", lambda *a: started.append(a))
+    for name in ("solve_second_order", "second_order_residual", "log_derivative",
+                 "mirror_a"):
+        monkeypatch.setattr(cli, name, lambda *a: started.append(a))
     for name in ("polyvector_model", "polyvector_model_with_k"):
         monkeypatch.setattr(cli.bvmod, name, lambda *a: started.append(a))
+    monkeypatch.setattr(cli.qmod, "gauss_manin_check", lambda *a: started.append(a))
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(task))
-    code, text = cli.run(str(path))
+    code, text = cli.run(str(path), trunc=trunc)
     assert code == cli.EXIT_PARSE, text
     assert cap in text
     assert started == []
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no int -> str digit limit")
+def test_residual_past_the_digit_limit_is_a_domain_error(tmp_path):
+    # 4*z2*psi^2 has 6001 digits: rendering it is refused by name, exit 4
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "task": "ode", "problem": {"psi": "1" + "0" * 3000, "eta": "0", "z2": "1"},
+        "checks": [{"type": "second-order", "rho": "1"}]}))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_DOMAIN, text
+    assert text.startswith("NovikovError: cannot render a coefficient of")
 
 
 def test_requests_at_the_caps_run(tmp_path):
     # the caps sit above the benchmark's and the planned large workload's
     # sizes (order 300, n = 16)
     assert cli.MAX_SOLVE_TERMS >= 2 * 300 and cli.MAX_BV_N >= 16
+    assert cli.MAX_ORDER >= 600
     path = tmp_path / "at-cap.json"
     path.write_text(json.dumps(_ode({
         "type": "solve", "order": str(cli.MAX_SOLVE_TERMS),
         "seed": {"step": "1", "base": "0", "coeffs": ["1", "1"]}})))
     code, text = cli.run(str(path))
+    assert code == cli.EXIT_OK, text
+    # the working order cap is inclusive
+    code, text = cli.run(task_path("riccati_chain.json"), trunc=str(cli.MAX_ORDER))
     assert code == cli.EXIT_OK, text

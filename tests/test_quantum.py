@@ -364,16 +364,6 @@ def test_degree_bookkeeping():
         out = model.quantum_piece(x, y, k)
         live = [model.degrees[n] for n, s in out.items() if not s.is_zero()]
         assert all(d == 2 + 2 - 2 * k for d in live)
-    with pytest.raises(DegreeMismatch):
-        model.degree_of(vec_add(model.basis_vec("1"), model.basis_vec("D")))
-
-
-def test_quantum_mul_homogeneity_flag():
-    model, gw = wdvv_model()
-    mixed = vec_add(model.basis_vec("1"), model.basis_vec("D"))
-    model.quantum_mul(mixed, model.basis_vec("M"))  # fine without the flag
-    with pytest.raises(DegreeMismatch):
-        model.quantum_mul(mixed, model.basis_vec("M"), homogeneous=True)
 
 
 def test_model_degree_validation():

@@ -1,6 +1,11 @@
 """The verdict rule of a residual row: Report.residual and Report.identity."""
 
-from novikov.report import Report
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from novikov.report import Report, render, vanishes
 from novikov.series import INF, NovikovSeries
 from novikov.useries import USeries
 
@@ -62,3 +67,31 @@ def test_identity_names_the_first_failing_case_in_case_order():
     assert report.identity("id", "eq", [("c1", {}), ("c2", {"x": ZERO})]).detail == "0"
     assert report.passed is False
     assert [c.passed for c in report.checks] == [False, True]
+
+
+def series_form(x):
+    """A vector of row entries as a vector of series: a rational is its
+    exact constant series, and a rational zero is dropped."""
+    return {k: v if isinstance(v, NovikovSeries) else NovikovSeries.monomial(v, 0)
+            for k, v in x.items() if isinstance(v, NovikovSeries) or v}
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+series_terms = st.lists(st.tuples(st.integers(min_value=-2, max_value=4), rationals),
+                        max_size=3)
+row_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    rationals,
+    st.builds(NovikovSeries, series_terms),
+    st.builds(NovikovSeries, series_terms, st.integers(min_value=-1, max_value=4)),
+    st.sampled_from([0, Fraction(0), ZERO, NovikovSeries.zero(2)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), row_entries, max_size=4))
+@example({"a": 0, "b": Fraction(0), "c": ZERO})
+@example({"a": Fraction(-3, 2), "b": 0, "c": NovikovSeries.zero(2), "d": 7})
+def test_rational_entries_decide_and_render_as_their_series(x):
+    y = series_form(x)
+    assert vanishes(x) == vanishes(y)
+    assert render(x) == render(y)

@@ -1,5 +1,6 @@
 """Arithmetic and truncation contracts of the scalar series type."""
 
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from novikov.errors import InsufficientPrecision, ParseError
+from novikov.errors import InsufficientPrecision, NovikovError, ParseError
 from novikov.series import INF, NovikovSeries
 
 F = Fraction
@@ -220,7 +221,7 @@ def oracle_invert(a, order=None):
     if not a.terms:
         raise ZeroDivisionError("no invertible leading term within truncation")
     v = a.valuation()
-    lead = a.leading_coefficient()
+    lead = a.terms[0][1]
     target = a.truncation - 2 * v
     if order is not None:
         target = min(target, F(order))
@@ -688,6 +689,19 @@ def test_render_zero_and_signs():
     assert NovikovSeries.zero().render() == "0"
     assert S((0, 1), (1, -1)).render() == "1 - q^1"
     assert S((F(1, 2), 1)).render() == "q^(1/2)"
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="the interpreter has no int -> str digit limit")
+def test_render_past_the_digit_limit_is_a_domain_error():
+    # the message names the size, from bit_length(), and the limit, which
+    # stays as it is
+    for s in [NovikovSeries.monomial(10 ** 5000, 0), NovikovSeries.monomial(F(1, 10 ** 5000), 2)]:
+        with pytest.raises(NovikovError, match=f"16610 bits.* {DIGIT_LIMIT} digits"):
+            s.render()
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
 
 
 def test_json_round_trip():

@@ -1,4 +1,4 @@
-"""u-extension polynomials: truncation propagation and comparisons."""
+"""u-extension polynomials: exact u-powers over truncated q-series."""
 
 from fractions import Fraction
 
@@ -17,9 +17,10 @@ def S(*terms, trunc=INF):
 
 
 def test_construction_drops_zero_and_out_of_range():
-    u = USeries({0: NovikovSeries.zero(), 1: ONE, 3: ONE}, u_truncation=3)
-    assert list(u.coeffs) == [1]
-    assert u.u_valuation() == 1
+    u = USeries({0: NovikovSeries.zero(), 1: ONE, 3: ONE})
+    assert list(u.coeffs) == [1, 3]
+    with pytest.raises(ValueError):
+        USeries({-1: ONE})
 
 
 def test_add_and_scale():
@@ -33,28 +34,10 @@ def test_add_and_scale():
     assert scaled.coefficient(1) == S((2, 6))
 
 
-def test_mul_truncation_rule():
-    a = USeries({1: ONE}, u_truncation=3)
-    b = USeries({1: ONE}, u_truncation=4)
-    out = a * b
-    # min(3 + 1, 4 + 1) = 4, and u^2 survives
-    assert out.u_truncation == 4
-    assert out.coefficient(2) == ONE
-
-
-def test_mul_of_truncated_zeros_keeps_truncation():
-    # a zero known below u^3 times one known below u^2 is known below u^5;
-    # a factor of exact zero still gives exact zero
-    assert USeries.zero(3) * USeries.zero(2) == USeries.zero(5)
-    assert USeries.zero(3) * USeries.zero() == USeries.zero()
-    assert USeries.zero() * USeries.zero(2) == USeries.zero()
-
-
 def test_times_u_shifts_truncation():
-    a = USeries({0: ONE}, u_truncation=2)
+    a = USeries({0: ONE})
     out = a.times_u(2)
     assert out.coefficient(2) == ONE
-    assert out.u_truncation == 4
 
 
 def test_d_q_acts_on_coefficients():
@@ -68,10 +51,8 @@ def test_equal_up_to_and_precision():
     assert a.equal_up_to(b, 5)
     with pytest.raises(InsufficientPrecision):
         a.equal_up_to(b, 6)
-    with pytest.raises(InsufficientPrecision):
-        USeries({0: ONE}, u_truncation=1).require_precision(2)
 
 
 def test_render():
-    a = USeries({0: ONE, 2: S((1, 2))}, u_truncation=4)
-    assert a.render() == "1 + (2*q^1)*u^2 + O(u^4)"
+    a = USeries({0: ONE, 2: S((1, 2))})
+    assert a.render() == "1 + (2*q^1)*u^2"
