@@ -99,14 +99,6 @@ class BVModel:
     def unit_vec(self) -> Vec:
         return self.basis_vec(self.unit)
 
-    def degree_of(self, x: Vec) -> int | None:
-        degs = {self.degrees[k] for k, s in x.items() if not s.is_zero()}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"element mixes degrees {sorted(degs)}")
-        return degs.pop()
-
     @cached_property
     def product_rows(self) -> dict[tuple[str, str], Row]:
         return signed_rows(self.product, self.degrees)
@@ -189,20 +181,23 @@ class BVModel:
     @classmethod
     def from_json(cls, data: dict) -> "BVModel":
         """Decode a model; a product, Delta or bracket row, an element or
-        the unit naming a class outside ``"basis"`` is a :class:`ParseError`."""
+        the unit naming a class outside ``"basis"`` is a :class:`ParseError`,
+        and so is a product row outside degree 0 or a Delta or bracket row
+        outside degree -1 (:func:`graded.homogeneous`)."""
         degrees = graded.basis_from_json(data)
 
-        def table(key: str) -> dict[tuple[str, str], Vec]:
-            return dict(graded.table_row_from_json(r, degrees, key) for r in data[key])
+        def table(key: str, shift: int) -> dict[tuple[str, str], Vec]:
+            return dict(graded.table_row_from_json(r, degrees, key, shift)
+                        for r in data[key])
 
-        product = table("product") if "product" in data else {}
-        delta = graded.vec_map_of_declared(data.get("delta", {}), degrees, "delta")
+        product = table("product", 0) if "product" in data else {}
+        delta = graded.vec_map_of_declared(data.get("delta", {}), degrees, "delta", -1)
         elements = vec_map_from_json(data.get("elements", {}))
         for name, image in elements.items():
             graded.declared(degrees, f"element {name!r}", *image)
         unit = data.get("unit", "e")
         graded.declared(degrees, "unit", unit)
-        bracket = table("bracket") if "bracket" in data else None
+        bracket = table("bracket", -1) if "bracket" in data else None
         return cls(degrees=degrees, product=product, delta=delta,
                    unit=unit, elements=elements, bracket_table=bracket)
 
@@ -236,9 +231,9 @@ def nabla_c(nabla: Connection, a: Vec, c, model: BVModel) -> Connection:
 
 def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
                  model: BVModel) -> tuple[Connection, Vec]:
-    """nabla~ x = nabla x - [alpha, x];  a~ = a + Delta(alpha)."""
-    if model.degree_of(alpha) not in (None, 1):
-        raise ValueError("gauge parameter must have degree 1")
+    """nabla~ x = nabla x - [alpha, x];  a~ = a + Delta(alpha).  An alpha
+    outside degree 1 is a :class:`ParseError` (:func:`graded.homogeneous`)."""
+    graded.homogeneous(alpha, model.degrees, 1, "alpha")
     linear = {name: vec_sub(nabla.linear.get(name, {}),
                             model.bracket(alpha, {name: 1}))
               for name in model.degrees}

@@ -15,7 +15,7 @@ from . import bv as bvmod
 from . import operad as opmod
 from . import quantum as qmod
 from .errors import InsufficientPrecision, NovikovError, ParseError, require_object
-from .graded import declared, vec_from_json
+from .graded import homogeneous, vec_from_json
 from .ode import (
     LatticeSeed,
     ODEProblem,
@@ -156,10 +156,15 @@ def run_gw(payload: dict, trunc=None) -> Report:
     if "gw" in payload:
         gw = qmod.GWData.from_json(payload["gw"])
         if model is not None:
-            for key in ("z0", "z1", "z2", "z2tilde"):
-                declared(model.degrees, f"gw {key}", *(getattr(gw, key) or {}))
+            for key, degree in (("z0", 4), ("z1", 2), ("z2", 0), ("z2tilde", 2)):
+                homogeneous(getattr(gw, key) or {}, model.degrees, degree, f"gw {key}")
     if "prob" in payload:
         prob = ODEProblem.from_json(payload["prob"])
+    # psi-eta works at --trunc or "order", exactly when neither is given;
+    # gauss-manin falls back to the problem's truncation
+    psi_eta_order = trunc
+    if trunc is None and "order" in payload:
+        psi_eta_order = _order(payload["order"])
     order = None
     if prob is not None:
         order = _working_order(payload, trunc, prob.psi, prob.eta, prob.z2)
@@ -176,7 +181,7 @@ def run_gw(payload: dict, trunc=None) -> Report:
         elif name == "relative":
             report.checks += qmod.relative_z2_check(model, gw).checks
         elif name == "psi-eta":
-            report.checks += qmod.psi_eta_check(model, gw, trunc).checks
+            report.checks += qmod.psi_eta_check(model, gw, psi_eta_order).checks
         elif name == "gauss-manin":
             eq = qmod.EqModuleModel(prob, order=order)
             report.checks += qmod.gauss_manin_check(eq).checks
@@ -244,7 +249,6 @@ def run_bv(payload: dict, trunc=None) -> Report:
             report.checks += bvmod.check_minus1_delta(nabla, a, model).checks
         elif name == "gauge":
             alpha = vec_from_json(payload.get("alpha", {}))
-            declared(model.degrees, "alpha", *alpha)
             tilde, a_tilde = bvmod.gauge_change(nabla, alpha, a, model)
             gauged = bvmod.check_delta_nabla(tilde, a_tilde, model)
             for row in gauged.checks:

@@ -20,6 +20,10 @@ Python's operators (a series operator takes a rational as the exact
 constant) with exactly the results of series arithmetic, so a product
 meets a series only where the table has one.  :func:`contract` is the
 one bilinear kernel and :func:`linear_apply` the one linear kernel.
+
+The Koszul signs are taken from the declared degrees, so a decoded table
+must respect them: :func:`homogeneous` is the one grading rule, applied
+to every table row, linear map and graded input as it is decoded.
 """
 
 from __future__ import annotations
@@ -106,21 +110,38 @@ def declared(degrees: dict[str, int], where: str, *names: str) -> None:
             raise ParseError(f"{where} names undeclared class {name!r}")
 
 
-def table_row_from_json(rec, degrees: dict[str, int],
-                        where: str) -> tuple[tuple[str, str], Vec]:
-    """Decode one ``{left, right, result}`` record of a structure table."""
+def homogeneous(x: Vec, degrees: dict[str, int], degree: int, where: str) -> None:
+    """The grading rule: a :class:`ParseError` unless every class *x* names
+    is declared and every entry of *x* but an exact zero (the entries
+    :func:`compile_vec` drops) sits in degree *degree*.  A truncated zero
+    carries unknown terms, so on a class of another degree it is refused."""
+    declared(degrees, where, *x)
+    for name, c in x.items():
+        if degrees[name] != degree and (c.exps or c.truncation != INF):
+            raise ParseError(f"{where} has an entry on {name!r} of degree "
+                             f"{degrees[name]}, expected degree {degree}")
+
+
+def table_row_from_json(rec, degrees: dict[str, int], where: str,
+                        shift: int) -> tuple[tuple[str, str], Vec]:
+    """Decode one ``{left, right, result}`` record of a structure table
+    whose product of ``a`` and ``b`` has degree ``|a| + |b| + shift``."""
     rec = require_object(rec, f"{where} record")
     pair, result = (rec["left"], rec["right"]), vec_from_json(rec["result"])
-    declared(degrees, f"{where} row {pair}", *pair, *result)
+    where = f"{where} row {pair}"
+    declared(degrees, where, *pair)
+    homogeneous(result, degrees, degrees[pair[0]] + degrees[pair[1]] + shift, where)
     return pair, result
 
 
-def vec_map_of_declared(data, degrees: dict[str, int],
-                        where: str) -> dict[str, Vec]:
-    """Decode ``{basis name: vector}`` over declared classes only."""
+def vec_map_of_declared(data, degrees: dict[str, int], where: str,
+                        shift: int) -> dict[str, Vec]:
+    """Decode ``{basis name: vector}`` over declared classes only, the image
+    of ``a`` in degree ``|a| + shift``."""
     out = vec_map_from_json(data)
+    declared(degrees, where, *out)
     for name, image in out.items():
-        declared(degrees, where, name, *image)
+        homogeneous(image, degrees, degrees[name] + shift, f"{where} of {name!r}")
     return out
 
 

@@ -54,10 +54,6 @@ class ODEProblem:
         """-4*z2*psi^2, the zeroth-order coefficient."""
         return -4 * self.z2 * self.psi * self.psi
 
-    def to_json(self) -> dict:
-        return {"psi": self.psi.to_json(), "eta": self.eta.to_json(),
-                "z2": self.z2.to_json()}
-
     @classmethod
     def from_json(cls, data: dict) -> "ODEProblem":
         return cls(psi=NovikovSeries.from_json(data["psi"]),

@@ -34,7 +34,6 @@ from .graded import (
     vec_add,
     vec_from_json,
     vec_get,
-    vec_is_zero,
     vec_render,
     vec_scale,
     vec_sub,
@@ -75,7 +74,6 @@ class CohomologyModel:
     omega: Vec | None = None
     twists: dict[str, NovikovSeries] = field(default_factory=dict)
     restriction: dict[str, Vec] | None = None
-    e_model: "CohomologyModel | None" = None
 
     def __post_init__(self):
         if any(k < 0 for k in self.qpieces):
@@ -122,51 +120,21 @@ class CohomologyModel:
         # an undeclared basis name is a KeyError here, not a zero image
         return linear_apply({k: self.restriction[k] for k in x}, x)
 
-    # -- structural invariants ----------------------------------------------
-
-    def check_degrees(self) -> list[str]:
-        """Every *^(k) table entry must drop degree by exactly 2k."""
-        violations = []
-        for k, table in self.qpieces.items():
-            for (l, r), entry in table.items():
-                want = self.degrees[l] + self.degrees[r] - 2 * k
-                for name, s in entry.items():
-                    if not s.is_zero() and self.degrees[name] != want:
-                        violations.append(
-                            f"{l} *{k} {r} hits {name} of degree "
-                            f"{self.degrees[name]}, expected {want}")
-        return violations
-
-    def check_star_restriction(self) -> list[str]:
-        """Degree-preserving product must commute with restriction onto the
-        attached fibre-complement model."""
-        if self.e_model is None:
-            return []
-        violations = []
-        for l in self.degrees:
-            for r in self.degrees:
-                lhs = self.restrict(self.quantum_piece(
-                    self.basis_vec(l), self.basis_vec(r), 0))
-                rhs = self.e_model.quantum_piece(
-                    self.restrict(self.basis_vec(l)),
-                    self.restrict(self.basis_vec(r)), 0)
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    violations.append(f"({l},{r}): {vec_render(res)}")
-        return violations
-
     # -- serialization ------------------------------------------------------
 
     @classmethod
     def from_json(cls, data: dict) -> "CohomologyModel":
-        """Decode a model; a class outside ``"basis"`` is a :class:`ParseError`."""
+        """Decode a model; a class outside ``"basis"`` is a :class:`ParseError`,
+        and so is a cup row outside degree 0, a quantum-piece row outside
+        degree -2k or a restriction outside degree 0 (:func:`graded.homogeneous`)."""
         degrees = graded.basis_from_json(data)
-        cup = dict(graded.table_row_from_json(rec, degrees, "cup")
+        cup = dict(graded.table_row_from_json(rec, degrees, "cup", 0)
                    for rec in data.get("cup") or [])
         qpieces: dict[int, dict] = {}
         for rec in data.get("qpieces", []):
-            pair, result = graded.table_row_from_json(rec, degrees, "qpieces")
-            qpieces.setdefault(integer(rec.get("k", 0)), {})[pair] = result
+            k = integer(require_object(rec, "qpieces record").get("k", 0))
+            pair, result = graded.table_row_from_json(rec, degrees, "qpieces", -2 * k)
+            qpieces.setdefault(k, {})[pair] = result
         omega = vec_from_json(data["omega"]) if "omega" in data else None
         twists = vec_from_json(data.get("twists", {}))
         graded.declared(degrees, "omega", *(omega or {}))
@@ -175,7 +143,8 @@ class CohomologyModel:
             graded.declared(degrees, "unit", data["unit"])
         if "m_class" in data:
             graded.declared(degrees, "m_class", data["m_class"])
-        restriction = (graded.vec_map_of_declared(data["restriction"], degrees, "restriction")
+        restriction = (graded.vec_map_of_declared(data["restriction"], degrees,
+                                                  "restriction", 0)
                        if "restriction" in data else None)
         return cls(degrees=degrees, cup=cup,
                    qpieces=qpieces, unit=data.get("unit"),
@@ -207,20 +176,6 @@ class GWData:
     def omega_vec(self, d_class: str = "D", m_class: str = "M") -> Vec:
         """q^{-1}[omega] for omega = D + gamma*M."""
         return {d_class: _Q_INV, m_class: Fraction(self.gamma) * _Q_INV}
-
-    def check_degrees(self, model: "CohomologyModel") -> list[str]:
-        """z^(k) lives in degree 4 - 2k (and vanishes for k < 0 by type)."""
-        violations = []
-        for k, z in ((0, self.z0), (1, self.z1), (2, self.z2)):
-            for name, s in z.items():
-                if not s.is_zero() and model.degrees[name] != 4 - 2 * k:
-                    violations.append(f"z{k} has a component on {name} of "
-                                      f"degree {model.degrees[name]}")
-        if self.z2tilde:
-            for name, s in self.z2tilde.items():
-                if not s.is_zero() and model.degrees[name] != 2:
-                    violations.append(f"z2~ has a component on {name}")
-        return violations
 
 
 # ---------------------------------------------------------------------------
@@ -397,34 +352,37 @@ def gauss_manin_derivation(eqmodel: EqModuleModel) -> tuple[UVec, UVec]:
     return gamma_e, u_gamma_s
 
 
+def _gamma_table(prob: ODEProblem) -> dict[str, UVec]:
+    """Gamma(e_eq) = u*psi*s_eq and Gamma(s_eq) = u*(2*psi*ss_eq - eta*s_eq
+    - 4*z2*psi*e_eq), as the derivation must find them (Gamma(ss_eq) is
+    outside the modeled range)."""
+    psi, eta, z2 = prob.psi, prob.eta, prob.z2
+    return {
+        E_EQ: {S_EQ: USeries({1: psi})},
+        S_EQ: {SS_EQ: USeries({1: 2 * psi}), S_EQ: USeries({1: -eta}),
+               E_EQ: USeries({1: -4 * z2 * psi})},
+    }
+
+
 def gamma_apply(x: UVec, eqmodel: EqModuleModel) -> UVec:
     """The connection-type operator on the rank-3 module:
     Gamma(f*b) = f*Gamma(b) + u*(d_q f)*b, with Gamma(e) and Gamma(s) from
-    the derivation (Gamma(ss) is outside the modeled range).
+    :func:`_gamma_table`.
 
     Library API: no task file reaches it; the tests check it directly."""
-    psi, eta, z2 = eqmodel.prob.psi, eqmodel.prob.eta, eqmodel.prob.z2
-    u = USeries.u_power(1)
-    table = {
-        E_EQ: {S_EQ: u.scale(psi)},
-        S_EQ: {SS_EQ: u.scale(2 * psi), S_EQ: u.scale(-eta),
-               E_EQ: u.scale(-4 * z2 * psi)},
-    }
     if SS_EQ in x and not x[SS_EQ].is_zero():
         raise ValueError("Gamma is not modeled on the ss_eq line")
-    return vec_add(linear_apply(table, x),
+    return vec_add(linear_apply(_gamma_table(eqmodel.prob), x),
                    {name: f.d_q().times_u() for name, f in x.items() if name != SS_EQ})
 
 
 def gauss_manin_check(eqmodel: EqModuleModel) -> Report:
     report = Report()
-    psi, eta, z2 = eqmodel.prob.psi, eqmodel.prob.eta, eqmodel.prob.z2
     gamma_e, u_gamma_s = gauss_manin_derivation(eqmodel)
-    expect_e = {S_EQ: USeries({1: psi})}
+    table = _gamma_table(eqmodel.prob)
     report.residual("gauss-manin-e", "Gamma(e_eq) = u*psi*s_eq",
-                    vec_sub(gamma_e, expect_e), detail=vec_render(gamma_e))
-    expect_s = {SS_EQ: USeries({2: 2 * psi}), S_EQ: USeries({2: -eta}),
-                E_EQ: USeries({2: -4 * z2 * psi})}
+                    vec_sub(gamma_e, table[E_EQ]), detail=vec_render(gamma_e))
+    expect_s = {name: f.times_u() for name, f in table[S_EQ].items()}
     report.residual("gauss-manin-s",
                     "u*Gamma(s_eq) = 2u^2*psi*ss_eq - u^2*eta*s_eq - 4u^2*z2*psi*e_eq",
                     vec_sub(u_gamma_s, expect_s), detail=vec_render(u_gamma_s))

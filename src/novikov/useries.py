@@ -29,10 +29,6 @@ class USeries:
         self.coeffs = dict(sorted(acc.items()))
 
     @classmethod
-    def zero(cls) -> "USeries":
-        return cls({})
-
-    @classmethod
     def scalar(cls, s: NovikovSeries) -> "USeries":
         return cls({0: s})
 
@@ -87,13 +83,6 @@ class USeries:
     def __hash__(self):
         return hash(tuple(self.coeffs.items()))
 
-    def equal_up_to(self, other: "USeries", order) -> bool:
-        """Coefficientwise comparison below q-order *order*."""
-        for k in sorted(set(self.coeffs) | set(other.coeffs)):
-            if not self.coefficient(k).equal_up_to(other.coefficient(k), order):
-                return False
-        return True
-
     def render(self, var: str = "q") -> str:
         if not self.coeffs:
             return "0"
@@ -105,6 +94,3 @@ class USeries:
 
     def __repr__(self) -> str:
         return f"USeries({self.render()})"
-
-    def to_json(self) -> dict:
-        return {"coeffs": {str(k): s.to_json() for k, s in self.coeffs.items()}}

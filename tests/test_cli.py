@@ -85,16 +85,22 @@ _GW_BASIS = [{"name": "e", "degree": 0}, {"name": "D", "degree": 2},
              {"name": "M", "degree": 2}]
 _GW_Q1 = [{"left": "M", "right": "M", "k": 1, "result": {"D": _s(("2", "1"))}},
           {"left": "D", "right": "M", "k": 1, "result": {"D": _s(("2", "-1"))}}]
-# a *0 piece and a cup product that keep the associativity instance for z1
-# but break the u^0 level of the uueq rewrite
-_GW_Q0 = [{"left": "D", "right": "D", "k": 0, "result": {"D": "1"}}]
-_GW_CUP = [{"left": "D", "right": "M", "result": {"D": "-1/2"}}]
+# a *0 piece that breaks the associativity instance for x = e
+_GW_E0 = [{"left": "e", "right": "D", "k": 0, "result": {"D": "1"}}]
+# a degree-4 class P, a *0 piece and a cup product that keep the
+# associativity instance for z1 but break the u^0 level of the uueq rewrite
+_GW_P = {"name": "P", "degree": 4}
+_GW_Q0 = [{"left": "D", "right": "D", "k": 0, "result": {"P": "-1"}}]
+_GW_CUP = [{"left": "D", "right": "M", "result": {"P": "1"}}]
+# the same pieces before the grading rule: D *0 D and D.M on the degree-2 D
+_GW_Q0_MISGRADED = [{"left": "D", "right": "D", "k": 0, "result": {"D": "1"}}]
+_GW_CUP_MISGRADED = [{"left": "D", "right": "M", "result": {"D": "-1/2"}}]
 
 
-def _gw(checks, gw, qpieces=_GW_Q1, cup=()):
+def _gw(checks, gw, qpieces=_GW_Q1, cup=(), extra=()):
     return {"task": "gw",
-            "model": {"basis": _GW_BASIS, "unit": "e", "qpieces": qpieces,
-                      "cup": list(cup)},
+            "model": {"basis": _GW_BASIS + list(extra), "unit": "e",
+                      "qpieces": qpieces, "cup": list(cup)},
             "gw": gw, "checks": checks}
 
 
@@ -108,7 +114,9 @@ _BV_ODD = {"basis": [{"name": "e", "degree": 0}, {"name": "x", "degree": 1}],
 
 # Inline tasks for the row shapes the bundled files leave unpinned, each in
 # a passing and (where the identity can fail) a failing variant.  The
-# solver is exact, so `solve` has no failing variant.
+# solver is exact, so `solve` has no failing variant.  A misgraded variant
+# is a model the grading rule refuses at decode (exit 2); on a graded z1
+# the psi-eta round trip is an identity, so psi-eta has only that one.
 ROW_SHAPES = {
     "chain-fail": _ode({"type": "chain", "rho": _s(("0", "1"), ("2", "1"))}),
     "system-pass": _ode({"type": "system", "rho": _s(("0", "1"), ("1", "1")),
@@ -131,23 +139,31 @@ ROW_SHAPES = {
                     "a_cases": [{"p0": "1/2", "f": _s(("0", "1"), ("2", "1"))}],
                     "ode_cases": [{"f": _s(("0", "1"), ("2", "1")), "eta": "1"}]},
     "relations-fail": _gw(["relations"], {"z1": _Z1, "gamma": "3"}),
-    "psi-eta-fail": _gw(["psi-eta"], {"z1": {**_Z1, "e": "1"}, "gamma": "3"}),
+    "psi-eta-misgraded": _gw(["psi-eta"], {"z1": {**_Z1, "e": "1"}, "gamma": "3"}),
     "wdvv-pass": _gw(["wdvv"], {"z1": _Z1}),
-    "wdvv-fail": _gw(["wdvv"], {"z1": _Z1}, qpieces=_GW_Q1 + _GW_Q0),
+    "wdvv-fail": _gw(["wdvv"], {"z1": _Z1}, qpieces=_GW_Q1 + _GW_E0),
+    "wdvv-misgraded": _gw(["wdvv"], {"z1": _Z1}, qpieces=_GW_Q1 + _GW_Q0_MISGRADED),
     "relative-pass": _gw(["relative"], {"z1": _Z1, "z2tilde": _Z2T}),
     "relative-fail": _gw(["relative"], {"z1": _Z1, "z2tilde": {"D": "1"}}),
     "relative-no-z2tilde": _gw(["relative"], {"z1": _Z1}),
     "uueq-pass": _gw(["uueq"], {"z1": _Z1, "z2": {"e": "2"}, "z2tilde": _Z2T}),
     "uueq-fail": _gw(["uueq"], {"z1": _Z1, "z2tilde": _Z2T},
-                     qpieces=_GW_Q1 + _GW_Q0, cup=_GW_CUP),
+                     qpieces=_GW_Q1 + _GW_Q0, cup=_GW_CUP, extra=[_GW_P]),
+    "uueq-misgraded": _gw(["uueq"], {"z1": _Z1, "z2tilde": _Z2T},
+                          qpieces=_GW_Q1 + _GW_Q0_MISGRADED, cup=_GW_CUP_MISGRADED),
     "r-endomorphism-pass": {"task": "bv", "model": "polyvector-k", "n": 2,
                             "checks": ["r-endomorphism"]},
     "r-endomorphism-fail": {"task": "bv", "model": _BV_ODD,
                             "checks": ["r-endomorphism"]},
-    # x.x = e breaks graded commutativity first at the last pair, [x,x]
-    "axioms-fail": {"task": "bv", "checks": ["axioms"],
-                    "model": {**_BV_ODD, "product": _BV_ODD["product"] + [
-                        {"left": "x", "right": "x", "result": {"e": "1"}}]}},
+    # x.x = y breaks graded commutativity first at the last pair, [x,x]
+    "axioms-fail": {"task": "bv", "checks": ["axioms"], "model": {
+        **_BV_ODD, "basis": _BV_ODD["basis"] + [{"name": "y", "degree": 2}],
+        "product": _BV_ODD["product"] + [
+            {"left": "e", "right": "y", "result": {"y": "1"}},
+            {"left": "x", "right": "x", "result": {"y": "1"}}]}},
+    "axioms-misgraded": {"task": "bv", "checks": ["axioms"],
+                         "model": {**_BV_ODD, "product": _BV_ODD["product"] + [
+                             {"left": "x", "right": "x", "result": {"e": "1"}}]}},
 }
 
 ROW_GOLDEN = {
@@ -179,12 +195,14 @@ ROW_GOLDEN = {
     ("mirror-fail", "text"): "49c1d611f0632f54e08c49c1423671d1c72771561974f22cefbf54ed126c3f47",
     ("relations-fail", "json"): "c2510942047f8f931425d1095fab10d5dfd6d5cb912a7428c530bae1597c1394",
     ("relations-fail", "text"): "2ce4a40f0be1e4368850aa8370e81121eeb9c531580d0b8167fdb118252442f6",
-    ("psi-eta-fail", "json"): "5ab289d66be492a242ea3f735fad596a9fe053719c6b1f78e44c031d16b32cb6",
-    ("psi-eta-fail", "text"): "26ae3b2cfdb565c6294cc8564add5823d61394cc8b8568560623c5f4036a2e13",
+    ("psi-eta-misgraded", "json"): "6abe904686db97dad333d197d59ff1f1d812993bd6f4b550ee6cbc6738b2f0e6",
+    ("psi-eta-misgraded", "text"): "6abe904686db97dad333d197d59ff1f1d812993bd6f4b550ee6cbc6738b2f0e6",
     ("wdvv-pass", "json"): "0daba317d0485b6d7b9e126de51fe36fc048d22a370e96a97b2bd031b81d5bb6",
     ("wdvv-pass", "text"): "c7ec78a664c97200d95ae8ef93062704b844ce8bd3da4de0271fb47c6a046557",
-    ("wdvv-fail", "json"): "5ff36a7bf3dac5ce0f4de36babadcac4abdb03d907e2df236152c927e269584d",
-    ("wdvv-fail", "text"): "1b418d85ac0cb041e49a88fa4dc5a597caa4bc13ea9bfb7f26412339949f1666",
+    ("wdvv-fail", "json"): "06f48ba7f8532958676d0727daeb965bbc0f1a64e2d7d9098b5524c3b598cabc",
+    ("wdvv-fail", "text"): "8367e951f58b718329be1300b1cae9ca3e7682e51afee5c53f548a6f612f2725",
+    ("wdvv-misgraded", "json"): "e65fb4050f0405edb7f00558abf18d932c5eb731abc2be9d335ed39a845a7527",
+    ("wdvv-misgraded", "text"): "e65fb4050f0405edb7f00558abf18d932c5eb731abc2be9d335ed39a845a7527",
     ("relative-pass", "json"): "956b8e5332cfd9f83926bd51ec65176d83de4a2353757426e5c2dbcb56e5e1a7",
     ("relative-pass", "text"): "439ddc065a9fb283304b95791e9c1dd2881d7dc1df9a91b924f882e587abaf5a",
     ("relative-fail", "json"): "6024ecfd409d9a4877aa4b9b940cdb38e3d9d4e6fa73bebd374e1ebf4d5b4efd",
@@ -193,14 +211,18 @@ ROW_GOLDEN = {
     ("relative-no-z2tilde", "text"): "e9d74de4d72c971e4b3ca43af8dd08f3d7ee442bce1adfad1fab2a36b8f3b14e",
     ("uueq-pass", "json"): "98c0d60aff2833c75d457316e716021fea7ea68977b69436d376f0fc551fade5",
     ("uueq-pass", "text"): "7fd58828d7e7860e245b430c5ba5510805b5e0398cec5e4d389bce07a66f02e1",
-    ("uueq-fail", "json"): "8f61e8e480baefe1b806488b5f7782e92a52be487f10ac1bfc6cbd8d72d1430a",
-    ("uueq-fail", "text"): "28f497184c064479c308bdcde49b9821d411c122d7abc86896a9cfa533348adf",
+    ("uueq-fail", "json"): "0be338b0becead6907cf9df1f91e9821f8fcae4cd31bd81ffce0a16adf9cf31c",
+    ("uueq-fail", "text"): "7e34ef03c3b0039eb9c5360ef6588932acb0d249099d86d293f1aa56b0f926bb",
+    ("uueq-misgraded", "json"): "d64fea07d98f78ba2adc5bb4fe8590a45fcaa49db361cad9dee931dcc3583ae0",
+    ("uueq-misgraded", "text"): "d64fea07d98f78ba2adc5bb4fe8590a45fcaa49db361cad9dee931dcc3583ae0",
     ("r-endomorphism-pass", "json"): "4b3b56b79621950d387c71e1b3ee2794017467c7da1aa9507c2956d1fc15d26b",
     ("r-endomorphism-pass", "text"): "4acc6fb5f85874106dca547109b94edb0742c12c7441c40c1147a5aa11dc45c8",
     ("r-endomorphism-fail", "json"): "e2965c3747c1555b0c31cded539f3f9fcce3038b22b59a876c8e9d1dba49bb8d",
     ("r-endomorphism-fail", "text"): "32c5e86f20170fc7d5c1f3ea7a9a3c1a0ccd7fc5ec716e7a7cbeed32b8c23cd6",
-    ("axioms-fail", "json"): "adff6b3f988ec39c141f5dccf16dcc9121d14c630896df28b088dfd58431c81d",
-    ("axioms-fail", "text"): "974c829a2dbbc38d1a39e35713acca575603c86225a7d33322a80774df35cf1d",
+    ("axioms-fail", "json"): "80652a0540f42119a9f51c735108bc5922b302aeb8fa3e24a520ff428ea0ea51",
+    ("axioms-fail", "text"): "4161c50c98447d17eac1c68a56bccdfcad9389e03f045bae87832e66778df728",
+    ("axioms-misgraded", "json"): "1654871b2f92ce3aa60364e42e023033ab54d9866c2cce8b920118d1c5620432",
+    ("axioms-misgraded", "text"): "1654871b2f92ce3aa60364e42e023033ab54d9866c2cce8b920118d1c5620432",
 }
 
 
@@ -209,8 +231,8 @@ def test_row_shapes_match_golden_digest(tmp_path, shape, output):
     task = tmp_path / "task.json"
     task.write_text(json.dumps(ROW_SHAPES[shape]))
     code, text = cli.run(str(task), output=output)
-    assert code == (cli.EXIT_CHECK_FAILED if shape.endswith("-fail")
-                    else cli.EXIT_OK), text
+    want = {"fail": cli.EXIT_CHECK_FAILED, "misgraded": cli.EXIT_PARSE}
+    assert code == want.get(shape.rsplit("-", 1)[1], cli.EXIT_OK), text
     assert hashlib.sha256(text.encode()).hexdigest() == ROW_GOLDEN[(shape, output)]
 
 
@@ -355,11 +377,15 @@ def test_undeclared_basis_name_is_parse_error(tmp_path, task):
     assert "undeclared class 'zz'" in text
 
 
+def _divisor_relations() -> dict:
+    return json.loads(resources.files("novikov").joinpath(
+        "taskfiles/divisor_relations.json").read_text())
+
+
 @pytest.mark.parametrize("field", ["m_class", "unit"])
 def test_undeclared_gw_class_field_is_named(tmp_path, field):
     # the bundled divisor relations with the field pointing outside the basis
-    task = json.loads(resources.files("novikov").joinpath(
-        "taskfiles/divisor_relations.json").read_text())
+    task = _divisor_relations()
     task["model"][field] = "zz"
     path = tmp_path / "undeclared.json"
     path.write_text(json.dumps(task))
@@ -374,6 +400,73 @@ def test_gw_model_with_declared_names_runs(tmp_path):
     path.write_text(json.dumps(_gw_with()))
     code, text = cli.run(str(path))
     assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED), text
+
+
+def _divisor_k0() -> dict:
+    # every quantum piece at k = 0, so each row lands in degree 2, not 4
+    task = _divisor_relations()
+    for rec in task["model"]["qpieces"]:
+        rec["k"] = 0
+    return task
+
+
+def _bv_axioms(**field) -> dict:
+    return {**json.loads(resources.files("novikov").joinpath(
+        "taskfiles/bv_axioms.json").read_text()), **field}
+
+
+# each an ill-graded model or input and the entry its parse error must name
+@pytest.mark.parametrize("task, entry", [
+    ({"task": "bv", "checks": ["axioms"], "model": {
+        "basis": [{"name": "e", "degree": 0}, {"name": "x", "degree": 2},
+                  {"name": "y", "degree": 0}],
+        "product": [{"left": "e", "right": n, "result": {n: "1"}} for n in "exy"],
+        "delta": {"x": {"y": "1"}}}},
+     "delta of 'x' has an entry on 'y' of degree 0, expected degree 1"),
+    (_divisor_k0() | {"gw": _divisor_relations()["gw"] | {"z0": {"D": "1"}}},
+     "qpieces row ('M', 'M') has an entry on 'D' of degree 2, expected degree 4"),
+    (_divisor_relations() | {"gw": _divisor_relations()["gw"] | {"z0": {"D": "1"}}},
+     "gw z0 has an entry on 'D' of degree 2, expected degree 4"),
+    (_bv({**_BV_E, "bracket": [{"left": "e", "right": "e", "result": {"e": "1"}}]}),
+     "bracket row ('e', 'e') has an entry on 'e' of degree 0, expected degree -1"),
+    (_gw_with({"restriction": {"D": {"e": "1"}}}),
+     "restriction of 'D' has an entry on 'e' of degree 0, expected degree 2"),
+    (_gw_with(gw={"z2tilde": {"e": _s(trunc="3")}}),
+     "gw z2tilde has an entry on 'e' of degree 0, expected degree 2"),
+    (_bv_axioms(alpha={"t1": "1"}),
+     "alpha has an entry on 't1' of degree 0, expected degree 1"),
+], ids=["bv-delta-degree-minus-2", "divisor-k0", "divisor-z0", "bracket",
+        "restriction", "z2tilde-truncated-zero", "gauge-alpha"])
+def test_misgraded_entry_is_parse_error(tmp_path, task, entry):
+    path = tmp_path / "misgraded.json"
+    path.write_text(json.dumps(task))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert text == f"parse error: {entry}"
+
+
+def test_exact_zero_on_any_class_is_graded(tmp_path):
+    # an exact zero is no entry at all, wherever it sits
+    path = tmp_path / "zero.json"
+    task = _gw(["relative"], {"z1": _Z1, "z2tilde": {**_Z2T, "e": _s()}})
+    path.write_text(json.dumps(task))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_OK, text
+
+
+def test_gw_order_is_the_psi_eta_working_order(tmp_path):
+    # psi = q^-1/(q^2 + q^3) needs a working order: "order" gives it, as
+    # --trunc does
+    task = _divisor_relations()
+    task["gw"]["z1"]["D"]["terms"].append({"exp": "3", "coeff": "1"})
+    task["checks"] = ["psi-eta"]
+    path = tmp_path / "psi-eta.json"
+    path.write_text(json.dumps(task))
+    assert cli.run(str(path))[0] == cli.EXIT_DOMAIN
+    by_trunc = cli.run(str(path), trunc="6")
+    path.write_text(json.dumps(task | {"order": "6"}))
+    assert cli.run(str(path)) == by_trunc
+    assert by_trunc[0] == cli.EXIT_OK, by_trunc[1]
 
 
 def _row(inputs, output="0"):
@@ -658,9 +751,11 @@ def test_console_script_smoke():
       "checks": ["class-equation"]}, None, "MAX_ORDER"),
     ({"task": "gw", "order": "1000000", "prob": _FLAT, "checks": ["gauss-manin"]}, None,
      "MAX_ORDER"),
+    (_gw(["psi-eta"], {"z1": _Z1, "gamma": "3"}) | {"order": "100000000"}, None,
+     "MAX_ORDER"),
 ], ids=["solve-order-100000", "solve-half-step", "bv-n-huge", "bv-n-one-over",
         "mirror-order-1000000", "trunc-1000000", "problem-truncated-at-1000000",
-        "bv-class-equation-order-1000000", "gw-order-1000000"])
+        "bv-class-equation-order-1000000", "gw-order-1000000", "psi-eta-order-100000000"])
 def test_oversized_request_is_refused_fast(tmp_path, monkeypatch, task, trunc, cap):
     # refused before any work: neither the solver, nor a model builder, nor
     # a residual or mirror kernel runs
@@ -670,7 +765,8 @@ def test_oversized_request_is_refused_fast(tmp_path, monkeypatch, task, trunc, c
         monkeypatch.setattr(cli, name, lambda *a: started.append(a))
     for name in ("polyvector_model", "polyvector_model_with_k"):
         monkeypatch.setattr(cli.bvmod, name, lambda *a: started.append(a))
-    monkeypatch.setattr(cli.qmod, "gauss_manin_check", lambda *a: started.append(a))
+    for name in ("gauss_manin_check", "psi_eta_check"):
+        monkeypatch.setattr(cli.qmod, name, lambda *a: started.append(a))
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(task))
     code, text = cli.run(str(path), trunc=trunc)

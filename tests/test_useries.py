@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from novikov.errors import InsufficientPrecision
 from novikov.series import INF, NovikovSeries
 from novikov.useries import USeries
 
@@ -43,14 +42,6 @@ def test_times_u_shifts_truncation():
 def test_d_q_acts_on_coefficients():
     a = USeries({1: S((2, 3))})
     assert a.d_q().coefficient(1) == S((1, 6))
-
-
-def test_equal_up_to_and_precision():
-    a = USeries({0: S((0, 1), trunc=5)})
-    b = USeries({0: S((0, 1), (6, 1), trunc=7)})
-    assert a.equal_up_to(b, 5)
-    with pytest.raises(InsufficientPrecision):
-        a.equal_up_to(b, 6)
 
 
 def test_render():
