@@ -16,9 +16,9 @@ into a record at the repository root:
 
 Per workload and seed the record holds the pair count, the parent and
 change median and quartiles of every end-to-end metric of BENCHMARK.json,
-the pairs the change wins, both sides' ``report_digest``, the Python
-version and the host factor (the median ratio of unscaled to scaled call
-time, as ``bench/run.py`` prints it).
+the pairs the change wins and a verdict (:func:`verdict`), both sides'
+``report_digest``, the Python version and the host factor (the median
+ratio of unscaled to scaled call time, as ``bench/run.py`` prints it).
 """
 
 from __future__ import annotations
@@ -75,6 +75,21 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(metric: dict, parent: dict, change: dict, wins: int, pairs: int) -> str:
+    """``worse`` when the change median is worse than the parent median by
+    more than the metric's relative ``bound``; ``gain`` when the change
+    wins at least 9 of 10 pairs and its median is better by more than the
+    parent's interquartile range; ``level`` otherwise."""
+    better = change["median"] - parent["median"]
+    if metric["better"] != "higher":
+        better = -better
+    if -better > metric["bound"] * abs(parent["median"]):
+        return "worse"
+    if 10 * wins >= 9 * pairs and better > parent["q3"] - parent["q1"]:
+        return "gain"
+    return "level"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """The record of one workload and seed.  A pair is keyed by its run
     file and number; a side that appears twice in one pair is an error."""
@@ -108,9 +123,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                   for s in SIDES}
         wins = sum((c > p) if higher else (c < p)
                    for p, c in zip(values["parent"], values["change"]))
+        parent, change = spread(values["parent"]), spread(values["change"])
         out["metrics"][name] = {"unit": m["unit"], "better": m["better"],
-                                "parent": spread(values["parent"]),
-                                "change": spread(values["change"]), "wins": wins}
+                                "parent": parent, "change": change, "wins": wins,
+                                "verdict": verdict(m, parent, change, wins, len(complete))}
     return out
 
 

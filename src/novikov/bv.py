@@ -70,6 +70,12 @@ def vec_render(x: Vec) -> str:
     return graded.vec_render(x)
 
 
+# The degrees of the elements that define the distinguished a:
+# a = Delta(theta) - kappa.  Other elements are not graded: the k of
+# r_endomorphism_check, say, may sit in any degree.
+ELEMENT_DEGREES = {"a": 0, "theta": 1, "kappa": 0}
+
+
 @dataclass
 class BVModel:
     """A finite BV model given by its structure tables.
@@ -79,7 +85,9 @@ class BVModel:
     outside ``==`` and ``repr``, and the bracket of each ordered pair of
     basis names becomes a row of its own the first time it is needed,
     computed from the product and Delta rows.  The tables must not be
-    mutated after first use: the rows would not follow.
+    mutated after first use: the rows would not follow.  Nor may the rows
+    be: ``product_row``, ``delta_row`` and ``bracket_row`` hand them out
+    as they are.
     """
 
     degrees: dict[str, int]
@@ -112,21 +120,31 @@ class BVModel:
         return (None if self.bracket_table is None
                 else signed_rows(self.bracket_table, self.degrees))
 
+    # The rows of basis names, shared, not copied.  Each equals what mul,
+    # delta_apply and bracket return on basis vectors over the rational 1,
+    # whose contraction multiplies every entry by 1.
+
+    def product_row(self, a: str, b: str) -> Row:
+        return self.product_rows.get((a, b), {})
+
+    def delta_row(self, a: str) -> Row:
+        return self.delta_rows.get(a, {})
+
     def bracket_row(self, a: str, b: str) -> Row:
         """The bracket of the basis names a and b, computed once per model:
         Delta(a.b) - (Delta a).b - (-1)^|a| a.(Delta b).  An entry that
         cancels keeps its class, as the defining formula does."""
         row = self._bracket_constants.get((a, b))
         if row is None:
-            product, delta = self.product_rows, self.delta_rows
+            product, delta = self.product_row, self.delta_row
             row = {}
-            for k, c in product.get((a, b), {}).items():
-                add_row(row, delta.get(k, {}), c)
-            for k, c in delta.get(a, {}).items():
-                add_row(row, product.get((k, b), {}), -c)
+            for k, c in product(a, b).items():
+                add_row(row, delta(k), c)
+            for k, c in delta(a).items():
+                add_row(row, product(k, b), -c)
             odd = self.degrees[a] % 2
-            for k, c in delta.get(b, {}).items():
-                add_row(row, product.get((a, k), {}), c if odd else -c)
+            for k, c in delta(b).items():
+                add_row(row, product(a, k), c if odd else -c)
             self._bracket_constants[(a, b)] = row
         return row
 
@@ -150,11 +168,6 @@ class BVModel:
                 if row:
                     add_row(out, row, sa * sb)
         return out
-
-    def supplied_bracket(self, x1: Vec, x2: Vec) -> Vec:
-        if self.bracket_rows is None:
-            return self.bracket(x1, x2)
-        return contract(self.bracket_rows, x1, x2)
 
     def modified_bracket(self, x1: Vec, x2: Vec) -> Vec:
         """[x1, x2]^{-1} = [x1, x2] + (Delta x1).x2."""
@@ -182,8 +195,9 @@ class BVModel:
     def from_json(cls, data: dict) -> "BVModel":
         """Decode a model; a product, Delta or bracket row, an element or
         the unit naming a class outside ``"basis"`` is a :class:`ParseError`,
-        and so is a product row outside degree 0 or a Delta or bracket row
-        outside degree -1 (:func:`graded.homogeneous`)."""
+        and so is a product row outside degree 0, a Delta or bracket row
+        outside degree -1, or an element that defines ``a`` outside its
+        degree in :data:`ELEMENT_DEGREES` (:func:`graded.homogeneous`)."""
         degrees = graded.basis_from_json(data)
 
         def table(key: str, shift: int) -> dict[tuple[str, str], Vec]:
@@ -194,7 +208,11 @@ class BVModel:
         delta = graded.vec_map_of_declared(data.get("delta", {}), degrees, "delta", -1)
         elements = vec_map_from_json(data.get("elements", {}))
         for name, image in elements.items():
-            graded.declared(degrees, f"element {name!r}", *image)
+            if name in ELEMENT_DEGREES:
+                graded.homogeneous(image, degrees, ELEMENT_DEGREES[name],
+                                   f"element {name!r}")
+            else:
+                graded.declared(degrees, f"element {name!r}", *image)
         unit = data.get("unit", "e")
         graded.declared(degrees, "unit", unit)
         bracket = table("bracket", -1) if "bracket" in data else None
@@ -254,95 +272,100 @@ def _rational_basis(model: BVModel):
 
 
 def check_bv_axioms(model: BVModel) -> Report:
+    """Each identity on basis vectors, with the inner product, bracket and
+    Delta of basis names read from the model's rows."""
     report = Report()
     basis = _rational_basis(model)
     pairs = [(n1, x1, n2, x2) for n1, x1 in basis for n2, x2 in basis]
     triples = [(n1, x1, n2, x2, n3, x3)
                for n1, x1, n2, x2 in pairs for n3, x3 in basis]
-    deg = model.degrees
-    e = {model.unit: 1}
+    deg, e = model.degrees, model.unit
     mul, bracket, delta = model.mul, model.bracket, model.delta_apply
+    P, B, D = model.product_row, model.bracket_row, model.delta_row
 
     report.identity("unit", "e.x = x",
-                    ((f"e.{n}", vec_sub(mul(e, x), x)) for n, x in basis))
+                    ((f"e.{n}", vec_sub(P(e, n), x)) for n, x in basis))
 
     report.identity("commutativity", "x1.x2 = (-1)^(|x1||x2|) x2.x1",
                     ((f"[{n1},{n2}]",
-                      vec_sub(mul(x1, x2),
-                              vec_scale((-1) ** (deg[n1] * deg[n2]), mul(x2, x1))))
+                      vec_sub(P(n1, n2), vec_scale((-1) ** (deg[n1] * deg[n2]), P(n2, n1))))
                      for n1, x1, n2, x2 in pairs))
 
     report.identity("associativity", "(x1.x2).x3 = x1.(x2.x3)",
                     ((f"({n1}.{n2}).{n3}",
-                      vec_sub(mul(mul(x1, x2), x3), mul(x1, mul(x2, x3))))
+                      vec_sub(mul(P(n1, n2), x3), mul(x1, P(n2, n3))))
                      for n1, x1, n2, x2, n3, x3 in triples))
 
-    report.residual("delta-e", "Delta e = 0", delta(e))
+    report.residual("delta-e", "Delta e = 0", D(e))
 
     report.identity("delta-squared", "Delta Delta x = 0",
-                    ((f"Delta^2 {n}", delta(delta(x))) for n, x in basis))
+                    ((f"Delta^2 {n}", delta(D(n))) for n, x in basis))
 
     if model.bracket_table is not None:
+        supplied = model.bracket_rows
         report.identity("delta-bracket",
                         "[x1,x2] = Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.Delta x2",
                         ((f"[{n1},{n2}]",
-                          vec_sub(model.supplied_bracket(x1, x2), bracket(x1, x2)))
+                          vec_sub(supplied.get((n1, n2), {}), B(n1, n2)))
                          for n1, x1, n2, x2 in pairs))
 
     report.identity("antisymmetry", "[x2,x1] = (-1)^(|x1||x2|) [x1,x2]",
                     ((f"[{n2},{n1}]",
-                      vec_sub(bracket(x2, x1),
-                              vec_scale((-1) ** (deg[n1] * deg[n2]), bracket(x1, x2))))
+                      vec_sub(B(n2, n1), vec_scale((-1) ** (deg[n1] * deg[n2]), B(n1, n2))))
                      for n1, x1, n2, x2 in pairs))
 
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
                     ((f"[{n1},{n2}.{n3}]",
-                      vec_sub(bracket(x1, mul(x2, x3)),
-                              vec_add(mul(bracket(x1, x2), x3),
+                      vec_sub(bracket(x1, P(n2, n3)),
+                              vec_add(mul(B(n1, n2), x3),
                                       vec_scale((-1) ** ((deg[n1] + 1) * deg[n2]),
-                                                mul(x2, bracket(x1, x3))))))
+                                                mul(x2, B(n1, n3))))))
                      for n1, x1, n2, x2, n3, x3 in triples))
 
     report.identity("jacobi", "signed cyclic sum of [x1,[x2,x3]] = 0",
                     ((f"jacobi({n1},{n2},{n3})",
-                      vec_add(vec_scale((-1) ** deg[n1], bracket(x1, bracket(x2, x3))),
+                      vec_add(vec_scale((-1) ** deg[n1], bracket(x1, B(n2, n3))),
                               vec_scale((-1) ** (deg[n1] * (deg[n2] + deg[n3]) + deg[n2]),
-                                        bracket(x2, bracket(x3, x1))),
+                                        bracket(x2, B(n3, n1))),
                               vec_scale((-1) ** (deg[n3] * (deg[n1] + deg[n2] + 1)),
-                                        bracket(x3, bracket(x1, x2)))))
+                                        bracket(x3, B(n1, n2)))))
                      for n1, x1, n2, x2, n3, x3 in triples))
 
     report.identity("e-is-ideal", "[e,x] = 0",
-                    ((f"[e,{n}]", bracket(e, x)) for n, x in basis))
+                    ((f"[e,{n}]", B(e, n)) for n, x in basis))
 
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
                     ((f"({n1},{n2})",
-                      vec_add(delta(bracket(x1, x2)),
-                              bracket(delta(x1), x2),
-                              vec_scale((-1) ** deg[n1], bracket(x1, delta(x2)))))
+                      vec_add(delta(B(n1, n2)),
+                              bracket(D(n1), x2),
+                              vec_scale((-1) ** deg[n1], bracket(x1, D(n2)))))
                      for n1, x1, n2, x2 in pairs))
     return report
 
 
 def check_leibniz(nabla: Connection, model: BVModel) -> Report:
+    """Both Leibniz rules on basis vectors, with the product and bracket
+    of basis names read from the rows and nabla of each name made once."""
     report = Report()
     basis = _rational_basis(model)
     pairs = [(n1, x1, n2, x2) for n1, x1 in basis for n2, x2 in basis]
     mul, bracket = model.mul, model.bracket
+    P, B = model.product_row, model.bracket_row
     apply = lambda x: nabla.apply(x, model)
+    nab = {n: apply(x) for n, x in basis}
     report.identity("nabla-product",
                     "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)",
                     ((f"({n1},{n2})",
-                      vec_sub(apply(mul(x1, x2)),
-                              vec_add(mul(apply(x1), x2), mul(x1, apply(x2)))))
+                      vec_sub(apply(P(n1, n2)),
+                              vec_add(mul(nab[n1], x2), mul(x1, nab[n2]))))
                      for n1, x1, n2, x2 in pairs))
     report.identity("nabla-bracket",
                     "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]",
                     ((f"({n1},{n2})",
-                      vec_sub(apply(bracket(x1, x2)),
-                              vec_add(bracket(apply(x1), x2), bracket(x1, apply(x2)))))
+                      vec_sub(apply(B(n1, n2)),
+                              vec_add(bracket(nab[n1], x2), bracket(x1, nab[n2]))))
                      for n1, x1, n2, x2 in pairs))
     return report
 
@@ -374,14 +397,16 @@ def check_minus1_delta(nabla: Connection, a: Vec, model: BVModel) -> Report:
         return vec_sub(minus1.apply(model.delta_apply(x), model),
                        model.delta_apply(minus1.apply(x, model)))
 
+    basis = _rational_basis(model)
+    commutators = [commutator(x) for _, x in basis]
     report.identity("minus1-delta-commutator",
                     "nabla^{-1}(Delta x) - Delta(nabla^{-1} x) = (Delta a).x",
-                    ((n, vec_sub(commutator(x), model.mul(da, x)))
-                     for n, x in _rational_basis(model)))
+                    ((n, vec_sub(c, model.mul(da, x)))
+                     for (n, x), c in zip(basis, commutators)))
     if vec_is_zero(da):
         report.identity("minus1-delta-compatible",
                         "Delta a = 0 => nabla^{-1} commutes with Delta",
-                        ((n, commutator(x)) for n, x in _rational_basis(model)))
+                        ((n, c) for (n, _), c in zip(basis, commutators)))
     return report
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import graded
-from .errors import DegreeMismatch, NoSolution, PrerequisiteFailed, require_object
+from .errors import DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed, require_object
 from .graded import (
     Vec,
     contract,
@@ -126,13 +126,17 @@ class CohomologyModel:
     def from_json(cls, data: dict) -> "CohomologyModel":
         """Decode a model; a class outside ``"basis"`` is a :class:`ParseError`,
         and so is a cup row outside degree 0, a quantum-piece row outside
-        degree -2k or a restriction outside degree 0 (:func:`graded.homogeneous`)."""
+        degree -2k or a restriction outside degree 0 (:func:`graded.homogeneous`),
+        and a quantum-piece record with ``k < 0``."""
         degrees = graded.basis_from_json(data)
         cup = dict(graded.table_row_from_json(rec, degrees, "cup", 0)
                    for rec in data.get("cup") or [])
         qpieces: dict[int, dict] = {}
         for rec in data.get("qpieces", []):
             k = integer(require_object(rec, "qpieces record").get("k", 0))
+            if k < 0:
+                raise ParseError(f"qpieces row {(rec.get('left'), rec.get('right'))} "
+                                 f"has k = {k}: quantum pieces with k < 0 are zero")
             pair, result = graded.table_row_from_json(rec, degrees, "qpieces", -2 * k)
             qpieces.setdefault(k, {})[pair] = result
         omega = vec_from_json(data["omega"]) if "omega" in data else None

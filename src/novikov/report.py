@@ -60,10 +60,11 @@ class Report:
     def identity(self, name: str, equation: str, cases) -> CheckResult:
         """One row for an identity over (label, residual) cases: it passes
         when every residual vanishes, and its detail names the first case
-        that does not."""
-        failing = [(label, res) for label, res in cases if not vanishes(res)]
-        detail = f"{failing[0][0]}: {render(failing[0][1])}" if failing else "0"
-        return self.add(name, equation, not failing, detail)
+        that does not.  No case after that one is evaluated."""
+        for label, res in cases:
+            if not vanishes(res):
+                return self.add(name, equation, False, f"{label}: {render(res)}")
+        return self.add(name, equation, True, "0")
 
     @property
     def passed(self) -> bool:

@@ -9,7 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
-METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+METRICS = [m["name"] for m in END_TO_END]
+BOUNDS = {m["name"]: m for m in END_TO_END}
 SIDES = ("parent", "change")
 
 
@@ -38,6 +40,10 @@ def test_record_schema(path):
                 q = m[side]
                 assert q["q1"] <= q["median"] <= q["q3"], (where, name, side)
             assert 0 <= m["wins"] <= run["pairs"], (where, name)
+            # records written before verdicts existed have none
+            if "verdict" in m:
+                assert m["verdict"] == bench_record.verdict(
+                    BOUNDS[name], m["parent"], m["change"], m["wins"], run["pairs"]), (where, name)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +60,6 @@ def _bench_record():
 
 
 bench_record = _bench_record()
-END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def fake_run(tree, workload, seed):
@@ -112,3 +117,55 @@ def test_the_record_states_the_run_length(tmp_path, monkeypatch, capsys):
     out = tmp_path / "BENCH_x.json"
     bench_record.main(["record", "--out", str(out), str(runs)])
     assert f"--seconds {bench_record.SECONDS} " in json.loads(out.read_text())["command"]
+
+
+# ---------------------------------------------------------------------------
+# the verdict of each metric on synthetic runs
+# ---------------------------------------------------------------------------
+
+
+def verdicts(parent, change, name):
+    """The summary's verdicts for pairs whose *name* values are *parent*
+    and *change*, every other metric at 1.0 on both sides."""
+    runs = []
+    for i, values in enumerate(zip(parent, change)):
+        for side, value in zip(SIDES, values):
+            metrics = {m: {"value": value if m == name else 1.0} for m in METRICS}
+            runs.append({"file": "runs.jsonl", "pair": i, "side": side,
+                         "workload": "bv-models", "seed": 1, "python": "3",
+                         "host_factor": 1.0, "report_digest": "d",
+                         "result": {"correct": True, "failed": 0, "attempted": 10,
+                                    "metrics": metrics}})
+    summary = bench_record.summarize(runs, END_TO_END)["metrics"]
+    return {m: v["verdict"] for m, v in summary.items()}
+
+
+PARENT = [100, 98, 102, 101, 99, 100, 97, 103, 100, 100]  # q1 99.25, q3 100.75
+
+
+@pytest.mark.parametrize("change, want", [
+    ([v + 5 for v in PARENT], "gain"),
+    # 9 of 10 wins are enough
+    ([v + 5 for v in PARENT[:9]] + [90], "gain"),
+    # 8 of 10 are not, however large the median gain
+    ([v + 50 for v in PARENT[:8]] + [90, 90], "level"),
+    # every pair won, but by less than the parent's IQR of 1.5
+    ([v + 1 for v in PARENT], "level"),
+    # 20% slower is within the bound of 0.25, 30% is not
+    ([v * 0.8 for v in PARENT], "level"),
+    ([v * 0.7 for v in PARENT], "worse"),
+], ids=["gain", "nine-wins", "eight-wins", "within-iqr", "within-bound", "past-bound"])
+def test_verdict_of_a_higher_is_better_metric(change, want):
+    got = verdicts(PARENT, change, "tasks_per_s")
+    assert got["tasks_per_s"] == want
+    assert {v for m, v in got.items() if m != "tasks_per_s"} == {"level"}
+
+
+@pytest.mark.parametrize("change, want", [
+    ([v - 5 for v in PARENT], "gain"),
+    ([v + 5 for v in PARENT], "level"),
+    ([v * 1.11 for v in PARENT], "worse"),
+], ids=["lower", "higher-within-bound", "past-bound"])
+def test_verdict_of_a_lower_is_better_metric(change, want):
+    # peak_rss_mb has a bound of 0.1
+    assert verdicts(PARENT, change, "peak_rss_mb")["peak_rss_mb"] == want

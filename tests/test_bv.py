@@ -1,5 +1,6 @@
 """BV axioms, connection identities, and the distinguished-element chain."""
 
+import copy
 import random
 from fractions import Fraction
 from unittest import mock
@@ -30,6 +31,7 @@ from novikov.bv import (
     second_order_on_e,
 )
 from novikov.graded import (
+    add_row,
     contract,
     linear_apply,
     signed_rows,
@@ -149,6 +151,27 @@ def test_contract_over_signed_rows_matches_table_oracle(case):
     want = table_mul(table, degrees, x, y)
     assert vec_is_zero(vec_sub(got, want))
     assert vec_render(got) == vec_render(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_vectors(), st.integers(min_value=-2, max_value=2))
+def test_vector_helpers_and_kernels_leave_their_inputs_as_they_were(case, f):
+    # the identity checks hand the model's rows to these as they are
+    table, degrees, x, y = case
+    rows = signed_rows(table, degrees)
+    images = {a: row for (a, _), row in rows.items()}
+    before = copy.deepcopy((rows, x, y))
+    contract(rows, x, y)
+    linear_apply(images, x)
+    for row in rows.values():
+        add_row({}, row, f)
+        add_row(dict(x), row, y[next(iter(y))])
+    vec_add(x, y, x)
+    vec_sub(x, y)
+    vec_scale(f, y)
+    vec_is_zero(x)
+    vec_render(y)
+    assert (rows, x, y) == before
 
 
 class Oracle:
@@ -398,6 +421,42 @@ def test_truncated_zero_first_factor_matches_oracle():
     nabla = Connection({"t1": {"t1x": NovikovSeries.zero(2)}})
     assert decided(check_bv_axioms, model) == decided(oracle_bv_axioms, model)
     assert decided(check_leibniz, nabla, model) == decided(oracle_leibniz, nabla, model)
+
+
+def rows_of(model):
+    """Every row the identity checks read, each bracket row filled first."""
+    for a in model.degrees:
+        for b in model.degrees:
+            model.bracket_row(a, b)
+    return (model.product_rows, model.delta_rows, model.bracket_rows,
+            model._bracket_constants)
+
+
+def assert_checks_leave_rows(model, nabla):
+    before = copy.deepcopy(rows_of(model))
+    axioms, leibniz = check_bv_axioms(model), check_leibniz(nabla, model)
+    assert rows_of(model) == before
+    # and a second run over the rows the first one read decides the same
+    assert check_bv_axioms(model) == axioms
+    assert check_leibniz(nabla, model) == leibniz
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_checks_leave_the_model_rows_as_they_were(data):
+    model = data.draw(bv_models())
+    assert_checks_leave_rows(model, data.draw(connections(sorted(model.degrees))))
+
+
+def test_checks_leave_series_and_truncated_zero_rows_as_they_were():
+    model = polyvector_model(3)
+    model.product[("t1", "t1")] = {"t2": S((0, 1), (1, 1)), "t1": NovikovSeries.zero(3)}
+    model.delta["t2x"] = {"t2": S((0, 2), trunc=4), "t1": NovikovSeries.zero(2)}
+    nabla = Connection({"t1": {"t1x": S((1, 1), trunc=3)}})
+    rows = rows_of(model)
+    assert NovikovSeries.zero(3) in rows[0][("t1", "t1")].values()
+    assert S((0, 2), trunc=4) in rows[1]["t2x"].values()
+    assert_checks_leave_rows(model, nabla)
 
 
 def count_series_products(monkeypatch):

@@ -352,6 +352,7 @@ def _gw_with(model=(), gw=()):
     _bv({**_BV_E, "bracket": [{"left": "e", "right": "e", "result": {"zz": "0"}}]}),
     _bv({**_BV_E, "unit": "zz"}),
     _bv({**_BV_E, "elements": {"k": {"zz": "1"}}}),
+    _bv({**_BV_E, "elements": {"a": {"zz": "1"}}}),
     {"task": "bv", "checks": ["gauge"], "alpha": {"zz": "1"}},
     _gw_with({"cup": [{"left": "zz", "right": "D", "result": {"D": "1"}}]}),
     _gw_with({"cup": [{"left": "D", "right": "D", "result": {"zz": "1"}}]}),
@@ -365,7 +366,7 @@ def _gw_with(model=(), gw=()):
     _gw_with({"m_class": "zz"}),
     _gw_with({"unit": "zz"}),
 ], ids=["product-result", "product-key", "delta-result", "delta-key",
-        "bracket-key", "bracket-result", "unit", "element", "alpha",
+        "bracket-key", "bracket-result", "unit", "element", "element-a", "alpha",
         "cup-key", "cup-result", "qpieces-key", "qpieces-result",
         "restriction-key", "restriction-result", "omega", "twists",
         "gw-z0", "gw-z1", "gw-z2", "gw-z2tilde", "gw-m-class", "gw-unit"])
@@ -435,14 +436,37 @@ def _bv_axioms(**field) -> dict:
      "gw z2tilde has an entry on 'e' of degree 0, expected degree 2"),
     (_bv_axioms(alpha={"t1": "1"}),
      "alpha has an entry on 't1' of degree 0, expected degree 1"),
+    ({"task": "bv", "checks": ["delta-nabla"],
+      "model": {**_BV_ODD, "elements": {"a": {"x": "1"}}}},
+     "element 'a' has an entry on 'x' of degree 1, expected degree 0"),
+    (_bv({**_BV_ODD, "elements": {"theta": {"e": "2"}}}),
+     "element 'theta' has an entry on 'e' of degree 0, expected degree 1"),
+    (_bv({**_BV_ODD, "elements": {"kappa": {"x": _s(trunc="3")}}}),
+     "element 'kappa' has an entry on 'x' of degree 1, expected degree 0"),
 ], ids=["bv-delta-degree-minus-2", "divisor-k0", "divisor-z0", "bracket",
-        "restriction", "z2tilde-truncated-zero", "gauge-alpha"])
+        "restriction", "z2tilde-truncated-zero", "gauge-alpha", "element-a-odd",
+        "element-theta-even", "element-kappa-truncated-zero"])
 def test_misgraded_entry_is_parse_error(tmp_path, task, entry):
     path = tmp_path / "misgraded.json"
     path.write_text(json.dumps(task))
     code, text = cli.run(str(path))
     assert code == cli.EXIT_PARSE, text
     assert text == f"parse error: {entry}"
+
+
+@pytest.mark.parametrize("result", [{"T": "1"}, {"zz": "1"}], ids=["graded", "undeclared"])
+def test_negative_k_quantum_piece_is_parse_error(tmp_path, result):
+    # |T| = 6 = |M| + |M| + 2, so the row itself passes the grading rule;
+    # k is refused before the row is decoded
+    task = _divisor_relations()
+    task["model"]["basis"].append({"name": "T", "degree": 6})
+    task["model"]["qpieces"].append({"left": "M", "right": "M", "k": -1, "result": result})
+    path = tmp_path / "negative_k.json"
+    path.write_text(json.dumps(task))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert text == ("parse error: qpieces row ('M', 'M') has k = -1: "
+                    "quantum pieces with k < 0 are zero")
 
 
 def test_exact_zero_on_any_class_is_graded(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _generators import adjacent_root_problem
 from novikov.bv import (
+    ELEMENT_DEGREES,
     BVModel,
     nilpotent_class_model,
     polyvector_model,
@@ -58,7 +59,9 @@ def graded_models(draw):
 
     model = {"basis": [{"name": n, "degree": d} for n, d in degrees.items()]}
     if draw(st.booleans()):
-        model.update(unit="a", product=rows(0), delta=images(-1), bracket=rows(-1))
+        model.update(unit="a", product=rows(0), delta=images(-1), bracket=rows(-1),
+                     elements={e: image(d) for e, d in ELEMENT_DEGREES.items()
+                               if draw(st.booleans())})
         decode = BVModel.from_json
     else:
         k = draw(st.integers(min_value=0, max_value=2))

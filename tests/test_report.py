@@ -69,6 +69,16 @@ def test_identity_names_the_first_failing_case_in_case_order():
     assert [c.passed for c in report.checks] == [False, True]
 
 
+def test_identity_evaluates_no_case_after_the_first_failing_one():
+    def cases():
+        yield "c1", {}
+        yield "c2", {"x": S((0, -1))}
+        raise AssertionError("a case after the first failing one was evaluated")
+
+    result = Report().identity("id", "eq", cases())
+    assert (result.passed, result.detail) == (False, "c2: (-1)*x")
+
+
 def series_form(x):
     """A vector of row entries as a vector of series: a rational is its
     exact constant series, and a rational zero is dropped."""
