@@ -14,7 +14,13 @@ from fractions import Fraction
 from . import bv as bvmod
 from . import operad as opmod
 from . import quantum as qmod
-from .errors import InsufficientPrecision, NovikovError, ParseError, require_object
+from .errors import (
+    InsufficientPrecision,
+    NovikovError,
+    ParseError,
+    require_list,
+    require_object,
+)
 from .graded import homogeneous, vec_from_json
 from .ode import (
     LatticeSeed,
@@ -275,12 +281,6 @@ def run_bv(payload: dict, trunc=None) -> Report:
     return report
 
 
-def _list(data, field: str) -> list:
-    if not isinstance(data, list):
-        raise ParseError(f"{field} must be a list, got {type(data).__name__}")
-    return data
-
-
 def run_operad(payload: dict, trunc=None) -> Report:
     report = Report()
     action = payload.get("action")
@@ -300,47 +300,16 @@ def run_operad(payload: dict, trunc=None) -> Report:
         sign = opmod.koszul_sign(integer(payload["phi1_degree"]),
                                  integer(payload["phi2_degree"]),
                                  integer(payload["slot"]),
-                                 [integer(d) for d in _list(payload.get("prefix", []), "prefix")])
+                                 [integer(d) for d in
+                                  require_list(payload.get("prefix", []), "prefix")])
         report.add("sign", "composition-law sign", True, str(sign))
     elif action == "compose":
-        space = tuple(integer(d) for d in _list(payload["space"], "space"))
-
-        def generator(x, where: str) -> int:
-            g = integer(x)
-            if not 0 <= g < len(space):
-                raise ParseError(f"{where} names generator {g} outside the "
-                                 f"{len(space)}-generator space")
-            return g
-
-        def load_op(name: str) -> opmod.GradedOperation:
-            # strict, so that compose's join sees only tuples of `arity`
-            # generators of the space, each at most once
-            raw = require_object(payload[name], f"operation {name!r}")
-            arity = integer(raw["arity"])
-            table = {}
-            for rec in _list(raw.get("table", []), f"{name} table"):
-                rec = require_object(rec, f"{name} table record")
-                inputs = rec["inputs"]
-                if not isinstance(inputs, list) or len(inputs) != arity:
-                    raise ParseError(f"{name} inputs must be a list of "
-                                     f"{arity} generators, one per input")
-                key = tuple(generator(g, f"{name} inputs") for g in inputs)
-                if key in table:
-                    raise ParseError(f"{name} inputs {list(key)} appear in two records")
-                output = require_object(rec["output"], f"{name} output")
-                table[key] = {generator(g, f"{name} output"): rat(c)
-                              for g, c in output.items()}
-            return opmod.GradedOperation(space=space, arity=arity,
-                                         degree=integer(raw["degree"]), table=table)
-        phi1 = load_op("phi1")
-        phi2 = load_op("phi2")
+        space = tuple(integer(d) for d in require_list(payload["space"], "space"))
+        phi1 = opmod.GradedOperation.from_json(payload["phi1"], space, "phi1")
+        phi2 = opmod.GradedOperation.from_json(payload["phi2"], space, "phi2")
         out = opmod.compose(phi1, integer(payload["slot"]), phi2)
-        rendered = [{"inputs": list(k),
-                     "output": {str(g): str(c) for g, c in sorted(v.items())}}
-                    for k, v in sorted(out.table.items())]
         report.add("compose", "signed operadic insertion", True,
-                   json.dumps({"arity": out.arity, "degree": out.degree,
-                               "table": rendered}, sort_keys=True))
+                   json.dumps(out.to_json(), sort_keys=True))
     else:
         raise ParseError(f"unknown operad action {action!r}")
     return report

@@ -60,3 +60,11 @@ def require_object(data, what: str) -> dict:
     if not isinstance(data, dict):
         raise ParseError(f"{what} must be an object, got {type(data).__name__}")
     return data
+
+
+def require_list(data, what: str) -> list:
+    """*data* if it is a JSON array; anything else is a :class:`ParseError`
+    naming *what* was expected."""
+    if not isinstance(data, list):
+        raise ParseError(f"{what} must be a list, got {type(data).__name__}")
+    return data

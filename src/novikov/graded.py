@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, require_object
-from .series import INF, NovikovSeries, integer, render_rational
+from .series import INF, NovikovSeries, integer, render_ratio
 
 Vec = dict  # basis name -> NovikovSeries, USeries or row entry
 Row = dict  # basis name -> row entry, a rational or a series
@@ -76,7 +76,8 @@ def vec_render(x: Vec) -> str:
     parts = []
     for k, s in sorted(x.items()):
         if not entry_is_zero(s):
-            shown = render_rational(s) if isinstance(s, (int, Fraction)) else s.render()
+            shown = (render_ratio(s.numerator, s.denominator)
+                     if isinstance(s, (int, Fraction)) else s.render())
             parts.append(f"({shown})*{k}")
     return " + ".join(parts) or "0"
 
@@ -95,10 +96,29 @@ def vec_map_from_json(data) -> dict[str, Vec]:
             for k, v in require_object(data, "vector map").items()}
 
 
+#: Most names a ``"basis"`` may declare.  The BV axioms check is cubic in
+#: the basis size; 48 is the ``polyvector`` model at ``MAX_BV_N`` (2n names
+#: at n = 24, about 2.5 s).  The bundled and benchmark files declare at
+#: most 8.
+MAX_BASIS = 48
+
+
 def basis_from_json(data) -> dict[str, int]:
-    """Decode ``"basis"``, a list of ``{name, degree}``, into the degrees."""
+    """Decode ``"basis"``, a list of ``{name, degree}``, into the degrees.
+    More than :data:`MAX_BASIS` entries, refused before any is read, or a
+    name declared twice is a :class:`ParseError`."""
     try:
-        return {b["name"]: integer(b["degree"]) for b in data["basis"]}
+        basis = data["basis"]
+        if len(basis) > MAX_BASIS:
+            raise ParseError(f"basis of {len(basis)} names is above "
+                             f"MAX_BASIS = {MAX_BASIS}")
+        degrees = {}
+        for b in basis:
+            name = b["name"]
+            if name in degrees:
+                raise ParseError(f"basis declares {name!r} twice")
+            degrees[name] = integer(b["degree"])
+        return degrees
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad basis declaration: {exc}") from exc
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InconsistentSeed, InsufficientPrecision, LatticeMismatch, ResonantExponent
-from .series import INF, NovikovSeries, Trunc, rat
+from .series import INF, NovikovSeries, Trunc, _reduced, rat
 
 
 @dataclass(frozen=True)
@@ -146,16 +146,17 @@ def schwarz_residual(theta: NovikovSeries, prob: ODEProblem,
 
 
 def _lattice_coeffs(series: NovikovSeries, shift: int, step: Fraction,
-                    bound, what: str) -> dict[int, Fraction]:
-    """Read off coefficients of q^(j*step + shift) for integer j >= 0.
+                    bound, what: str) -> dict[int, int]:
+    """Read off the coefficients of q^(j*step + shift) for integer j >= 0,
+    as their stored numerators over ``series.den``.
 
     *shift* is -1 for the first-order coefficient and -2 for the zeroth;
     terms below *bound* that sit off the lattice (or below the shift) would
     make the residual at an unreachable exponent nonzero, hence
     LatticeMismatch.
     """
-    out: dict[int, Fraction] = {}
-    scale, den = series.scale, series.den
+    out: dict[int, int] = {}
+    scale = series.scale
     limit = INF if bound == INF else math.ceil(bound * scale)
     # j = (k/scale - shift)/step over the stored exponent numerators k
     unit = scale * step.numerator
@@ -167,7 +168,7 @@ def _lattice_coeffs(series: NovikovSeries, shift: int, step: Fraction,
             raise LatticeMismatch(
                 f"{what} has a term at q^{Fraction(k, scale)}, not on the lattice "
                 f"{shift} + ({step})*Z>=0")
-        out[j] = Fraction(n, den)
+        out[j] = n
     return out
 
 
@@ -185,10 +186,12 @@ def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
     new unknown).
 
     The known part of the order-k equation is
-    sum_(j<k) c_j*(e0*P_m + R_m) + j*c_j*(step*P_m) with m = k - j.  It is
-    summed in integers: w_m = e0*P_m + R_m and s_m = step*P_m over one
-    common denominator D, and c_j, j*c_j over the lcm L of the denominators
-    of the c_j so far, so each order reduces one Fraction.
+    sum_(j<k) c_j*(e0*P_m + R_m) + j*c_j*(step*P_m) with m = k - j.  All of
+    it is integers over fixed denominators: d as dn/dd, I(d) as an integer
+    over FD, w_m = e0*P_m + R_m and s_m = step*P_m over one D read from the
+    stored numerators of p and r, and c_j, j*c_j over the lcm L of the
+    denominators of the c_j so far.  Each order reduces c_k with one gcd,
+    and rho is built in stored form from the numerators over L.
     """
     order = Fraction(order)
     e0, step = seed.base_exponent, seed.step
@@ -197,7 +200,6 @@ def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
     vpsi = prob.psi.valuation()
     inv_order = order - e0 + 2 + 2 * abs(vpsi if vpsi != INF else 0)
     p, r = second_order_coeffs(prob, order=inv_order)
-    P0, R0 = p.coefficient(-1), r.coefficient(-2)
     kmax = int((order - e0) / step)
     if e0 + kmax * step >= order:
         kmax -= 1
@@ -210,44 +212,57 @@ def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
             f"cannot drive the recursion to q^{order}")
     P = _lattice_coeffs(p, -1, step, min(order - e0 - 1, p.truncation), "p")
     R = _lattice_coeffs(r, -2, step, min(order - e0 - 2, r.truncation), "r")
-    zero = Fraction(0)
-    w = [e0 * P.get(m, zero) + R.get(m, zero) for m in range(kmax + 1)]
-    s = [step * P.get(m, zero) for m in range(kmax + 1)]
-    D = math.lcm(*(c.denominator for c in w + s))
-    W = [c.numerator * (D // c.denominator) for c in w]
-    S = [c.numerator * (D // c.denominator) for c in s]
-    coeffs: list[Fraction] = []
+    # P_m = P[m]/pd, R_m = R[m]/rd; P_0 and R_0 are the q^-1 and q^-2
+    # coefficients, which always sit on the lattice
+    pd, rd = p.den, r.den
+    en, ed, sn, sd = e0.numerator, e0.denominator, step.numerator, step.denominator
+    D = math.lcm(ed * pd, sd * pd, rd)
+    we, wr, ws = en * (D // (ed * pd)), D // rd, sn * (D // (sd * pd))
+    W = [we * P.get(m, 0) + wr * R.get(m, 0) for m in range(kmax + 1)]
+    S = [ws * P.get(m, 0) for m in range(kmax + 1)]
+    # d = dn/dd, dn = dn0 + k*dstep; I(d) = (dn*(dn - dd)*pd*rd + P0*dn*dd*rd
+    # + R0*dd^2*pd) / FD
+    dd = math.lcm(ed, sd)
+    dn0, dstep = en * (dd // ed), sn * (dd // sd)
+    FD = dd * dd * pd * rd
+    fp, fr = P.get(0, 0) * dd * rd, R.get(0, 0) * dd * dd * pd
     L = 1
     cl: list[int] = []   # c_j * L
     jcl: list[int] = []  # j * c_j * L
     for k in range(kmax + 1):
-        d = e0 + k * step
-        # c_j pairs with w_(k-j), s_(k-j): W and S read backwards from k to 1
-        known = Fraction(sum(map(mul, cl, W[k:0:-1])) + sum(map(mul, jcl, S[k:0:-1])),
-                         L * D)
-        factor = d * (d - 1) + P0 * d + R0
+        dn = dn0 + k * dstep
+        # c_j pairs with w_(k-j), s_(k-j): W and S read backwards from k to 1;
+        # the known part is KN/(L*D)
+        KN = sum(map(mul, cl, W[k:0:-1])) + sum(map(mul, jcl, S[k:0:-1]))
+        FN = dn * (dn - dd) * pd * rd + fp * dn + fr
         if k < 2:
             ck = seed.coeffs[k]
-            if factor * ck + known != 0:
+            cn, cd = ck.numerator, ck.denominator
+            if FN * cn * L * D + KN * FD * cd:
+                d = Fraction(dn, dd)
                 raise InconsistentSeed(
                     f"seeded coefficient c_{k} violates the order-q^{d - 2} "
-                    f"equation: {factor}*{ck} + {known} != 0")
+                    f"equation: {Fraction(FN, FD)}*{ck} + {Fraction(KN, L * D)} != 0")
         else:
-            if factor == 0:
+            if not FN:
                 raise ResonantExponent(
-                    f"indicial factor vanishes at exponent {d}; the lattice "
-                    f"recursion does not determine c_{k}")
-            ck = -known / factor
-        grow = ck.denominator // math.gcd(L, ck.denominator)
+                    f"indicial factor vanishes at exponent {Fraction(dn, dd)}; the "
+                    f"lattice recursion does not determine c_{k}")
+            # c_k = -(KN/(L*D)) / (FN/FD)
+            cn, cd = -KN * FD, L * D * FN
+            if cd < 0:
+                cn, cd = -cn, -cd
+            g = math.gcd(cn, cd)
+            cn, cd = cn // g, cd // g
+        grow = cd // math.gcd(L, cd)
         if grow > 1:
             L *= grow
             cl = [c * grow for c in cl]
             jcl = [c * grow for c in jcl]
-        coeffs.append(ck)
-        cl.append(ck.numerator * (L // ck.denominator))
+        cl.append(cn * (L // cd))
         jcl.append(k * cl[-1])
-    return NovikovSeries(((e0 + k * step, c) for k, c in enumerate(coeffs)),
-                         truncation=order)
+    # e0 + kmax*step < order, and the exponents ascend
+    return _reduced([dn0 + k * dstep for k in range(kmax + 1)], dd, cl, L, order)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError, ZConflict, require_object
+from .errors import ParseError, ZConflict, require_list, require_object
+from .series import integer, ratio, render_ratio
 
 EPS = 1e-9
 
@@ -260,17 +261,76 @@ def koszul_sign(deg_phi1: int, deg_phi2: int, slot: int,
 @dataclass
 class GradedOperation:
     """Multilinear map on a small graded space, stored as a table from
-    generator index tuples to output vectors."""
+    generator index tuples to output vectors.
+
+    Coefficient ``table[inputs][gen]`` is the integer numerator of
+    ``table[inputs][gen]/den``.  ``den`` is canonical: the lcm of the
+    coefficients' denominators, so ``gcd(den, *numerators) == 1``, and 1
+    for a table with no nonzero coefficient.  Rationals appear only at the
+    edges: :meth:`from_rationals` and :meth:`from_json` read them in, and
+    :meth:`to_json` renders each coefficient as ``str`` of its Fraction.
+    """
 
     space: tuple[int, ...]  # degree of each generator
     arity: int
     degree: int
-    table: dict[tuple[int, ...], dict[int, Fraction]] = field(default_factory=dict)
+    table: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
+    den: int = 1
 
     @classmethod
     def identity(cls, space: tuple[int, ...]) -> "GradedOperation":
         return cls(space=tuple(space), arity=1, degree=0,
-                   table={(i,): {i: Fraction(1)} for i in range(len(space))})
+                   table={(i,): {i: 1} for i in range(len(space))})
+
+    @classmethod
+    def from_rationals(cls, space: tuple[int, ...], arity: int, degree: int,
+                       table: dict) -> "GradedOperation":
+        """The operation whose coefficients are the rationals of *table*:
+        ints, Fractions or literals such as ``"3/4"``."""
+        return cls(space, arity, degree, *_over_one_den(
+            {key: {g: ratio(c) for g, c in out.items()} for key, out in table.items()}))
+
+    @classmethod
+    def from_json(cls, data, space: tuple[int, ...], name: str) -> "GradedOperation":
+        """Decode ``{arity, degree, table}`` on *space*, strictly, so that
+        :func:`compose`'s join sees only tuples of ``arity`` generators of
+        the space, each at most once; *name* labels the parse errors."""
+        n = len(space)
+
+        def generator(x, where: str) -> int:
+            g = x if type(x) is int else integer(x)
+            if not 0 <= g < n:
+                raise ParseError(f"{where} names generator {g} outside the "
+                                 f"{n}-generator space")
+            return g
+
+        raw = require_object(data, f"operation {name!r}")
+        arity = integer(raw["arity"])
+        pairs = {}
+        at_record, at_inputs, at_output = (f"{name} table record", f"{name} inputs",
+                                           f"{name} output")
+        for rec in require_list(raw.get("table", []), f"{name} table"):
+            rec = require_object(rec, at_record)
+            inputs = rec["inputs"]
+            if not isinstance(inputs, list) or len(inputs) != arity:
+                raise ParseError(f"{name} inputs must be a list of "
+                                 f"{arity} generators, one per input")
+            key = tuple([generator(g, at_inputs) for g in inputs])
+            if key in pairs:
+                raise ParseError(f"{name} inputs {list(key)} appear in two records")
+            output = require_object(rec["output"], at_output)
+            pairs[key] = {generator(g, at_output): ratio(c) for g, c in output.items()}
+        return cls(space, arity, integer(raw["degree"]), *_over_one_den(pairs))
+
+    def to_json(self) -> dict:
+        """Arity, degree and the table by inputs, each coefficient as the
+        ``str`` of its Fraction; ``json.dumps(..., sort_keys=True)`` orders
+        each output by generator name."""
+        d = self.den
+        return {"arity": self.arity, "degree": self.degree,
+                "table": [{"inputs": list(key),
+                           "output": {str(g): render_ratio(n, d) for g, n in out.items()}}
+                          for key, out in sorted(self.table.items())]}
 
     def is_homogeneous(self) -> bool:
         for inputs, out in self.table.items():
@@ -290,9 +350,31 @@ class GradedOperation:
         for key in keys:
             a, b = self.table.get(key, {}), other.table.get(key, {})
             gens = set(a) | set(b)
-            if any(a.get(g, 0) != b.get(g, 0) for g in gens):
+            if any(a.get(g, 0) * other.den != b.get(g, 0) * self.den for g in gens):
                 return False
         return True
+
+
+def _over_one_den(pairs: dict) -> tuple[dict, int]:
+    """A table of ``(numerator, denominator)`` pairs as canonical
+    numerators over one den."""
+    den = math.lcm(*(d for out in pairs.values() for _, d in out.values()))
+    return _canonical({key: {g: n * (den // d) for g, (n, d) in out.items()}
+                       for key, out in pairs.items()}, den)
+
+
+def _canonical(table: dict, den: int) -> tuple[dict, int]:
+    """*table* over *den* with the common factor of *den* and every
+    numerator divided out."""
+    g = den
+    for out in table.values():
+        g = math.gcd(g, *out.values())
+        if g == 1:
+            return table, den
+    if g > 1:
+        table = {key: {gen: n // g for gen, n in out.items()}
+                 for key, out in table.items()}
+    return table, den // g
 
 
 def compose(phi1: GradedOperation, slot: int,
@@ -302,7 +384,9 @@ def compose(phi1: GradedOperation, slot: int,
     A join over the two tables: each phi2 entry meets only the phi1
     entries whose *slot* input is one of its output generators, so the
     cost is the number of matching pairs, not ``gens**arity``.  Every
-    table key must be a tuple of ``arity`` generators of the space."""
+    table key must be a tuple of ``arity`` generators of the space.  The
+    numerators multiply, the result is over ``den1*den2``, and it is
+    reduced once."""
     if phi1.space != phi2.space:
         raise ValueError("operations live on different spaces")
     if not 1 <= slot <= phi1.arity:
@@ -316,7 +400,7 @@ def compose(phi1: GradedOperation, slot: int,
                            [phi1.space[g] for g in prefix])
         by_mid.setdefault(k1[i], []).append(
             (prefix, k1[slot:], [(g, sign * c) for g, c in v1.items()]))
-    table: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    table: dict[tuple[int, ...], dict[int, int]] = {}
     for k2, v2 in phi2.table.items():
         for mid, cmid in v2.items():
             for prefix, suffix, signed in by_mid.get(mid, ()):
@@ -324,11 +408,13 @@ def compose(phi1: GradedOperation, slot: int,
                 for gen, cout in signed:
                     term = cmid * cout
                     acc[gen] = acc[gen] + term if gen in acc else term
-    for key, acc in list(table.items()):
-        acc = {g: c for g, c in acc.items() if c}
+    # drop the coefficients that cancelled, and the rows left empty
+    for key in [key for key, acc in table.items() if not (acc and all(acc.values()))]:
+        acc = {g: c for g, c in table[key].items() if c}
         if acc:
             table[key] = acc
         else:
             del table[key]
-    return GradedOperation(space=phi1.space, arity=phi1.arity + phi2.arity - 1,
-                           degree=phi1.degree + phi2.degree, table=table)
+    return GradedOperation(phi1.space, phi1.arity + phi2.arity - 1,
+                           phi1.degree + phi2.degree,
+                           *_canonical(table, phi1.den * phi2.den))

@@ -13,10 +13,12 @@ A series is stored as integers: exponent numerators over one exponent
 scale and coefficient numerators over one coefficient denominator, in
 lowest terms as a whole rather than term by term.  Every kernel (products,
 sums, ``d_q``, inversion, truncation) works on those integer lists and
-reduces once per result.  Fractions appear only at the edges: literals are
-read into the integer form, and ``terms``, the ``(exponent, coefficient)``
-Fraction pairs that rendering, JSON and ``coefficient`` use, is built on
-first use and cached.
+reduces once per result, and ``render`` reads them with one gcd per
+exponent and one per coefficient.  Fractions appear only at the edges:
+literals are read into the integer form, ``coefficient`` and
+``valuation`` return Fractions, and ``terms``, the ``(exponent,
+coefficient)`` Fraction pairs that ``to_json`` uses, is built on first use
+and cached.
 
 The same type doubles as the Laurent-type series field in an auxiliary
 variable (``h`` in the mirror computations); only rendering cares about the
@@ -75,7 +77,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _ratio(x) -> tuple[int, int]:
+def ratio(x) -> tuple[int, int]:
     """``rat(x)`` as a ``(numerator, denominator)`` pair, denominator
     positive but not always in lowest terms.  An int or an ``"n"``/``"n/d"``
     string, the forms task files use, is read with ``int()`` and builds no
@@ -118,7 +120,7 @@ class NovikovSeries:
 
     def __init__(self, terms: Iterable[tuple[Rat, Rat]] = (), truncation: Trunc = INF):
         trunc = _trunc(truncation)
-        quads = [(*_ratio(exp), *_ratio(coeff)) for exp, coeff in terms]
+        quads = [(*ratio(exp), *ratio(coeff)) for exp, coeff in terms]
         if isinstance(trunc, float):
             quads = [t for t in quads if t[2]]
         else:
@@ -380,18 +382,29 @@ class NovikovSeries:
     # -- rendering / encoding ---------------------------------------------
 
     def render(self, var: str = "q") -> str:
-        """Canonical text form, e.g. ``1/2*q^-1 + 3*q^2 + O(q^5)``."""
-        if not self.exps:
-            body = "0"
-        else:
-            parts = []
-            for e, c in self.terms:
-                parts.append(_render_term(e, c, var, first=not parts))
-            body = "".join(parts)
+        """Canonical text form, e.g. ``1/2*q^-1 + 3*q^2 + O(q^5)``, read
+        from the stored integers: one gcd per exponent and one per
+        coefficient, no Fraction."""
+        parts = []
+        s, d = self.scale, self.den
+        for k, n in zip(self.exps, self.nums):
+            mag = -n if n < 0 else n
+            if k and mag == d:
+                body = f"{var}^{render_ratio(k, s, exponent=True)}"
+            else:
+                body = render_ratio(mag, d)
+                if k:
+                    body = f"{body}*{var}^{render_ratio(k, s, exponent=True)}"
+            if parts:
+                parts.append(f" - {body}" if n < 0 else f" + {body}")
+            else:
+                parts.append(f"-{body}" if n < 0 else body)
+        body = "".join(parts)
         if self.truncation != INF:
-            tail = f"O({var}^{_render_exp(self.truncation)})"
-            body = tail if body == "0" else f"{body} + {tail}"
-        return body
+            t = self.truncation
+            tail = f"O({var}^{render_ratio(t.numerator, t.denominator, exponent=True)})"
+            body = f"{body} + {tail}" if body else tail
+        return body or "0"
 
     def __repr__(self) -> str:
         return f"NovikovSeries({self.render()})"
@@ -510,38 +523,28 @@ def _coerce(x) -> NovikovSeries:
     raise TypeError(f"cannot treat {type(x).__name__} as a series")
 
 
-def _render_exp(e) -> str:
-    if e == INF:
-        return "inf"
-    return str(e) if e.denominator == 1 else f"({e})"
-
-
-def render_rational(c: Rat) -> str:
-    """``str(c)``; a rational past the interpreter's limit on int -> str
-    conversion is a :class:`NovikovError` that names its size and the
-    limit, which stays as it is."""
+def render_ratio(n: int, d: int, exponent: bool = False) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``, built without a Fraction, and
+    in parentheses when it is not whole and *exponent* is set.  A
+    coefficient past the interpreter's limit on int -> str conversion is a
+    :class:`NovikovError` that names its size and the limit, which stays as
+    it is; an exponent raises the interpreter's ValueError."""
+    if d > 1:
+        g = math.gcd(n, d)
+        if g > 1:
+            n, d = n // g, d // g
     try:
-        return str(c)
+        if d == 1:
+            return str(n)
+        return f"({n}/{d})" if exponent else f"{n}/{d}"
     except ValueError:
-        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        if exponent:
+            raise
+        bits = max(n.bit_length(), d.bit_length())
         raise NovikovError(
             f"cannot render a coefficient of {bits} bits (about "
             f"{int(bits * math.log10(2)) + 1} decimal digits): the interpreter "
             f"converts at most {sys.get_int_max_str_digits()} digits") from None
-
-
-def _render_term(e: Fraction, c: Fraction, var: str, first: bool) -> str:
-    sign = "-" if c < 0 else "+"
-    mag = -c if c < 0 else c
-    if e == 0:
-        body = render_rational(mag)
-    elif mag == 1:
-        body = f"{var}^{_render_exp(e)}"
-    else:
-        body = f"{render_rational(mag)}*{var}^{_render_exp(e)}"
-    if first:
-        return body if c > 0 else f"-{body}"
-    return f" {sign} {body}"
 
 
 def equal_up_to(a: NovikovSeries, b: NovikovSeries, order: Rat) -> bool:

@@ -332,7 +332,7 @@ def test_criterion_8_operad_suite():
         for inputs in itertools.product(gens, repeat=arity):
             for out_gen in gens:
                 yield GradedOperation(space=space, arity=arity, degree=degree,
-                                      table={tuple(inputs): {out_gen: F(1)}})
+                                      table={tuple(inputs): {out_gen: 1}})
 
     def assoc_failures(space, sample_every=1):
         count = 0

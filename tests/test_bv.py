@@ -731,6 +731,19 @@ def test_r_endomorphism_unit():
         assert vec_is_zero(model.bracket(model.unit_vec(), model.basis_vec(n)))
 
 
+def test_r_endomorphism_stops_at_the_first_failing_name(monkeypatch):
+    model = polyvector_model_with_k(3)
+    model.elements["k"] = model.basis_vec("t1x")  # Delta k = t1, and t1.t0 = t1
+    calls = []
+    original = BVModel.modified_bracket
+    monkeypatch.setattr(BVModel, "modified_bracket",
+                        lambda self, *a: calls.append(a) or original(self, *a))
+    row = r_endomorphism_check(model).checks[-1]
+    assert len(model.degrees) == 12 and len(calls) == 1
+    assert (row.name, row.passed) == ("r-two-forms", False)
+    assert row.detail == "t0: (-1)*t1 (= -(Delta k).t0)"
+
+
 def test_r_endomorphism_defect():
     model = polyvector_model(3)
     model.elements["k"] = model.basis_vec("t1x")  # Delta(t1x) = t0 != 0

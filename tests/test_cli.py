@@ -11,6 +11,7 @@ from importlib import resources
 import pytest
 
 from novikov import cli
+from novikov.graded import MAX_BASIS
 
 TASKS = ["riccati_chain.json", "gauss_manin.json", "mirror_suite.json",
          "divisor_relations.json", "bv_axioms.json", "class_equation.json",
@@ -469,6 +470,28 @@ def test_negative_k_quantum_piece_is_parse_error(tmp_path, result):
                     "quantum pieces with k < 0 are zero")
 
 
+def _with_basis(task: dict, basis: list) -> dict:
+    return {**task, "model": {**task["model"], "basis": basis}}
+
+
+@pytest.mark.parametrize("task, name", [
+    # passed all ten axiom rows with exit 0 when the later degree won
+    (_with_basis(_bv({**_BV_E, "product": [
+        *_BV_E["product"], {"left": "e", "right": "x", "result": {"x": "1"}}]}),
+        [{"name": "e", "degree": 0}, {"name": "x", "degree": 1},
+         {"name": "x", "degree": 2}]), "x"),
+    (_with_basis(_divisor_relations(), [{"name": "D", "degree": 2},
+                                        {"name": "M", "degree": 2},
+                                        {"name": "D", "degree": 4}]), "D"),
+], ids=["bv", "gw"])
+def test_repeated_basis_name_is_parse_error(tmp_path, task, name):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(task))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert text == f"parse error: basis declares {name!r} twice"
+
+
 def test_exact_zero_on_any_class_is_graded(tmp_path):
     # an exact zero is no entry at all, wherever it sits
     path = tmp_path / "zero.json"
@@ -777,9 +800,14 @@ def test_console_script_smoke():
      "MAX_ORDER"),
     (_gw(["psi-eta"], {"z1": _Z1, "gamma": "3"}) | {"order": "100000000"}, None,
      "MAX_ORDER"),
+    (_with_basis(_bv(_BV_E), [{"name": f"b{i}", "degree": 0}
+                              for i in range(MAX_BASIS + 1)]), None, "MAX_BASIS"),
+    # entries that could not be read: the size is refused before any is
+    (_with_basis(_divisor_relations(), [{}] * (MAX_BASIS + 1)), None, "MAX_BASIS"),
 ], ids=["solve-order-100000", "solve-half-step", "bv-n-huge", "bv-n-one-over",
         "mirror-order-1000000", "trunc-1000000", "problem-truncated-at-1000000",
-        "bv-class-equation-order-1000000", "gw-order-1000000", "psi-eta-order-100000000"])
+        "bv-class-equation-order-1000000", "gw-order-1000000", "psi-eta-order-100000000",
+        "bv-basis-one-over", "gw-basis-one-over"])
 def test_oversized_request_is_refused_fast(tmp_path, monkeypatch, task, trunc, cap):
     # refused before any work: neither the solver, nor a model builder, nor
     # a residual or mirror kernel runs
@@ -789,8 +817,9 @@ def test_oversized_request_is_refused_fast(tmp_path, monkeypatch, task, trunc, c
         monkeypatch.setattr(cli, name, lambda *a: started.append(a))
     for name in ("polyvector_model", "polyvector_model_with_k"):
         monkeypatch.setattr(cli.bvmod, name, lambda *a: started.append(a))
-    for name in ("gauss_manin_check", "psi_eta_check"):
+    for name in ("gauss_manin_check", "psi_eta_check", "divisor_relations_check"):
         monkeypatch.setattr(cli.qmod, name, lambda *a: started.append(a))
+    monkeypatch.setattr(cli.bvmod, "check_bv_axioms", lambda *a: started.append(a))
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(task))
     code, text = cli.run(str(path), trunc=trunc)
@@ -812,11 +841,28 @@ def test_residual_past_the_digit_limit_is_a_domain_error(tmp_path):
     assert text.startswith("NovikovError: cannot render a coefficient of")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter has no int -> str digit limit")
+def test_composed_coefficient_past_the_digit_limit_is_a_domain_error(tmp_path):
+    # two 3001-digit coefficients compose to one of 6001 digits, refused by
+    # name like a series coefficient, exit 4
+    op = {"arity": 1, "degree": 0,
+          "table": [{"inputs": [0], "output": {"0": "1" + "0" * 3000}}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"task": "operad", "action": "compose", "space": [0],
+                                "slot": 1, "phi1": op, "phi2": op}))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_DOMAIN, text
+    assert text.startswith("NovikovError: cannot render a coefficient of 19932 bits")
+
+
 def test_requests_at_the_caps_run(tmp_path):
     # the caps sit above the benchmark's and the planned large workload's
     # sizes (order 300, n = 16)
     assert cli.MAX_SOLVE_TERMS >= 2 * 300 and cli.MAX_BV_N >= 16
     assert cli.MAX_ORDER >= 600
+    # an explicit model may be as large as the polyvector model at MAX_BV_N
+    assert MAX_BASIS == 2 * cli.MAX_BV_N
     path = tmp_path / "at-cap.json"
     path.write_text(json.dumps(_ode({
         "type": "solve", "order": str(cli.MAX_SOLVE_TERMS),

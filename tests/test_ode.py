@@ -285,8 +285,11 @@ def oracle_solve(prob, seed, order):
         raise InsufficientPrecision(
             f"coefficients known below q^{min(p.truncation, r.truncation + 1)} "
             f"cannot drive the recursion to q^{order}")
-    P = _lattice_coeffs(p, -1, step, min(order - e0 - 1, p.truncation), "p")
-    R = _lattice_coeffs(r, -2, step, min(order - e0 - 2, r.truncation), "r")
+    # _lattice_coeffs gives the stored numerators over the series' den
+    P = {j: F(n, p.den) for j, n in
+         _lattice_coeffs(p, -1, step, min(order - e0 - 1, p.truncation), "p").items()}
+    R = {j: F(n, r.den) for j, n in
+         _lattice_coeffs(r, -2, step, min(order - e0 - 2, r.truncation), "r").items()}
     coeffs = {}
     for k in range(kmax + 1):
         d = e0 + k * step

@@ -1,6 +1,8 @@
 """Disc gluing geometry and the signed composition of graded operations."""
 
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from novikov.cli import run_operad
 from novikov.errors import ZConflict
 from novikov.operad import (
     Disc,
@@ -270,7 +273,7 @@ def elementary_ops(space, arity, degree):
     for inputs in itertools.product(gens, repeat=arity):
         for out in gens:
             yield GradedOperation(space=space, arity=arity, degree=degree,
-                                  table={tuple(inputs): {out: F(1)}})
+                                  table={tuple(inputs): {out: 1}})
 
 
 def test_compose_with_identity():
@@ -284,23 +287,24 @@ def test_compose_with_identity():
 
 def test_compose_scalar_tables():
     space = (0,)
-    phi = GradedOperation(space=space, arity=2, degree=0,
-                          table={(0, 0): {0: F(3)}})
-    psi = GradedOperation(space=space, arity=2, degree=0,
-                          table={(0, 0): {0: F(5)}})
+    phi = GradedOperation.from_rationals(space, 2, 0, {(0, 0): {0: F(3, 2)}})
+    psi = GradedOperation.from_rationals(space, 2, 0, {(0, 0): {0: F(10, 3)}})
+    assert (phi.table, phi.den, psi.table, psi.den) == \
+        ({(0, 0): {0: 3}}, 2, {(0, 0): {0: 10}}, 3)
     out = compose(phi, 1, psi)
     assert out.arity == 3
-    assert out.table[(0, 0, 0)] == {0: F(15)}
+    # 30/6 reduces once, to 5/1
+    assert (out.table, out.den) == ({(0, 0, 0): {0: 5}}, 1)
 
 
 def test_compose_sign_flips_on_odd_prefix():
     space = (1, 1)
     phi1 = GradedOperation(space=space, arity=2, degree=0,
-                           table={(0, 0): {0: F(1)}})
+                           table={(0, 0): {0: 1}})
     phi2 = GradedOperation(space=space, arity=1, degree=1,
-                           table={(0,): {0: F(1)}})
+                           table={(0,): {0: 1}})
     out = compose(phi1, 2, phi2)  # prefix degree 1, |phi2| = 1 -> sign -1
-    assert out.table[(0, 0)] == {0: F(-1)}
+    assert out.table[(0, 0)] == {0: -1}
 
 
 @pytest.mark.parametrize("space", [(0,), (0, 1), (1, 1)])
@@ -319,15 +323,22 @@ def test_compose_associativity_exhaustive(space):
                     assert lhs == rhs
 
 
+def fractions(phi):
+    """phi's table with each coefficient as its Fraction."""
+    return {key: {g: F(n, phi.den) for g, n in out.items()}
+            for key, out in phi.table.items()}
+
+
 def oracle_compose(phi1, slot, phi2):
     """The enumeration that compose's join replaced: every tuple of
-    generators of the output arity, looked up in both tables."""
+    generators of the output arity, looked up in both tables, over
+    Fractions.  Returns the Fraction table."""
     arity = phi1.arity + phi2.arity - 1
-    out = GradedOperation(space=phi1.space, arity=arity,
-                          degree=phi1.degree + phi2.degree)
+    t1, t2 = fractions(phi1), fractions(phi2)
+    table = {}
     for inputs in itertools.product(range(len(phi1.space)), repeat=arity):
         prefix = inputs[:slot - 1]
-        inner = phi2.table.get(inputs[slot - 1:slot - 1 + phi2.arity], {})
+        inner = t2.get(inputs[slot - 1:slot - 1 + phi2.arity], {})
         suffix = inputs[slot - 1 + phi2.arity:]
         if not inner:
             continue
@@ -335,13 +346,13 @@ def oracle_compose(phi1, slot, phi2):
                            [phi1.space[g] for g in prefix])
         acc = {}
         for mid, cmid in inner.items():
-            outer = phi1.table.get(prefix + (mid,) + suffix, {})
+            outer = t1.get(prefix + (mid,) + suffix, {})
             for gen, cout in outer.items():
                 acc[gen] = acc.get(gen, F(0)) + sign * cmid * cout
         acc = {g: c for g, c in acc.items() if c}
         if acc:
-            out.table[tuple(inputs)] = acc
-    return out
+            table[tuple(inputs)] = acc
+    return table
 
 
 # few coefficient values, so that sums over several middle generators
@@ -360,15 +371,14 @@ def compositions(draw):
         table = draw(st.dictionaries(st.tuples(*[gens] * arity),
                                      st.dictionaries(gens, _COEFFS, max_size=3),
                                      max_size=10))
-        return GradedOperation(space=space, arity=arity,
-                               degree=draw(st.integers(-1, 1)), table=table)
+        return GradedOperation.from_rationals(space, arity,
+                                              draw(st.integers(-1, 1)), table)
 
     phi1, phi2 = operation(), operation()
     return phi1, draw(st.integers(1, phi1.arity)), phi2
 
 
-def _op(space, arity, degree, table):
-    return GradedOperation(space=space, arity=arity, degree=degree, table=table)
+_op = GradedOperation.from_rationals
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,20 +388,52 @@ def _op(space, arity, degree, table):
           _op((0, 0), 1, 0, {(0,): {0: F(1), 1: F(1)}, (1,): {0: F(2)}})))
 @example((_op((1, 0), 2, 0, {(0, 1): {0: F(1), 1: F(3)}}), 2,
           _op((1, 0), 1, 1, {(0,): {1: F(1)}})))
+# a phi1 row with no generators meets a phi2 entry: no key may be left
+@example((_op((0,), 1, 0, {(0,): {}}), 1, _op((0,), 1, 0, {(0,): {0: F(1)}})))
 def test_compose_matches_enumeration_oracle(case):
     phi1, slot, phi2 = case
-    got, want = compose(phi1, slot, phi2), oracle_compose(phi1, slot, phi2)
+    got = compose(phi1, slot, phi2)
     assert (got.space, got.arity, got.degree) == \
-        (want.space, want.arity, want.degree)
-    # plain dicts: GradedOperation.__eq__ equates a missing and an empty key
-    assert got.table == want.table
+        (phi1.space, phi1.arity + phi2.arity - 1, phi1.degree + phi2.degree)
+    # plain dicts of values: GradedOperation.__eq__ equates a missing and an
+    # empty key, and compares numerators only across the two dens
+    assert fractions(got) == oracle_compose(phi1, slot, phi2)
+    # the stored form is canonical
+    assert math.gcd(got.den, *(n for out in got.table.values() for n in out.values())) == 1
+
+
+def _literal_table(phi):
+    return [{"inputs": list(key), "output": {str(g): str(c) for g, c in out.items()}}
+            for key, out in fractions(phi).items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(compositions())
+def test_cli_compose_detail_is_the_json_of_the_fraction_oracle(case):
+    # the detail renders the integer table; the oracle's is str(Fraction)
+    # per entry through the same json.dumps
+    phi1, slot, phi2 = case
+    payload = {"task": "operad", "action": "compose", "space": list(phi1.space),
+               "slot": slot,
+               "phi1": {"arity": phi1.arity, "degree": phi1.degree,
+                        "table": _literal_table(phi1)},
+               "phi2": {"arity": phi2.arity, "degree": phi2.degree,
+                        "table": _literal_table(phi2)}}
+    [row] = run_operad(payload).checks
+    want = oracle_compose(phi1, slot, phi2)
+    rendered = [{"inputs": list(k),
+                 "output": {str(g): str(c) for g, c in sorted(v.items())}}
+                for k, v in sorted(want.items())]
+    assert row.detail == json.dumps(
+        {"arity": phi1.arity + phi2.arity - 1, "degree": phi1.degree + phi2.degree,
+         "table": rendered}, sort_keys=True)
 
 
 def test_homogeneity_validation():
     space = (0, 1)
     good = GradedOperation(space=space, arity=2, degree=1,
-                           table={(0, 0): {1: F(1)}})
+                           table={(0, 0): {1: 1}})
     assert good.is_homogeneous()
     bad = GradedOperation(space=space, arity=2, degree=1,
-                          table={(0, 0): {0: F(1)}})
+                          table={(0, 0): {0: 1}})
     assert not bad.is_homogeneous()

@@ -691,6 +691,25 @@ def test_render_zero_and_signs():
     assert S((F(1, 2), 1)).render() == "q^(1/2)"
 
 
+@pytest.mark.parametrize("terms, text", [
+    # coefficients stored as 2/6, 3/6 and 6/6 reduce term by term
+    (((F(1, 2), F(1, 3)), (F(2, 3), F(1, 2)), (1, 1)),
+     "1/3*q^(1/2) + 1/2*q^(2/3) + q^1"),
+    # exponents stored as 3/6 and -4/6 reduce term by term
+    (((F(-2, 3), F(-1, 2)), (F(1, 2), F(1, 6))), "-1/2*q^(-2/3) + 1/6*q^(1/2)"),
+    # a negative rational exponent and a unit coefficient
+    (((F(-3, 2), -1), (0, 2)), "-q^(-3/2) + 2"),
+    # +-1 at q^0 renders as the constant, first or later
+    (((0, -1), (1, 2)), "-1 + 2*q^1"),
+    (((0, 1), (F(1, 3), F(-4, 3))), "1 - 4/3*q^(1/3)"),
+    (((-1, 1), (0, -1)), "q^-1 - 1"),
+    (((F(-1, 2), F(3, 2)), (0, 1)), "3/2*q^(-1/2) + 1"),
+])
+def test_render_reduces_each_term_of_the_stored_form(terms, text):
+    s = S(*terms)
+    assert s.render() == text == ref_render((dict(s.terms), INF))
+
+
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
