@@ -55,9 +55,9 @@ EXIT_DOMAIN = 4
 MAX_SOLVE_TERMS = 1000
 
 #: Largest ``n`` a ``bv`` task may give.  ``polyvector`` models have 2n
-#: basis names and the axioms check is cubic in that (about 0.8 s at
-#: n = 16 and 2.5 s at n = 24); the bundled and benchmark files give at
-#: most 6.
+#: basis names and the axioms check is cubic in that (an ``axioms`` task
+#: takes about 0.4 s at n = 16 and 1.3 s at n = 24 on Python 3.11, best of
+#: 3); the bundled and benchmark files give at most 6.
 MAX_BV_N = 24
 
 #: Highest working order a task may ask for: an ``"order"``, ``--trunc``,

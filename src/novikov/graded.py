@@ -98,7 +98,7 @@ def vec_map_from_json(data) -> dict[str, Vec]:
 
 #: Most names a ``"basis"`` may declare.  The BV axioms check is cubic in
 #: the basis size; 48 is the ``polyvector`` model at ``MAX_BV_N`` (2n names
-#: at n = 24, about 2.5 s).  The bundled and benchmark files declare at
+#: at n = 24, about 1.3 s).  The bundled and benchmark files declare at
 #: most 8.
 MAX_BASIS = 48
 

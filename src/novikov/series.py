@@ -35,7 +35,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InsufficientPrecision, NovikovError, ParseError
+from .errors import InsufficientPrecision, NovikovError, ParseError, require_list
 
 #: Truncation value meaning "exact": comparisons and sums with Fractions
 #: behave correctly (Fraction < INF, Fraction + INF == INF).
@@ -43,6 +43,19 @@ INF = math.inf
 
 Rat = Union[int, Fraction]
 Trunc = Union[Fraction, float]
+
+#: Most terms a series literal may list, refused before any is read.  A
+#: series with integer exponents holds at most 1000 terms below the CLI's
+#: highest working order; the bundled and benchmark files list at most 60.
+MAX_SERIES_TERMS = 2000
+
+#: Most exponents ``invert`` may finish below its order.  A step of
+#: ``q^(1/N)`` puts about ``N`` exponents below each power of ``q``, so a
+#: literal with a tiny step would otherwise make the walk run without end.
+#: 10000 exponents take about 0.02 s for three terms; an inverse to order
+#: 1000 over steps 1/2 and 1/3 finishes 5999, and the benchmark pools at
+#: most 62.
+MAX_INVERT_EXPONENTS = 10000
 
 
 def rat(x) -> Fraction:
@@ -228,7 +241,10 @@ class NovikovSeries:
     def __mul__(self, other) -> "NovikovSeries":
         if type(other) is not NovikovSeries:
             if isinstance(other, (int, Fraction)):
-                # an exact constant has valuation 0, so the truncation stays
+                # an exact constant has valuation 0, so the truncation stays,
+                # and a series is never mutated, so an exact 1 returns it
+                if other == 1:
+                    return self
                 if not other:
                     return _new([], 1, [], 1, INF)
                 return _reduced(self.exps, self.scale,
@@ -282,7 +298,9 @@ class NovikovSeries:
         over ``scale``, each ``c_i`` is ``-m_i/dc`` for integers ``m_i`` and
         one ``dc``, and the pending sums are integers over one common
         denominator, so each ``b_e`` costs one gcd.  The cost is
-        O(#terms x #monoid exponents below rel) coefficient products.
+        O(#terms x #monoid exponents below rel) coefficient products; a
+        walk that would finish more than :data:`MAX_INVERT_EXPONENTS`
+        exponents is a :class:`NovikovError`.
         """
         exps, nums, s = self.exps, self.nums, self.scale
         if not exps:
@@ -315,6 +333,10 @@ class NovikovSeries:
             t = sums.pop(k)
             if not t:
                 continue  # contributes nothing to higher exponents
+            if len(out_k) == MAX_INVERT_EXPONENTS:
+                raise NovikovError(
+                    f"the inverse has more than MAX_INVERT_EXPONENTS = "
+                    f"{MAX_INVERT_EXPONENTS} exponents below its order")
             D = dc * L
             g = math.gcd(t, D)
             bn, bd = t // g, D // g
@@ -421,11 +443,15 @@ class NovikovSeries:
             return cls.monomial(data, 0)
         if not isinstance(data, dict):
             raise ParseError(f"series must be an object, got {type(data).__name__}")
+        terms = require_list(data.get("terms", []), "series terms")
+        if len(terms) > MAX_SERIES_TERMS:
+            raise ParseError(f"series literal of {len(terms)} terms is above "
+                             f"MAX_SERIES_TERMS = {MAX_SERIES_TERMS}")
         trunc: Trunc = INF
         raw = data.get("trunc", "inf")
         if raw not in ("inf", None):
             trunc = rat(raw)
-        return cls([(rec["exp"], rec["coeff"]) for rec in data.get("terms", [])], trunc)
+        return cls([(rec["exp"], rec["coeff"]) for rec in terms], trunc)
 
 
 def _new(exps: list, scale: int, nums: list, den: int, trunc: Trunc) -> NovikovSeries:

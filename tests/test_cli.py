@@ -12,6 +12,7 @@ import pytest
 
 from novikov import cli
 from novikov.graded import MAX_BASIS
+from novikov.series import MAX_SERIES_TERMS
 
 TASKS = ["riccati_chain.json", "gauss_manin.json", "mirror_suite.json",
          "divisor_relations.json", "bv_axioms.json", "class_equation.json",
@@ -639,9 +640,11 @@ _BV_BASIS = [{"name": "e", "degree": 0}]
       "second": {"points": []}}, "disc configuration must be an object"),
     ({"task": "operad", "action": "compose", "space": [0], "slot": 1,
       "phi1": [1], "phi2": _OP}, "operation 'phi1' must be an object"),
+    # an object of terms was read as the exact zero series, so this passed
+    (_ode({"type": "second-order", "rho": {"terms": {}}}), "series terms must be a list"),
 ], ids=["bv-product-result", "gw-omega", "bv-delta", "bv-elements",
         "gw-restriction", "top-level-array", "task-array", "gw-qpieces-record",
-        "gw-block", "operad-config", "operad-operation"])
+        "gw-block", "operad-config", "operad-operation", "series-terms-object"])
 def test_vector_field_not_an_object_is_parse_error(tmp_path, payload, message):
     bad = tmp_path / "vector.json"
     bad.write_text(json.dumps(payload))
@@ -804,10 +807,15 @@ def test_console_script_smoke():
                               for i in range(MAX_BASIS + 1)]), None, "MAX_BASIS"),
     # entries that could not be read: the size is refused before any is
     (_with_basis(_divisor_relations(), [{}] * (MAX_BASIS + 1)), None, "MAX_BASIS"),
+    ({"task": "mirror", "a_cases": [{"p0": "1/2", "f": _s(
+        *((str(i), "1") for i in range(MAX_SERIES_TERMS + 1)))}]}, None, "MAX_SERIES_TERMS"),
+    ({"task": "ode", "problem": dict(_FLAT, psi={"terms": [{}] * (MAX_SERIES_TERMS + 1)}),
+      "checks": [{"type": "second-order", "rho": "1"}]}, None, "MAX_SERIES_TERMS"),
 ], ids=["solve-order-100000", "solve-half-step", "bv-n-huge", "bv-n-one-over",
         "mirror-order-1000000", "trunc-1000000", "problem-truncated-at-1000000",
         "bv-class-equation-order-1000000", "gw-order-1000000", "psi-eta-order-100000000",
-        "bv-basis-one-over", "gw-basis-one-over"])
+        "bv-basis-one-over", "gw-basis-one-over", "series-literal-one-over",
+        "series-literal-unreadable-one-over"])
 def test_oversized_request_is_refused_fast(tmp_path, monkeypatch, task, trunc, cap):
     # refused before any work: neither the solver, nor a model builder, nor
     # a residual or mirror kernel runs
@@ -826,6 +834,20 @@ def test_oversized_request_is_refused_fast(tmp_path, monkeypatch, task, trunc, c
     assert code == cli.EXIT_PARSE, text
     assert cap in text
     assert started == []
+
+
+def test_invert_walk_past_its_cap_is_a_domain_error(tmp_path):
+    # steps of q^(1/(10^2500+1)) and q^(1/(10^2400+3)) put more exponents
+    # below q^2 than any run could walk; the walk stops at its cap, exit 4
+    f = _s(("0", "1"), (f"1/{10 ** 2500 + 1}", "1"), (f"1/{10 ** 2400 + 3}", "1"))
+    path = tmp_path / "tiny-steps.json"
+    path.write_text(json.dumps({"task": "mirror", "order": "2",
+                                "a_cases": [{"p0": "1", "f": f}]}))
+    out = subprocess.run([sys.executable, "-m", "novikov.cli", "run", str(path)],
+                         capture_output=True, text=True, env=child_env(), timeout=30)
+    assert out.returncode == cli.EXIT_DOMAIN, out.stderr
+    assert out.stdout.startswith("NovikovError: the inverse has more than "
+                                 "MAX_INVERT_EXPONENTS")
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from novikov.errors import InsufficientPrecision, NovikovError, ParseError
+from novikov import series
 from novikov.series import INF, NovikovSeries
 
 F = Fraction
@@ -346,6 +347,18 @@ def test_scalar_mul_matches_full_product(c, a):
     assert a * c == expected
 
 
+@settings(max_examples=100)
+@given(st.one_of(mixed_series(), one_term_series,
+                 st.builds(NovikovSeries.zero, mixed_exponents)))
+def test_mul_by_exact_one_is_the_series(a):
+    # exact, truncated and truncated-zero series alike: an exact 1 has
+    # valuation 0, so the truncation stays
+    for got in (a * 1, 1 * a, a * F(1), F(1) * a):
+        assert got == a
+        assert got.truncation == a.truncation
+        assert got.render() == a.render()
+
+
 @settings(max_examples=150, deadline=None)
 @given(invertible_series(), st.one_of(st.none(), mixed_exponents))
 def test_invert_matches_geometric_expansion(a, order):
@@ -376,6 +389,20 @@ def test_invert_200_terms_is_not_cubic():
     inv = a.invert(200)
     assert inv.truncation == 200
     assert (a * inv).equal_up_to(NovikovSeries.one(), 200)
+
+
+def test_invert_walk_is_capped(monkeypatch):
+    # 1 + q^(1/(10^6+1)) + q^(1/(10^5+3)) puts 50,601 exponents below
+    # q^(1/1000) and runs without end to q^2: refused by name
+    a = S((0, 1), (F(1, 10 ** 6 + 1), 1), (F(1, 10 ** 5 + 3), 1))
+    with pytest.raises(NovikovError, match="MAX_INVERT_EXPONENTS = 10000"):
+        a.invert(order=2)
+    # the cap counts finished exponents and is inclusive: 1/(1+q) to q^10
+    # finishes exactly 10
+    monkeypatch.setattr(series, "MAX_INVERT_EXPONENTS", 10)
+    assert len(S((0, 1), (1, 1)).invert(order=10).exps) == 10
+    with pytest.raises(NovikovError, match="MAX_INVERT_EXPONENTS = 10 "):
+        S((0, 1), (1, 1)).invert(order=11)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +754,19 @@ def test_json_round_trip():
     s = S((F(-1, 2), F(2, 3)), (2, -5), trunc=F(17, 2))
     again = NovikovSeries.from_json(s.to_json())
     assert again == s
+
+
+def test_json_literal_term_count_is_capped():
+    cap = series.MAX_SERIES_TERMS
+    at_cap = {"terms": [{"exp": str(i), "coeff": "1"} for i in range(cap)]}
+    assert len(NovikovSeries.from_json(at_cap).exps) == cap
+    # refused before any entry is read
+    with pytest.raises(ParseError, match=f"{cap + 1} terms is above MAX_SERIES_TERMS"):
+        NovikovSeries.from_json({"terms": [{}] * (cap + 1)})
+    # an object is not a list of terms, not even an empty one
+    for terms in ({}, {"exp": "0", "coeff": "1"}, "ab", 3):
+        with pytest.raises(ParseError, match="series terms must be a list"):
+            NovikovSeries.from_json({"terms": terms})
 
 
 def test_json_malformed_exponent():
