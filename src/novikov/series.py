@@ -49,13 +49,18 @@ Trunc = Union[Fraction, float]
 #: highest working order; the bundled and benchmark files list at most 60.
 MAX_SERIES_TERMS = 2000
 
-#: Most exponents ``invert`` may finish below its order.  A step of
-#: ``q^(1/N)`` puts about ``N`` exponents below each power of ``q``, so a
-#: literal with a tiny step would otherwise make the walk run without end.
-#: 10000 exponents take about 0.02 s for three terms; an inverse to order
-#: 1000 over steps 1/2 and 1/3 finishes 5999, and the benchmark pools at
-#: most 62.
-MAX_INVERT_EXPONENTS = 10000
+#: Most coefficient products ``invert`` may make below its order, each
+#: adding one finished coefficient into the pending sum of a higher
+#: exponent, so the count bounds the exponents walked and held as well.
+#: A step of ``q^(1/N)`` puts about ``N`` exponents below each power of
+#: ``q``, and incommensurable steps many more, so a literal with tiny steps
+#: would otherwise walk without end.  At the cap (Python 3.11):
+#: 1/(1 + q^(1/20)) to order 1000 takes 0.03 s; 1999 incommensurable steps
+#: near 10^-6, the longest literal MAX_SERIES_TERMS allows, 0.2 s and
+#: 85 MB; 1/(1 + q^(1/20)/3) to order 1000 7 s and 140 MB, since its
+#: result over one common denominator grows with the square of its term
+#: count.  The benchmark pools make at most 630.
+MAX_INVERT_PRODUCTS = 20000
 
 
 def rat(x) -> Fraction:
@@ -299,8 +304,8 @@ class NovikovSeries:
         one ``dc``, and the pending sums are integers over one common
         denominator, so each ``b_e`` costs one gcd.  The cost is
         O(#terms x #monoid exponents below rel) coefficient products; a
-        walk that would finish more than :data:`MAX_INVERT_EXPONENTS`
-        exponents is a :class:`NovikovError`.
+        walk that would make more than :data:`MAX_INVERT_PRODUCTS` of them
+        is a :class:`NovikovError`.
         """
         exps, nums, s = self.exps, self.nums, self.scale
         if not exps:
@@ -321,10 +326,12 @@ class NovikovSeries:
         g = math.gcd(n0, *nums[1:])
         dc = abs(n0) // g
         steps = [(k - shift, -sign * (n // g)) for k, n in zip(exps[1:], nums[1:])]
+        offsets = [step for step, _ in steps]
         bound = _bound(target + v, s)
         # a pending sum is an integer over dc*L, where L is the lcm of the
         # denominators of the b_e finished so far; b_0 = 1 = dc/(dc*1)
         L = 1
+        products = 0
         sums = {0: dc} if bound > 0 else {}
         heap = list(sums)
         out_k, out_n, out_d = [], [], []
@@ -333,10 +340,14 @@ class NovikovSeries:
             t = sums.pop(k)
             if not t:
                 continue  # contributes nothing to higher exponents
-            if len(out_k) == MAX_INVERT_EXPONENTS:
+            # the steps ascend, so the first `below` of them stay below
+            # bound; each is one coefficient product, pending or new
+            below = bisect_left(offsets, bound - k)
+            products += below
+            if products > MAX_INVERT_PRODUCTS:
                 raise NovikovError(
-                    f"the inverse has more than MAX_INVERT_EXPONENTS = "
-                    f"{MAX_INVERT_EXPONENTS} exponents below its order")
+                    f"the inverse needs more than MAX_INVERT_PRODUCTS = "
+                    f"{MAX_INVERT_PRODUCTS} coefficient products below its order")
             D = dc * L
             g = math.gcd(t, D)
             bn, bd = t // g, D // g
@@ -349,10 +360,8 @@ class NovikovSeries:
             out_k.append(k - shift)
             out_n.append(bn)
             out_d.append(bd)
-            for step, m in steps:
+            for step, m in steps[:below]:
                 n = k + step
-                if n >= bound:
-                    break  # the steps ascend
                 if n in sums:
                     sums[n] += m * bl
                 else:

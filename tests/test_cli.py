@@ -836,18 +836,24 @@ def test_oversized_request_is_refused_fast(tmp_path, monkeypatch, task, trunc, c
     assert started == []
 
 
-def test_invert_walk_past_its_cap_is_a_domain_error(tmp_path):
-    # steps of q^(1/(10^2500+1)) and q^(1/(10^2400+3)) put more exponents
-    # below q^2 than any run could walk; the walk stops at its cap, exit 4
-    f = _s(("0", "1"), (f"1/{10 ** 2500 + 1}", "1"), (f"1/{10 ** 2400 + 3}", "1"))
+@pytest.mark.parametrize("steps", [
+    # two steps put more exponents below q^2 than any run could walk
+    [f"1/{10 ** 2500 + 1}", f"1/{10 ** 2400 + 3}"],
+    # 300 incommensurable steps: each finished exponent opens up to 299 new
+    # pending sums, so the pending set, not the finished exponents, grows
+    [f"1/{10 ** 6 + i}" for i in range(1, 301)],
+], ids=["two-tiny-steps", "300-incommensurable-steps"])
+def test_invert_walk_past_its_cap_is_a_domain_error(tmp_path, steps):
+    # the walk stops at its cap, exit 4, within the subprocess timeout
+    f = _s(("0", "1"), *((step, "1") for step in steps))
     path = tmp_path / "tiny-steps.json"
     path.write_text(json.dumps({"task": "mirror", "order": "2",
                                 "a_cases": [{"p0": "1", "f": f}]}))
     out = subprocess.run([sys.executable, "-m", "novikov.cli", "run", str(path)],
                          capture_output=True, text=True, env=child_env(), timeout=30)
     assert out.returncode == cli.EXIT_DOMAIN, out.stderr
-    assert out.stdout.startswith("NovikovError: the inverse has more than "
-                                 "MAX_INVERT_EXPONENTS")
+    assert out.stdout.startswith("NovikovError: the inverse needs more than "
+                                 "MAX_INVERT_PRODUCTS")
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

@@ -395,14 +395,22 @@ def test_invert_walk_is_capped(monkeypatch):
     # 1 + q^(1/(10^6+1)) + q^(1/(10^5+3)) puts 50,601 exponents below
     # q^(1/1000) and runs without end to q^2: refused by name
     a = S((0, 1), (F(1, 10 ** 6 + 1), 1), (F(1, 10 ** 5 + 3), 1))
-    with pytest.raises(NovikovError, match="MAX_INVERT_EXPONENTS = 10000"):
+    with pytest.raises(NovikovError, match="MAX_INVERT_PRODUCTS = 20000"):
         a.invert(order=2)
-    # the cap counts finished exponents and is inclusive: 1/(1+q) to q^10
-    # finishes exactly 10
-    monkeypatch.setattr(series, "MAX_INVERT_EXPONENTS", 10)
-    assert len(S((0, 1), (1, 1)).invert(order=10).exps) == 10
-    with pytest.raises(NovikovError, match="MAX_INVERT_EXPONENTS = 10 "):
-        S((0, 1), (1, 1)).invert(order=11)
+    # the cap counts coefficient products and is inclusive: 1/(1+q) to q^11
+    # finishes 11 exponents with 10 products, the last having no step below
+    # the order
+    monkeypatch.setattr(series, "MAX_INVERT_PRODUCTS", 10)
+    assert len(S((0, 1), (1, 1)).invert(order=11).exps) == 11
+    with pytest.raises(NovikovError, match="MAX_INVERT_PRODUCTS = 10 "):
+        S((0, 1), (1, 1)).invert(order=12)
+    # each finished exponent counts every step below the order, so many
+    # steps reach the cap after few exponents: for 1 + q + ... + q^10 to
+    # q^11, b_0 makes 10 products and b_1 another 9
+    many = S(*((k, 1) for k in range(11)))
+    assert many.invert(order=2).exps == [0, 1]
+    with pytest.raises(NovikovError, match="MAX_INVERT_PRODUCTS = 10 "):
+        many.invert(order=11)
 
 
 # ---------------------------------------------------------------------------
