@@ -487,6 +487,102 @@ def test_truncated_zero_first_factor_matches_oracle():
     assert decided(check_leibniz, nabla, model) == decided(oracle_leibniz, nabla, model)
 
 
+def oracle_apply(nabla, x):
+    """nabla x: d_q of each coefficient plus the linear part."""
+    return vec_add({k: s.d_q() for k, s in x.items()}, linear_apply(nabla.linear, x))
+
+
+def oracle_nabla_c(o, nabla, a, c):
+    """nabla^c x = nabla x + c*a.x, nabla itself when c or a is zero."""
+    if c == 0 or vec_is_zero(a):
+        return Connection(dict(nabla.linear))
+    return Connection({n: vec_add(nabla.linear.get(n, {}), vec_scale(c, o.mul(a, o.basis(n))))
+                       for n in o.degrees})
+
+
+def oracle_delta_nabla(nabla, a, model):
+    o = Oracle(model)
+    report = Report()
+    report.identity("delta-nabla", "",
+                    ((n, vec_add(oracle_apply(nabla, o.delta_apply(x)),
+                                 vec_scale(-1, o.delta_apply(oracle_apply(nabla, x))),
+                                 o.bracket(a, x)))
+                     for n, x in ((n, o.basis(n)) for n in model.degrees)))
+    return report
+
+
+def oracle_minus1_delta(nabla, a, model):
+    o = Oracle(model)
+    report = Report()
+    minus1, da = oracle_nabla_c(o, nabla, a, -1), o.delta_apply(a)
+    basis = [(n, o.basis(n)) for n in model.degrees]
+    commutators = [vec_sub(oracle_apply(minus1, o.delta_apply(x)),
+                           o.delta_apply(oracle_apply(minus1, x))) for _, x in basis]
+    report.identity("minus1-delta-commutator", "",
+                    ((n, vec_sub(c, o.mul(da, x))) for (n, x), c in zip(basis, commutators)))
+    if vec_is_zero(da):
+        report.identity("minus1-delta-compatible", "",
+                        ((n, c) for (n, _), c in zip(basis, commutators)))
+    return report
+
+
+def oracle_gauge_change(o, nabla, alpha, a):
+    """nabla~ x = nabla x - [alpha, x] and a~ = a + Delta(alpha)."""
+    return (Connection({n: vec_sub(nabla.linear.get(n, {}), o.bracket(alpha, o.basis(n)))
+                        for n in o.degrees}),
+            vec_add(a, o.delta_apply(alpha)))
+
+
+def oracle_minus1_ambiguity(nabla, alpha, a, model):
+    o = Oracle(model)
+    report = Report()
+    tilde, a_tilde = oracle_gauge_change(o, nabla, alpha, a)
+    minus1 = oracle_nabla_c(o, nabla, a, -1)
+    minus1_tilde = oracle_nabla_c(o, tilde, a_tilde, -1)
+    report.identity("minus1-ambiguity", "",
+                    ((n, vec_sub(oracle_apply(minus1_tilde, x),
+                                 vec_sub(oracle_apply(minus1, x),
+                                         vec_add(o.delta_apply(o.mul(alpha, x)),
+                                                 o.mul(alpha, o.delta_apply(x))))))
+                     for n, x in ((n, o.basis(n)) for n in model.degrees)))
+    return report
+
+
+@st.composite
+def connection_data(draw):
+    """A model, a connection on it, an element a over any names and a gauge
+    alpha of degree 1, each coefficient among series and truncated zeros."""
+    model = draw(bv_models())
+    names = sorted(model.degrees)
+    odd = [n for n in names if model.degrees[n] == 1]
+    a = draw(st.dictionaries(st.sampled_from(names), small_series, max_size=3))
+    alpha = draw(st.dictionaries(st.sampled_from(odd), small_series, max_size=2))
+    nabla = draw(st.one_of(st.just(Connection()), connections(names)))
+    return model, nabla, a, alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(connection_data())
+def test_delta_nabla_checks_match_per_name_oracle(case):
+    model, nabla, a, _ = case
+    assert decided(check_delta_nabla, nabla, a, model) == decided(
+        oracle_delta_nabla, nabla, a, model)
+    assert decided(check_minus1_delta, nabla, a, model) == decided(
+        oracle_minus1_delta, nabla, a, model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connection_data())
+def test_gauge_checks_match_per_name_oracle(case):
+    model, nabla, a, alpha = case
+    assert decided(minus1_ambiguity_check, nabla, alpha, a, model) == decided(
+        oracle_minus1_ambiguity, nabla, alpha, a, model)
+    tilde, a_tilde = gauge_change(nabla, alpha, a, model)
+    want_tilde, want_a = oracle_gauge_change(Oracle(model), nabla, alpha, a)
+    assert decided(check_delta_nabla, tilde, a_tilde, model) == decided(
+        oracle_delta_nabla, want_tilde, want_a, model)
+
+
 def rows_of(model):
     """Every row the identity checks read, each bracket row filled first."""
     for a in model.degrees:
