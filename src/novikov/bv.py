@@ -31,7 +31,7 @@ from . import graded
 from .graded import (
     Row,
     Vec,
-    add_row,
+    accumulate,
     compile_vec,
     contract,
     entry_is_zero,
@@ -82,12 +82,12 @@ class BVModel:
 
     On first use the product, Delta and a supplied bracket compile to
     signed rows (:func:`graded.signed_rows`), cached on the instance
-    outside ``==`` and ``repr``, and the bracket of each ordered pair of
-    basis names becomes a row of its own the first time it is needed,
-    computed from the product and Delta rows.  The tables must not be
-    mutated after first use: the rows would not follow.  Nor may the rows
-    be: ``product_row``, ``delta_row`` and ``bracket_row`` hand them out
-    as they are.
+    outside ``==`` and ``repr``; the bracket of each ordered pair of basis
+    names becomes a row of its own (``_bracket_constants``), computed from
+    those rows, the first time it is needed.  The identity checks read the
+    rows as they are, accumulating each residual (:func:`graded.accumulate`),
+    so neither the tables, which the rows would not follow, nor the rows
+    may be mutated after first use.
     """
 
     degrees: dict[str, int]
@@ -120,31 +120,17 @@ class BVModel:
         return (None if self.bracket_table is None
                 else signed_rows(self.bracket_table, self.degrees))
 
-    # The rows of basis names, shared, not copied.  Each equals what mul,
-    # delta_apply and bracket return on basis vectors over the rational 1,
-    # whose contraction multiplies every entry by 1.
-
-    def product_row(self, a: str, b: str) -> Row:
-        return self.product_rows.get((a, b), {})
-
-    def delta_row(self, a: str) -> Row:
-        return self.delta_rows.get(a, {})
-
     def bracket_row(self, a: str, b: str) -> Row:
         """The bracket of the basis names a and b, computed once per model:
         Delta(a.b) - (Delta a).b - (-1)^|a| a.(Delta b).  An entry that
         cancels keeps its class, as the defining formula does."""
         row = self._bracket_constants.get((a, b))
         if row is None:
-            product, delta = self.product_row, self.delta_row
-            row = {}
-            for k, c in product(a, b).items():
-                add_row(row, delta(k), c)
-            for k, c in delta(a).items():
-                add_row(row, product(k, b), -c)
+            P, D = self.product_rows, self.delta_rows
             odd = self.degrees[a] % 2
-            for k, c in delta(b).items():
-                add_row(row, product(a, k), c if odd else -c)
+            row = accumulate({}, D, P.get((a, b), {}))
+            accumulate(row, P, D.get(a, {}), b, -1)
+            accumulate(row, P, D.get(b, {}), a, 1 if odd else -1, left=True)
             self._bracket_constants[(a, b)] = row
         return row
 
@@ -154,25 +140,19 @@ class BVModel:
     def delta_apply(self, x: Vec) -> Vec:
         return linear_apply(self.delta_rows, x)
 
-    def bracket(self, x1: Vec, x2: Vec) -> Vec:
+    def bracket(self, x1: Vec, x2: Vec, out: Vec | None = None) -> Vec:
         """The derived bracket, extended bilinearly from the bracket row of
-        each pair of basis names."""
-        out: Vec = {}
-        for a, sa in x1.items():
-            if entry_is_zero(sa):
-                continue
+        each pair of basis names, added into *out* when given.  A zero
+        coefficient of *x1* is skipped before its name is looked up."""
+        live = _live(x1)
+        for a in live:
             if a not in self.degrees:
                 raise KeyError(a)
-            for b, sb in x2.items():
-                row = self.bracket_row(a, b)
-                if row:
-                    add_row(out, row, sa * sb)
-        return out
+        return contract(self._bracket_constants, live, x2, out, self.bracket_row)
 
     def modified_bracket(self, x1: Vec, x2: Vec) -> Vec:
         """[x1, x2]^{-1} = [x1, x2] + (Delta x1).x2."""
-        return vec_add(self.bracket(x1, x2),
-                       self.mul(self.delta_apply(x1), x2))
+        return contract(self.product_rows, self.delta_apply(x1), x2, self.bracket(x1, x2))
 
     def element(self, name: str) -> Vec:
         if name not in self.elements:
@@ -233,17 +213,18 @@ class Connection:
 
     def apply(self, x: Vec, model: BVModel) -> Vec:
         # a rational coefficient is a constant, whose d_q is zero
-        return vec_add({k: s.d_q() for k, s in x.items() if isinstance(s, NovikovSeries)},
-                       linear_apply(self.linear, x))
+        return accumulate({k: s.d_q() for k, s in x.items() if isinstance(s, NovikovSeries)},
+                          self.linear, x)
 
 
 def nabla_c(nabla: Connection, a: Vec, c, model: BVModel) -> Connection:
-    """nabla^c x = nabla x + c * a.x as a new connection."""
+    """nabla^c x = nabla x + c * a.x as a new connection, each image
+    accumulated from the product rows."""
     c = Fraction(c)
     if c == 0 or vec_is_zero(a):
         return Connection(dict(nabla.linear))
-    return Connection({name: vec_add(nabla.linear.get(name, {}),
-                                     vec_scale(c, model.mul(a, {name: 1})))
+    return Connection({name: accumulate(dict(nabla.linear.get(name, {})),
+                                        model.product_rows, a, name, c)
                        for name in model.degrees})
 
 
@@ -252,10 +233,9 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
     """nabla~ x = nabla x - [alpha, x];  a~ = a + Delta(alpha).  An alpha
     outside degree 1 is a :class:`ParseError` (:func:`graded.homogeneous`)."""
     graded.homogeneous(alpha, model.degrees, 1, "alpha")
-    linear = {name: vec_sub(nabla.linear.get(name, {}),
-                            model.bracket(alpha, {name: 1}))
+    linear = {name: model.bracket(alpha, {name: -1}, dict(nabla.linear.get(name, {})))
               for name in model.degrees}
-    return Connection(linear), vec_add(a, model.delta_apply(alpha))
+    return Connection(linear), accumulate(dict(a), model.delta_rows, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +243,16 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
 # ---------------------------------------------------------------------------
 
 
-def _rational_basis(model: BVModel):
-    """Each basis name with its basis vector over the exact rational 1.
-    mul, bracket, delta_apply and a connection contract such vectors over
-    rows and images, so an identity on them makes a series operation only
-    where a row entry or an image is a series."""
-    return [(n, {n: 1}) for n in model.degrees]
+def _live(x: Vec) -> Vec:
+    """*x* without its zero coefficients, as the bracket reads a first factor."""
+    return {k: c for k, c in x.items() if not entry_is_zero(c)}
 
 
 def check_bv_axioms(model: BVModel) -> Report:
-    """Each identity on basis vectors, with the inner product, bracket and
-    Delta of basis names read from the model's rows.
+    """Each identity on basis vectors over the exact rational 1, each case's
+    residual accumulated into one vector straight from the product, bracket
+    and Delta rows (:func:`graded.accumulate`), its signs folded into the
+    row coefficients.
 
     Three identities are checked once per orbit of a symmetry of their
     basis tuple, on the case whose tuple of declaration ranks is least.
@@ -291,121 +270,130 @@ def check_bv_axioms(model: BVModel) -> Report:
     computed by the one formula of its identity.
     """
     report = Report()
-    basis = _rational_basis(model)
-    pairs = [(n1, x1, n2, x2) for n1, x1 in basis for n2, x2 in basis]
-    triples = [(n1, x1, n2, x2, n3, x3)
-               for n1, x1, n2, x2 in pairs for n3, x3 in basis]
+    names = list(model.degrees)
+    pairs = [(n1, n2) for n1 in names for n2 in names]
+    triples = [(n1, n2, n3) for n1, n2 in pairs for n3 in names]
     # the orbit representatives, in declaration order
-    ranked = list(enumerate(basis))
-    swaps = [(n1, x1, n2, x2) for i, (n1, x1) in ranked for n2, x2 in basis[i:]]
-    rotations = [(n1, x1, n2, x2, n3, x3)
-                 for i, (n1, x1) in ranked for j, (n2, x2) in ranked[i:]
-                 for k, (n3, x3) in ranked[i:]
+    swaps = [(n1, n2) for i, n1 in enumerate(names) for n2 in names[i:]]
+    ranks = range(len(names))
+    rotations = [(names[i], names[j], names[k])
+                 for i in ranks for j in ranks[i:] for k in ranks[i:]
                  if (i, j, k) == min((i, j, k), (j, k, i), (k, i, j))]
-    deg, e = model.degrees, model.unit
-    mul, bracket, delta = model.mul, model.bracket, model.delta_apply
-    P, B, D = model.product_row, model.bracket_row, model.delta_row
+    deg, e, bracket_row = model.degrees, model.unit, model.bracket_row
+    P, D, B = model.product_rows, model.delta_rows, model._bracket_constants
+    # the bracket skips a zero coefficient of its first factor
+    live_delta = {n: _live(D.get(n, {})) for n in names}
+
+    def derivation(n1, n2, n3):
+        out = accumulate({}, B, P.get((n2, n3), {}), n1, left=True, fill=bracket_row)
+        accumulate(out, P, bracket_row(n1, n2), n3, -1)
+        return accumulate(out, P, bracket_row(n1, n3), n2,
+                          -(-1) ** ((deg[n1] + 1) * deg[n2]), left=True)
+
+    def jacobi(n1, n2, n3):
+        d1, d2, d3, out = deg[n1], deg[n2], deg[n3], {}
+        for a, b, c, sign in ((n1, n2, n3, d1), (n2, n3, n1, d1 * (d2 + d3) + d2),
+                              (n3, n1, n2, d3 * (d1 + d2 + 1))):
+            accumulate(out, B, bracket_row(b, c), a, (-1) ** sign, left=True, fill=bracket_row)
+        return out
 
     report.identity("unit", "e.x = x",
-                    ((f"e.{n}", vec_sub(P(e, n), x)) for n, x in basis))
+                    ((f"e.{n}", accumulate({n: -1}, P, {e: 1}, n)) for n in names))
 
     report.identity("commutativity", "x1.x2 = (-1)^(|x1||x2|) x2.x1",
-                    ((f"[{n1},{n2}]",
-                      vec_sub(P(n1, n2), vec_scale((-1) ** (deg[n1] * deg[n2]), P(n2, n1))))
-                     for n1, x1, n2, x2 in swaps))
+                    ((f"[{n1},{n2}]", accumulate(accumulate({}, P, {n1: 1}, n2), P,
+                                                 {n2: -(-1) ** (deg[n1] * deg[n2])}, n1))
+                     for n1, n2 in swaps))
 
     report.identity("associativity", "(x1.x2).x3 = x1.(x2.x3)",
                     ((f"({n1}.{n2}).{n3}",
-                      vec_sub(mul(P(n1, n2), x3), mul(x1, P(n2, n3))))
-                     for n1, x1, n2, x2, n3, x3 in triples))
+                      accumulate(accumulate({}, P, P.get((n1, n2), {}), n3),
+                                 P, P.get((n2, n3), {}), n1, -1, left=True))
+                     for n1, n2, n3 in triples))
 
-    report.residual("delta-e", "Delta e = 0", D(e))
+    report.residual("delta-e", "Delta e = 0", D.get(e, {}))
 
     report.identity("delta-squared", "Delta Delta x = 0",
-                    ((f"Delta^2 {n}", delta(D(n))) for n, x in basis))
+                    ((f"Delta^2 {n}", accumulate({}, D, D.get(n, {}))) for n in names))
 
     if model.bracket_table is not None:
         supplied = model.bracket_rows
         report.identity("delta-bracket",
                         "[x1,x2] = Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.Delta x2",
-                        ((f"[{n1},{n2}]",
-                          vec_sub(supplied.get((n1, n2), {}), B(n1, n2)))
-                         for n1, x1, n2, x2 in pairs))
+                        ((f"[{n1},{n2}]", accumulate(accumulate({}, supplied, {n1: 1}, n2),
+                                                     B, {n1: -1}, n2, fill=bracket_row))
+                         for n1, n2 in pairs))
 
     report.identity("antisymmetry", "[x2,x1] = (-1)^(|x1||x2|) [x1,x2]",
                     ((f"[{n2},{n1}]",
-                      vec_sub(B(n2, n1), vec_scale((-1) ** (deg[n1] * deg[n2]), B(n1, n2))))
-                     for n1, x1, n2, x2 in swaps))
+                      accumulate(accumulate({}, B, {n2: 1}, n1, fill=bracket_row),
+                                 B, {n1: -(-1) ** (deg[n1] * deg[n2])}, n2, fill=bracket_row))
+                     for n1, n2 in swaps))
 
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
-                    ((f"[{n1},{n2}.{n3}]",
-                      vec_sub(bracket(x1, P(n2, n3)),
-                              vec_add(mul(B(n1, n2), x3),
-                                      vec_scale((-1) ** ((deg[n1] + 1) * deg[n2]),
-                                                mul(x2, B(n1, n3))))))
-                     for n1, x1, n2, x2, n3, x3 in triples))
+                    ((f"[{n1},{n2}.{n3}]", derivation(n1, n2, n3))
+                     for n1, n2, n3 in triples))
 
     report.identity("jacobi", "signed cyclic sum of [x1,[x2,x3]] = 0",
-                    ((f"jacobi({n1},{n2},{n3})",
-                      vec_add(vec_scale((-1) ** deg[n1], bracket(x1, B(n2, n3))),
-                              vec_scale((-1) ** (deg[n1] * (deg[n2] + deg[n3]) + deg[n2]),
-                                        bracket(x2, B(n3, n1))),
-                              vec_scale((-1) ** (deg[n3] * (deg[n1] + deg[n2] + 1)),
-                                        bracket(x3, B(n1, n2)))))
-                     for n1, x1, n2, x2, n3, x3 in rotations))
+                    ((f"jacobi({n1},{n2},{n3})", jacobi(n1, n2, n3))
+                     for n1, n2, n3 in rotations))
 
     report.identity("e-is-ideal", "[e,x] = 0",
-                    ((f"[e,{n}]", B(e, n)) for n, x in basis))
+                    ((f"[e,{n}]", bracket_row(e, n)) for n in names))
 
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
                     ((f"({n1},{n2})",
-                      vec_add(delta(B(n1, n2)),
-                              bracket(D(n1), x2),
-                              vec_scale((-1) ** deg[n1], bracket(x1, D(n2)))))
-                     for n1, x1, n2, x2 in pairs))
+                      accumulate(accumulate(accumulate({}, D, bracket_row(n1, n2)),
+                                            B, live_delta[n1], n2, fill=bracket_row),
+                                 B, D.get(n2, {}), n1, (-1) ** deg[n1],
+                                 left=True, fill=bracket_row))
+                     for n1, n2 in pairs))
     return report
 
 
 def check_leibniz(nabla: Connection, model: BVModel) -> Report:
-    """Both Leibniz rules on basis vectors, with the product and bracket
-    of basis names read from the rows and nabla of each name made once."""
+    """Both Leibniz rules on basis vectors, each case accumulated from the
+    product and bracket rows and from nabla's image of each basis name,
+    which is nabla of that name over the exact rational 1."""
     report = Report()
-    basis = _rational_basis(model)
-    pairs = [(n1, x1, n2, x2) for n1, x1 in basis for n2, x2 in basis]
-    mul, bracket = model.mul, model.bracket
-    P, B = model.product_row, model.bracket_row
-    apply = lambda x: nabla.apply(x, model)
-    nab = {n: apply(x) for n, x in basis}
+    names = list(model.degrees)
+    pairs = [(n1, n2) for n1 in names for n2 in names]
+    P, B = model.product_rows, model._bracket_constants
+    bracket_row, L = model.bracket_row, nabla.linear
+    live_nabla = {n: _live(L.get(n, {})) for n in names}
+
     report.identity("nabla-product",
                     "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)",
                     ((f"({n1},{n2})",
-                      vec_sub(apply(P(n1, n2)),
-                              vec_add(mul(nab[n1], x2), mul(x1, nab[n2]))))
-                     for n1, x1, n2, x2 in pairs))
+                      accumulate(accumulate(nabla.apply(P.get((n1, n2), {}), model),
+                                            P, L.get(n1, {}), n2, -1),
+                                 P, L.get(n2, {}), n1, -1, left=True))
+                     for n1, n2 in pairs))
     report.identity("nabla-bracket",
                     "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]",
                     ((f"({n1},{n2})",
-                      vec_sub(apply(B(n1, n2)),
-                              vec_add(bracket(nab[n1], x2), bracket(x1, nab[n2]))))
-                     for n1, x1, n2, x2 in pairs))
+                      accumulate(accumulate(nabla.apply(bracket_row(n1, n2), model),
+                                            B, live_nabla[n1], n2, -1, fill=bracket_row),
+                                 B, L.get(n2, {}), n1, -1, left=True, fill=bracket_row))
+                     for n1, n2 in pairs))
     return report
 
 
 def delta_nabla_residual(nabla: Connection, a: Vec, x: Vec, model: BVModel) -> Vec:
     """nabla(Delta x) - Delta(nabla x) + [a, x]; zero when the connection
     satisfies the inner-derivation relation."""
-    return vec_add(nabla.apply(model.delta_apply(x), model),
-                   vec_scale(-1, model.delta_apply(nabla.apply(x, model))),
-                   model.bracket(a, x))
+    out = accumulate(nabla.apply(model.delta_apply(x), model), model.delta_rows,
+                     nabla.apply(x, model), scale=-1)
+    return model.bracket(a, x, out)
 
 
 def check_delta_nabla(nabla: Connection, a: Vec, model: BVModel) -> Report:
     report = Report()
     report.identity("delta-nabla", "nabla(Delta x) = Delta(nabla x) - [a,x]",
-                    ((n, delta_nabla_residual(nabla, a, x, model))
-                     for n, x in _rational_basis(model)))
+                    ((n, delta_nabla_residual(nabla, a, {n: 1}, model))
+                     for n in model.degrees))
     return report
 
 
@@ -415,21 +403,16 @@ def check_minus1_delta(nabla: Connection, a: Vec, model: BVModel) -> Report:
     report = Report()
     minus1 = nabla_c(nabla, a, -1, model)
     da = model.delta_apply(a)
-
-    def commutator(x: Vec) -> Vec:
-        return vec_sub(minus1.apply(model.delta_apply(x), model),
-                       model.delta_apply(minus1.apply(x, model)))
-
-    basis = _rational_basis(model)
-    commutators = [commutator(x) for _, x in basis]
+    # the commutator is the delta-nabla residual of a = 0
+    commutators = {n: delta_nabla_residual(minus1, {}, {n: 1}, model) for n in model.degrees}
     report.identity("minus1-delta-commutator",
                     "nabla^{-1}(Delta x) - Delta(nabla^{-1} x) = (Delta a).x",
-                    ((n, vec_sub(c, model.mul(da, x)))
-                     for (n, x), c in zip(basis, commutators)))
+                    ((n, accumulate(dict(c), model.product_rows, da, n, -1))
+                     for n, c in commutators.items()))
     if vec_is_zero(da):
         report.identity("minus1-delta-compatible",
                         "Delta a = 0 => nabla^{-1} commutes with Delta",
-                        ((n, c) for (n, _), c in zip(basis, commutators)))
+                        commutators.items())
     return report
 
 
@@ -441,13 +424,16 @@ def minus1_ambiguity_check(nabla: Connection, alpha: Vec, a: Vec,
     tilde, a_tilde = gauge_change(nabla, alpha, a, model)
     minus1 = nabla_c(nabla, a, -1, model)
     minus1_tilde = nabla_c(tilde, a_tilde, -1, model)
+
+    def residual(x: Vec) -> Vec:
+        # x is over the rational 1, so nabla^{-1} x is its linear part
+        out = accumulate(minus1_tilde.apply(x, model), minus1.linear, x, scale=-1)
+        accumulate(out, model.delta_rows, model.mul(alpha, x))
+        return contract(model.product_rows, alpha, model.delta_apply(x), out)
+
     report.identity("minus1-ambiguity",
                     "nabla~^{-1} x = nabla^{-1} x - Delta(alpha.x) - alpha.Delta x",
-                    ((n, vec_sub(minus1_tilde.apply(x, model),
-                                 vec_sub(minus1.apply(x, model),
-                                         vec_add(model.delta_apply(model.mul(alpha, x)),
-                                                 model.mul(alpha, model.delta_apply(x))))))
-                     for n, x in _rational_basis(model)))
+                    ((n, residual({n: 1})) for n in model.degrees))
     return report
 
 
@@ -458,8 +444,8 @@ def r_endomorphism_check(model: BVModel, k_name: str = "k") -> Report:
     k = model.element(k_name)
     report.residual("delta-k", "Delta k = 0", model.delta_apply(k))
     # the row names the first failing basis name; no later one is evaluated
-    for n, x in _rational_basis(model):
-        res = vec_sub(model.bracket(k, x), model.modified_bracket(k, x))
+    for n in model.degrees:
+        res = vec_sub(model.bracket(k, {n: 1}), model.modified_bracket(k, {n: 1}))
         if not vanishes(res):
             report.add("r-two-forms", "[k,x] = [k,x]^{-1}", False,
                        f"{n}: {vec_render(res)} (= -(Delta k).{n})")
@@ -474,12 +460,10 @@ def r_endomorphism_check(model: BVModel, k_name: str = "k") -> Report:
 
 
 def class_equation_residual(nabla: Connection, s: Vec, prob: ODEProblem,
-                model: BVModel) -> Vec:
-    """nabla s - psi*(s.s) + eta*s + 4*z2*psi*e."""
-    return vec_add(nabla.apply(s, model),
-                   vec_scale(-prob.psi, model.mul(s, s)),
-                   vec_scale(prob.eta, s),
-                   vec_scale(4 * prob.z2 * prob.psi, model.unit_vec()))
+                            model: BVModel) -> Vec:
+    """nabla s - psi*(s.s) + eta*s + 4*z2*psi*e, the c = 0 member of
+    :func:`nablac_s_residual`."""
+    return nablac_s_residual(nabla, s, prob, 0, model)
 
 
 def nonlinear_a_residual(nabla: Connection, a: Vec, prob: ODEProblem,

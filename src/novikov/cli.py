@@ -56,7 +56,7 @@ MAX_SOLVE_TERMS = 1000
 
 #: Largest ``n`` a ``bv`` task may give.  ``polyvector`` models have 2n
 #: basis names and the axioms check is cubic in that (an ``axioms`` task
-#: takes about 0.4 s at n = 16 and 1.3 s at n = 24 on Python 3.11, best of
+#: takes about 0.16 s at n = 16 and 0.5 s at n = 24 on Python 3.11, best of
 #: 3); the bundled and benchmark files give at most 6.
 MAX_BV_N = 24
 
@@ -281,6 +281,14 @@ def run_bv(payload: dict, trunc=None) -> Report:
     return report
 
 
+def _slot(payload: dict, arity: int) -> int:
+    """The ``"slot"`` field, an input of an operation of *arity* inputs."""
+    slot = integer(payload["slot"])
+    if not 1 <= slot <= arity:
+        raise ParseError(f"slot {slot} out of range 1..{arity}")
+    return slot
+
+
 def run_operad(payload: dict, trunc=None) -> Report:
     report = Report()
     action = payload.get("action")
@@ -292,7 +300,7 @@ def run_operad(payload: dict, trunc=None) -> Report:
     elif action == "glue":
         c1 = opmod.DiscConfiguration.from_json(payload["first"])
         c2 = opmod.DiscConfiguration.from_json(payload["second"])
-        out = opmod.glue(c1, integer(payload["slot"]), c2)
+        out = opmod.glue(c1, _slot(payload, c1.arity()), c2)
         ok, problems = opmod.validate(out)
         report.add("glue", "rescale, rotate, insert", ok,
                    json.dumps(out.to_json(), sort_keys=True))
@@ -307,7 +315,7 @@ def run_operad(payload: dict, trunc=None) -> Report:
         space = tuple(integer(d) for d in require_list(payload["space"], "space"))
         phi1 = opmod.GradedOperation.from_json(payload["phi1"], space, "phi1")
         phi2 = opmod.GradedOperation.from_json(payload["phi2"], space, "phi2")
-        out = opmod.compose(phi1, integer(payload["slot"]), phi2)
+        out = opmod.compose(phi1, _slot(payload, phi1.arity), phi2)
         report.add("compose", "signed operadic insertion", True,
                    json.dumps(out.to_json(), sort_keys=True))
     else:

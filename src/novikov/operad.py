@@ -93,15 +93,18 @@ class DiscConfiguration:
         conv = Fraction if exact else float
         try:
             points = [Disc(conv(p["re"]), conv(p["im"]), conv(p["r"]))
-                      for p in data.get("points", [])]
+                      for p in require_list(data.get("points", []), "points")]
             framings = None
             if "framings" in data:
-                framings = [Fraction(t) for t in data["framings"]]
+                framings = [Fraction(t) for t in require_list(data["framings"], "framings")]
             z = None
             if data.get("z") is not None:
                 z = (conv(data["z"]["re"]), conv(data["z"]["im"]))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad configuration: {exc}") from exc
+        if framings is not None and len(framings) != len(points):
+            raise ParseError(f"one framing per disc: {len(framings)} framings "
+                             f"for {len(points)} discs")
         return cls(points=points, framings=framings, z_point=z,
                    is_identity=bool(data.get("identity", False)), exact=exact)
 

@@ -65,9 +65,12 @@ MAX_INVERT_PRODUCTS = 20000
 
 def rat(x) -> Fraction:
     """A rational literal: a Fraction, an int or a string such as "3/4".
-    A malformed string is a ParseError; a float is a TypeError."""
+    A malformed string or a bool (a JSON ``true``, which Python counts as
+    an int) is a ParseError; a float is a TypeError."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise ParseError(f"not a rational literal: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):

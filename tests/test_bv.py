@@ -31,7 +31,7 @@ from novikov.bv import (
     second_order_on_e,
 )
 from novikov.graded import (
-    add_row,
+    accumulate,
     contract,
     linear_apply,
     signed_rows,
@@ -163,9 +163,9 @@ def test_vector_helpers_and_kernels_leave_their_inputs_as_they_were(case, f):
     before = copy.deepcopy((rows, x, y))
     contract(rows, x, y)
     linear_apply(images, x)
-    for row in rows.values():
-        add_row({}, row, f)
-        add_row(dict(x), row, y[next(iter(y))])
+    for a in degrees:
+        accumulate({}, rows, x, a, f)
+        accumulate(dict(x), rows, y, a, y[next(iter(y))], left=True)
     vec_add(x, y, x)
     vec_sub(x, y)
     vec_scale(f, y)

@@ -271,9 +271,69 @@ def test_rational_literal_outside_a_series_is_parse_error(tmp_path, payload, tru
     assert code == cli.EXIT_PARSE, text
 
 
+def _class_equation(edit):
+    with open(task_path("class_equation.json")) as fh:
+        payload = json.load(fh)
+    edit(payload["prob"]["psi"])
+    return payload
+
+
+# a JSON boolean is an int to Python, but no rational literal
+@pytest.mark.parametrize("edit", [
+    lambda psi: psi["terms"][1].update(coeff=True),
+    lambda psi: psi.update(trunc=True),
+    lambda psi: psi["terms"][0].update(exp=True),
+], ids=["coeff", "trunc", "exp"])
+def test_boolean_series_literal_is_parse_error(tmp_path, edit):
+    task = tmp_path / "bool.json"
+    task.write_text(json.dumps(_class_equation(edit)))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text
+    assert "not a rational literal: True" in text
+
+
 def _glue(slot):
     with open(task_path("operad_glue.json")) as fh:
         return {**json.load(fh), "slot": slot}
+
+
+def _glue_first(**fields):
+    payload = _glue(1)
+    payload["first"] = {**payload["first"], **fields}
+    return payload
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_glue("0"), "slot 0 out of range 1..1"),
+    (_glue(2), "slot 2 out of range 1..1"),
+    ({"task": "operad", "action": "compose", "space": [0], "slot": 2,
+      "phi1": {"arity": 1, "degree": 0, "table": []},
+      "phi2": {"arity": 1, "degree": 0, "table": []}}, "slot 2 out of range 1..1"),
+    (_glue_first(points={}), "points must be a list"),
+    (_glue_first(framings=["1/4", "1/2"]), "one framing per disc: 2 framings for 1 discs"),
+    (_glue_first(framings="1/4"), "framings must be a list"),
+], ids=["glue-slot-0", "glue-slot-2", "compose-slot-2", "points-object",
+        "framing-count", "framings-string"])
+def test_malformed_operad_field_is_parse_error(tmp_path, payload, message):
+    task = tmp_path / "operad.json"
+    task.write_text(json.dumps(payload))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text
+    assert message in text
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({**_glue(1), "first": {**_glue(1)["first"], "z": {"re": "1/2", "im": "1/2"}},
+      "second": {**_glue(1)["second"], "z": {"re": "0", "im": "1/2"}}}, "ZConflict"),
+    ({"task": "operad", "action": "sign", "phi1_degree": 1, "phi2_degree": 1,
+      "slot": 3, "prefix": [0]}, "needs 2 prefix degrees"),
+], ids=["two-marked-points", "sign-prefix"])
+def test_operad_domain_errors_stay_domain_errors(tmp_path, payload, error):
+    task = tmp_path / "operad.json"
+    task.write_text(json.dumps(payload))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_DOMAIN, text
+    assert error in text
 
 
 def _sign(**field):
