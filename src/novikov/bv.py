@@ -298,58 +298,56 @@ def check_bv_axioms(model: BVModel) -> Report:
         return out
 
     report.identity("unit", "e.x = x",
-                    ((f"e.{n}", accumulate({n: -1}, P, {e: 1}, n)) for n in names))
+                    (((n,), accumulate({n: -1}, P, {e: 1}, n)) for n in names), "e.{}")
 
     report.identity("commutativity", "x1.x2 = (-1)^(|x1||x2|) x2.x1",
-                    ((f"[{n1},{n2}]", accumulate(accumulate({}, P, {n1: 1}, n2), P,
-                                                 {n2: -(-1) ** (deg[n1] * deg[n2])}, n1))
-                     for n1, n2 in swaps))
+                    (((n1, n2), accumulate(accumulate({}, P, {n1: 1}, n2), P,
+                                           {n2: -(-1) ** (deg[n1] * deg[n2])}, n1))
+                     for n1, n2 in swaps), "[{},{}]")
 
     report.identity("associativity", "(x1.x2).x3 = x1.(x2.x3)",
-                    ((f"({n1}.{n2}).{n3}",
+                    (((n1, n2, n3),
                       accumulate(accumulate({}, P, P.get((n1, n2), {}), n3),
                                  P, P.get((n2, n3), {}), n1, -1, left=True))
-                     for n1, n2, n3 in triples))
+                     for n1, n2, n3 in triples), "({}.{}).{}")
 
     report.residual("delta-e", "Delta e = 0", D.get(e, {}))
 
     report.identity("delta-squared", "Delta Delta x = 0",
-                    ((f"Delta^2 {n}", accumulate({}, D, D.get(n, {}))) for n in names))
+                    (((n,), accumulate({}, D, D.get(n, {}))) for n in names), "Delta^2 {}")
 
     if model.bracket_table is not None:
         supplied = model.bracket_rows
         report.identity("delta-bracket",
                         "[x1,x2] = Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.Delta x2",
-                        ((f"[{n1},{n2}]", accumulate(accumulate({}, supplied, {n1: 1}, n2),
-                                                     B, {n1: -1}, n2, fill=bracket_row))
-                         for n1, n2 in pairs))
+                        (((n1, n2), accumulate(accumulate({}, supplied, {n1: 1}, n2),
+                                               B, {n1: -1}, n2, fill=bracket_row))
+                         for n1, n2 in pairs), "[{},{}]")
 
     report.identity("antisymmetry", "[x2,x1] = (-1)^(|x1||x2|) [x1,x2]",
-                    ((f"[{n2},{n1}]",
+                    (((n1, n2),
                       accumulate(accumulate({}, B, {n2: 1}, n1, fill=bracket_row),
                                  B, {n1: -(-1) ** (deg[n1] * deg[n2])}, n2, fill=bracket_row))
-                     for n1, n2 in swaps))
+                     for n1, n2 in swaps), "[{1},{0}]")
 
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
-                    ((f"[{n1},{n2}.{n3}]", derivation(n1, n2, n3))
-                     for n1, n2, n3 in triples))
+                    ((t, derivation(*t)) for t in triples), "[{},{}.{}]")
 
     report.identity("jacobi", "signed cyclic sum of [x1,[x2,x3]] = 0",
-                    ((f"jacobi({n1},{n2},{n3})", jacobi(n1, n2, n3))
-                     for n1, n2, n3 in rotations))
+                    ((t, jacobi(*t)) for t in rotations), "jacobi({},{},{})")
 
     report.identity("e-is-ideal", "[e,x] = 0",
-                    ((f"[e,{n}]", bracket_row(e, n)) for n in names))
+                    (((n,), bracket_row(e, n)) for n in names), "[e,{}]")
 
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
-                    ((f"({n1},{n2})",
+                    (((n1, n2),
                       accumulate(accumulate(accumulate({}, D, bracket_row(n1, n2)),
                                             B, live_delta[n1], n2, fill=bracket_row),
                                  B, D.get(n2, {}), n1, (-1) ** deg[n1],
                                  left=True, fill=bracket_row))
-                     for n1, n2 in pairs))
+                     for n1, n2 in pairs), "({},{})")
     return report
 
 
@@ -366,18 +364,18 @@ def check_leibniz(nabla: Connection, model: BVModel) -> Report:
 
     report.identity("nabla-product",
                     "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)",
-                    ((f"({n1},{n2})",
+                    (((n1, n2),
                       accumulate(accumulate(nabla.apply(P.get((n1, n2), {}), model),
                                             P, L.get(n1, {}), n2, -1),
                                  P, L.get(n2, {}), n1, -1, left=True))
-                     for n1, n2 in pairs))
+                     for n1, n2 in pairs), "({},{})")
     report.identity("nabla-bracket",
                     "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]",
-                    ((f"({n1},{n2})",
+                    (((n1, n2),
                       accumulate(accumulate(nabla.apply(bracket_row(n1, n2), model),
                                             B, live_nabla[n1], n2, -1, fill=bracket_row),
                                  B, L.get(n2, {}), n1, -1, left=True, fill=bracket_row))
-                     for n1, n2 in pairs))
+                     for n1, n2 in pairs), "({},{})")
     return report
 
 

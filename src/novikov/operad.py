@@ -90,13 +90,21 @@ class DiscConfiguration:
     def from_json(cls, data: dict) -> "DiscConfiguration":
         data = require_object(data, "disc configuration")
         exact = data.get("mode", "exact") == "exact"
-        conv = Fraction if exact else float
+        kind = Fraction if exact else float
+
+        def conv(x, kind=kind):
+            # a JSON true or false, which Fraction and float read as 1 or 0
+            if isinstance(x, bool):
+                raise ParseError(f"bad configuration: not a number: {x!r}")
+            return kind(x)
+
         try:
             points = [Disc(conv(p["re"]), conv(p["im"]), conv(p["r"]))
                       for p in require_list(data.get("points", []), "points")]
             framings = None
             if "framings" in data:
-                framings = [Fraction(t) for t in require_list(data["framings"], "framings")]
+                framings = [conv(t, Fraction)
+                            for t in require_list(data["framings"], "framings")]
             z = None
             if data.get("z") is not None:
                 z = (conv(data["z"]["re"]), conv(data["z"]["im"]))

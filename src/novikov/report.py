@@ -57,13 +57,17 @@ class Report:
             detail = shown[0] if len(shown) == 1 else f"({', '.join(shown)})"
         return self.add(name, equation, all(map(vanishes, residuals)), detail)
 
-    def identity(self, name: str, equation: str, cases) -> CheckResult:
-        """One row for an identity over (label, residual) cases: it passes
+    def identity(self, name: str, equation: str, cases,
+                 label: str | None = None) -> CheckResult:
+        """One row for an identity over (key, residual) cases: it passes
         when every residual vanishes, and its detail names the first case
-        that does not.  No case after that one is evaluated."""
-        for label, res in cases:
+        that does not.  No case after that one is evaluated.  The case is
+        named by its key, or with a *label* format by ``label.format(*key)``,
+        so only a failing case's label is ever built."""
+        for key, res in cases:
             if not vanishes(res):
-                return self.add(name, equation, False, f"{label}: {render(res)}")
+                text = key if label is None else label.format(*key)
+                return self.add(name, equation, False, f"{text}: {render(res)}")
         return self.add(name, equation, True, "0")
 
     @property

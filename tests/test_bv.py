@@ -304,13 +304,13 @@ def decided(check, *args):
     cases = []
     identity = Report.identity
 
-    def recording(self, name, equation, items):
+    def recording(self, name, equation, items, label=None):
         items = list(items)
-        for label, res in items:
+        for key, res in items:
             res = {k: as_series(v) for k, v in res.items()}
-            cases.append((name, label, {k: s for k, s in res.items()
-                                        if s.terms or s.truncation != INF}))
-        return identity(self, name, equation, items)
+            cases.append((name, key if label is None else label.format(*key),
+                          {k: s for k, s in res.items() if s.terms or s.truncation != INF}))
+        return identity(self, name, equation, items, label)
 
     with mock.patch.object(Report, "identity", recording):
         report = check(*args)

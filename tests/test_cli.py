@@ -312,8 +312,15 @@ def _glue_first(**fields):
     (_glue_first(points={}), "points must be a list"),
     (_glue_first(framings=["1/4", "1/2"]), "one framing per disc: 2 framings for 1 discs"),
     (_glue_first(framings="1/4"), "framings must be a list"),
+    # a JSON boolean is no coordinate, radius or framing, though Fraction
+    # and float would read it as 1 or 0
+    (_glue_first(framings=[True]), "not a number: True"),
+    ({**_glue(1), "second": {**_glue(1)["second"], "points": [
+        {"re": False, "im": "0", "r": "1/10"}, {"re": "-1/2", "im": "0", "r": "1/5"}]}},
+     "not a number: False"),
+    (_glue_first(points=[{"re": "1/2", "im": "0", "r": True}]), "not a number: True"),
 ], ids=["glue-slot-0", "glue-slot-2", "compose-slot-2", "points-object",
-        "framing-count", "framings-string"])
+        "framing-count", "framings-string", "framing-true", "re-false", "r-true"])
 def test_malformed_operad_field_is_parse_error(tmp_path, payload, message):
     task = tmp_path / "operad.json"
     task.write_text(json.dumps(payload))

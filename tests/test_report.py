@@ -79,6 +79,23 @@ def test_identity_evaluates_no_case_after_the_first_failing_one():
     assert (result.passed, result.detail) == (False, "c2: (-1)*x")
 
 
+def test_identity_formats_only_the_first_failing_label():
+    formatted = []
+
+    class Name(str):
+        def __format__(self, spec):
+            formatted.append(str(self))
+            return super().__format__(spec)
+
+    a, b = Name("a"), Name("b")
+    cases = [((a, a), {}), ((a, b), {"x": S((0, -1))}), ((b, a), {"y": S((0, 1))})]
+    result = Report().identity("id", "eq", cases, "[{1},{0}]")
+    assert (result.passed, result.detail) == (False, "[b,a]: (-1)*x")
+    assert formatted == ["b", "a"]
+    assert Report().identity("id", "eq", cases[:1], "[{1},{0}]").detail == "0"
+    assert formatted == ["b", "a"]
+
+
 def series_form(x):
     """A vector of row entries as a vector of series: a rational is its
     exact constant series, and a rational zero is dropped."""

@@ -656,6 +656,154 @@ def test_invert_matches_the_dict_reference(a_lit, order):
         assert got is want
 
 
+# ---------------------------------------------------------------------------
+# the dot-product path of __mul__ against the dict reference
+# ---------------------------------------------------------------------------
+
+
+def lattice(exps, trunc=INF, scale=1):
+    """The literal of terms at ``e/scale`` for each *e*, coefficients
+    varied so that no product cancels by accident."""
+    return [(F(e, scale), F((-1) ** i * (i % 7 + 1), i % 5 + 1))
+            for i, e in enumerate(exps)], trunc
+
+
+def dense_taken(monkeypatch, a, b):
+    """(a * b, whether it took the dot-product path)."""
+    laid = []
+    lay = series._lattice
+    monkeypatch.setattr(series, "_lattice",
+                        lambda *args: laid.append(1) or lay(*args))
+    return a * b, bool(laid)
+
+
+def with_gaps(n, span):
+    """*n* exponents from 0 over *span* slots, the gaps spread out."""
+    return sorted({round(i * (span - 1) / (n - 1)) for i in range(n)})
+
+
+@pytest.mark.parametrize("a_lit, b_lit, dense", [
+    # no gaps, at and below the 6-term minimum
+    (lattice(range(6)), lattice(range(6)), True),
+    (lattice(range(5)), lattice(range(60)), False),
+    (lattice(range(2)), lattice(range(60), 40), False),
+    # gapped: span_a * span_b at, and one slot past, 5/4 of len_a * len_b
+    (lattice(with_gaps(8, 10)), lattice(range(8)), True),
+    (lattice(with_gaps(8, 11)), lattice(range(8)), False),
+    # gapped at span = 2 len and 2 len + 1
+    (lattice(with_gaps(10, 20)), lattice(with_gaps(10, 20)), False),
+    (lattice(with_gaps(10, 21)), lattice(range(10)), False),
+    # mixed scales: whole exponents over the half-integer scale leave gaps,
+    # half-integer exponents on both sides stay dense
+    (lattice(range(16), scale=2), lattice(range(8)), False),
+    (lattice(range(1, 16, 2), scale=2), lattice(range(1, 30, 2), scale=2), False),
+    (lattice(range(16), scale=2), lattice(range(1, 13), 7, scale=2), True),
+    (lattice(range(6), scale=6), lattice(range(8), scale=2), False),
+    # negative exponents
+    (lattice(range(-7, 3)), lattice(range(-3, 9), 9), True),
+    # truncated just above the last term: the result stops at the lower
+    # of the two truncations, one term long past the lowest product
+    (lattice(range(6), 6), lattice(range(10, 20), 20), True),
+    (lattice(range(-3, 9), F(17, 2)), lattice(range(6), F(11, 2)), True),
+    # an exact operand times a truncated one
+    (lattice(range(30)), lattice(range(30), 30), True),
+    (lattice(range(60)), lattice(range(59), 59), True),
+])
+def test_dot_product_matches_the_dict_reference(monkeypatch, a_lit, b_lit, dense):
+    a, b = NovikovSeries(*a_lit), NovikovSeries(*b_lit)
+    want = ref_mul(ref(*a_lit), ref(*b_lit))
+    for x, y in ((a, b), (b, a)):
+        got, taken = dense_taken(monkeypatch, x, y)
+        assert taken is dense
+        assert_matches(got, want)
+        assert_canonical(got)
+
+
+@st.composite
+def dense_literals(draw):
+    """``(pairs, truncation)`` of 6 to 16 terms over at most twice as many
+    lattice slots, the truncation exact, past the last term or among them."""
+    n = draw(st.integers(min_value=6, max_value=16))
+    lo = draw(st.integers(min_value=-6, max_value=6))
+    span = draw(st.integers(min_value=n, max_value=2 * n))
+    exps = sorted(draw(st.sets(st.integers(min_value=lo + 1, max_value=lo + span - 2),
+                               min_size=n - 2, max_size=n - 2)) | {lo, lo + span - 1})
+    pairs = [(F(e, 2), draw(coeffs.filter(bool))) for e in exps]
+    trunc = draw(st.one_of(st.just(INF), st.integers(min_value=lo + span, max_value=lo + 3 * span),
+                           st.integers(min_value=lo + n, max_value=lo + span)))
+    return pairs, trunc if trunc == INF else F(trunc, 2)
+
+
+@settings(max_examples=150)
+@given(dense_literals(), dense_literals())
+def test_dense_products_match_the_dict_reference(a_lit, b_lit):
+    a, b = NovikovSeries(*a_lit), NovikovSeries(*b_lit)
+    assert_matches(a * b, ref_mul(ref(*a_lit), ref(*b_lit)))
+    assert_matches(b * a, ref_mul(ref(*a_lit), ref(*b_lit)))
+
+
+# ---------------------------------------------------------------------------
+# d_q and invert are computed once per series
+# ---------------------------------------------------------------------------
+
+
+def fresh(a):
+    return NovikovSeries(a.terms, a.truncation)
+
+
+def test_invert_is_kept_per_order():
+    a = S((0, 2), (1, F(1, 3)), (2, -1), trunc=12)
+    five, three = a.invert(5), a.invert(3)
+    assert (five.truncation, three.truncation) == (5, 3)
+    assert five == fresh(a).invert(5) and three == fresh(a).invert(3)
+    # the same order, as an int, a Fraction or a string, is one entry
+    assert a.invert(5) is five and a.invert(F(5)) is five and a.invert("10/2") is five
+    assert a.invert() == fresh(a).invert() and a.invert() is a.invert()
+    assert a.invert(INF) is a.invert(INF) and a.invert(INF) == a.invert()
+    # a malformed order is refused whatever is kept
+    for order in ("terms", "d_q", "x"):
+        with pytest.raises(ParseError):
+            a.invert(order)
+    with pytest.raises(TypeError):
+        a.invert(5.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(invertible_series(), mixed_series()),
+       st.one_of(st.none(), mixed_exponents))
+def test_kept_d_q_and_invert_equal_fresh_ones(a, order):
+    d = a.d_q()
+    assert a.d_q() is d
+    assert fields(d) == fields(fresh(a).d_q())
+    assert d.d_q() is d.d_q()
+    got = outcome(a.invert, order)
+    want = outcome(fresh(a).invert, order)
+    if isinstance(want, NovikovSeries):
+        assert fields(got) == fields(want)
+        assert a.invert(order) is got
+        assert a.terms == fresh(a).terms
+    else:
+        assert got is want
+
+
+def test_a_refused_invert_is_refused_on_every_call(monkeypatch):
+    monkeypatch.setattr(series, "MAX_INVERT_PRODUCTS", 10)
+    a = S((0, 1), (1, 1))
+    for _ in range(3):
+        with pytest.raises(NovikovError, match="MAX_INVERT_PRODUCTS = 10 "):
+            a.invert(order=12)
+    # the refusals kept nothing, and a smaller order is still made
+    assert a._cache is None
+    assert len(a.invert(order=11).exps) == 11
+    for _ in range(2):
+        with pytest.raises(NovikovError, match="MAX_INVERT_PRODUCTS"):
+            a.invert(order=12)
+        with pytest.raises(ValueError, match="pass order="):
+            a.invert()
+    with pytest.raises(ZeroDivisionError):
+        NovikovSeries.zero(3).invert(1)
+
+
 def fields(s):
     return s.exps, s.scale, s.nums, s.den, s.truncation
 
