@@ -211,7 +211,7 @@ class Connection:
 
     linear: dict[str, Vec] = field(default_factory=dict)
 
-    def apply(self, x: Vec, model: BVModel) -> Vec:
+    def apply(self, x: Vec) -> Vec:
         # a rational coefficient is a constant, whose d_q is zero
         return accumulate({k: s.d_q() for k, s in x.items() if isinstance(s, NovikovSeries)},
                           self.linear, x)
@@ -365,14 +365,14 @@ def check_leibniz(nabla: Connection, model: BVModel) -> Report:
     report.identity("nabla-product",
                     "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)",
                     (((n1, n2),
-                      accumulate(accumulate(nabla.apply(P.get((n1, n2), {}), model),
+                      accumulate(accumulate(nabla.apply(P.get((n1, n2), {})),
                                             P, L.get(n1, {}), n2, -1),
                                  P, L.get(n2, {}), n1, -1, left=True))
                      for n1, n2 in pairs), "({},{})")
     report.identity("nabla-bracket",
                     "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]",
                     (((n1, n2),
-                      accumulate(accumulate(nabla.apply(bracket_row(n1, n2), model),
+                      accumulate(accumulate(nabla.apply(bracket_row(n1, n2)),
                                             B, live_nabla[n1], n2, -1, fill=bracket_row),
                                  B, L.get(n2, {}), n1, -1, left=True, fill=bracket_row))
                      for n1, n2 in pairs), "({},{})")
@@ -382,8 +382,8 @@ def check_leibniz(nabla: Connection, model: BVModel) -> Report:
 def delta_nabla_residual(nabla: Connection, a: Vec, x: Vec, model: BVModel) -> Vec:
     """nabla(Delta x) - Delta(nabla x) + [a, x]; zero when the connection
     satisfies the inner-derivation relation."""
-    out = accumulate(nabla.apply(model.delta_apply(x), model), model.delta_rows,
-                     nabla.apply(x, model), scale=-1)
+    out = accumulate(nabla.apply(model.delta_apply(x)), model.delta_rows,
+                     nabla.apply(x), scale=-1)
     return model.bracket(a, x, out)
 
 
@@ -425,7 +425,7 @@ def minus1_ambiguity_check(nabla: Connection, alpha: Vec, a: Vec,
 
     def residual(x: Vec) -> Vec:
         # x is over the rational 1, so nabla^{-1} x is its linear part
-        out = accumulate(minus1_tilde.apply(x, model), minus1.linear, x, scale=-1)
+        out = accumulate(minus1_tilde.apply(x), minus1.linear, x, scale=-1)
         accumulate(out, model.delta_rows, model.mul(alpha, x))
         return contract(model.product_rows, alpha, model.delta_apply(x), out)
 
@@ -435,11 +435,11 @@ def minus1_ambiguity_check(nabla: Connection, alpha: Vec, a: Vec,
     return report
 
 
-def r_endomorphism_check(model: BVModel, k_name: str = "k") -> Report:
+def r_endomorphism_check(model: BVModel) -> Report:
     """With Delta k = 0, the rotation endomorphism has the two equivalent
     bracket forms: [k, x] = [k, x]^{-1} (they differ by (Delta k).x)."""
     report = Report()
-    k = model.element(k_name)
+    k = model.element("k")
     report.residual("delta-k", "Delta k = 0", model.delta_apply(k))
     # the row names the first failing basis name; no later one is evaluated
     for n in model.degrees:
@@ -468,7 +468,7 @@ def nonlinear_a_residual(nabla: Connection, a: Vec, prob: ODEProblem,
                          model: BVModel, order: Trunc | None = None) -> Vec:
     """nabla a + a.a + (eta - psi'/psi)*a - 4*z2*psi^2*e."""
     p = prob.p_coefficient(order)
-    return vec_add(nabla.apply(a, model), model.mul(a, a), vec_scale(p, a),
+    return vec_add(nabla.apply(a), model.mul(a, a), vec_scale(p, a),
                    vec_scale(-4 * prob.z2 * prob.psi * prob.psi,
                              model.unit_vec()))
 
@@ -478,7 +478,7 @@ def nablac_s_residual(nabla: Connection, s: Vec, prob: ODEProblem, c,
     """nabla^c s + (c-1)*psi*(s.s) + eta*s + 4*z2*psi*e, with a = -psi*s."""
     a = vec_scale(-prob.psi, s)
     conn = nabla_c(nabla, a, c, model)
-    return vec_add(conn.apply(s, model),
+    return vec_add(conn.apply(s),
                    vec_scale((Fraction(c) - 1) * prob.psi, model.mul(s, s)),
                    vec_scale(prob.eta, s),
                    vec_scale(4 * prob.z2 * prob.psi, model.unit_vec()))
@@ -495,8 +495,8 @@ def second_order_on_e(nabla: Connection, s: Vec, prob: ODEProblem,
     one = nabla_c(nabla, a, 1, model)
     e = model.unit_vec()
     p = prob.p_coefficient(order)
-    first = one.apply(e, model)
-    return vec_add(one.apply(first, model), vec_scale(p, first),
+    first = one.apply(e)
+    return vec_add(one.apply(first), vec_scale(p, first),
                    vec_scale(-4 * prob.z2 * prob.psi * prob.psi, e))
 
 

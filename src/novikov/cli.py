@@ -189,8 +189,7 @@ def run_gw(payload: dict, trunc=None) -> Report:
         elif name == "psi-eta":
             report.checks += qmod.psi_eta_check(model, gw, psi_eta_order).checks
         elif name == "gauss-manin":
-            eq = qmod.EqModuleModel(prob, order=order)
-            report.checks += qmod.gauss_manin_check(eq).checks
+            report.checks += qmod.gauss_manin_check(prob, order).checks
         elif name == "uueq":
             report.checks += qmod.uueq_rewrite_check(model, gw).checks
         else:

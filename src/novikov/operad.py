@@ -135,7 +135,7 @@ def _abs2(re, im):
     return re * re + im * im
 
 
-def validate(config: DiscConfiguration, eps: float = EPS) -> tuple[bool, list[str]]:
+def validate(config: DiscConfiguration) -> tuple[bool, list[str]]:
     """Check disjointness, containment, marked-point placement, and the
     framing restriction on the identity configuration."""
     problems: list[str] = []
@@ -143,10 +143,10 @@ def validate(config: DiscConfiguration, eps: float = EPS) -> tuple[bool, list[st
     exact = config.exact
 
     def le(a, b):  # a <= b with tolerance in float mode
-        return a <= b if exact else a <= b + eps
+        return a <= b if exact else a <= b + EPS
 
     def lt(a, b):
-        return a < b if exact else a < b + eps
+        return a < b if exact else a < b + EPS
 
     if config.is_identity:
         ok = (len(pts) == 1 and pts[0].re == 0 and pts[0].im == 0
@@ -158,7 +158,7 @@ def validate(config: DiscConfiguration, eps: float = EPS) -> tuple[bool, list[st
         if config.z_point is not None:
             # only the boundary circle remains outside the disc's interior
             r2 = _abs2(*config.z_point)
-            on_circle = r2 == 1 if exact else abs(r2 - 1) < eps
+            on_circle = r2 == 1 if exact else abs(r2 - 1) < EPS
             if not on_circle:
                 problems.append("marked point of the identity configuration "
                                 "must lie on the unit circle")
@@ -176,7 +176,7 @@ def validate(config: DiscConfiguration, eps: float = EPS) -> tuple[bool, list[st
             a, b = pts[i], pts[j]
             dist2 = _abs2(a.re - b.re, a.im - b.im)
             rsum = a.radius + b.radius
-            if not (dist2 > rsum * rsum if exact else dist2 > rsum * rsum - eps):
+            if not (dist2 > rsum * rsum if exact else dist2 > rsum * rsum - EPS):
                 problems.append(f"discs {i+1} and {j+1} overlap")
     if config.z_point is not None:
         zr, zi = config.z_point
@@ -184,7 +184,7 @@ def validate(config: DiscConfiguration, eps: float = EPS) -> tuple[bool, list[st
             problems.append("marked point outside the closed unit disc")
         for i, p in enumerate(pts, start=1):
             if (_abs2(zr - p.re, zi - p.im) < p.radius ** 2 if exact
-                    else _abs2(zr - p.re, zi - p.im) < p.radius ** 2 - eps):
+                    else _abs2(zr - p.re, zi - p.im) < p.radius ** 2 - EPS):
                 problems.append(f"marked point inside disc {i}")
     return not problems, problems
 

@@ -39,7 +39,7 @@ from .graded import (
     vec_sub,
 )
 from .ode import ODEProblem
-from .report import Report
+from .report import Report, vanishes
 from .series import NovikovSeries, Trunc, integer, rat
 from .useries import USeries
 
@@ -177,9 +177,9 @@ class GWData:
                    z2tilde=load("z2tilde"),
                    gamma=rat(data.get("gamma", 0)))
 
-    def omega_vec(self, d_class: str = "D", m_class: str = "M") -> Vec:
+    def omega_vec(self, m_class: str = "M") -> Vec:
         """q^{-1}[omega] for omega = D + gamma*M."""
-        return {d_class: _Q_INV, m_class: Fraction(self.gamma) * _Q_INV}
+        return {"D": _Q_INV, m_class: Fraction(self.gamma) * _Q_INV}
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +218,11 @@ def wdvv_residual(x: Vec, model: CohomologyModel, gw: GWData) -> Vec:
     return vec_sub(first, vec_add(second, third))
 
 
-def wdvv_check(model: CohomologyModel, gw: GWData,
-               xs: list[Vec] | None = None) -> Report:
+def wdvv_check(model: CohomologyModel, gw: GWData) -> Report:
     report = Report()
-    if xs is None:
-        xs = [model.basis_vec(n) for n in model.degrees]
-        names = list(model.degrees)
-    else:
-        names = [f"x{i}" for i in range(len(xs))]
-    for name, x in zip(names, xs):
+    for name in model.degrees:
         report.residual(f"wdvv[{name}]", "x *0 z1 = (x.M) *1 M + (x *1 M).M",
-                        wdvv_residual(x, model, gw))
+                        wdvv_residual(model.basis_vec(name), model, gw))
     return report
 
 
@@ -256,14 +250,13 @@ def relative_z2_check(model: CohomologyModel, gw: GWData) -> Report:
 
 
 def solve_psi_eta(model: CohomologyModel, gw: GWData,
-                  order: Trunc | None = None,
-                  d_class: str = "D") -> tuple[NovikovSeries, NovikovSeries]:
+                  order: Trunc | None = None) -> tuple[NovikovSeries, NovikovSeries]:
     """The unique (psi, eta) with q^{-1}[omega] = psi*z1 - eta*M, solved
     componentwise on a two-dimensional degree-2 basis {D, M}."""
     h2 = [n for n, d in model.degrees.items() if d == 2]
-    if sorted(h2) != sorted([d_class, model.m_class]):
+    if sorted(h2) != sorted(["D", model.m_class]):
         raise ValueError(f"need a two-dimensional degree-2 basis, have {h2}")
-    z1_d = vec_get(gw.z1, d_class)
+    z1_d = vec_get(gw.z1, "D")
     if z1_d.is_zero():
         raise NoSolution("the D-component of z1 vanishes; psi is undefined")
     psi = _Q_INV * z1_d.invert(order)
@@ -309,84 +302,46 @@ def quantum_connection(x: Vec, model: CohomologyModel) -> UVec:
 E_EQ, S_EQ, SS_EQ = "e_eq", "s_eq", "ss_eq"
 
 
-@dataclass
-class EqModuleModel:
-    """Free rank-3 module on {e_eq, s_eq, ss_eq} over the u-extension,
-    together with the dictionary expressing the images of 1, w = q^{-1}[omega]
-    and w *_E w in that basis; everything is driven by (psi, eta, z2)."""
-
-    prob: ODEProblem
-    order: Trunc | None = None
-
-    def dictionary(self, psi_inv: NovikovSeries) -> dict[str, UVec]:
-        """The images of 1, w and w *_E w; *psi_inv* is
-        ``psi.invert(order)``, which the caller needs as well."""
-        psi, eta, z2 = self.prob.psi, self.prob.eta, self.prob.z2
-        log_psi = psi.d_q() * psi_inv
-        u = USeries.u_power(1)
-        u2 = USeries.u_power(2)
-        return {
-            "1": {E_EQ: USeries.scalar(NovikovSeries.one())},
-            "w": {S_EQ: u.scale(psi)},
-            "ww": {
-                SS_EQ: u2.scale(2 * psi * psi),
-                S_EQ: u2.scale(-(psi * (eta - log_psi - _Q_INV))),
-                E_EQ: u2.scale(-4 * z2 * psi * psi),
-            },
-        }
-
-
-def gauss_manin_derivation(eqmodel: EqModuleModel) -> tuple[UVec, UVec]:
-    """Push the quantum connection through the dictionary.
+def gauss_manin_derivation(prob: ODEProblem, order: Trunc | None = None) -> tuple[UVec, UVec]:
+    """Push the quantum connection into the free rank-3 module on
+    {e_eq, s_eq, ss_eq} over the u-extension, driven by (psi, eta, z2).
 
     Returns (Gamma(e_eq), u*Gamma(s_eq)) in the module basis.  The inputs on
-    the classical side are 1 and psi^{-1} w, whose connection images are
+    the classical side are 1 and psi^{-1} w, with w = q^{-1}[omega] = u*psi*s_eq,
+    whose connection images are
 
         D(1)          = w
         D(psi^{-1} w) = u*(d_q psi^{-1} - psi^{-1} q^{-1})*w + psi^{-1}*(w *_E w)
 
-    using d_q w = -q^{-1} w.
+    using d_q w = -q^{-1} w; *psi^{-1}* is ``psi.invert(order)``.
     """
-    psi_inv = eqmodel.prob.psi.invert(eqmodel.order)
-    table = eqmodel.dictionary(psi_inv)
-    gamma_e = vec_scale(USeries.scalar(NovikovSeries.one()), table["w"])
+    psi, eta, z2 = prob.psi, prob.eta, prob.z2
+    psi_inv = psi.invert(order)
+    log_psi = psi.d_q() * psi_inv
+    u = USeries.u_power(1)
+    u2 = USeries.u_power(2)
+    w = {S_EQ: u.scale(psi)}
+    ww = {
+        SS_EQ: u2.scale(2 * psi * psi),
+        S_EQ: u2.scale(-(psi * (eta - log_psi - _Q_INV))),
+        E_EQ: u2.scale(-4 * z2 * psi * psi),
+    }
     w_coeff = USeries({1: psi_inv.d_q() - psi_inv * _Q_INV})
-    u_gamma_s = vec_add(vec_scale(w_coeff, table["w"]),
-                        vec_scale(USeries.scalar(psi_inv), table["ww"]))
-    return gamma_e, u_gamma_s
+    u_gamma_s = vec_add(vec_scale(w_coeff, w), vec_scale(USeries.scalar(psi_inv), ww))
+    return w, u_gamma_s
 
 
-def _gamma_table(prob: ODEProblem) -> dict[str, UVec]:
+def gauss_manin_check(prob: ODEProblem, order: Trunc | None = None) -> Report:
     """Gamma(e_eq) = u*psi*s_eq and Gamma(s_eq) = u*(2*psi*ss_eq - eta*s_eq
     - 4*z2*psi*e_eq), as the derivation must find them (Gamma(ss_eq) is
     outside the modeled range)."""
-    psi, eta, z2 = prob.psi, prob.eta, prob.z2
-    return {
-        E_EQ: {S_EQ: USeries({1: psi})},
-        S_EQ: {SS_EQ: USeries({1: 2 * psi}), S_EQ: USeries({1: -eta}),
-               E_EQ: USeries({1: -4 * z2 * psi})},
-    }
-
-
-def gamma_apply(x: UVec, eqmodel: EqModuleModel) -> UVec:
-    """The connection-type operator on the rank-3 module:
-    Gamma(f*b) = f*Gamma(b) + u*(d_q f)*b, with Gamma(e) and Gamma(s) from
-    :func:`_gamma_table`.
-
-    Library API: no task file reaches it; the tests check it directly."""
-    if SS_EQ in x and not x[SS_EQ].is_zero():
-        raise ValueError("Gamma is not modeled on the ss_eq line")
-    return vec_add(linear_apply(_gamma_table(eqmodel.prob), x),
-                   {name: f.d_q().times_u() for name, f in x.items() if name != SS_EQ})
-
-
-def gauss_manin_check(eqmodel: EqModuleModel) -> Report:
     report = Report()
-    gamma_e, u_gamma_s = gauss_manin_derivation(eqmodel)
-    table = _gamma_table(eqmodel.prob)
+    psi, eta, z2 = prob.psi, prob.eta, prob.z2
+    gamma_e, u_gamma_s = gauss_manin_derivation(prob, order)
     report.residual("gauss-manin-e", "Gamma(e_eq) = u*psi*s_eq",
-                    vec_sub(gamma_e, table[E_EQ]), detail=vec_render(gamma_e))
-    expect_s = {name: f.times_u() for name, f in table[S_EQ].items()}
+                    vec_sub(gamma_e, {S_EQ: USeries({1: psi})}), detail=vec_render(gamma_e))
+    expect_s = {SS_EQ: USeries({2: 2 * psi}), S_EQ: USeries({2: -eta}),
+                E_EQ: USeries({2: -4 * z2 * psi})}
     report.residual("gauss-manin-s",
                     "u*Gamma(s_eq) = 2u^2*psi*ss_eq - u^2*eta*s_eq - 4u^2*z2*psi*e_eq",
                     vec_sub(u_gamma_s, expect_s), detail=vec_render(u_gamma_s))
@@ -409,11 +364,9 @@ def uueq_rewrite_check(model: CohomologyModel, gw: GWData) -> Report:
         raise ValueError("model needs a unit class to place z2")
     if gw.z2tilde is None:
         raise ValueError("the rewrite needs z2~ data")
-    pre_w = wdvv_check(model, gw, xs=[gw.z1])
-    if not pre_w.passed:
+    if not vanishes(wdvv_residual(gw.z1, model, gw)):
         raise PrerequisiteFailed("associativity instance fails for z1")
-    pre_r = relative_z2_check(model, gw)
-    if not pre_r.passed:
+    if not vanishes(vec_sub(model.restrict(gw.z2tilde), relative_z2(model, gw))):
         raise PrerequisiteFailed("relative reduction fails")
 
     report = Report()

@@ -41,7 +41,6 @@ from novikov.ode import (
 )
 from novikov.quantum import (
     CohomologyModel,
-    EqModuleModel,
     GWData,
     gauss_manin_check,
     psi_eta_check,
@@ -196,7 +195,7 @@ def test_criterion_5_gauss_manin_reproduction():
     rng = random.Random(23)
     for trial in range(20):
         prob, _, _ = adjacent_root_problem(rng)
-        report = gauss_manin_check(EqModuleModel(prob))
+        report = gauss_manin_check(prob)
         if not report.passed:
             problems.append(f"trial {trial}: "
                             + "; ".join(c.detail for c in report.failures()))

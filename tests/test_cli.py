@@ -709,9 +709,15 @@ _BV_BASIS = [{"name": "e", "degree": 0}]
       "phi1": [1], "phi2": _OP}, "operation 'phi1' must be an object"),
     # an object of terms was read as the exact zero series, so this passed
     (_ode({"type": "second-order", "rho": {"terms": {}}}), "series terms must be a list"),
+    # a check whose input block is missing names what it needs
+    ({"task": "gw", "checks": ["gauss-manin"]}, "check 'gauss-manin' needs a problem block"),
+    ({"task": "gw", "gw": {}, "checks": ["wdvv"]}, "check 'wdvv' needs model and gw blocks"),
+    ({"task": "bv", "checks": ["class-equation"]},
+     "check 'class-equation' needs a problem block"),
 ], ids=["bv-product-result", "gw-omega", "bv-delta", "bv-elements",
         "gw-restriction", "top-level-array", "task-array", "gw-qpieces-record",
-        "gw-block", "operad-config", "operad-operation", "series-terms-object"])
+        "gw-block", "operad-config", "operad-operation", "series-terms-object",
+        "gw-no-prob", "gw-no-model", "bv-no-prob"])
 def test_vector_field_not_an_object_is_parse_error(tmp_path, payload, message):
     bad = tmp_path / "vector.json"
     bad.write_text(json.dumps(payload))

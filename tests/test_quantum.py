@@ -12,10 +12,8 @@ from novikov.graded import homogeneous, vec_add, vec_is_zero, vec_scale, vec_sub
 from novikov.ode import ODEProblem
 from novikov.quantum import (
     CohomologyModel,
-    EqModuleModel,
     GWData,
     divisor_relations_check,
-    gamma_apply,
     gauss_manin_check,
     gauss_manin_derivation,
     psi_eta_check,
@@ -286,33 +284,18 @@ def test_gauss_manin_randomized():
     rng = random.Random(31)
     for _ in range(20):
         prob = lattice_problem(rng)
-        report = gauss_manin_check(EqModuleModel(prob))
-        assert report.passed, [c.detail for c in report.failures()]
+        order = rng.choice([None, rng.randint(4, 12)])
+        report = gauss_manin_check(prob, order)
+        assert report.passed, (order, [c.detail for c in report.failures()])
 
 
 def test_gauss_manin_degenerate_dictionary():
     prob = ODEProblem(ONE, NovikovSeries.zero(), NovikovSeries.zero())
-    gamma_e, u_gamma_s = gauss_manin_derivation(EqModuleModel(prob))
+    gamma_e, u_gamma_s = gauss_manin_derivation(prob)
     assert gamma_e["s_eq"] == USeries({1: ONE})
     assert u_gamma_s["ss_eq"] == USeries({2: 2 * ONE})
     assert u_gamma_s.get("s_eq", USeries()).is_zero()
     assert u_gamma_s.get("e_eq", USeries()).is_zero()
-
-
-def test_gamma_operator_leibniz():
-    rng = random.Random(13)
-    for _ in range(8):
-        prob = lattice_problem(rng)
-        eqmodel = EqModuleModel(prob)
-        f = USeries({0: NovikovSeries([(1, F(rng.randint(-2, 2))), (2, 1)],
-                                      truncation=6),
-                     1: NovikovSeries([(0, F(rng.randint(-2, 2)))], truncation=6)})
-        for base in ("e_eq", "s_eq"):
-            x = {base: USeries.scalar(ONE)}
-            lhs = gamma_apply(vec_scale(f, x), eqmodel)
-            rhs = vec_add(vec_scale(f, gamma_apply(x, eqmodel)),
-                           vec_scale(f.d_q().times_u(), x))
-            assert vec_is_zero(vec_sub(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +321,15 @@ def test_uueq_prerequisite_failure():
     # break the associativity instance in a fresh model: the used one keeps its rows
     qp0 = {**model.qpieces[0], ("D", "D"): {"P": ONE}}
     model = dataclasses.replace(model, qpieces={**model.qpieces, 0: qp0})
-    with pytest.raises(PrerequisiteFailed):
+    with pytest.raises(PrerequisiteFailed, match="associativity instance fails for z1"):
+        uueq_rewrite_check(model, gw)
+
+
+def test_uueq_relative_reduction_prerequisite_failure():
+    model, gw = uueq_model()
+    # D survives the restriction to E, so this z2~ disagrees with (1/2)(z1 *1 M)|E
+    gw.z2tilde = vec_add(gw.z2tilde, {"D": S((1, 1))})
+    with pytest.raises(PrerequisiteFailed, match="relative reduction fails"):
         uueq_rewrite_check(model, gw)
 
 
