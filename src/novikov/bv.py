@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import graded
 from .graded import (
@@ -457,67 +458,79 @@ def r_endomorphism_check(model: BVModel) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def class_equation_residual(nabla: Connection, s: Vec, prob: ODEProblem,
-                            model: BVModel) -> Vec:
+class ClassTerms(NamedTuple):
+    """The pieces that the forms of the class equation share on a model,
+    each built once by :meth:`of` in the operand order of its formula:
+    the class s, a = -psi*s, s.s, 4*z2*psi and 4*z2*psi^2."""
+
+    prob: ODEProblem
+    model: BVModel
+    s: Vec
+    a: Vec
+    ss: Vec
+    fz: NovikovSeries
+    fz2: NovikovSeries
+
+    @classmethod
+    def of(cls, prob: ODEProblem, model: BVModel, s: Vec) -> "ClassTerms":
+        fz = 4 * prob.z2 * prob.psi
+        return cls(prob, model, s, vec_scale(-prob.psi, s), model.mul(s, s),
+                   fz, fz * prob.psi)
+
+
+def class_equation_residual(nabla: Connection, t: ClassTerms) -> Vec:
     """nabla s - psi*(s.s) + eta*s + 4*z2*psi*e, the c = 0 member of
     :func:`nablac_s_residual`."""
-    return nablac_s_residual(nabla, s, prob, 0, model)
+    return nablac_s_residual(nabla, 0, t)
 
 
-def nonlinear_a_residual(nabla: Connection, a: Vec, prob: ODEProblem,
-                         model: BVModel, order: Trunc | None = None) -> Vec:
-    """nabla a + a.a + (eta - psi'/psi)*a - 4*z2*psi^2*e."""
-    p = prob.p_coefficient(order)
-    return vec_add(nabla.apply(a), model.mul(a, a), vec_scale(p, a),
-                   vec_scale(-4 * prob.z2 * prob.psi * prob.psi,
-                             model.unit_vec()))
+def nonlinear_a_residual(nabla: Connection, t: ClassTerms, p: NovikovSeries) -> Vec:
+    """nabla a + a.a + p*a - 4*z2*psi^2*e, with p = eta - psi'/psi
+    (:meth:`ODEProblem.p_coefficient`)."""
+    return vec_add(nabla.apply(t.a), t.model.mul(t.a, t.a), vec_scale(p, t.a),
+                   vec_scale(-t.fz2, t.model.unit_vec()))
 
 
-def nablac_s_residual(nabla: Connection, s: Vec, prob: ODEProblem, c,
-                      model: BVModel) -> Vec:
-    """nabla^c s + (c-1)*psi*(s.s) + eta*s + 4*z2*psi*e, with a = -psi*s."""
-    a = vec_scale(-prob.psi, s)
-    conn = nabla_c(nabla, a, c, model)
-    return vec_add(conn.apply(s),
-                   vec_scale((Fraction(c) - 1) * prob.psi, model.mul(s, s)),
-                   vec_scale(prob.eta, s),
-                   vec_scale(4 * prob.z2 * prob.psi, model.unit_vec()))
+def nablac_s_residual(conn: Connection, c, t: ClassTerms) -> Vec:
+    """nabla^c s + (c-1)*psi*(s.s) + eta*s + 4*z2*psi*e, where *conn* is
+    nabla^c, :func:`nabla_c` of nabla and a = -psi*s."""
+    return vec_add(conn.apply(t.s), vec_scale((Fraction(c) - 1) * t.prob.psi, t.ss),
+                   vec_scale(t.prob.eta, t.s), vec_scale(t.fz, t.model.unit_vec()))
 
 
-def second_order_on_e(nabla: Connection, s: Vec, prob: ODEProblem,
-                      model: BVModel, order: Trunc | None = None) -> Vec:
+def second_order_on_e(one: Connection, t: ClassTerms, p: NovikovSeries) -> Vec:
     """Eliminate s between nabla^1 e = -psi*s and the c = 1 equation:
 
-        nabla^1 nabla^1 e + (eta - psi'/psi) nabla^1 e - 4 z2 psi^2 e = 0,
+        nabla^1 nabla^1 e + p nabla^1 e - 4 z2 psi^2 e = 0,
 
-    the unit-class analogue of the scalar second-order equation."""
-    a = vec_scale(-prob.psi, s)
-    one = nabla_c(nabla, a, 1, model)
-    e = model.unit_vec()
-    p = prob.p_coefficient(order)
+    with *one* the connection nabla^1 and p = eta - psi'/psi, the
+    unit-class analogue of the scalar second-order equation."""
+    e = t.model.unit_vec()
     first = one.apply(e)
-    return vec_add(one.apply(first), vec_scale(p, first),
-                   vec_scale(-4 * prob.z2 * prob.psi * prob.psi, e))
+    return vec_add(one.apply(first), vec_scale(p, first), vec_scale(-t.fz2, e))
 
 
 def class_equation_suite(prob: ODEProblem, n: int = 4, order: Trunc | None = None) -> Report:
     """Run the distinguished-element equation and all its equivalent forms
-    on the nilpotent desk model."""
+    on the nilpotent desk model, each shared piece and each nabla^c built
+    once; the class equation is the c = 0 form."""
     report = Report()
     model, nabla, s = nilpotent_class_model(prob, n)
+    t = ClassTerms.of(prob, model, s)
+    conns = {c: nabla_c(nabla, t.a, c, model) for c in (-1, 0, 1)}
+    forms = {c: nablac_s_residual(conn, c, t) for c, conn in conns.items()}
     report.residual("class-equation", "nabla s - psi*s.s + eta*s + 4*z2*psi*e = 0",
-                    class_equation_residual(nabla, s, prob, model))
-    a = vec_scale(-prob.psi, s)
+                    forms[0])
+    p = prob.p_coefficient(order)
     report.residual("nonlinear-a",
                     "nabla a + a.a + (eta - psi'/psi)*a - 4*z2*psi^2*e = 0",
-                    nonlinear_a_residual(nabla, a, prob, model, order))
-    for c in (-1, 0, 1):
+                    nonlinear_a_residual(nabla, t, p))
+    for c, res in forms.items():
         report.residual(f"nabla-c-s[c={c}]",
-                        "nabla^c s + (c-1)*psi*s.s + eta*s + 4*z2*psi*e = 0",
-                        nablac_s_residual(nabla, s, prob, c, model))
+                        "nabla^c s + (c-1)*psi*s.s + eta*s + 4*z2*psi*e = 0", res)
     report.residual("second-order-e",
                     "nabla^1 nabla^1 e + (eta - psi'/psi)*nabla^1 e - 4*z2*psi^2*e = 0",
-                    second_order_on_e(nabla, s, prob, model, order))
+                    second_order_on_e(conns[1], t, p))
     return report
 
 

@@ -244,6 +244,7 @@ def run_bv(payload: dict, trunc=None) -> Report:
         raise ParseError(f"unknown bv model {spec!r}")
     nabla = bvmod.Connection()
     a = model.distinguished_a()
+    suite = None  # the class-equation suite, built once for both its names
     for name in payload.get("checks", []):
         if name == "axioms":
             report.checks += bvmod.check_bv_axioms(model).checks
@@ -265,7 +266,8 @@ def run_bv(payload: dict, trunc=None) -> Report:
         elif name in ("class-equation", "second-order"):
             if prob is None:
                 raise ParseError(f"check {name!r} needs a problem block")
-            suite = bvmod.class_equation_suite(prob, n, order)
+            if suite is None:
+                suite = bvmod.class_equation_suite(prob, n, order)
             if name == "class-equation":
                 rows = suite.checks
             else:
@@ -315,8 +317,7 @@ def run_operad(payload: dict, trunc=None) -> Report:
         phi1 = opmod.GradedOperation.from_json(payload["phi1"], space, "phi1")
         phi2 = opmod.GradedOperation.from_json(payload["phi2"], space, "phi2")
         out = opmod.compose(phi1, _slot(payload, phi1.arity), phi2)
-        report.add("compose", "signed operadic insertion", True,
-                   json.dumps(out.to_json(), sort_keys=True))
+        report.add("compose", "signed operadic insertion", True, out.json_text())
     else:
         raise ParseError(f"unknown operad action {action!r}")
     return report

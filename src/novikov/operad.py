@@ -279,7 +279,7 @@ class GradedOperation:
     coefficients' denominators, so ``gcd(den, *numerators) == 1``, and 1
     for a table with no nonzero coefficient.  Rationals appear only at the
     edges: :meth:`from_rationals` and :meth:`from_json` read them in, and
-    :meth:`to_json` renders each coefficient as ``str`` of its Fraction.
+    :meth:`json_text` renders each coefficient as ``str`` of its Fraction.
     """
 
     space: tuple[int, ...]  # degree of each generator
@@ -333,15 +333,19 @@ class GradedOperation:
             pairs[key] = {generator(g, at_output): ratio(c) for g, c in output.items()}
         return cls(space, arity, integer(raw["degree"]), *_over_one_den(pairs))
 
-    def to_json(self) -> dict:
-        """Arity, degree and the table by inputs, each coefficient as the
-        ``str`` of its Fraction; ``json.dumps(..., sort_keys=True)`` orders
-        each output by generator name."""
-        d = self.den
-        return {"arity": self.arity, "degree": self.degree,
-                "table": [{"inputs": list(key),
-                           "output": {str(g): render_ratio(n, d) for g, n in out.items()}}
-                          for key, out in sorted(self.table.items())]}
+    def json_text(self) -> str:
+        """The JSON text of arity, degree and the table by inputs, written in
+        one pass as ``json.dumps(..., sort_keys=True)`` writes it, each
+        coefficient as the ``str`` of its Fraction.  An output's entries sort
+        as their text ``"g": "c"``, which orders them by generator name as a
+        string (``"10"`` before ``"2"``): the closing quote sorts below every
+        character of a name."""
+        d, rows = self.den, []
+        for key, out in sorted(self.table.items()):
+            entries = sorted([f'"{g}": "{render_ratio(n, d)}"' for g, n in out.items()])
+            rows.append(f'{{"inputs": {list(key)}, "output": {{{", ".join(entries)}}}}}')
+        return (f'{{"arity": {self.arity}, "degree": {self.degree}, '
+                f'"table": [{", ".join(rows)}]}}')
 
     def is_homogeneous(self) -> bool:
         for inputs, out in self.table.items():

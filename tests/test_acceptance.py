@@ -12,6 +12,7 @@ from fractions import Fraction
 from _generators import adjacent_root_problem, random_problem, seed_for
 from novikov import cli
 from novikov.bv import (
+    ClassTerms,
     Connection,
     check_bv_axioms,
     check_delta_nabla,
@@ -253,7 +254,8 @@ def test_criterion_7_class_equation_equivalence():
         from novikov.bv import BVModel
         scalar_model = BVModel(degrees={"e": 0},
                                product={("e", "e"): {"e": ONE}})
-        res = class_equation_residual(Connection(), {"e": lam}, prob, scalar_model)
+        res = class_equation_residual(Connection(),
+                                      ClassTerms.of(prob, scalar_model, {"e": lam}))
         shadow = res.get("e", NovikovSeries.zero())
         target = projective_residual(lam, prob)
         order = min(shadow.truncation, target.truncation)

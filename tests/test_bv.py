@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _generators import adjacent_root_problem
 from novikov.bv import (
     BVModel,
+    ClassTerms,
     Connection,
     class_equation_residual,
     check_bv_axioms,
@@ -933,7 +934,7 @@ def test_class_equation_by_construction():
     for _ in range(10):
         prob = sample_problem(rng)
         model, nabla, s = nilpotent_class_model(prob, n=4)
-        assert vec_is_zero(class_equation_residual(nabla, s, prob, model))
+        assert vec_is_zero(class_equation_residual(nabla, ClassTerms.of(prob, model, s)))
 
 
 def test_equivalence_chain():
@@ -941,11 +942,11 @@ def test_equivalence_chain():
     for _ in range(10):
         prob = sample_problem(rng)
         model, nabla, s = nilpotent_class_model(prob, n=4)
-        a = vec_scale(-prob.psi, s)
-        assert vec_is_zero(nonlinear_a_residual(nabla, a, prob, model, order=8))
+        t, p = ClassTerms.of(prob, model, s), prob.p_coefficient(8)
+        assert vec_is_zero(nonlinear_a_residual(nabla, t, p))
         for c in (-1, 0, 1):
-            assert vec_is_zero(nablac_s_residual(nabla, s, prob, c, model))
-        assert vec_is_zero(second_order_on_e(nabla, s, prob, model, order=8))
+            assert vec_is_zero(nablac_s_residual(nabla_c(nabla, t.a, c, model), c, t))
+        assert vec_is_zero(second_order_on_e(nabla_c(nabla, t.a, 1, model), t, p))
 
 
 def test_nabla1_kills_nonlinear_term():
@@ -980,7 +981,7 @@ def test_scalar_shadow_matches_projective_residual():
                              for _ in range(3)], truncation=8)
         model = BVModel(degrees={"e": 0}, product={("e", "e"): {"e": ONE}})
         s = {"e": lam}
-        res = class_equation_residual(Connection(), s, prob, model)
+        res = class_equation_residual(Connection(), ClassTerms.of(prob, model, s))
         shadow = res.get("e", NovikovSeries.zero())
         target = projective_residual(lam, prob)
         order = min(shadow.truncation, target.truncation)
@@ -990,4 +991,4 @@ def test_scalar_shadow_matches_projective_residual():
 def test_zero_class_forces_vanishing_source():
     prob = ODEProblem(ONE, NovikovSeries.zero(), NovikovSeries.zero())
     model, nabla, _ = nilpotent_class_model(prob, n=4)
-    assert vec_is_zero(class_equation_residual(nabla, {}, prob, model))
+    assert vec_is_zero(class_equation_residual(nabla, ClassTerms.of(prob, model, {})))

@@ -10,6 +10,7 @@ from importlib import resources
 
 import pytest
 
+from novikov import bv as bvmod
 from novikov import cli
 from novikov.graded import MAX_BASIS
 from novikov.series import MAX_SERIES_TERMS
@@ -290,6 +291,25 @@ def test_boolean_series_literal_is_parse_error(tmp_path, edit):
     code, text = cli.run(str(task))
     assert code == cli.EXIT_PARSE, text
     assert "not a rational literal: True" in text
+
+
+def test_class_equation_suite_runs_once_per_task(monkeypatch):
+    # both check names read their rows from one suite, so the desk model is
+    # built once; second-order alone reports only its own row
+    built = []
+    real = bvmod.nilpotent_class_model
+    monkeypatch.setattr(bvmod, "nilpotent_class_model",
+                        lambda *args: built.append(args) or real(*args))
+    both = _class_equation(lambda psi: None)
+    assert both["checks"] == ["class-equation", "second-order"]
+    names = [c.name for c in cli.run_bv(both).checks]
+    assert len(built) == 1
+    assert names == ["class-equation", "nonlinear-a", "nabla-c-s[c=-1]",
+                     "nabla-c-s[c=0]", "nabla-c-s[c=1]", "second-order-e"]
+    built.clear()
+    alone = cli.run_bv({**both, "checks": ["second-order"]})
+    assert len(built) == 1
+    assert [c.name for c in alone.checks] == ["second-order-e"]
 
 
 def _glue(slot):
@@ -632,11 +652,23 @@ def test_non_list_space_or_prefix_names_the_field(tmp_path, payload, field):
 
 
 @pytest.mark.xfail(strict=True, reason="a residual truncated below the working "
-                   "order still passes (ROADMAP item 1)")
+                   "order still passes (ROADMAP item 2)")
 def test_truncated_residual_does_not_pass_vacuously(tmp_path):
     task = tmp_path / "shallow.json"
     task.write_text(json.dumps(_ode({"type": "second-order",
                                      "rho": _s(("0", "5"), ("1", "7"), trunc="2")})))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PRECISION, text
+
+
+@pytest.mark.xfail(strict=True, reason="a residual truncated below the working "
+                   "order still passes (ROADMAP item 2)")
+def test_truncated_mirror_residual_does_not_pass_vacuously(tmp_path):
+    # f = 1 + O(h^1) and eta = 9 + O(h^1) leave a residual of O(h^-1):
+    # nothing below the working order was checked
+    task = tmp_path / "shallow-mirror.json"
+    task.write_text(json.dumps({"task": "mirror", "order": "10", "ode_cases": [
+        {"f": _s(("0", "1"), trunc="1"), "eta": _s(("0", "9"), trunc="1")}]}))
     code, text = cli.run(str(task))
     assert code == cli.EXIT_PRECISION, text
 

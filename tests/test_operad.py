@@ -357,17 +357,22 @@ def oracle_compose(phi1, slot, phi2):
 
 # few coefficient values, so that sums over several middle generators
 # often cancel; zero entries and empty rows must leave no key behind
-_COEFFS = st.sampled_from([F(0), F(1), F(-1), F(2), F(-1, 2)])
+_COEFFS = st.sampled_from([F(0), F(1), F(-1), F(2), F(-1, 2), F(3, 4), F(-5, 3)])
 
 
 @st.composite
 def compositions(draw):
-    space = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))
+    # a space of 11 or 12 generators names outputs "10" and up, which sort
+    # before "2" as strings; its operations take at most two inputs, so the
+    # oracle enumerates at most 12^3 input tuples
+    wide = draw(st.booleans())
+    space = tuple(draw(st.lists(st.integers(0, 2), min_size=11 if wide else 1,
+                                max_size=12 if wide else 4)))
     gens = st.integers(0, len(space) - 1)
 
     def operation():
         # a row may be empty or have up to three generators
-        arity = draw(st.integers(1, 3))
+        arity = draw(st.integers(1, 2 if wide else 3))
         table = draw(st.dictionaries(st.tuples(*[gens] * arity),
                                      st.dictionaries(gens, _COEFFS, max_size=3),
                                      max_size=10))
@@ -407,8 +412,16 @@ def _literal_table(phi):
             for key, out in fractions(phi).items()]
 
 
+_WIDE = (0,) * 12
+
+
 @settings(max_examples=100, deadline=None)
 @given(compositions())
+# rows of three outputs, among them "10" and "11", which sort before "2"
+@example((_op(_WIDE, 1, 0, {(0,): {2: F(1, 3), 10: F(-5, 2), 11: F(7)}}), 1,
+          _op(_WIDE, 1, 0, {(0,): {0: F(1)}, (3,): {0: F(-2, 3)}})))
+# no phi2 output meets phi1's slot input: the composed table is empty
+@example((_op((0, 0), 1, 0, {(0,): {0: F(1)}}), 1, _op((0, 0), 1, 0, {(1,): {1: F(1)}})))
 def test_cli_compose_detail_is_the_json_of_the_fraction_oracle(case):
     # the detail renders the integer table; the oracle's is str(Fraction)
     # per entry through the same json.dumps
