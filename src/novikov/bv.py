@@ -36,7 +36,9 @@ from .graded import (
     compile_vec,
     contract,
     entry_is_zero,
+    joined,
     linear_apply,
+    mapped,
     signed_rows,
     vec_map_from_json,
 )
@@ -255,6 +257,10 @@ def check_bv_axioms(model: BVModel) -> Report:
     and Delta rows (:func:`graded.accumulate`), its signs folded into the
     row coefficients.
 
+    Only the cases that a term of their identity reaches are evaluated
+    (:func:`graded.joined`), in declaration order: no row adds a term to
+    any other case, so its residual is empty and never the first failure.
+
     Three identities are checked once per orbit of a symmetry of their
     basis tuple, on the case whose tuple of declaration ranks is least.
     Term by term, in any model:
@@ -273,29 +279,29 @@ def check_bv_axioms(model: BVModel) -> Report:
     report = Report()
     names = list(model.degrees)
     pairs = [(n1, n2) for n1 in names for n2 in names]
-    triples = [(n1, n2, n3) for n1, n2 in pairs for n3 in names]
-    # the orbit representatives, in declaration order
+    # the orbit representatives of the pairs, in declaration order
     swaps = [(n1, n2) for i, n1 in enumerate(names) for n2 in names[i:]]
-    ranks = range(len(names))
-    rotations = [(names[i], names[j], names[k])
-                 for i in ranks for j in ranks[i:] for k in ranks[i:]
-                 if (i, j, k) == min((i, j, k), (j, k, i), (k, i, j))]
-    deg, e, bracket_row = model.degrees, model.unit, model.bracket_row
-    P, D, B = model.product_rows, model.delta_rows, model._bracket_constants
+    rank = {n: i for i, n in enumerate(names)}
+
+    def ranks(t):  # sorts triples into declaration order
+        return rank[t[0]], rank[t[1]], rank[t[2]]
+
+    deg, e, P, D = model.degrees, model.unit, model.product_rows, model.delta_rows
+    B = {pair: model.bracket_row(*pair) for pair in pairs}
     # the bracket skips a zero coefficient of its first factor
     live_delta = {n: _live(D.get(n, {})) for n in names}
 
     def derivation(n1, n2, n3):
-        out = accumulate({}, B, P.get((n2, n3), {}), n1, left=True, fill=bracket_row)
-        accumulate(out, P, bracket_row(n1, n2), n3, -1)
-        return accumulate(out, P, bracket_row(n1, n3), n2,
+        out = accumulate({}, B, P.get((n2, n3), {}), n1, left=True)
+        accumulate(out, P, B[(n1, n2)], n3, -1)
+        return accumulate(out, P, B[(n1, n3)], n2,
                           -(-1) ** ((deg[n1] + 1) * deg[n2]), left=True)
 
     def jacobi(n1, n2, n3):
         d1, d2, d3, out = deg[n1], deg[n2], deg[n3], {}
         for a, b, c, sign in ((n1, n2, n3, d1), (n2, n3, n1, d1 * (d2 + d3) + d2),
                               (n3, n1, n2, d3 * (d1 + d2 + 1))):
-            accumulate(out, B, bracket_row(b, c), a, (-1) ** sign, left=True, fill=bracket_row)
+            accumulate(out, B, B[(b, c)], a, (-1) ** sign, left=True)
         return out
 
     report.identity("unit", "e.x = x",
@@ -304,79 +310,97 @@ def check_bv_axioms(model: BVModel) -> Report:
     report.identity("commutativity", "x1.x2 = (-1)^(|x1||x2|) x2.x1",
                     (((n1, n2), accumulate(accumulate({}, P, {n1: 1}, n2), P,
                                            {n2: -(-1) ** (deg[n1] * deg[n2])}, n1))
-                     for n1, n2 in swaps), "[{},{}]")
+                     for n1, n2 in swaps if (n1, n2) in P or (n2, n1) in P), "[{},{}]")
 
+    reached = joined(P, P) | joined(P, P, left=True)
     report.identity("associativity", "(x1.x2).x3 = x1.(x2.x3)",
                     (((n1, n2, n3),
                       accumulate(accumulate({}, P, P.get((n1, n2), {}), n3),
                                  P, P.get((n2, n3), {}), n1, -1, left=True))
-                     for n1, n2, n3 in triples), "({}.{}).{}")
+                     for n1, n2, n3 in sorted(reached, key=ranks)), "({}.{}).{}")
 
     report.residual("delta-e", "Delta e = 0", D.get(e, {}))
 
+    reached = mapped(D, D)
     report.identity("delta-squared", "Delta Delta x = 0",
-                    (((n,), accumulate({}, D, D.get(n, {}))) for n in names), "Delta^2 {}")
+                    (((n,), accumulate({}, D, D[n])) for n in names if n in reached), "Delta^2 {}")
 
     if model.bracket_table is not None:
         supplied = model.bracket_rows
         report.identity("delta-bracket",
                         "[x1,x2] = Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.Delta x2",
                         (((n1, n2), accumulate(accumulate({}, supplied, {n1: 1}, n2),
-                                               B, {n1: -1}, n2, fill=bracket_row))
-                         for n1, n2 in pairs), "[{},{}]")
+                                               B, {n1: -1}, n2))
+                         for n1, n2 in pairs if (n1, n2) in supplied or B[(n1, n2)]),
+                        "[{},{}]")
 
     report.identity("antisymmetry", "[x2,x1] = (-1)^(|x1||x2|) [x1,x2]",
                     (((n1, n2),
-                      accumulate(accumulate({}, B, {n2: 1}, n1, fill=bracket_row),
-                                 B, {n1: -(-1) ** (deg[n1] * deg[n2])}, n2, fill=bracket_row))
-                     for n1, n2 in swaps), "[{1},{0}]")
+                      accumulate(accumulate({}, B, {n2: 1}, n1),
+                                 B, {n1: -(-1) ** (deg[n1] * deg[n2])}, n2))
+                     for n1, n2 in swaps if B[(n1, n2)] or B[(n2, n1)]), "[{1},{0}]")
 
+    reached = (joined(P, B, left=True) | joined(B, P)
+               | {(n1, n2, n3) for n2, n1, n3 in joined(B, P, left=True)})
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
-                    ((t, derivation(*t)) for t in triples), "[{},{}.{}]")
+                    ((t, derivation(*t)) for t in sorted(reached, key=ranks)), "[{},{}.{}]")
 
+    # a term [a,[b,c]] reaches the orbit of (a, b, c), checked at its least rotation
+    reached = {min(((a, b, c), (b, c, a), (c, a, b)), key=ranks)
+               for a, b, c in joined(B, B, left=True)}
     report.identity("jacobi", "signed cyclic sum of [x1,[x2,x3]] = 0",
-                    ((t, jacobi(*t)) for t in rotations), "jacobi({},{},{})")
+                    ((t, jacobi(*t)) for t in sorted(reached, key=ranks)), "jacobi({},{},{})")
 
     report.identity("e-is-ideal", "[e,x] = 0",
-                    (((n,), bracket_row(e, n)) for n in names), "[e,{}]")
+                    (((n,), B[(e, n)]) for n in names if B[(e, n)]), "[e,{}]")
 
+    reached = mapped(B, D) | joined(live_delta, B) | joined(D, B, left=True)
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
                     (((n1, n2),
-                      accumulate(accumulate(accumulate({}, D, bracket_row(n1, n2)),
-                                            B, live_delta[n1], n2, fill=bracket_row),
-                                 B, D.get(n2, {}), n1, (-1) ** deg[n1],
-                                 left=True, fill=bracket_row))
-                     for n1, n2 in pairs), "({},{})")
+                      accumulate(accumulate(accumulate({}, D, B[(n1, n2)]),
+                                            B, live_delta[n1], n2),
+                                 B, D.get(n2, {}), n1, (-1) ** deg[n1], left=True))
+                     for n1, n2 in pairs if (n1, n2) in reached), "({},{})")
     return report
 
 
 def check_leibniz(nabla: Connection, model: BVModel) -> Report:
     """Both Leibniz rules on basis vectors, each case accumulated from the
     product and bracket rows and from nabla's image of each basis name,
-    which is nabla of that name over the exact rational 1."""
+    which is nabla of that name over the exact rational 1.  Only the cases
+    that a term reaches are evaluated, as in :func:`check_bv_axioms`."""
     report = Report()
     names = list(model.degrees)
     pairs = [(n1, n2) for n1 in names for n2 in names]
-    P, B = model.product_rows, model._bracket_constants
-    bracket_row, L = model.bracket_row, nabla.linear
+    P, L = model.product_rows, nabla.linear
+    B = {pair: model.bracket_row(*pair) for pair in pairs}
     live_nabla = {n: _live(L.get(n, {})) for n in names}
 
+    def reached(rows, first):
+        # nabla of a row (d_q moves it at a series entry), then the
+        # product of nabla x1 (its images *first*) and x2, and of x1 and nabla x2
+        moved = {k for k, row in rows.items()
+                 if any(isinstance(c, NovikovSeries) for c in row.values())}
+        return moved | mapped(rows, L) | joined(first, rows) | joined(L, rows, left=True)
+
+    product = reached(P, L)
     report.identity("nabla-product",
                     "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)",
                     (((n1, n2),
                       accumulate(accumulate(nabla.apply(P.get((n1, n2), {})),
                                             P, L.get(n1, {}), n2, -1),
                                  P, L.get(n2, {}), n1, -1, left=True))
-                     for n1, n2 in pairs), "({},{})")
+                     for n1, n2 in pairs if (n1, n2) in product), "({},{})")
+    bracket = reached(B, live_nabla)
     report.identity("nabla-bracket",
                     "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]",
                     (((n1, n2),
-                      accumulate(accumulate(nabla.apply(bracket_row(n1, n2)),
-                                            B, live_nabla[n1], n2, -1, fill=bracket_row),
-                                 B, L.get(n2, {}), n1, -1, left=True, fill=bracket_row))
-                     for n1, n2 in pairs), "({},{})")
+                      accumulate(accumulate(nabla.apply(B[(n1, n2)]),
+                                            B, live_nabla[n1], n2, -1),
+                                 B, L.get(n2, {}), n1, -1, left=True))
+                     for n1, n2 in pairs if (n1, n2) in bracket), "({},{})")
     return report
 
 
@@ -396,11 +420,11 @@ def check_delta_nabla(nabla: Connection, a: Vec, model: BVModel) -> Report:
     return report
 
 
-def check_minus1_delta(nabla: Connection, a: Vec, model: BVModel) -> Report:
+def check_minus1_delta(minus1: Connection, a: Vec, model: BVModel) -> Report:
     """nabla^{-1} Delta - Delta nabla^{-1} = (Delta a) . x, hence zero
-    whenever Delta a = 0.  Assumes the delta-nabla relation holds."""
+    whenever Delta a = 0, *minus1* being nabla^{-1}.  Assumes the
+    delta-nabla relation holds."""
     report = Report()
-    minus1 = nabla_c(nabla, a, -1, model)
     da = model.delta_apply(a)
     # the commutator is the delta-nabla residual of a = 0
     commutators = {n: delta_nabla_residual(minus1, {}, {n: 1}, model) for n in model.degrees}
@@ -415,14 +439,12 @@ def check_minus1_delta(nabla: Connection, a: Vec, model: BVModel) -> Report:
     return report
 
 
-def minus1_ambiguity_check(nabla: Connection, alpha: Vec, a: Vec,
-                           model: BVModel) -> Report:
+def minus1_ambiguity_check(minus1: Connection, minus1_tilde: Connection,
+                           alpha: Vec, model: BVModel) -> Report:
     """Gauge ambiguity of the BV-compatible connection:
-    nabla~^{-1} x = nabla^{-1} x - Delta(alpha.x) - alpha.(Delta x)."""
+    nabla~^{-1} x = nabla^{-1} x - Delta(alpha.x) - alpha.(Delta x), the
+    two connections given, nabla~ the :func:`gauge_change` by alpha."""
     report = Report()
-    tilde, a_tilde = gauge_change(nabla, alpha, a, model)
-    minus1 = nabla_c(nabla, a, -1, model)
-    minus1_tilde = nabla_c(tilde, a_tilde, -1, model)
 
     def residual(x: Vec) -> Vec:
         # x is over the rational 1, so nabla^{-1} x is its linear part

@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 some check failed, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -55,9 +56,10 @@ EXIT_DOMAIN = 4
 MAX_SOLVE_TERMS = 1000
 
 #: Largest ``n`` a ``bv`` task may give.  ``polyvector`` models have 2n
-#: basis names and the axioms check is cubic in that (an ``axioms`` task
-#: takes about 0.16 s at n = 16 and 0.5 s at n = 24 on Python 3.11, best of
-#: 3); the bundled and benchmark files give at most 6.
+#: basis names and the axioms check is at worst cubic in that (it visits
+#: only the cases a nonzero row reaches; an ``axioms`` task takes about
+#: 0.06 s at n = 16 and 0.18 s at n = 24 on Python 3.11, best of 3); the
+#: bundled and benchmark files give at most 6.
 MAX_BV_N = 24
 
 #: Highest working order a task may ask for: an ``"order"``, ``--trunc``,
@@ -244,7 +246,9 @@ def run_bv(payload: dict, trunc=None) -> Report:
         raise ParseError(f"unknown bv model {spec!r}")
     nabla = bvmod.Connection()
     a = model.distinguished_a()
-    suite = None  # the class-equation suite, built once for both its names
+    # nabla^{-1} and the class-equation suite, each built once per task
+    minus1 = functools.cache(lambda: bvmod.nabla_c(nabla, a, -1, model))
+    suite = None
     for name in payload.get("checks", []):
         if name == "axioms":
             report.checks += bvmod.check_bv_axioms(model).checks
@@ -252,7 +256,7 @@ def run_bv(payload: dict, trunc=None) -> Report:
             report.checks += bvmod.check_leibniz(nabla, model).checks
         elif name == "delta-nabla":
             report.checks += bvmod.check_delta_nabla(nabla, a, model).checks
-            report.checks += bvmod.check_minus1_delta(nabla, a, model).checks
+            report.checks += bvmod.check_minus1_delta(minus1(), a, model).checks
         elif name == "gauge":
             alpha = vec_from_json(payload.get("alpha", {}))
             tilde, a_tilde = bvmod.gauge_change(nabla, alpha, a, model)
@@ -260,7 +264,8 @@ def run_bv(payload: dict, trunc=None) -> Report:
             for row in gauged.checks:
                 row.name = f"{row.name}[gauged]"
             report.checks += gauged.checks
-            report.checks += bvmod.minus1_ambiguity_check(nabla, alpha, a, model).checks
+            report.checks += bvmod.minus1_ambiguity_check(
+                minus1(), bvmod.nabla_c(tilde, a_tilde, -1, model), alpha, model).checks
         elif name == "r-endomorphism":
             report.checks += bvmod.r_endomorphism_check(model).checks
         elif name in ("class-equation", "second-order"):

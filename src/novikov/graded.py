@@ -19,7 +19,8 @@ themselves, exact zeros dropped.  Both kinds multiply and add with
 Python's operators (a series operator takes a rational as the exact
 constant) with exactly the results of series arithmetic, so a product
 meets a series only where the table has one.  :func:`accumulate`, the
-one kernel, adds a product or a linear image into a caller's vector.
+one kernel, adds a product or a linear image into a caller's vector;
+:func:`joined` and :func:`mapped` find, without adding, where it would.
 
 The Koszul signs are taken from the declared degrees, so a decoded table
 must respect them: :func:`homogeneous` is the one grading rule, applied
@@ -96,10 +97,10 @@ def vec_map_from_json(data) -> dict[str, Vec]:
             for k, v in require_object(data, "vector map").items()}
 
 
-#: Most names a ``"basis"`` may declare.  The BV axioms check is cubic in
-#: the basis size; 48 is the ``polyvector`` model at ``MAX_BV_N`` (2n names
-#: at n = 24, about 0.5 s).  The bundled and benchmark files declare at
-#: most 8.
+#: Most names a ``"basis"`` may declare.  The BV axioms check is at worst
+#: cubic in the basis size; 48 is the ``polyvector`` model at ``MAX_BV_N``
+#: (2n names at n = 24, about 0.18 s).  The bundled and benchmark files
+#: declare at most 8.
 MAX_BASIS = 48
 
 
@@ -244,3 +245,26 @@ def linear_apply(images: dict[str, Row], x: Vec) -> Vec:
     """The linear map sending each basis name to its image, a row or a
     vector; a name with no image maps to zero."""
     return accumulate({}, images, x)
+
+
+def joined(first: dict, rows: dict, left: bool = False) -> set:
+    """The cases that ``accumulate(out, rows, first[k], n, left=left)`` adds
+    to, each the tuple ``(*k, n)`` (``(n, *k)`` when *left*; a name key k
+    counts as ``(k,)``): those where some name ``z`` of ``first[k]`` has a
+    nonempty row at ``(z, n)`` (``(n, z)``).  A sparse join (Gustavson):
+    *rows* is indexed by ``z`` once, so each name meets only its own rows;
+    an empty *first* reaches nothing, and nothing is indexed."""
+    if not first:
+        return set()
+    after: dict[str, list[str]] = {}
+    for (a, b), row in rows.items():
+        if row:
+            after.setdefault(b if left else a, []).append(a if left else b)
+    keyed = ((k if isinstance(k, tuple) else (k,), x) for k, x in first.items())
+    return {(n, *k) if left else (*k, n)
+            for k, x in keyed for z in x for n in after.get(z, ())}
+
+
+def mapped(first: dict, images: dict) -> set:
+    """Each key ``k`` at which ``linear_apply(images, first[k])`` adds anything."""
+    return {k for k, x in first.items() if any(images.get(z) for z in x)} if images else set()

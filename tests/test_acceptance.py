@@ -21,6 +21,7 @@ from novikov.bv import (
     delta_nabla_residual,
     gauge_change,
     minus1_ambiguity_check,
+    nabla_c,
     polyvector_model,
     class_equation_residual,
 )
@@ -219,7 +220,8 @@ def test_criterion_6_bv_suite():
         tilde, a_tilde = gauge_change(nabla, alpha, a, model)
         if not check_delta_nabla(tilde, a_tilde, model).passed:
             problems.append(f"gauge trial {trial}: delta-nabla broken")
-        if not minus1_ambiguity_check(nabla, alpha, a, model).passed:
+        if not minus1_ambiguity_check(nabla_c(nabla, a, -1, model),
+                                      nabla_c(tilde, a_tilde, -1, model), alpha, model).passed:
             problems.append(f"gauge trial {trial}: ambiguity residual nonzero")
     # injected defects must fail with the predicted residuals
     perturbation = model.basis_vec("t1x")

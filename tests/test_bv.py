@@ -2,6 +2,7 @@
 
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -318,6 +319,18 @@ def decided(check, *args):
     return [(c.name, c.passed, c.detail) for c in report.checks], cases
 
 
+def assert_matches_oracle(got, want):
+    """*got* and *want*, from :func:`decided`, of a check and its oracle:
+    the rows agree in full, each case the check evaluates is the oracle's
+    case, in the oracle's order, and each oracle case the check skips has an
+    empty residual, the one a case that no row reaches would have."""
+    (rows, cases), (want_rows, want_cases) = got, want
+    assert rows == want_rows
+    evaluated = {case[:2] for case in cases}
+    assert cases == [case for case in want_cases if case[:2] in evaluated]
+    assert [case for case in want_cases if case[:2] not in evaluated and case[2]] == []
+
+
 # check_bv_axioms checks these identities once per orbit of the rotations
 # of their basis tuple (a swap, for a pair); the oracle checks every case
 ORBIT_IDENTITIES = ("commutativity", "antisymmetry", "jacobi")
@@ -443,8 +456,8 @@ def connections(draw, names):
 @settings(max_examples=60, deadline=None)
 @given(bv_models())
 def test_axioms_match_per_tuple_oracle(model):
-    assert decided(check_bv_axioms, model) == at_representatives(
-        decided(oracle_bv_axioms, model), model)
+    assert_matches_oracle(decided(check_bv_axioms, model),
+                          at_representatives(decided(oracle_bv_axioms, model), model))
 
 
 @settings(max_examples=60, deadline=None)
@@ -473,7 +486,8 @@ def test_skipped_cases_are_signed_copies_of_their_representatives(model):
 def test_leibniz_matches_per_tuple_oracle(data):
     model = data.draw(bv_models())
     nabla = data.draw(st.one_of(st.just(Connection()), connections(sorted(model.degrees))))
-    assert decided(check_leibniz, nabla, model) == decided(oracle_leibniz, nabla, model)
+    assert_matches_oracle(decided(check_leibniz, nabla, model),
+                          decided(oracle_leibniz, nabla, model))
 
 
 def test_truncated_zero_first_factor_matches_oracle():
@@ -483,9 +497,21 @@ def test_truncated_zero_first_factor_matches_oracle():
     model = polyvector_model(4)
     model.delta["t0"] = {"t1x": NovikovSeries.zero(2)}
     nabla = Connection({"t1": {"t1x": NovikovSeries.zero(2)}})
-    assert decided(check_bv_axioms, model) == at_representatives(
-        decided(oracle_bv_axioms, model), model)
-    assert decided(check_leibniz, nabla, model) == decided(oracle_leibniz, nabla, model)
+    assert_matches_oracle(decided(check_bv_axioms, model),
+                          at_representatives(decided(oracle_bv_axioms, model), model))
+    assert_matches_oracle(decided(check_leibniz, nabla, model),
+                          decided(oracle_leibniz, nabla, model))
+
+
+def test_checks_evaluate_only_the_cases_a_row_reaches():
+    _, cases = decided(check_bv_axioms, polyvector_model(4))
+    evaluated = Counter(name for name, _, _ in cases)
+    # of the 8^3 = 512 basis triples each
+    assert (evaluated["associativity"], evaluated["derivation-bracket"]) == (80, 114)
+    # constant rows and no linear part: nabla moves no row
+    rows, cases = decided(check_leibniz, Connection(), polyvector_model(8))
+    assert cases == []
+    assert [passed for _, passed, _ in rows] == [True, True]
 
 
 def oracle_apply(nabla, x):
@@ -568,7 +594,7 @@ def test_delta_nabla_checks_match_per_name_oracle(case):
     model, nabla, a, _ = case
     assert decided(check_delta_nabla, nabla, a, model) == decided(
         oracle_delta_nabla, nabla, a, model)
-    assert decided(check_minus1_delta, nabla, a, model) == decided(
+    assert decided(check_minus1_delta, nabla_c(nabla, a, -1, model), a, model) == decided(
         oracle_minus1_delta, nabla, a, model)
 
 
@@ -576,9 +602,10 @@ def test_delta_nabla_checks_match_per_name_oracle(case):
 @given(connection_data())
 def test_gauge_checks_match_per_name_oracle(case):
     model, nabla, a, alpha = case
-    assert decided(minus1_ambiguity_check, nabla, alpha, a, model) == decided(
-        oracle_minus1_ambiguity, nabla, alpha, a, model)
     tilde, a_tilde = gauge_change(nabla, alpha, a, model)
+    assert decided(minus1_ambiguity_check, nabla_c(nabla, a, -1, model),
+                   nabla_c(tilde, a_tilde, -1, model), alpha, model) == decided(
+        oracle_minus1_ambiguity, nabla, alpha, a, model)
     want_tilde, want_a = oracle_gauge_change(Oracle(model), nabla, alpha, a)
     assert decided(check_delta_nabla, tilde, a_tilde, model) == decided(
         oracle_delta_nabla, want_tilde, want_a, model)
@@ -807,7 +834,8 @@ def test_gauge_covariance():
         tilde, a_tilde = gauge_change(nabla, alpha, a, model)
         assert check_delta_nabla(tilde, a_tilde, model).passed
         assert check_leibniz(tilde, model).passed
-        assert minus1_ambiguity_check(nabla, alpha, a, model).passed
+        assert minus1_ambiguity_check(nabla_c(nabla, a, -1, model),
+                                      nabla_c(tilde, a_tilde, -1, model), alpha, model).passed
 
 
 def test_distinguished_a_from_bounding_data():
@@ -846,7 +874,8 @@ def central_extension_model():
 
 def test_minus1_delta_with_exact_a():
     model = polyvector_model(4)
-    report = check_minus1_delta(Connection(), model.unit_vec(), model)
+    e = model.unit_vec()
+    report = check_minus1_delta(nabla_c(Connection(), e, -1, model), e, model)
     assert report.passed, failures(report)
     assert {c.name for c in report.checks} == {
         "minus1-delta-commutator", "minus1-delta-compatible"}
@@ -858,11 +887,11 @@ def test_minus1_delta_nonzero_delta_a():
     nabla = Connection()
     a = model.basis_vec("g")
     assert check_delta_nabla(nabla, a, model).passed
-    report = check_minus1_delta(nabla, a, model)
+    minus1 = nabla_c(nabla, a, -1, model)
+    report = check_minus1_delta(minus1, a, model)
     # only the commutator identity runs, and it pins the (Delta a).x form
     assert [c.name for c in report.checks] == ["minus1-delta-commutator"]
     assert report.passed
-    minus1 = nabla_c(nabla, a, -1, model)
     e = model.unit_vec()
     commutator = vec_sub(minus1.apply(model.delta_apply(e)),
                          model.delta_apply(minus1.apply(e)))

@@ -312,6 +312,20 @@ def test_class_equation_suite_runs_once_per_task(monkeypatch):
     assert [c.name for c in alone.checks] == ["second-order-e"]
 
 
+def test_gauge_pieces_are_built_once_per_task(monkeypatch):
+    # delta-nabla and gauge share nabla^{-1}; gauge adds nabla~ and nabla~^{-1}
+    built = []
+    for name in ("nabla_c", "gauge_change"):
+        real = getattr(bvmod, name)
+        monkeypatch.setattr(bvmod, name, lambda *args, _name=name, _real=real:
+                            built.append(_name) or _real(*args))
+    with open(task_path("bv_axioms.json")) as fh:
+        payload = json.load(fh)
+    assert {"delta-nabla", "gauge"} <= set(payload["checks"])
+    assert cli.run_bv(payload).passed
+    assert sorted(built) == ["gauge_change", "nabla_c", "nabla_c"]
+
+
 def _glue(slot):
     with open(task_path("operad_glue.json")) as fh:
         return {**json.load(fh), "slot": slot}
