@@ -6,17 +6,21 @@ text and for the JSON report.  The script prints how many outputs it made
 and one sha256 over all of them (task name, format, exit code and the
 report's bytes, in a fixed order):
 
-    python3 scripts/report_digest.py
+    python3 scripts/report_digest.py [--each]
 
 Two trees whose reports are byte-identical print the same line, so a
 change meant to keep every report is checked by running this script on the
-parent and on the change.  The pools come from ``bench/workloads.py``,
+parent and on the change.  With ``--each`` it first prints one line per
+output, in the same order: task name, format, exit code and the sha256 of
+the report.  Diffing those lines from two trees names the first report
+that moved.  The pools come from ``bench/workloads.py``,
 which is only imported; the task files are written to a temporary
 directory that is removed afterwards.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -49,9 +53,11 @@ def pools() -> list:
             for k, t in enumerate(workloads.build(w, seed))]
 
 
-def digest(tasks) -> tuple[int, str]:
+def digest(tasks, each: list | None = None) -> tuple[int, str]:
     """(number of outputs, sha256 over them) of *tasks*, each run once per
-    format from a file in a temporary directory."""
+    format from a file in a temporary directory.  Given a list *each*, one
+    line per output is appended to it: task name, format, exit code and the
+    sha256 of the report."""
     h, count = hashlib.sha256(), 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "task.json"
@@ -61,11 +67,22 @@ def digest(tasks) -> tuple[int, str]:
                 code, text = cli.run(str(path), fmt)
                 h.update(f"{task.name}\t{fmt}\t{code}\n{text}\n".encode())
                 count += 1
+                if each is not None:
+                    report = hashlib.sha256(text.encode()).hexdigest()
+                    each.append(f"{task.name}\t{fmt}\t{code}\tsha256:{report}")
     return count, h.hexdigest()
 
 
-def main() -> int:
-    count, hexdigest = digest(bundled() + pools())
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--each", action="store_true",
+                        help="first print one line per output: task, format, "
+                             "exit code and the sha256 of the report")
+    args = parser.parse_args(argv)
+    each = [] if args.each else None
+    count, hexdigest = digest(bundled() + pools(), each)
+    for line in each or ():
+        print(line)
     print(f"{count} outputs sha256:{hexdigest}")
     return 0
 

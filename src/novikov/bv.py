@@ -39,6 +39,7 @@ from .graded import (
     joined,
     linear_apply,
     mapped,
+    moved,
     signed_rows,
     vec_map_from_json,
 )
@@ -236,7 +237,9 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
     """nabla~ x = nabla x - [alpha, x];  a~ = a + Delta(alpha).  An alpha
     outside degree 1 is a :class:`ParseError` (:func:`graded.homogeneous`)."""
     graded.homogeneous(alpha, model.degrees, 1, "alpha")
-    linear = {name: model.bracket(alpha, {name: -1}, dict(nabla.linear.get(name, {})))
+    live = _live(alpha)
+    B = {(z, n): model.bracket_row(z, n) for z in live for n in model.degrees}
+    linear = {name: accumulate(dict(nabla.linear.get(name, {})), B, live, name, -1)
               for name in model.degrees}
     return Connection(linear), accumulate(dict(a), model.delta_rows, alpha)
 
@@ -370,37 +373,27 @@ def check_leibniz(nabla: Connection, model: BVModel) -> Report:
     """Both Leibniz rules on basis vectors, each case accumulated from the
     product and bracket rows and from nabla's image of each basis name,
     which is nabla of that name over the exact rational 1.  Only the cases
-    that a term reaches are evaluated, as in :func:`check_bv_axioms`."""
+    that a term reaches are evaluated, as in :func:`check_bv_axioms`.  A
+    bracket row is built only at a pair its formula reaches, and only if a
+    row has a series entry or nabla a linear part; else none is reached."""
     report = Report()
-    names = list(model.degrees)
-    pairs = [(n1, n2) for n1 in names for n2 in names]
-    P, L = model.product_rows, nabla.linear
-    B = {pair: model.bracket_row(*pair) for pair in pairs}
-    live_nabla = {n: _live(L.get(n, {})) for n in names}
-
-    def reached(rows, first):
-        # nabla of a row (d_q moves it at a series entry), then the
-        # product of nabla x1 (its images *first*) and x2, and of x1 and nabla x2
-        moved = {k for k, row in rows.items()
-                 if any(isinstance(c, NovikovSeries) for c in row.values())}
-        return moved | mapped(rows, L) | joined(first, rows) | joined(L, rows, left=True)
-
-    product = reached(P, L)
-    report.identity("nabla-product",
-                    "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)",
-                    (((n1, n2),
-                      accumulate(accumulate(nabla.apply(P.get((n1, n2), {})),
-                                            P, L.get(n1, {}), n2, -1),
-                                 P, L.get(n2, {}), n1, -1, left=True))
-                     for n1, n2 in pairs if (n1, n2) in product), "({},{})")
-    bracket = reached(B, live_nabla)
-    report.identity("nabla-bracket",
-                    "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]",
-                    (((n1, n2),
-                      accumulate(accumulate(nabla.apply(B[(n1, n2)]),
-                                            B, live_nabla[n1], n2, -1),
-                                 B, L.get(n2, {}), n1, -1, left=True))
-                     for n1, n2 in pairs if (n1, n2) in bracket), "({},{})")
+    P, D, L = model.product_rows, model.delta_rows, nabla.linear
+    built = (mapped(P, D) | joined(D, P) | joined(D, P, left=True)
+             if moved(P) or moved(D) or any(L.values()) else ())
+    B = {pair: model.bracket_row(*pair) for pair in built}
+    for name, equation, rows, first in (
+            ("nabla-product", "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)", P, L),
+            ("nabla-bracket", "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]", B,
+             {n: _live(row) for n, row in L.items()})):
+        # the terms nabla(row) (d_q moves a series entry), (nabla x1).x2 and x1.(nabla x2)
+        reached = moved(rows) | mapped(rows, L) | joined(first, rows) | joined(L, rows, left=True)
+        report.identity(name, equation,
+                        (((n1, n2),
+                          accumulate(accumulate(nabla.apply(rows.get((n1, n2), {})),
+                                                rows, first.get(n1, {}), n2, -1),
+                                     rows, L.get(n2, {}), n1, -1, left=True))
+                         for n1 in model.degrees for n2 in model.degrees
+                         if (n1, n2) in reached), "({},{})")
     return report
 
 
@@ -412,26 +405,37 @@ def delta_nabla_residual(nabla: Connection, a: Vec, x: Vec, model: BVModel) -> V
     return model.bracket(a, x, out)
 
 
+def _delta_nabla_cases(nabla: Connection, a: Vec, model: BVModel):
+    """``(n, delta_nabla_residual)`` at each basis name n that a term reaches,
+    in declaration order: a Delta row that d_q moves or that nabla's linear
+    part meets, and each n with a nonempty bracket row (z, n), z in a."""
+    D, L = model.delta_rows, nabla.linear
+    reached = moved(D) | mapped(D, L) | mapped(L, D) | {
+        n for z in _live(a) for n in model.degrees if model.bracket_row(z, n)}
+    return ((n, delta_nabla_residual(nabla, a, {n: 1}, model))
+            for n in model.degrees if n in reached)
+
+
 def check_delta_nabla(nabla: Connection, a: Vec, model: BVModel) -> Report:
+    """:func:`delta_nabla_residual` at each name a term reaches (:func:`_delta_nabla_cases`)."""
     report = Report()
     report.identity("delta-nabla", "nabla(Delta x) = Delta(nabla x) - [a,x]",
-                    ((n, delta_nabla_residual(nabla, a, {n: 1}, model))
-                     for n in model.degrees))
+                    _delta_nabla_cases(nabla, a, model))
     return report
 
 
 def check_minus1_delta(minus1: Connection, a: Vec, model: BVModel) -> Report:
-    """nabla^{-1} Delta - Delta nabla^{-1} = (Delta a) . x, hence zero
-    whenever Delta a = 0, *minus1* being nabla^{-1}.  Assumes the
-    delta-nabla relation holds."""
+    """nabla^{-1} Delta - Delta nabla^{-1} = (Delta a) . x, hence zero whenever
+    Delta a = 0, *minus1* being nabla^{-1}.  Assumes the delta-nabla relation
+    holds.  Both rows read the commutators, :func:`_delta_nabla_cases` at
+    a = 0; the first also evaluates each n with a product row (z, n), z in Delta a."""
     report = Report()
-    da = model.delta_apply(a)
-    # the commutator is the delta-nabla residual of a = 0
-    commutators = {n: delta_nabla_residual(minus1, {}, {n: 1}, model) for n in model.degrees}
+    P, da = model.product_rows, model.delta_apply(a)
+    commutators = dict(_delta_nabla_cases(minus1, {}, model))
     report.identity("minus1-delta-commutator",
                     "nabla^{-1}(Delta x) - Delta(nabla^{-1} x) = (Delta a).x",
-                    ((n, accumulate(dict(c), model.product_rows, da, n, -1))
-                     for n, c in commutators.items()))
+                    ((n, accumulate(dict(commutators.get(n, {})), P, da, n, -1))
+                     for n in model.degrees if n in commutators or any((z, n) in P for z in da)))
     if vec_is_zero(da):
         report.identity("minus1-delta-compatible",
                         "Delta a = 0 => nabla^{-1} commutes with Delta",
@@ -443,30 +447,32 @@ def minus1_ambiguity_check(minus1: Connection, minus1_tilde: Connection,
                            alpha: Vec, model: BVModel) -> Report:
     """Gauge ambiguity of the BV-compatible connection:
     nabla~^{-1} x = nabla^{-1} x - Delta(alpha.x) - alpha.(Delta x), the
-    two connections given, nabla~ the :func:`gauge_change` by alpha."""
+    two connections given, nabla~ the :func:`gauge_change` by alpha.  On a
+    basis name, nabla^{-1} is its linear part, and alpha.n is built once."""
     report = Report()
-
-    def residual(x: Vec) -> Vec:
-        # x is over the rational 1, so nabla^{-1} x is its linear part
-        out = accumulate(minus1_tilde.apply(x), minus1.linear, x, scale=-1)
-        accumulate(out, model.delta_rows, model.mul(alpha, x))
-        return contract(model.product_rows, alpha, model.delta_apply(x), out)
-
+    P, D = model.product_rows, model.delta_rows
     report.identity("minus1-ambiguity",
                     "nabla~^{-1} x = nabla^{-1} x - Delta(alpha.x) - alpha.Delta x",
-                    ((n, residual({n: 1})) for n in model.degrees))
+                    ((n, contract(P, alpha, D.get(n, {}), accumulate(
+                        accumulate(dict(minus1_tilde.linear.get(n, {})), minus1.linear,
+                                   {n: 1}, scale=-1), D, accumulate({}, P, alpha, n))))
+                     for n in model.degrees))
     return report
 
 
 def r_endomorphism_check(model: BVModel) -> Report:
     """With Delta k = 0, the rotation endomorphism has the two equivalent
-    bracket forms: [k, x] = [k, x]^{-1} (they differ by (Delta k).x)."""
+    bracket forms: [k, x] = [k, x]^{-1} = [k, x] + (Delta k).x.  Each
+    residual is accumulated from the rows, both forms kept in the sum."""
     report = Report()
     k = model.element("k")
-    report.residual("delta-k", "Delta k = 0", model.delta_apply(k))
+    dk, live = model.delta_apply(k), _live(k)
+    B = {(z, n): model.bracket_row(z, n) for z in live for n in model.degrees}
+    report.residual("delta-k", "Delta k = 0", dk)
     # the row names the first failing basis name; no later one is evaluated
     for n in model.degrees:
-        res = vec_sub(model.bracket(k, {n: 1}), model.modified_bracket(k, {n: 1}))
+        res = accumulate(accumulate(accumulate({}, B, live, n), B, live, n, -1),
+                         model.product_rows, dk, n, -1)
         if not vanishes(res):
             report.add("r-two-forms", "[k,x] = [k,x]^{-1}", False,
                        f"{n}: {vec_render(res)} (= -(Delta k).{n})")
@@ -498,12 +504,6 @@ class ClassTerms(NamedTuple):
         fz = 4 * prob.z2 * prob.psi
         return cls(prob, model, s, vec_scale(-prob.psi, s), model.mul(s, s),
                    fz, fz * prob.psi)
-
-
-def class_equation_residual(nabla: Connection, t: ClassTerms) -> Vec:
-    """nabla s - psi*(s.s) + eta*s + 4*z2*psi*e, the c = 0 member of
-    :func:`nablac_s_residual`."""
-    return nablac_s_residual(nabla, 0, t)
 
 
 def nonlinear_a_residual(nabla: Connection, t: ClassTerms, p: NovikovSeries) -> Vec:

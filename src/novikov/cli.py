@@ -57,8 +57,9 @@ MAX_SOLVE_TERMS = 1000
 
 #: Largest ``n`` a ``bv`` task may give.  ``polyvector`` models have 2n
 #: basis names and the axioms check is at worst cubic in that (it visits
-#: only the cases a nonzero row reaches; an ``axioms`` task takes about
-#: 0.06 s at n = 16 and 0.18 s at n = 24 on Python 3.11, best of 3); the
+#: only the cases a nonzero row reaches).  A full ``polyvector`` task at
+#: n = 24 (axioms, leibniz, delta-nabla and gauge) takes about 0.15 s on
+#: Python 3.11, best of 12, nearly all of it the axioms check; the
 #: bundled and benchmark files give at most 6.
 MAX_BV_N = 24
 

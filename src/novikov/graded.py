@@ -20,7 +20,8 @@ Python's operators (a series operator takes a rational as the exact
 constant) with exactly the results of series arithmetic, so a product
 meets a series only where the table has one.  :func:`accumulate`, the
 one kernel, adds a product or a linear image into a caller's vector;
-:func:`joined` and :func:`mapped` find, without adding, where it would.
+:func:`joined` and :func:`mapped` find, without adding, where it would,
+and :func:`moved` where d_q would.
 
 The Koszul signs are taken from the declared degrees, so a decoded table
 must respect them: :func:`homogeneous` is the one grading rule, applied
@@ -263,6 +264,12 @@ def joined(first: dict, rows: dict, left: bool = False) -> set:
     keyed = ((k if isinstance(k, tuple) else (k,), x) for k, x in first.items())
     return {(n, *k) if left else (*k, n)
             for k, x in keyed for z in x for n in after.get(z, ())}
+
+
+def moved(rows: dict) -> set:
+    """The keys of the rows with a series entry, the ones d_q moves."""
+    return {k for k, row in rows.items()
+            if any(isinstance(c, NovikovSeries) for c in row.values())}
 
 
 def mapped(first: dict, images: dict) -> set:

@@ -22,8 +22,8 @@ from novikov.bv import (
     gauge_change,
     minus1_ambiguity_check,
     nabla_c,
+    nablac_s_residual,
     polyvector_model,
-    class_equation_residual,
 )
 from novikov.errors import ResonantExponent
 from novikov.graded import vec_add, vec_is_zero, vec_sub
@@ -256,8 +256,8 @@ def test_criterion_7_class_equation_equivalence():
         from novikov.bv import BVModel
         scalar_model = BVModel(degrees={"e": 0},
                                product={("e", "e"): {"e": ONE}})
-        res = class_equation_residual(Connection(),
-                                      ClassTerms.of(prob, scalar_model, {"e": lam}))
+        res = nablac_s_residual(Connection(), 0,
+                                ClassTerms.of(prob, scalar_model, {"e": lam}))
         shadow = res.get("e", NovikovSeries.zero())
         target = projective_residual(lam, prob)
         order = min(shadow.truncation, target.truncation)

@@ -26,6 +26,27 @@ def test_digest_of_the_bundled_files_covers_both_formats_and_repeats():
     assert script.digest(tasks[1:])[1] != first
 
 
+def test_each_adds_one_line_per_output_before_the_digest_line(monkeypatch, capsys):
+    script = load_script()
+    tasks = script.bundled()
+    each = []
+    count, first = script.digest(tasks, each)
+    assert (count, first) == script.digest(tasks)
+    assert len(each) == count
+    fields = [line.split("\t") for line in each]
+    assert [f[:2] for f in fields] == [[t.name, fmt] for t in tasks for fmt in script.FORMATS]
+    assert all(f[2] in "01234" and f[3].startswith("sha256:") and len(f[3]) == 71
+               for f in fields)
+    # the same report in both formats is two different reports
+    assert fields[0][3] != fields[1][3]
+    # main prints those lines, then the digest line, which is unchanged
+    monkeypatch.setattr(script, "pools", list)
+    assert script.main(["--each"]) == 0
+    assert capsys.readouterr().out.splitlines() == each + [f"{count} outputs sha256:{first}"]
+    assert script.main([]) == 0
+    assert capsys.readouterr().out == f"{count} outputs sha256:{first}\n"
+
+
 # Every report of the three benchmark pools at seeds 1, 104729 and 7 and of
 # the bundled task files, in both formats.  A change meant to keep every
 # report byte-identical must keep this digest.  The pools come from
