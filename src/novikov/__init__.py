@@ -19,7 +19,7 @@ from .errors import (
     ResonantExponent,
     ZConflict,
 )
-from .series import INF, NovikovSeries, equal_up_to
+from .series import INF, NovikovSeries
 from .useries import USeries
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "INF",
     "NovikovSeries",
     "USeries",
-    "equal_up_to",
     "NovikovError",
     "InsufficientPrecision",
     "ResonantExponent",

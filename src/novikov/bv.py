@@ -145,14 +145,14 @@ class BVModel:
         return linear_apply(self.delta_rows, x)
 
     def bracket(self, x1: Vec, x2: Vec, out: Vec | None = None) -> Vec:
-        """The derived bracket, extended bilinearly from the bracket row of
-        each pair of basis names, added into *out* when given.  A zero
+        """The derived bracket, extended bilinearly from the rows that
+        :meth:`bracket_row` builds, added into *out* when given.  A zero
         coefficient of *x1* is skipped before its name is looked up."""
         live = _live(x1)
         for a in live:
             if a not in self.degrees:
                 raise KeyError(a)
-        return contract(self._bracket_constants, live, x2, out, self.bracket_row)
+        return contract({(a, b): self.bracket_row(a, b) for a in live for b in x2}, live, x2, out)
 
     def modified_bracket(self, x1: Vec, x2: Vec) -> Vec:
         """[x1, x2]^{-1} = [x1, x2] + (Delta x1).x2."""

@@ -60,7 +60,9 @@ MAX_SOLVE_TERMS = 1000
 #: only the cases a nonzero row reaches).  A full ``polyvector`` task at
 #: n = 24 (axioms, leibniz, delta-nabla and gauge) takes about 0.15 s on
 #: Python 3.11, best of 12, nearly all of it the axioms check; the
-#: bundled and benchmark files give at most 6.
+#: bundled and benchmark files give at most 6.  The smallest ``n`` is 2:
+#: below it a model declares no basis name (n <= 0), so its checks pass
+#: vacuously, or no class ``s1`` for the class-equation suite (n = 1).
 MAX_BV_N = 24
 
 #: Highest working order a task may ask for: an ``"order"``, ``--trunc``,
@@ -231,8 +233,8 @@ def run_bv(payload: dict, trunc=None) -> Report:
     report = Report()
     spec = payload.get("model", "polyvector")
     n = integer(payload.get("n", 4))
-    if n > MAX_BV_N:
-        raise ParseError(f"n = {n} is above MAX_BV_N = {MAX_BV_N}")
+    if not 2 <= n <= MAX_BV_N:
+        raise ParseError(f"n = {n} is outside the range 2 to MAX_BV_N = {MAX_BV_N}")
     prob = order = None
     if "prob" in payload:
         prob = ODEProblem.from_json(payload["prob"])

@@ -206,22 +206,17 @@ def signed_rows(table: dict[tuple[str, str], Vec],
 
 
 def accumulate(out: Vec, rows: dict, x: Vec, n: str | None = None, scale=1,
-               left: bool = False, fill=None) -> Vec:
+               left: bool = False) -> Vec:
     """``out += scale * x.n`` (``scale * n.x`` when *left*): each entry ``c``
     of *x* on ``k`` adds ``(c*scale) * v`` for each entry ``v`` of the row
     of ``(k, n)`` (``(n, k)``), or of ``k`` when *n* is None (a linear map).
-    A missing row is zero, unless *fill* makes the row of the pair.  A sign
-    or a nonzero exact rational folded into ``c`` gives exactly
-    ``(c*v)*scale``, and series sums are exact, so no grouping of the terms
-    changes the result."""
+    A missing row is zero.  A sign or a nonzero exact rational folded into
+    ``c`` gives exactly ``(c*v)*scale``, and series sums are exact, so no
+    grouping of the terms changes the result."""
     scaled = scale != 1
     for k, c in x.items():
         key = k if n is None else (n, k) if left else (k, n)
         row = rows.get(key)
-        if row is None:
-            if fill is None:
-                continue
-            row = fill(*key)
         if row:
             if scaled:
                 c = c * scale
@@ -232,13 +227,13 @@ def accumulate(out: Vec, rows: dict, x: Vec, n: str | None = None, scale=1,
 
 
 def contract(rows: dict[tuple[str, str], Row], x: Vec, y: Vec,
-             out: Vec | None = None, fill=None) -> Vec:
+             out: Vec | None = None) -> Vec:
     """The bilinear product of *x* and *y* whose basis pairs multiply to
     their rows, added into *out* when given: the sum of ``(x[a]*y[b]) * c``
     over each row entry."""
     out = {} if out is None else out
     for b, sb in y.items():
-        accumulate(out, rows, x, b, sb, fill=fill)
+        accumulate(out, rows, x, b, sb)
     return out
 
 

@@ -282,6 +282,12 @@ def psi_eta_check(model: CohomologyModel, gw: GWData,
 # ---------------------------------------------------------------------------
 
 
+def _u_vec(*levels: Vec) -> UVec:
+    """The u-vector whose u^k coefficient is the vector ``levels[k]``."""
+    return {n: USeries({k: vec_get(x, n) for k, x in enumerate(levels)})
+            for n in set().union(*levels)}
+
+
 def quantum_connection(x: Vec, model: CohomologyModel) -> UVec:
     """D(x) = u * d_q(x) + W *_E x, with *_E the degree-preserving product
     (piece k = 0) of the given model and W its omega class.
@@ -289,10 +295,7 @@ def quantum_connection(x: Vec, model: CohomologyModel) -> UVec:
     Library API: no task file reaches it; the tests check it directly."""
     if model.omega is None:
         raise ValueError("model carries no omega class")
-    du = model.d_q(x)
-    prod = model.quantum_piece(model.omega, x, 0)
-    names = set(du) | set(prod)
-    return {n: USeries({0: vec_get(prod, n), 1: vec_get(du, n)}) for n in names}
+    return _u_vec(model.quantum_piece(model.omega, x, 0), model.d_q(x))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +369,8 @@ def uueq_rewrite_check(model: CohomologyModel, gw: GWData) -> Report:
         raise ValueError("the rewrite needs z2~ data")
     if not vanishes(wdvv_residual(gw.z1, model, gw)):
         raise PrerequisiteFailed("associativity instance fails for z1")
-    if not vanishes(vec_sub(model.restrict(gw.z2tilde), relative_z2(model, gw))):
+    z2t, half_z1m = model.restrict(gw.z2tilde), relative_z2(model, gw)
+    if not vanishes(vec_sub(z2t, half_z1m)):
         raise PrerequisiteFailed("relative reduction fails")
 
     report = Report()
@@ -378,19 +382,11 @@ def uueq_rewrite_check(model: CohomologyModel, gw: GWData) -> Report:
     if off_unit:
         raise DegreeMismatch("z2 must be a multiple of the unit class")
 
-    lhs_u0 = model.restrict(vec_scale(half, model.quantum_piece(gw.z1, gw.z1, 0)))
-    lhs_u1 = model.restrict(vec_scale(half, model.quantum_piece(gw.z1, m, 1)))
-    lhs_u2 = vec_sub(vec_scale(2, model.restrict(gw.z2)),
-                     vec_scale(2 * z2_scalar, unit_e))
-    lhs = {k: USeries({0: vec_get(lhs_u0, k), 1: vec_get(lhs_u1, k),
-                       2: vec_get(lhs_u2, k)})
-           for k in set(lhs_u0) | set(lhs_u1) | set(lhs_u2)}
-
-    rhs_u0 = model.restrict(vec_scale(half, model.quantum_piece(
-        model.cup_mul(gw.z1, m), m, 1)))
-    rhs_u1 = model.restrict(gw.z2tilde)
-    rhs = {k: USeries({0: vec_get(rhs_u0, k), 1: vec_get(rhs_u1, k)})
-           for k in set(rhs_u0) | set(rhs_u1)}
+    lhs = _u_vec(model.restrict(vec_scale(half, model.quantum_piece(gw.z1, gw.z1, 0))),
+                 half_z1m,
+                 vec_sub(vec_scale(2, model.restrict(gw.z2)), vec_scale(2 * z2_scalar, unit_e)))
+    rhs = _u_vec(model.restrict(vec_scale(half, model.quantum_piece(
+        model.cup_mul(gw.z1, m), m, 1))), z2t)
 
     report.residual("uueq-rewrite",
                     "(1/2)(z1 *0 z1 + u*z1 *1 M)|E + 2u^2(z2 - z2.e)|E = "

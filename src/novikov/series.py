@@ -647,7 +647,3 @@ def render_ratio(n: int, d: int, exponent: bool = False) -> str:
             f"cannot render a coefficient of {bits} bits (about "
             f"{int(bits * math.log10(2)) + 1} decimal digits): the interpreter "
             f"converts at most {sys.get_int_max_str_digits()} digits") from None
-
-
-def equal_up_to(a: NovikovSeries, b: NovikovSeries, order: Rat) -> bool:
-    return _coerce(a).equal_up_to(b, order)

@@ -69,9 +69,6 @@ class USeries:
             f = NovikovSeries.monomial(f, 0)
         return USeries({k: f * s for k, s in self.coeffs.items()})
 
-    def times_u(self, n: int = 1) -> "USeries":
-        return USeries({k + n: s for k, s in self.coeffs.items()})
-
     def d_q(self) -> "USeries":
         return USeries({k: s.d_q() for k, s in self.coeffs.items()})
 

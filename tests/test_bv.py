@@ -38,6 +38,7 @@ from novikov.graded import (
     linear_apply,
     signed_rows,
     vec_add,
+    vec_get,
     vec_is_zero,
     vec_render,
     vec_scale,
@@ -56,7 +57,7 @@ def S(*terms, trunc=None):
 
 
 def failures(report):
-    return [(c.name, c.detail) for c in report.failures()]
+    return [(c.name, c.detail) for c in report.checks if not c.passed]
 
 
 # ---------------------------------------------------------------------------
@@ -1049,3 +1050,40 @@ def test_zero_class_forces_vanishing_source():
     prob = ODEProblem(ONE, NovikovSeries.zero(), NovikovSeries.zero())
     model, nabla, _ = nilpotent_class_model(prob, n=4)
     assert vec_is_zero(nablac_s_residual(nabla, 0, ClassTerms.of(prob, model, {})))
+
+
+@st.composite
+def class_equation_draws(draw):
+    """The nilpotent model of an adjacent-root problem at n = 2..5, with its
+    own connection, under which every form vanishes, or a random one with
+    truncated series images, under which the forms are residuals of a
+    non-solution."""
+    prob = sample_problem(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    model, nabla, s = nilpotent_class_model(prob, draw(st.integers(2, 5)))
+    if draw(st.booleans()):
+        nabla = draw(connections(sorted(model.degrees)))
+    return model, nabla, ClassTerms.of(prob, model, s)
+
+
+def coefficient_pairs(x, y):
+    """The coefficients of x and y at each name either has; a missing one
+    is the exact zero."""
+    return [(vec_get(x, k), vec_get(y, k)) for k in sorted(set(x) | set(y))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_equation_draws())
+def test_class_equation_forms_relate_away_from_a_solution(case):
+    model, nabla, t = case
+    # the c*a.s of nabla^c cancels the c*psi*s.s term, truncations included
+    forms = {c: nablac_s_residual(nabla_c(nabla, t.a, c, model), c, t) for c in (-1, 0, 1)}
+    for c in (-1, 1):
+        for got, want in coefficient_pairs(forms[c], forms[0]):
+            assert got == want, c
+    # a = -psi*s: nonlinear-a agrees with -psi times the class equation
+    # below each entry's lesser truncation, and, dividing by psi in p,
+    # never knows more
+    lhs = nonlinear_a_residual(nabla, t, t.prob.p_coefficient(8))
+    for got, want in coefficient_pairs(lhs, vec_scale(-t.prob.psi, forms[0])):
+        assert (got - want).is_zero(), (got, want)
+        assert got.truncation <= want.truncation, (got, want)

@@ -6,9 +6,12 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from novikov import bv as bvmod
 from novikov import cli
@@ -900,6 +903,9 @@ def test_console_script_smoke():
 # ---------------------------------------------------------------------------
 
 
+_BV_ALL = ["axioms", "leibniz", "delta-nabla", "gauge"]
+
+
 @pytest.mark.parametrize("task, trunc, cap", [
     (_ode({"type": "solve", "order": "100000",
            "seed": {"step": "1", "base": "0", "coeffs": ["1", "0"]}}), None,
@@ -909,6 +915,14 @@ def test_console_script_smoke():
      "MAX_SOLVE_TERMS"),
     ({"task": "bv", "n": 10 ** 9, "checks": ["axioms"]}, None, "MAX_BV_N"),
     ({"task": "bv", "n": cli.MAX_BV_N + 1, "checks": ["axioms"]}, None, "MAX_BV_N"),
+    # below n = 2 a model declares no basis name, or no s1 for the
+    # class-equation suite, so its checks would pass vacuously
+    ({"task": "bv", "model": "polyvector", "n": 0, "checks": _BV_ALL}, None, "MAX_BV_N"),
+    ({"task": "bv", "model": "polyvector", "n": -2, "checks": _BV_ALL}, None, "MAX_BV_N"),
+    ({"task": "bv", "model": "polyvector-k", "n": 0, "checks": _BV_ALL}, None, "MAX_BV_N"),
+    ({"task": "bv", "model": "polyvector-k", "n": -2, "checks": _BV_ALL}, None, "MAX_BV_N"),
+    ({"task": "bv", "n": 1, "order": "8", "prob": _FLAT, "checks": ["class-equation"]}, None,
+     "MAX_BV_N"),
     ({"task": "mirror", "order": "1000000",
       "a_cases": [{"p0": "1/2", "f": _s(("0", "1"), ("2", "1"))}]}, None, "MAX_ORDER"),
     (_ode({"type": "second-order", "rho": _s(("0", "1"), ("1", "1"))}), "1000000",
@@ -931,6 +945,7 @@ def test_console_script_smoke():
     ({"task": "ode", "problem": dict(_FLAT, psi={"terms": [{}] * (MAX_SERIES_TERMS + 1)}),
       "checks": [{"type": "second-order", "rho": "1"}]}, None, "MAX_SERIES_TERMS"),
 ], ids=["solve-order-100000", "solve-half-step", "bv-n-huge", "bv-n-one-over",
+        "bv-n-0", "bv-n-minus-2", "bv-k-n-0", "bv-k-n-minus-2", "bv-class-equation-n-1",
         "mirror-order-1000000", "trunc-1000000", "problem-truncated-at-1000000",
         "bv-class-equation-order-1000000", "gw-order-1000000", "psi-eta-order-100000000",
         "bv-basis-one-over", "gw-basis-one-over", "series-literal-one-over",
@@ -1019,3 +1034,52 @@ def test_requests_at_the_caps_run(tmp_path):
     # the working order cap is inclusive
     code, text = cli.run(task_path("riccati_chain.json"), trunc=str(cli.MAX_ORDER))
     assert code == cli.EXIT_OK, text
+    # so is the least n, for every model and the class-equation suite
+    for task in ({"task": "bv", "model": "polyvector", "n": 2, "checks": _BV_ALL},
+                 {"task": "bv", "model": "polyvector-k", "n": 2, "checks": _BV_ALL},
+                 {"task": "bv", "n": 2, "order": "8", "prob": _FLAT,
+                  "checks": ["class-equation"]}):
+        path.write_text(json.dumps(task))
+        code, text = cli.run(str(path))
+        assert code == cli.EXIT_OK, text
+
+
+# ---------------------------------------------------------------------------
+# mutated task files
+# ---------------------------------------------------------------------------
+
+# ill-typed, unreadable, oversized, tiny, negative and non-finite literals
+FUZZ_VALUES = [[1], None, {}, "1/0", 10 ** 400, "-1/1000000", 1.5, True, "", "inf", 0, -2]
+
+
+def _leaves(doc, path=()):
+    """The path of each value in *doc* that is not a nonempty object or array."""
+    if isinstance(doc, (dict, list)) and doc:
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = dict(doc) if isinstance(doc, dict) else list(doc)
+    doc[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return doc
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(TASKS), st.data(), st.sampled_from(FUZZ_VALUES))
+def test_mutated_bundled_task_ends_with_an_exit_code(tmp_path, name, data, value):
+    # one leaf of a bundled file replaced: a documented exit code, no
+    # exception, and no run that takes long
+    doc = json.loads(resources.files("novikov").joinpath("taskfiles", name).read_text())
+    leaf = data.draw(st.sampled_from(list(_leaves(doc))))
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(_replaced(doc, leaf, value)))
+    started = time.perf_counter()
+    code, _ = cli.run(str(path))
+    assert 0 <= code <= 4
+    assert time.perf_counter() - started < 5

@@ -33,12 +33,6 @@ def test_add_and_scale():
     assert scaled.coefficient(1) == S((2, 6))
 
 
-def test_times_u_shifts_truncation():
-    a = USeries({0: ONE})
-    out = a.times_u(2)
-    assert out.coefficient(2) == ONE
-
-
 def test_d_q_acts_on_coefficients():
     a = USeries({1: S((2, 3))})
     assert a.d_q().coefficient(1) == S((1, 6))
