@@ -79,8 +79,12 @@ def _series(data) -> NovikovSeries:
 
 
 def _order(value) -> Fraction:
-    """A working order, refused above :data:`MAX_ORDER` before any work."""
+    """A working order, refused at or below 0 and above :data:`MAX_ORDER`
+    before any work: at order 0 or below every residual is truncated at or
+    below q^0, so a check could pass, or fail, without looking."""
     order = rat(value)
+    if order <= 0:
+        raise ParseError(f"working order {order} is not positive")
     if order > MAX_ORDER:
         raise ParseError(f"working order {order} is above MAX_ORDER = {MAX_ORDER}")
     return order

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import InconsistentSeed, InsufficientPrecision, LatticeMismatch, ResonantExponent
+from .errors import (InconsistentSeed, InsufficientPrecision, LatticeMismatch,
+                     ResonantExponent, require_list)
 from .series import INF, NovikovSeries, Trunc, _reduced, rat
 
 
@@ -79,7 +80,7 @@ class LatticeSeed:
     @classmethod
     def from_json(cls, data: dict) -> "LatticeSeed":
         return cls(step=rat(data["step"]), base_exponent=rat(data["base"]),
-                   coeffs=tuple(map(rat, data["coeffs"])))
+                   coeffs=tuple(map(rat, require_list(data["coeffs"], "seed coeffs"))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ in Q/Z.  Slots are numbered from 1, matching the composition law
 
 for multilinear operations on a small graded space.
 
-Geometry is exact over the rationals when every rotation is a quarter
-turn; any other framing forces float mode, where predicates use a 1e-9
-tolerance.  A one-parameter rotating family (the marked point running
-around a circle) has no single-configuration representation and is out of
-this module's range.
+A configuration's ``"mode"`` is ``"exact"`` (rationals, the default) or
+``"float"``, which :class:`DiscConfiguration` applies to every coordinate.
+:func:`glue` stays exact only for exact inputs and a quarter-turn slot
+framing; in float mode :func:`validate` leans each comparison by ``EPS`` =
+1e-9 towards passing, so tangent discs pass there.  A one-parameter
+rotating family (the marked point running around a circle) has no
+single-configuration representation and is out of this module's range.
 """
 
 from __future__ import annotations
@@ -37,14 +39,6 @@ QUARTER_UNITS = {
 }
 
 
-def _num(x, exact: bool):
-    if exact:
-        if isinstance(x, float):
-            raise ValueError("float coordinate in exact mode")
-        return Fraction(x)
-    return float(x)
-
-
 @dataclass(frozen=True)
 class Disc:
     re: Fraction | float
@@ -63,15 +57,19 @@ class DiscConfiguration:
     exact: bool = True
 
     def __post_init__(self):
-        self.points = [Disc(_num(d.re, self.exact), _num(d.im, self.exact),
-                            _num(d.radius, self.exact)) for d in self.points]
+        # the one place a coordinate takes the configuration's number mode
+        num = Fraction if self.exact else float
+        if self.exact and any(isinstance(x, float) for x in (
+                *(x for d in self.points for x in (d.re, d.im, d.radius)),
+                *(self.z_point or ()))):
+            raise ValueError("float coordinate in exact mode")
+        self.points = [Disc(num(d.re), num(d.im), num(d.radius)) for d in self.points]
         if self.framings is not None:
             self.framings = [Fraction(t) % 1 for t in self.framings]
             if len(self.framings) != len(self.points):
                 raise ValueError("one framing per disc")
         if self.z_point is not None:
-            self.z_point = (_num(self.z_point[0], self.exact),
-                            _num(self.z_point[1], self.exact))
+            self.z_point = (num(self.z_point[0]), num(self.z_point[1]))
 
     @classmethod
     def identity(cls) -> "DiscConfiguration":
@@ -141,13 +139,7 @@ def validate(config: DiscConfiguration) -> tuple[bool, list[str]]:
     problems: list[str] = []
     pts = config.points
     exact = config.exact
-
-    def le(a, b):  # a <= b with tolerance in float mode
-        return a <= b if exact else a <= b + EPS
-
-    def lt(a, b):
-        return a < b if exact else a < b + EPS
-
+    tol = 0 if exact else EPS  # a float comparison gives EPS to the passing side
     if config.is_identity:
         ok = (len(pts) == 1 and pts[0].re == 0 and pts[0].im == 0
               and pts[0].radius == 1)
@@ -169,36 +161,23 @@ def validate(config: DiscConfiguration) -> tuple[bool, list[str]]:
             problems.append(f"disc {i}: radius must be positive")
             continue
         # closed disc inside the open unit disc: |center| + r < 1
-        if not lt(p.radius, 1) or not lt(_abs2(p.re, p.im), (1 - p.radius) ** 2):
+        if not (p.radius < 1 + tol and _abs2(p.re, p.im) < (1 - p.radius) ** 2 + tol):
             problems.append(f"disc {i}: not contained in the open unit disc")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             a, b = pts[i], pts[j]
             dist2 = _abs2(a.re - b.re, a.im - b.im)
             rsum = a.radius + b.radius
-            if not (dist2 > rsum * rsum if exact else dist2 > rsum * rsum - EPS):
+            if not dist2 > rsum * rsum - tol:
                 problems.append(f"discs {i+1} and {j+1} overlap")
     if config.z_point is not None:
         zr, zi = config.z_point
-        if not le(_abs2(zr, zi), 1):
+        if not _abs2(zr, zi) <= 1 + tol:
             problems.append("marked point outside the closed unit disc")
         for i, p in enumerate(pts, start=1):
-            if (_abs2(zr - p.re, zi - p.im) < p.radius ** 2 if exact
-                    else _abs2(zr - p.re, zi - p.im) < p.radius ** 2 - EPS):
+            if _abs2(zr - p.re, zi - p.im) < p.radius ** 2 - tol:
                 problems.append(f"marked point inside disc {i}")
     return not problems, problems
-
-
-def rotation_unit(tau: Fraction, exact: bool):
-    """exp(2*pi*i*tau) as an (re, im) pair; exact only for quarter turns."""
-    tau = Fraction(tau) % 1
-    if exact:
-        if tau not in QUARTER_UNITS:
-            raise ValueError(
-                f"rotation by {tau} is not exact; use float mode")
-        return QUARTER_UNITS[tau]
-    angle = 2 * math.pi * float(tau)
-    return (math.cos(angle), math.sin(angle))
 
 
 def glue(c1: DiscConfiguration, slot: int, c2: DiscConfiguration) -> DiscConfiguration:
@@ -206,7 +185,8 @@ def glue(c1: DiscConfiguration, slot: int, c2: DiscConfiguration) -> DiscConfigu
     framing, in place of disc *slot* of c1 (slots are 1-based).
 
     Framings of the inserted discs pick up the slot framing; at most one
-    marked point may survive.
+    marked point may survive.  The result is exact when both inputs are
+    and the slot framing is a quarter turn, and in float mode otherwise.
     """
     if not 1 <= slot <= c1.arity():
         raise IndexError(f"slot {slot} out of range 1..{c1.arity()}")
@@ -216,18 +196,18 @@ def glue(c1: DiscConfiguration, slot: int, c2: DiscConfiguration) -> DiscConfigu
         ok, problems = validate(cfg)
         if not ok:
             raise ValueError(f"{label} configuration invalid: {problems[0]}")
-    exact = c1.exact and c2.exact
     tau = c1.framing(slot)
-    if exact and tau not in QUARTER_UNITS:
-        exact = False
+    exact = c1.exact and c2.exact and tau in QUARTER_UNITS
+    angle = 2 * math.pi * float(tau)  # exp(2*pi*i*tau) = (ur, ui)
+    ur, ui = QUARTER_UNITS[tau] if exact else (math.cos(angle), math.sin(angle))
     host = c1.points[slot - 1]
-    ur, ui = rotation_unit(tau, exact)
-    cr = _num(host.re, exact)
-    ci = _num(host.im, exact)
-    rr = _num(host.radius, exact)
+    cr, ci = host.re, host.im
+    # in float mode each Fraction here meets a float operand, which converts
+    # it first, giving the floats an up-front conversion would; the radius
+    # product is the one that needs rr to be that float
+    rr = host.radius if exact else float(host.radius)
 
     def send(re, im):
-        re, im = _num(re, exact), _num(im, exact)
         return (cr + rr * (ur * re - ui * im), ci + rr * (ui * re + ur * im))
 
     new_points: list[Disc] = []
@@ -237,17 +217,14 @@ def glue(c1: DiscConfiguration, slot: int, c2: DiscConfiguration) -> DiscConfigu
         if k == slot - 1:
             for j, p2 in enumerate(c2.points, start=1):
                 re, im = send(p2.re, p2.im)
-                new_points.append(Disc(re, im, rr * _num(p2.radius, exact)))
+                new_points.append(Disc(re, im, rr * p2.radius))
                 new_framings.append((c2.framing(j) + tau) % 1)
             if c2.z_point is not None:
                 inserted_z = send(*c2.z_point)
         else:
-            new_points.append(Disc(_num(p.re, exact), _num(p.im, exact),
-                                   _num(p.radius, exact)))
+            new_points.append(p)
             new_framings.append(c1.framing(k + 1))
-    z = inserted_z if inserted_z is not None else (
-        None if c1.z_point is None
-        else (_num(c1.z_point[0], exact), _num(c1.z_point[1], exact)))
+    z = inserted_z if inserted_z is not None else c1.z_point
     framings = None
     if c1.framings is not None or c2.framings is not None or tau != 0:
         framings = new_framings
@@ -275,11 +252,14 @@ class GradedOperation:
     generator index tuples to output vectors.
 
     Coefficient ``table[inputs][gen]`` is the integer numerator of
-    ``table[inputs][gen]/den``.  ``den`` is canonical: the lcm of the
+    ``table[inputs][gen]/den``.  The form is canonical: no coefficient is
+    zero, no output row is empty, and ``den`` is the lcm of the
     coefficients' denominators, so ``gcd(den, *numerators) == 1``, and 1
-    for a table with no nonzero coefficient.  Rationals appear only at the
-    edges: :meth:`from_rationals` and :meth:`from_json` read them in, and
-    :meth:`json_text` renders each coefficient as ``str`` of its Fraction.
+    for an empty table.  Two operations with the same values therefore
+    have the same fields, and the dataclass's field equality is value
+    equality.  Rationals appear only at the edges: :meth:`from_rationals`
+    and :meth:`from_json` read them in, and :meth:`json_text` renders each
+    coefficient as ``str`` of its Fraction.
     """
 
     space: tuple[int, ...]  # degree of each generator
@@ -355,27 +335,14 @@ class GradedOperation:
                     return False
         return True
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedOperation):
-            return NotImplemented
-        if (self.space, self.arity, self.degree) != (other.space, other.arity,
-                                                     other.degree):
-            return False
-        keys = set(self.table) | set(other.table)
-        for key in keys:
-            a, b = self.table.get(key, {}), other.table.get(key, {})
-            gens = set(a) | set(b)
-            if any(a.get(g, 0) * other.den != b.get(g, 0) * self.den for g in gens):
-                return False
-        return True
-
 
 def _over_one_den(pairs: dict) -> tuple[dict, int]:
     """A table of ``(numerator, denominator)`` pairs as canonical
-    numerators over one den."""
+    numerators over one den, without zero coefficients or empty rows."""
     den = math.lcm(*(d for out in pairs.values() for _, d in out.values()))
-    return _canonical({key: {g: n * (den // d) for g, (n, d) in out.items()}
-                       for key, out in pairs.items()}, den)
+    table = {key: {g: n * (den // d) for g, (n, d) in out.items() if n}
+             for key, out in pairs.items()}
+    return _canonical({key: out for key, out in table.items() if out}, den)
 
 
 def _canonical(table: dict, den: int) -> tuple[dict, int]:

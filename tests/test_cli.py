@@ -170,6 +170,29 @@ ROW_SHAPES = {
     "axioms-misgraded": {"task": "bv", "checks": ["axioms"],
                          "model": {**_BV_ODD, "product": _BV_ODD["product"] + [
                              {"left": "x", "right": "x", "result": {"e": "1"}}]}},
+    # float mode, which no bundled file reaches: an exact host whose slot
+    # framing 1/12 is not a quarter turn, taking a float insert with a
+    # marked point (its imaginary part prints as 0.06249999999999999) ...
+    "glue-mixed-pass": {"task": "operad", "action": "glue", "slot": 2, "first": {
+        "points": [{"re": "-1/2", "im": "0", "r": "1/4"},
+                   {"re": "1/2", "im": "0", "r": "1/4"}], "framings": ["0", "1/12"]},
+        "second": {"mode": "float", "points": [{"re": "0", "im": "0.5", "r": "0.25"}],
+                   "z": {"re": "0.5", "im": "0"}}},
+    # ... an all-float glue at non-quarter framings, the host's marked point kept ...
+    "glue-float-pass": {"task": "operad", "action": "glue", "slot": 2, "first": {
+        "mode": "float", "points": [{"re": "0.5", "im": "0", "r": "0.25"},
+                                    {"re": "-0.5", "im": "0", "r": "0.25"}],
+        "framings": ["1/3", "1/6"], "z": {"re": "0", "im": "0.5"}},
+        "second": {"mode": "float", "points": [{"re": "0.5", "im": "0.25", "r": "0.25"},
+                                               {"re": "-0.5", "im": "0", "r": "0.25"}],
+                   "framings": ["1/8", "0"]}},
+    # ... and tangent discs, which pass under the float tolerance only
+    "validate-float-pass": {"task": "operad", "action": "validate", "config": {
+        "mode": "float", "points": [{"re": "0.5", "im": "0", "r": "0.25"},
+                                    {"re": "0", "im": "0", "r": "0.25"}]}},
+    "validate-exact-fail": {"task": "operad", "action": "validate", "config": {
+        "points": [{"re": "1/2", "im": "0", "r": "1/4"},
+                   {"re": "0", "im": "0", "r": "1/4"}]}},
 }
 
 ROW_GOLDEN = {
@@ -229,6 +252,14 @@ ROW_GOLDEN = {
     ("axioms-fail", "text"): "4161c50c98447d17eac1c68a56bccdfcad9389e03f045bae87832e66778df728",
     ("axioms-misgraded", "json"): "1654871b2f92ce3aa60364e42e023033ab54d9866c2cce8b920118d1c5620432",
     ("axioms-misgraded", "text"): "1654871b2f92ce3aa60364e42e023033ab54d9866c2cce8b920118d1c5620432",
+    ("glue-mixed-pass", "json"): "8cc53ef1d2f24651f152d06b22244d6455d264ae79706c94c152ca77ccac3c36",
+    ("glue-mixed-pass", "text"): "5cba60f8b8bf2d88b28ae534ce97fc3eaef615e1106260fd278072b6592d2039",
+    ("glue-float-pass", "json"): "712c6d63c3fe0a9bb9839727612dd7f054dc0dc8bd4aee619fa64bd3a6646b6a",
+    ("glue-float-pass", "text"): "c4e906b51c68ece820cec8f9a5d9fad1b4d29428dc3fafee92666d508c9f4e8f",
+    ("validate-float-pass", "json"): "b5e837f2c1e3978d29760d7ca154832fb0cfb91ec787c8f8f3712624fe2b802d",
+    ("validate-float-pass", "text"): "1fa35c75b263810b6178b6cc841c4037780ef195817b2944915105343216c2cb",
+    ("validate-exact-fail", "json"): "15f8e646a1be7c903e1689c57ff52eec5deaa6e40313682d04d4ed41fef19801",
+    ("validate-exact-fail", "text"): "8360e28a81f09e38e66b00226b3d5bc0687cecde98e32fa4c81a7c348b273d0b",
 }
 
 
@@ -275,9 +306,24 @@ def test_rational_literal_outside_a_series_is_parse_error(tmp_path, payload, tru
     assert code == cli.EXIT_PARSE, text
 
 
+@pytest.mark.parametrize("coeffs", ["10", {"1": "0", "0": "1"}], ids=["string", "object"])
+def test_seed_coeffs_must_be_a_list(tmp_path, coeffs):
+    # a string or an object iterates as characters or keys, which read as
+    # coefficients ("10" seeded c0 = 1, c1 = 0 and passed)
+    task = tmp_path / "seed.json"
+    task.write_text(json.dumps(_seed(coeffs=coeffs)))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text
+    assert "seed coeffs must be a list" in text
+
+
+def _bundled(name, **fields):
+    with open(task_path(name)) as fh:
+        return {**json.load(fh), **fields}
+
+
 def _class_equation(edit):
-    with open(task_path("class_equation.json")) as fh:
-        payload = json.load(fh)
+    payload = _bundled("class_equation.json")
     edit(payload["prob"]["psi"])
     return payload
 
@@ -294,6 +340,27 @@ def test_boolean_series_literal_is_parse_error(tmp_path, edit):
     code, text = cli.run(str(task))
     assert code == cli.EXIT_PARSE, text
     assert "not a rational literal: True" in text
+
+
+# at a working order of 0 or below every residual is truncated at or below
+# q^0: mirror_suite and class_equation passed every row there, and
+# gauss_manin failed a row at a depth it never reached.  class_equation.json
+# names no "order", so a psi truncated at q^0 sets a working order of 0.
+@pytest.mark.parametrize("payload, trunc", [
+    (_bundled("mirror_suite.json", order="0"), None),
+    (_bundled("mirror_suite.json", order="-3"), None),
+    (_bundled("class_equation.json", order="0"), None),
+    (_bundled("gauss_manin.json", order="0"), None),
+    (_bundled("riccati_chain.json"), "0"),
+    (_class_equation(lambda psi: psi.update(trunc="0")), None),
+], ids=["mirror-0", "mirror-minus-3", "class-equation-0", "gauss-manin-0", "trunc-0",
+        "psi-trunc-0"])
+def test_non_positive_working_order_is_parse_error(tmp_path, payload, trunc):
+    task = tmp_path / "order.json"
+    task.write_text(json.dumps(payload))
+    code, text = cli.run(str(task), trunc=trunc)
+    assert code == cli.EXIT_PARSE, text
+    assert "is not positive" in text
 
 
 def test_class_equation_suite_runs_once_per_task(monkeypatch):

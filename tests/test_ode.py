@@ -378,6 +378,69 @@ def test_solver_matches_fraction_recurrence(case):
 
 
 # ---------------------------------------------------------------------------
+# residual relations between the chain forms, away from a solution
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def chain_non_solutions(draw):
+    """A problem with psi of valuation 0, eta of valuation -1 or 0 and z2 of
+    valuation -2 to 0, known to q^order, q^(order+2) or exactly, and a
+    dense rho of valuation 0 truncated at q^order: almost never a solution,
+    so the residuals relate nonzero series."""
+    order = draw(st.integers(min_value=4, max_value=12))
+    trunc = draw(st.sampled_from([INF, order, order + 2]))
+
+    def series(val, trunc, n):
+        lead = draw(mixed_coeffs.filter(bool))
+        return NovikovSeries([(val, lead)] + [(val + k, draw(mixed_coeffs))
+                                              for k in range(1, n)], trunc)
+
+    pr = ODEProblem(series(0, trunc, 4), series(draw(st.sampled_from([-1, 0])), trunc, 4),
+                    series(draw(st.sampled_from([-2, -1, 0])), trunc, 4))
+    return pr, series(0, order, order), order
+
+
+# Each relation is an exact identity between residuals, truncation included:
+# every side is known through q^(order - 2), two orders below rho's, lost to
+# the derivatives and the poles of p and r.  On a solution both sides are
+# zero, which pins neither the relation nor the truncation.
+@settings(max_examples=200, deadline=None)
+@given(chain_non_solutions())
+def test_riccati_residual_is_the_second_order_residual_over_rho(case):
+    pr, rho, order = case
+    rho_inv = rho.invert(order)
+    lhs = riccati_residual(rho_inv * rho.d_q(), pr, order)
+    rhs = rho_inv * second_order_residual(rho, pr, order)
+    assert lhs == rhs
+    assert lhs.truncation == order - 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_non_solutions())
+def test_projective_residual_is_minus_the_riccati_residual_over_psi(case):
+    pr, rho, order = case
+    psi_inv = pr.psi.invert(order)
+    alpha = rho.invert(order) * rho.d_q()
+    lhs = projective_residual(-(psi_inv * alpha), pr)
+    rhs = -(psi_inv * riccati_residual(alpha, pr, order))
+    assert lhs == rhs
+    assert lhs.truncation == order - 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_non_solutions())
+def test_system_residuals_of_sigma_from_rho(case):
+    pr, rho, order = case
+    first, second = system_residual(rho, sigma_from_rho(rho, pr, order), pr)
+    # sigma = -psi^-1 d_q rho solves the first equation, through q^(order - 1)
+    assert first.is_zero() and first.truncation == order - 1
+    rhs = -(pr.psi.invert(order) * second_order_residual(rho, pr, order))
+    assert second == rhs
+    assert second.truncation == order - 2
+
+
+# ---------------------------------------------------------------------------
 # mirror identities (variable h)
 # ---------------------------------------------------------------------------
 
