@@ -23,10 +23,8 @@ BV-compatible member at c = -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from . import graded
 from .graded import (
@@ -44,6 +42,7 @@ from .graded import (
     vec_map_from_json,
 )
 from .ode import ODEProblem
+from .record import Record
 from .report import Report, vanishes
 from .series import NovikovSeries, Trunc
 
@@ -80,8 +79,7 @@ def vec_render(x: Vec) -> str:
 ELEMENT_DEGREES = {"a": 0, "theta": 1, "kappa": 0}
 
 
-@dataclass
-class BVModel:
+class BVModel(Record):
     """A finite BV model given by its structure tables.
 
     On first use the product, Delta and a supplied bracket compile to
@@ -94,14 +92,20 @@ class BVModel:
     may be mutated after first use.
     """
 
-    degrees: dict[str, int]
-    product: dict[tuple[str, str], Vec] = field(default_factory=dict)
-    delta: dict[str, Vec] = field(default_factory=dict)
-    unit: str = "e"
-    elements: dict[str, Vec] = field(default_factory=dict)
-    bracket_table: dict[tuple[str, str], Vec] | None = None
-    _bracket_constants: dict[tuple[str, str], Row] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("degrees", "product", "delta", "unit", "elements", "bracket_table")
+
+    def __init__(self, degrees: dict[str, int],
+                 product: dict[tuple[str, str], Vec] | None = None,
+                 delta: dict[str, Vec] | None = None, unit: str = "e",
+                 elements: dict[str, Vec] | None = None,
+                 bracket_table: dict[tuple[str, str], Vec] | None = None):
+        self.degrees = degrees
+        self.product = {} if product is None else product
+        self.delta = {} if delta is None else delta
+        self.unit = unit
+        self.elements = {} if elements is None else elements
+        self.bracket_table = bracket_table
+        self._bracket_constants: dict[tuple[str, str], Row] = {}
 
     # -- algebra -------------------------------------------------------------
 
@@ -209,11 +213,13 @@ class BVModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Connection:
+class Connection(Record):
     """Coefficientwise d_q plus a degree-0 linear part (images of basis)."""
 
-    linear: dict[str, Vec] = field(default_factory=dict)
+    __slots__ = _fields = ("linear",)
+
+    def __init__(self, linear: dict[str, Vec] | None = None):
+        self.linear = {} if linear is None else linear
 
     def apply(self, x: Vec) -> Vec:
         # a rational coefficient is a constant, whose d_q is zero
@@ -486,18 +492,22 @@ def r_endomorphism_check(model: BVModel) -> Report:
 # ---------------------------------------------------------------------------
 
 
-class ClassTerms(NamedTuple):
+class ClassTerms:
     """The pieces that the forms of the class equation share on a model,
     each built once by :meth:`of` in the operand order of its formula:
     the class s, a = -psi*s, s.s, 4*z2*psi and 4*z2*psi^2."""
 
-    prob: ODEProblem
-    model: BVModel
-    s: Vec
-    a: Vec
-    ss: Vec
-    fz: NovikovSeries
-    fz2: NovikovSeries
+    __slots__ = ("prob", "model", "s", "a", "ss", "fz", "fz2")
+
+    def __init__(self, prob: ODEProblem, model: BVModel, s: Vec, a: Vec, ss: Vec,
+                 fz: NovikovSeries, fz2: NovikovSeries):
+        self.prob = prob
+        self.model = model
+        self.s = s
+        self.a = a
+        self.ss = ss
+        self.fz = fz
+        self.fz2 = fz2
 
     @classmethod
     def of(cls, prob: ODEProblem, model: BVModel, s: Vec) -> "ClassTerms":

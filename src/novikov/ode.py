@@ -28,23 +28,23 @@ variable ``h`` (same series type).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .errors import (InconsistentSeed, InsufficientPrecision, LatticeMismatch,
                      ResonantExponent, require_list)
+from .record import FrozenRecord
 from .series import INF, NovikovSeries, Trunc, _reduced, rat
 
 
-@dataclass(frozen=True)
-class ODEProblem:
+class ODEProblem(FrozenRecord):
     """Coefficient triple; psi must have a nonzero leading term whenever a
     transform divides by it."""
 
-    psi: NovikovSeries
-    eta: NovikovSeries
-    z2: NovikovSeries
+    __slots__ = _fields = ("psi", "eta", "z2")
+
+    def __init__(self, psi: NovikovSeries, eta: NovikovSeries, z2: NovikovSeries):
+        self._set(psi, eta, z2)
 
     def p_coefficient(self, order: Trunc | None = None) -> NovikovSeries:
         """eta - (d_q psi)/psi, the first-order coefficient of the second
@@ -62,20 +62,19 @@ class ODEProblem:
                    z2=NovikovSeries.from_json(data["z2"]))
 
 
-@dataclass(frozen=True)
-class LatticeSeed:
+class LatticeSeed(FrozenRecord):
     """Solution ansatz data: exponents run over base_exponent + step*Z>=0,
     and the two lowest coefficients are prescribed."""
 
-    step: Fraction
-    base_exponent: Fraction
-    coeffs: tuple[Fraction, Fraction]
+    __slots__ = _fields = ("step", "base_exponent", "coeffs")
 
-    def __post_init__(self):
-        if self.step <= 0:
+    def __init__(self, step: Fraction, base_exponent: Fraction,
+                 coeffs: tuple[Fraction, Fraction]):
+        if step <= 0:
             raise ValueError("lattice step must be positive")
-        if len(self.coeffs) != 2:
+        if len(coeffs) != 2:
             raise ValueError("a second-order equation takes two leading coefficients")
+        self._set(step, base_exponent, coeffs)
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeSeed":

@@ -23,11 +23,11 @@ single-configuration representation and is out of this module's range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ZConflict, require_list, require_object
-from .series import integer, ratio, render_ratio
+from .record import FrozenRecord, Record
+from .series import integer, rat, ratio, render_ratio
 
 EPS = 1e-9
 
@@ -39,37 +39,36 @@ QUARTER_UNITS = {
 }
 
 
-@dataclass(frozen=True)
-class Disc:
-    re: Fraction | float
-    im: Fraction | float
-    radius: Fraction | float
+class Disc(FrozenRecord):
+    __slots__ = _fields = ("re", "im", "radius")
+
+    def __init__(self, re: Fraction | float, im: Fraction | float,
+                 radius: Fraction | float):
+        self._set(re, im, radius)
 
 
-@dataclass
-class DiscConfiguration:
+class DiscConfiguration(Record):
     """Indexed sub-discs, optional framings (in Q/Z) and marked point."""
 
-    points: list[Disc]
-    framings: list[Fraction] | None = None
-    z_point: tuple | None = None
-    is_identity: bool = False
-    exact: bool = True
+    __slots__ = _fields = ("points", "framings", "z_point", "is_identity", "exact")
 
-    def __post_init__(self):
+    def __init__(self, points: list[Disc], framings: list[Fraction] | None = None,
+                 z_point: tuple | None = None, is_identity: bool = False,
+                 exact: bool = True):
         # the one place a coordinate takes the configuration's number mode
-        num = Fraction if self.exact else float
-        if self.exact and any(isinstance(x, float) for x in (
-                *(x for d in self.points for x in (d.re, d.im, d.radius)),
-                *(self.z_point or ()))):
+        num = Fraction if exact else float
+        if exact and any(isinstance(x, float) for x in (
+                *(x for d in points for x in (d.re, d.im, d.radius)), *(z_point or ()))):
             raise ValueError("float coordinate in exact mode")
-        self.points = [Disc(num(d.re), num(d.im), num(d.radius)) for d in self.points]
-        if self.framings is not None:
-            self.framings = [Fraction(t) % 1 for t in self.framings]
-            if len(self.framings) != len(self.points):
+        self.points = [Disc(num(d.re), num(d.im), num(d.radius)) for d in points]
+        if framings is not None:
+            framings = [Fraction(t) % 1 for t in framings]
+            if len(framings) != len(self.points):
                 raise ValueError("one framing per disc")
-        if self.z_point is not None:
-            self.z_point = (num(self.z_point[0]), num(self.z_point[1]))
+        self.framings = framings
+        self.z_point = None if z_point is None else (num(z_point[0]), num(z_point[1]))
+        self.is_identity = is_identity
+        self.exact = exact
 
     @classmethod
     def identity(cls) -> "DiscConfiguration":
@@ -88,10 +87,12 @@ class DiscConfiguration:
     def from_json(cls, data: dict) -> "DiscConfiguration":
         data = require_object(data, "disc configuration")
         exact = data.get("mode", "exact") == "exact"
-        kind = Fraction if exact else float
 
-        def conv(x, kind=kind):
-            # a JSON true or false, which Fraction and float read as 1 or 0
+        # an exact-mode coordinate and a framing in either mode are rational
+        # literals, so a JSON float there is a parse error, as it is in every
+        # other task kind; only a float-mode coordinate may be a float
+        def conv(x, kind=rat if exact else float):
+            # a JSON true or false, which float reads as 1 or 0
             if isinstance(x, bool):
                 raise ParseError(f"bad configuration: not a number: {x!r}")
             return kind(x)
@@ -101,7 +102,7 @@ class DiscConfiguration:
                       for p in require_list(data.get("points", []), "points")]
             framings = None
             if "framings" in data:
-                framings = [conv(t, Fraction)
+                framings = [conv(t, rat)
                             for t in require_list(data["framings"], "framings")]
             z = None
             if data.get("z") is not None:
@@ -246,8 +247,7 @@ def koszul_sign(deg_phi1: int, deg_phi2: int, slot: int,
     return -1 if ((deg_phi1 + sum(degrees_prefix)) * deg_phi2) % 2 else 1
 
 
-@dataclass
-class GradedOperation:
+class GradedOperation(Record):
     """Multilinear map on a small graded space, stored as a table from
     generator index tuples to output vectors.
 
@@ -256,17 +256,22 @@ class GradedOperation:
     zero, no output row is empty, and ``den`` is the lcm of the
     coefficients' denominators, so ``gcd(den, *numerators) == 1``, and 1
     for an empty table.  Two operations with the same values therefore
-    have the same fields, and the dataclass's field equality is value
+    have the same fields, and field equality (:class:`Record`) is value
     equality.  Rationals appear only at the edges: :meth:`from_rationals`
     and :meth:`from_json` read them in, and :meth:`json_text` renders each
     coefficient as ``str`` of its Fraction.
     """
 
-    space: tuple[int, ...]  # degree of each generator
-    arity: int
-    degree: int
-    table: dict[tuple[int, ...], dict[int, int]] = field(default_factory=dict)
-    den: int = 1
+    __slots__ = _fields = ("space", "arity", "degree", "table", "den")
+
+    def __init__(self, space: tuple[int, ...], arity: int, degree: int,
+                 table: dict[tuple[int, ...], dict[int, int]] | None = None,
+                 den: int = 1):
+        self.space = space  # degree of each generator
+        self.arity = arity
+        self.degree = degree
+        self.table = {} if table is None else table
+        self.den = den
 
     @classmethod
     def identity(cls, space: tuple[int, ...]) -> "GradedOperation":

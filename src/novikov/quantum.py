@@ -20,7 +20,6 @@ rank-3 Gauss-Manin derivation over the u-extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,6 +38,7 @@ from .graded import (
     vec_sub,
 )
 from .ode import ODEProblem
+from .record import Record
 from .report import Report, vanishes
 from .series import NovikovSeries, Trunc, integer, rat
 from .useries import USeries
@@ -53,8 +53,7 @@ _Q_INV = NovikovSeries.monomial(1, -1)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CohomologyModel:
+class CohomologyModel(Record):
     """Graded basis with cup and quantum-piece tables.
 
     Tables map an ordered basis-name pair to a class-valued series; missing
@@ -63,24 +62,32 @@ class CohomologyModel:
     to its image on the fibre-complement model (by default it kills ``M``
     and keeps everything else).  As in a BV model, the tables compile to
     signed rows on first use and must not be mutated after it; build a
-    changed model with :func:`dataclasses.replace`.
+    changed model with the constructor instead.
     """
 
-    degrees: dict[str, int]
-    cup: dict[tuple[str, str], Vec] = field(default_factory=dict)
-    qpieces: dict[int, dict[tuple[str, str], Vec]] = field(default_factory=dict)
-    unit: str | None = None
-    m_class: str = "M"
-    omega: Vec | None = None
-    twists: dict[str, NovikovSeries] = field(default_factory=dict)
-    restriction: dict[str, Vec] | None = None
+    _fields = ("degrees", "cup", "qpieces", "unit", "m_class", "omega", "twists",
+               "restriction")
 
-    def __post_init__(self):
-        if any(k < 0 for k in self.qpieces):
+    def __init__(self, degrees: dict[str, int],
+                 cup: dict[tuple[str, str], Vec] | None = None,
+                 qpieces: dict[int, dict[tuple[str, str], Vec]] | None = None,
+                 unit: str | None = None, m_class: str = "M", omega: Vec | None = None,
+                 twists: dict[str, NovikovSeries] | None = None,
+                 restriction: dict[str, Vec] | None = None):
+        qpieces = {} if qpieces is None else qpieces
+        if any(k < 0 for k in qpieces):
             raise ValueError("quantum pieces with k < 0 must be zero")
-        if self.restriction is None:
-            self.restriction = {name: ({} if name == self.m_class else {name: NovikovSeries.one()})
-                                for name in self.degrees}
+        if restriction is None:
+            restriction = {name: ({} if name == m_class else {name: NovikovSeries.one()})
+                           for name in degrees}
+        self.degrees = degrees
+        self.cup = {} if cup is None else cup
+        self.qpieces = qpieces
+        self.unit = unit
+        self.m_class = m_class
+        self.omega = omega
+        self.twists = {} if twists is None else twists
+        self.restriction = restriction
 
     def basis_vec(self, name: str) -> Vec:
         return {name: NovikovSeries.one()}
@@ -156,15 +163,19 @@ class CohomologyModel:
                    twists=twists, restriction=restriction)
 
 
-@dataclass
-class GWData:
+class GWData(Record):
     """Class-valued one-pointed invariants and the blow-up parameter."""
 
-    z0: Vec = field(default_factory=dict)
-    z1: Vec = field(default_factory=dict)
-    z2: Vec = field(default_factory=dict)
-    z2tilde: Vec | None = None
-    gamma: Fraction = Fraction(0)
+    __slots__ = _fields = ("z0", "z1", "z2", "z2tilde", "gamma")
+
+    def __init__(self, z0: Vec | None = None, z1: Vec | None = None,
+                 z2: Vec | None = None, z2tilde: Vec | None = None,
+                 gamma: Fraction = Fraction(0)):
+        self.z0 = {} if z0 is None else z0
+        self.z1 = {} if z1 is None else z1
+        self.z2 = {} if z2 is None else z2
+        self.z2tilde = z2tilde
+        self.gamma = gamma
 
     @classmethod
     def from_json(cls, data: dict) -> "GWData":
@@ -173,8 +184,7 @@ class GWData:
         def load(key):
             raw = data.get(key)
             return None if raw is None else vec_from_json(raw)
-        return cls(z0=load("z0") or {}, z1=load("z1") or {}, z2=load("z2") or {},
-                   z2tilde=load("z2tilde"),
+        return cls(z0=load("z0"), z1=load("z1"), z2=load("z2"), z2tilde=load("z2tilde"),
                    gamma=rat(data.get("gamma", 0)))
 
     def omega_vec(self, m_class: str = "M") -> Vec:

@@ -9,9 +9,8 @@ vanishes (:func:`vanishes`) and render the residual as its detail
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graded import vec_is_zero, vec_render
+from .record import Record
 
 
 def vanishes(residual) -> bool:
@@ -23,15 +22,17 @@ def render(residual, var: str = "q") -> str:
     return vec_render(residual) if isinstance(residual, dict) else residual.render(var)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     """One verified identity: a stable name, the equation it instantiates,
     pass/fail, and a rendering of the residual (or other detail)."""
 
-    name: str
-    equation: str
-    passed: bool
-    detail: str = ""
+    __slots__ = _fields = ("name", "equation", "passed", "detail")
+
+    def __init__(self, name: str, equation: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.equation = equation
+        self.passed = passed
+        self.detail = detail
 
     def to_json(self) -> dict:
         return {"name": self.name, "equation": self.equation,
@@ -39,9 +40,11 @@ class CheckResult:
                 "detail": self.detail}
 
 
-@dataclass
-class Report:
-    checks: list[CheckResult] = field(default_factory=list)
+class Report(Record):
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, equation: str, passed: bool, detail: str = "") -> CheckResult:
         result = CheckResult(name, equation, passed, detail)

@@ -40,9 +40,9 @@ import math
 import re
 import sys
 from bisect import bisect_left
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Union
 
 from .errors import InsufficientPrecision, NovikovError, ParseError, require_list
 
@@ -50,8 +50,8 @@ from .errors import InsufficientPrecision, NovikovError, ParseError, require_lis
 #: behave correctly (Fraction < INF, Fraction + INF == INF).
 INF = math.inf
 
-Rat = Union[int, Fraction]
-Trunc = Union[Fraction, float]
+Rat = int | Fraction
+Trunc = Fraction | float
 
 #: Most terms a series literal may list, refused before any is read.  A
 #: series with integer exponents holds at most 1000 terms below the CLI's

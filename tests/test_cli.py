@@ -423,8 +423,16 @@ def _glue_first(**fields):
         {"re": False, "im": "0", "r": "1/10"}, {"re": "-1/2", "im": "0", "r": "1/5"}]}},
      "not a number: False"),
     (_glue_first(points=[{"re": "1/2", "im": "0", "r": True}]), "not a number: True"),
+    # a JSON float is no exact coordinate and no framing in either mode:
+    # Fraction would read 0.1 as 3602879701896397/36028797018963968
+    (_glue_first(points=[{"re": 0.1, "im": "0", "r": "1/4"}]),
+     "expected a rational, got float"),
+    (_glue_first(framings=[0.1]), "expected a rational, got float"),
+    (_glue_first(mode="float", points=[{"re": 0.5, "im": 0, "r": 0.25}], framings=[0.1]),
+     "expected a rational, got float"),
 ], ids=["glue-slot-0", "glue-slot-2", "compose-slot-2", "points-object",
-        "framing-count", "framings-string", "framing-true", "re-false", "r-true"])
+        "framing-count", "framings-string", "framing-true", "re-false", "r-true",
+        "exact-re-float", "framing-float", "float-mode-framing-float"])
 def test_malformed_operad_field_is_parse_error(tmp_path, payload, message):
     task = tmp_path / "operad.json"
     task.write_text(json.dumps(payload))
@@ -963,6 +971,18 @@ def test_console_script_smoke():
                          capture_output=True, text=True, env=child_env())
     assert out.returncode == 0, out.stderr
     assert "PASS glue" in out.stdout
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # every `novikov run` pays the package's import before its task, and
+    # dataclasses, with the inspect it imports, and typing take several
+    # milliseconds; -S keeps installed packages' start-up hooks out of it
+    code = ("import sys, novikov.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,33 @@ def test_system_residuals_of_sigma_from_rho(case):
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def mirror_non_solutions(draw):
+    """eta and f of valuation 0, dense and truncated at h^order: eta almost
+    never solves the mirror equation for l = (d_h f)/f."""
+    order = draw(st.integers(min_value=4, max_value=12))
+
+    def series():
+        lead = draw(mixed_coeffs.filter(bool))
+        return NovikovSeries([(0, lead)] + [(k, draw(mixed_coeffs)) for k in range(1, order)],
+                             order)
+
+    return series(), series(), order
+
+
+# For a = eta^-1 d_h eta, d_h^2 eta = (d_h a + a^2) eta, so the mirror ODE
+# residual of eta is eta times the a-equation residual of a, truncation
+# included: both sides are known through h^(order - 2).
+@settings(max_examples=200, deadline=None)
+@given(mirror_non_solutions())
+def test_mirror_ode_residual_is_eta_times_the_a_residual(case):
+    eta, f, order = case
+    l = log_derivative(f, order)
+    lhs = mirror_ode_residual(eta, l)
+    assert lhs == eta * mirror_a_residual(eta.invert(order) * eta.d_q(), l)
+    assert lhs.truncation == order - 2
+
+
 def test_mirror_a_geometric_expansion():
     a = mirror_a(2, ONE, order=4)
     assert a == S((0, -2), (1, -4), (2, -8), (3, -16), trunc=4)

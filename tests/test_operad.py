@@ -36,6 +36,17 @@ def config(points, framings=None, z=None, exact=True):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_decimal_strings_read_as_rationals(mode):
+    # a JSON float is refused as a framing or an exact coordinate
+    # (tests/test_cli.py); a decimal string is a rational literal
+    cfg = DiscConfiguration.from_json({"mode": mode, "framings": ["0.1"], "points": [
+        {"re": "0.1", "im": "0", "r": "0.25"}]})
+    assert cfg.framings == [F(1, 10)]
+    assert cfg.points == [Disc(F(1, 10), F(0), F(1, 4)) if mode == "exact"
+                          else Disc(0.1, 0.0, 0.25)]
+
+
 def test_identity_configuration_is_valid():
     ok, problems = validate(DiscConfiguration.identity())
     assert ok, problems

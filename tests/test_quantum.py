@@ -1,6 +1,5 @@
 """Quantum-product relations, the psi/eta solver, and the rank-3 derivation."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -320,7 +319,8 @@ def test_uueq_prerequisite_failure():
     model, gw = uueq_model()
     # break the associativity instance in a fresh model: the used one keeps its rows
     qp0 = {**model.qpieces[0], ("D", "D"): {"P": ONE}}
-    model = dataclasses.replace(model, qpieces={**model.qpieces, 0: qp0})
+    model = CohomologyModel(model.degrees, model.cup, {**model.qpieces, 0: qp0}, model.unit,
+                            restriction=model.restriction)
     with pytest.raises(PrerequisiteFailed, match="associativity instance fails for z1"):
         uueq_rewrite_check(model, gw)
 
