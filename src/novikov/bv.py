@@ -597,9 +597,7 @@ def polyvector_model(n: int = 4) -> BVModel:
             product[(f"t{i}x", f"t{j}x")] = {}
     for i in range(1, n):
         delta[f"t{i}x"] = {f"t{i}": NovikovSeries.monomial(i, 0)}
-    model = BVModel(degrees=degrees, product=product, delta=delta, unit="t0")
-    model.elements["e"] = model.unit_vec()
-    return model
+    return BVModel(degrees=degrees, product=product, delta=delta, unit="t0")
 
 
 def polyvector_model_with_k(n: int = 4) -> BVModel:
@@ -620,7 +618,6 @@ def polyvector_model_with_k(n: int = 4) -> BVModel:
     for name, img in base.delta.items():
         delta[f"{name}k"] = {f"{z}k": s for z, s in img.items()}
     model = BVModel(degrees=degrees, product=product, delta=delta, unit="t0")
-    model.elements["e"] = model.unit_vec()
     model.elements["k"] = {"t0k": one}
     return model
 
@@ -646,6 +643,4 @@ def nilpotent_class_model(prob: ODEProblem, n: int = 4) -> tuple[BVModel, Connec
         prev = model.basis_vec(f"s{i-1}")
         linear[f"s{i}"] = vec_scale(Fraction(i), model.mul(prev, nabla_s))
     nabla = Connection(linear)
-    model.elements["e"] = model.unit_vec()
-    model.elements["s"] = s
     return model, nabla, s

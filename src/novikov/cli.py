@@ -90,18 +90,17 @@ def _order(value) -> Fraction:
     return order
 
 
-def _working_order(payload: dict, trunc, *series_list) -> Fraction:
+def _working_order(payload: dict, trunc, fallback, *series_list) -> Fraction | None:
     """*trunc* (``--trunc``, already read) if given, else ``"order"``, else
-    the least truncation of the problem series, else 8."""
+    the least finite truncation of *series_list*, else *fallback*."""
     if trunc is not None:
         return trunc
     if "order" in payload:
         return _order(payload["order"])
-    finite = [s.truncation for s in series_list
-              if s is not None and s.truncation != INF]
+    finite = [s.truncation for s in series_list if s.truncation != INF]
     if finite:
         return _order(min(finite))
-    return Fraction(8)
+    return fallback
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +110,9 @@ def _working_order(payload: dict, trunc, *series_list) -> Fraction:
 
 def run_ode(payload: dict, trunc=None) -> Report:
     prob = ODEProblem.from_json(payload["problem"])
-    order = _working_order(payload, trunc, prob.psi, prob.eta, prob.z2)
+    order = _working_order(payload, trunc, Fraction(8), prob.psi, prob.eta, prob.z2)
     report = Report()
-    for check in payload.get("checks", []):
+    for check in require_list(payload.get("checks", []), "checks"):
         kind = check["type"]
         if kind == "chain":
             rho = _series(check["rho"]).truncate(order)
@@ -177,14 +176,12 @@ def run_gw(payload: dict, trunc=None) -> Report:
         prob = ODEProblem.from_json(payload["prob"])
     # psi-eta works at --trunc or "order", exactly when neither is given;
     # gauss-manin falls back to the problem's truncation
-    psi_eta_order = trunc
-    if trunc is None and "order" in payload:
-        psi_eta_order = _order(payload["order"])
+    psi_eta_order = _working_order(payload, trunc, None)
     order = None
     if prob is not None:
-        order = _working_order(payload, trunc, prob.psi, prob.eta, prob.z2)
+        order = _working_order(payload, trunc, Fraction(8), prob.psi, prob.eta, prob.z2)
     needs_model = {"relations", "wdvv", "relative", "psi-eta", "uueq"}
-    for name in payload.get("checks", []):
+    for name in require_list(payload.get("checks", []), "checks"):
         if name in needs_model and (model is None or gw is None):
             raise ParseError(f"check {name!r} needs model and gw blocks")
         if name == "gauss-manin" and prob is None:
@@ -208,11 +205,11 @@ def run_gw(payload: dict, trunc=None) -> Report:
 
 def run_mirror(payload: dict, trunc=None) -> Report:
     report = Report()
-    order = trunc if trunc is not None else _order(payload.get("order", 10))
+    order = _working_order(payload, trunc, Fraction(10))
     for case in payload.get("a_cases", []):
         p0 = rat(case["p0"])
         f = _series(case["f"])
-        l = log_derivative(f, order) if not f.is_zero() else NovikovSeries.zero()
+        l = log_derivative(f, order)
         a = mirror_a(p0, f, order)
         report.residual(f"mirror-a[p0={p0}]",
                         "d_h a + a^2 + 2*l*a + (d_h l + l^2) = 0",
@@ -242,7 +239,7 @@ def run_bv(payload: dict, trunc=None) -> Report:
     prob = order = None
     if "prob" in payload:
         prob = ODEProblem.from_json(payload["prob"])
-        order = _working_order(payload, trunc, prob.psi, prob.eta, prob.z2)
+        order = _working_order(payload, trunc, Fraction(8), prob.psi, prob.eta, prob.z2)
     if spec == "polyvector":
         model = bvmod.polyvector_model(n)
     elif spec == "polyvector-k":
@@ -256,7 +253,7 @@ def run_bv(payload: dict, trunc=None) -> Report:
     # nabla^{-1} and the class-equation suite, each built once per task
     minus1 = functools.cache(lambda: bvmod.nabla_c(nabla, a, -1, model))
     suite = None
-    for name in payload.get("checks", []):
+    for name in require_list(payload.get("checks", []), "checks"):
         if name == "axioms":
             report.checks += bvmod.check_bv_axioms(model).checks
         elif name == "leibniz":

@@ -39,6 +39,14 @@ QUARTER_UNITS = {
 }
 
 
+def _number(x, kind):
+    """*x* read by *kind*, ``rat`` or ``float``; a bool, which both would
+    read as 1 or 0, is no number."""
+    if x.__class__ is bool:
+        raise TypeError(f"not a number: {x!r}")
+    return kind(x)
+
+
 class Disc(FrozenRecord):
     __slots__ = _fields = ("re", "im", "radius")
 
@@ -55,18 +63,21 @@ class DiscConfiguration(Record):
     def __init__(self, points: list[Disc], framings: list[Fraction] | None = None,
                  z_point: tuple | None = None, is_identity: bool = False,
                  exact: bool = True):
-        # the one place a coordinate takes the configuration's number mode
-        num = Fraction if exact else float
-        if exact and any(isinstance(x, float) for x in (
-                *(x for d in points for x in (d.re, d.im, d.radius)), *(z_point or ()))):
-            raise ValueError("float coordinate in exact mode")
-        self.points = [Disc(num(d.re), num(d.im), num(d.radius)) for d in points]
+        # the one reader of a configuration; rat refuses a float, so a
+        # framing and an exact-mode coordinate stay rational
+        num = rat if exact else float
+        self.points = [Disc(_number(d.re, num), _number(d.im, num), _number(d.radius, num))
+                       for d in points]
         if framings is not None:
-            framings = [Fraction(t) % 1 for t in framings]
+            framings = [_number(t, rat) % 1 for t in framings]
             if len(framings) != len(self.points):
-                raise ValueError("one framing per disc")
+                raise ValueError(f"one framing per disc: {len(framings)} framings "
+                                 f"for {len(self.points)} discs")
         self.framings = framings
-        self.z_point = None if z_point is None else (num(z_point[0]), num(z_point[1]))
+        self.z_point = (None if z_point is None
+                        else (_number(z_point[0], num), _number(z_point[1], num)))
+        if is_identity.__class__ is not bool:
+            raise TypeError(f"identity must be a boolean, got {is_identity!r}")
         self.is_identity = is_identity
         self.exact = exact
 
@@ -86,34 +97,20 @@ class DiscConfiguration(Record):
     @classmethod
     def from_json(cls, data: dict) -> "DiscConfiguration":
         data = require_object(data, "disc configuration")
-        exact = data.get("mode", "exact") == "exact"
-
-        # an exact-mode coordinate and a framing in either mode are rational
-        # literals, so a JSON float there is a parse error, as it is in every
-        # other task kind; only a float-mode coordinate may be a float
-        def conv(x, kind=rat if exact else float):
-            # a JSON true or false, which float reads as 1 or 0
-            if isinstance(x, bool):
-                raise ParseError(f"bad configuration: not a number: {x!r}")
-            return kind(x)
-
+        mode = data.get("mode", "exact")
+        if mode not in ("exact", "float"):
+            raise ParseError(f"bad configuration: mode must be 'exact' or 'float', "
+                             f"got {mode!r}")
         try:
-            points = [Disc(conv(p["re"]), conv(p["im"]), conv(p["r"]))
-                      for p in require_list(data.get("points", []), "points")]
-            framings = None
-            if "framings" in data:
-                framings = [conv(t, rat)
-                            for t in require_list(data["framings"], "framings")]
-            z = None
-            if data.get("z") is not None:
-                z = (conv(data["z"]["re"]), conv(data["z"]["im"]))
+            z = data.get("z")
+            return cls(points=[Disc(p["re"], p["im"], p["r"])
+                               for p in require_list(data.get("points", []), "points")],
+                       framings=(require_list(data["framings"], "framings")
+                                 if "framings" in data else None),
+                       z_point=None if z is None else (z["re"], z["im"]),
+                       is_identity=data.get("identity", False), exact=mode == "exact")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad configuration: {exc}") from exc
-        if framings is not None and len(framings) != len(points):
-            raise ParseError(f"one framing per disc: {len(framings)} framings "
-                             f"for {len(points)} discs")
-        return cls(points=points, framings=framings, z_point=z,
-                   is_identity=bool(data.get("identity", False)), exact=exact)
 
     def to_json(self) -> dict:
         out = {

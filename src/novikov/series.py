@@ -440,6 +440,9 @@ class NovikovSeries:
                 and self.truncation == other.truncation)
 
     def __hash__(self):
+        # an exact constant equals its rational, so it hashes as that rational
+        if self.truncation == INF and (not self.exps or self.exps == [0]):
+            return hash(Fraction(self.nums[0], self.den) if self.exps else 0)
         return hash((tuple(self.exps), self.scale, tuple(self.nums), self.den,
                      self.truncation))
 

@@ -317,6 +317,21 @@ def test_seed_coeffs_must_be_a_list(tmp_path, coeffs):
     assert "seed coeffs must be a list" in text
 
 
+# an object of checks iterated as its keys: a bv object ran them and
+# passed, an ode object failed on a key read as a check
+@pytest.mark.parametrize("payload", [
+    {"task": "bv", "model": "polyvector", "n": 2, "checks": {"axioms": True}},
+    {**ROW_SHAPES["second-order-pass"], "checks": {"type": "second-order"}},
+    {"task": "gw", "checks": {"gauss-manin": True}},
+], ids=["bv", "ode", "gw"])
+def test_checks_must_be_a_list(tmp_path, payload):
+    task = tmp_path / "checks.json"
+    task.write_text(json.dumps(payload))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text
+    assert "checks must be a list, got dict" in text
+
+
 def _bundled(name, **fields):
     with open(task_path(name)) as fh:
         return {**json.load(fh), **fields}
@@ -407,6 +422,12 @@ def _glue_first(**fields):
     return payload
 
 
+def _tangent(**fields):
+    # the tangent discs of ROW_SHAPES: a PASS in float mode, a FAIL in exact
+    shape = ROW_SHAPES["validate-float-pass"]
+    return {**shape, "config": {**shape["config"], **fields}}
+
+
 @pytest.mark.parametrize("payload, message", [
     (_glue("0"), "slot 0 out of range 1..1"),
     (_glue(2), "slot 2 out of range 1..1"),
@@ -430,9 +451,17 @@ def _glue_first(**fields):
     (_glue_first(framings=[0.1]), "expected a rational, got float"),
     (_glue_first(mode="float", points=[{"re": 0.5, "im": 0, "r": 0.25}], framings=[0.1]),
      "expected a rational, got float"),
+    # a mode other than "exact" or "float" read as float mode, where the
+    # tangent discs pass; an identity flag read by bool() took "no" as true
+    *[(_tangent(mode=mode), f"mode must be 'exact' or 'float', got {mode!r}")
+      for mode in ("Exact", "exakt", 7, None)],
+    *[(_tangent(identity=flag), f"identity must be a boolean, got {flag!r}")
+      for flag in ("no", "false", 0.5, 1)],
 ], ids=["glue-slot-0", "glue-slot-2", "compose-slot-2", "points-object",
         "framing-count", "framings-string", "framing-true", "re-false", "r-true",
-        "exact-re-float", "framing-float", "float-mode-framing-float"])
+        "exact-re-float", "framing-float", "float-mode-framing-float",
+        "mode-Exact", "mode-exakt", "mode-7", "mode-null",
+        "identity-no", "identity-false-string", "identity-half", "identity-1"])
 def test_malformed_operad_field_is_parse_error(tmp_path, payload, message):
     task = tmp_path / "operad.json"
     task.write_text(json.dumps(payload))

@@ -47,6 +47,60 @@ def test_decimal_strings_read_as_rationals(mode):
                           else Disc(0.1, 0.0, 0.25)]
 
 
+# the constructor is the one reader of a configuration, so the Python API
+# refuses what a task file may not say
+@pytest.mark.parametrize("exact", [True, False])
+def test_float_framing_is_refused_by_the_constructor(exact):
+    # Fraction(0.1) would keep 3602879701896397/36028797018963968
+    x = F(1, 2) if exact else 0.5
+    with pytest.raises(TypeError, match="expected a rational, got float"):
+        config([(x, 0, F(1, 4))], framings=[0.1], exact=exact)
+
+
+def test_float_coordinate_in_exact_mode_is_refused_by_the_constructor():
+    with pytest.raises(TypeError, match="expected a rational, got float"):
+        config([(0.5, F(0), F(1, 4))])
+    with pytest.raises(TypeError, match="expected a rational, got float"):
+        config([(F(1, 2), F(0), F(1, 4))], z=(F(0), 0.5))
+
+
+@pytest.mark.parametrize("points, framings, fields, error, message", [
+    ([(True, 0, F(1, 4))], None, {}, TypeError, "not a number: True"),
+    ([(F(1, 2), 0, F(1, 4))], [F(0), F(1, 2)], {}, ValueError,
+     "one framing per disc: 2 framings for 1 discs"),
+    ([(F(0), 0, F(1))], None, {"is_identity": 1}, TypeError,
+     "identity must be a boolean, got 1"),
+], ids=["bool-coordinate", "framing-count", "identity-int"])
+def test_constructor_refuses_malformed_fields(points, framings, fields, error, message):
+    with pytest.raises(error, match=message):
+        DiscConfiguration(points=[Disc(*p) for p in points], framings=framings, **fields)
+
+
+_exact_numbers = st.fractions(min_value=-2, max_value=2, max_denominator=50)
+_float_numbers = st.floats(min_value=-2, max_value=2, allow_nan=False)
+
+
+@st.composite
+def configurations(draw):
+    exact = draw(st.booleans())
+    number = _exact_numbers if exact else _float_numbers
+    n = draw(st.integers(0, 3))
+    points = [Disc(*draw(st.tuples(number, number, number))) for _ in range(n)]
+    framings = draw(st.none() | st.lists(_exact_numbers, min_size=n, max_size=n))
+    z = draw(st.none() | st.tuples(number, number))
+    return DiscConfiguration(points, framings=framings, z_point=z,
+                             is_identity=draw(st.booleans()), exact=exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configurations())
+def test_configuration_json_round_trip(cfg):
+    text = json.dumps(cfg.to_json())
+    back = DiscConfiguration.from_json(json.loads(text))
+    assert back == cfg
+    assert json.dumps(back.to_json()) == text
+
+
 def test_identity_configuration_is_valid():
     ok, problems = validate(DiscConfiguration.identity())
     assert ok, problems

@@ -838,6 +838,17 @@ def test_equal_series_by_different_routes_are_equal(a_lit, b_lit, order):
     assert fields(left) == fields(right)
 
 
+@pytest.mark.parametrize("value", [0, 1, -3, F(1, 3), F(-7, 2)])
+def test_exact_constant_hashes_as_its_rational(value):
+    # __eq__ reads a rational as the exact constant, so hash must agree
+    const = NovikovSeries([(0, value)])
+    assert const == value and hash(const) == hash(value)
+    assert len({const, value}) == 1
+    # a truncated constant or a monomial is no rational
+    assert NovikovSeries([(0, value)], 5) != value
+    assert NovikovSeries([(1, 1)]) != 1
+
+
 @pytest.mark.parametrize("literals", [
     [("2/4", "3/6"), ("1/2", "-1/2"), ("4/2", "6/4")],
     [("0", "2/4")], [(0, F(1, 2))], [("-0/3", "5/10")],
