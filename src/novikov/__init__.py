@@ -9,6 +9,7 @@ rank-3 derivation), bv (graded algebra checks with connections), operad
 
 from .errors import (
     DegreeMismatch,
+    GlueError,
     InconsistentSeed,
     InsufficientPrecision,
     LatticeMismatch,
@@ -37,6 +38,7 @@ __all__ = [
     "DegreeMismatch",
     "PrerequisiteFailed",
     "ZConflict",
+    "GlueError",
     "ParseError",
     "__version__",
 ]

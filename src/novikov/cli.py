@@ -113,7 +113,7 @@ def run_ode(payload: dict, trunc=None) -> Report:
     order = _working_order(payload, trunc, Fraction(8), prob.psi, prob.eta, prob.z2)
     report = Report()
     for check in require_list(payload.get("checks", []), "checks"):
-        kind = check["type"]
+        kind = require_object(check, "ode check")["type"]
         if kind == "chain":
             rho = _series(check["rho"]).truncate(order)
             sigma = sigma_from_rho(rho, prob, order)
@@ -208,9 +208,8 @@ def run_mirror(payload: dict, trunc=None) -> Report:
     order = _working_order(payload, trunc, Fraction(10))
     for case in payload.get("a_cases", []):
         p0 = rat(case["p0"])
-        f = _series(case["f"])
-        l = log_derivative(f, order)
-        a = mirror_a(p0, f, order)
+        l = log_derivative(_series(case["f"]), order)
+        a = mirror_a(p0, l, order)
         report.residual(f"mirror-a[p0={p0}]",
                         "d_h a + a^2 + 2*l*a + (d_h l + l^2) = 0",
                         mirror_a_residual(a, l), var="h")

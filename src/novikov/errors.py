@@ -50,6 +50,11 @@ class ZConflict(NovikovError):
     """Both configurations carry a marked point; at most one is allowed."""
 
 
+class GlueError(NovikovError):
+    """A gluing that the exact disc geometry cannot carry out: an invalid
+    input configuration, or a slot framing that is not a quarter turn."""
+
+
 class ParseError(NovikovError):
     """An input file or literal could not be parsed."""
 

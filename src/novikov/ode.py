@@ -97,10 +97,9 @@ def system_residual(rho: NovikovSeries, sigma: NovikovSeries,
 def sigma_from_rho(rho: NovikovSeries, prob: ODEProblem,
                    order: Trunc | None = None) -> NovikovSeries:
     d = rho.d_q()
-    if d.is_zero():
-        if prob.psi.is_zero():
-            raise ZeroDivisionError("psi has no invertible leading term")
+    if d.is_zero() and not prob.psi.is_zero():
         return NovikovSeries.zero(d.truncation - prob.psi.valuation())
+    # a zero psi raises as its inverse does
     return -(prob.psi.invert(order) * d)
 
 
@@ -275,16 +274,13 @@ def log_derivative(f: NovikovSeries, order: Trunc | None = None) -> NovikovSerie
     return f.d_q() * f.invert(order)
 
 
-def mirror_a(p0, f: NovikovSeries, order: Trunc | None = None) -> NovikovSeries:
-    """a = p0/(p0*h - 1) - l  with  l = (d_h f)/f.
+def mirror_a(p0, l: NovikovSeries, order: Trunc) -> NovikovSeries:
+    """a = p0/(p0*h - 1) - l  for the log-derivative  l = (d_h f)/f.
 
     p0 is a rational sample value; p0*h - 1 has leading coefficient -1, so
-    the quotient always expands.
+    the quotient always expands, to *order*.
     """
     p0 = Fraction(p0)
-    if order is None and f.truncation != INF:
-        order = f.truncation
-    l = log_derivative(f, order)
     if p0 == 0:
         return -l
     denom = NovikovSeries(((1, p0), (0, -1)))

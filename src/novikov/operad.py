@@ -11,13 +11,12 @@ in Q/Z.  Slots are numbered from 1, matching the composition law
 
 for multilinear operations on a small graded space.
 
-A configuration's ``"mode"`` is ``"exact"`` (rationals, the default) or
-``"float"``, which :class:`DiscConfiguration` applies to every coordinate.
-:func:`glue` stays exact only for exact inputs and a quarter-turn slot
-framing; in float mode :func:`validate` leans each comparison by ``EPS`` =
-1e-9 towards passing, so tangent discs pass there.  A one-parameter
-rotating family (the marked point running around a circle) has no
-single-configuration representation and is out of this module's range.
+Every coordinate, radius and framing is rational, so :func:`validate`
+decides exactly (tangent discs overlap).  :func:`glue` rotates by the slot
+framing, which stays in Q(i) only for a quarter turn; any other slot
+framing is a :class:`GlueError`.  A one-parameter rotating family (the
+marked point running around a circle) has no single-configuration
+representation and is out of this module's range.
 """
 
 from __future__ import annotations
@@ -25,11 +24,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ParseError, ZConflict, require_list, require_object
+from .errors import GlueError, ParseError, ZConflict, require_list, require_object
 from .record import FrozenRecord, Record
 from .series import integer, rat, ratio, render_ratio
-
-EPS = 1e-9
 
 QUARTER_UNITS = {
     Fraction(0): (Fraction(1), Fraction(0)),
@@ -39,47 +36,33 @@ QUARTER_UNITS = {
 }
 
 
-def _number(x, kind):
-    """*x* read by *kind*, ``rat`` or ``float``; a bool, which both would
-    read as 1 or 0, is no number."""
-    if x.__class__ is bool:
-        raise TypeError(f"not a number: {x!r}")
-    return kind(x)
-
-
 class Disc(FrozenRecord):
     __slots__ = _fields = ("re", "im", "radius")
 
-    def __init__(self, re: Fraction | float, im: Fraction | float,
-                 radius: Fraction | float):
+    def __init__(self, re: Fraction, im: Fraction, radius: Fraction):
         self._set(re, im, radius)
 
 
 class DiscConfiguration(Record):
     """Indexed sub-discs, optional framings (in Q/Z) and marked point."""
 
-    __slots__ = _fields = ("points", "framings", "z_point", "is_identity", "exact")
+    __slots__ = _fields = ("points", "framings", "z_point", "is_identity")
 
     def __init__(self, points: list[Disc], framings: list[Fraction] | None = None,
-                 z_point: tuple | None = None, is_identity: bool = False,
-                 exact: bool = True):
-        # the one reader of a configuration; rat refuses a float, so a
-        # framing and an exact-mode coordinate stay rational
-        num = rat if exact else float
-        self.points = [Disc(_number(d.re, num), _number(d.im, num), _number(d.radius, num))
-                       for d in points]
+                 z_point: tuple | None = None, is_identity: bool = False):
+        # the one reader of a configuration; rat refuses a float and a bool,
+        # so every coordinate and framing is rational
+        self.points = [Disc(rat(d.re), rat(d.im), rat(d.radius)) for d in points]
         if framings is not None:
-            framings = [_number(t, rat) % 1 for t in framings]
+            framings = [rat(t) % 1 for t in framings]
             if len(framings) != len(self.points):
                 raise ValueError(f"one framing per disc: {len(framings)} framings "
                                  f"for {len(self.points)} discs")
         self.framings = framings
-        self.z_point = (None if z_point is None
-                        else (_number(z_point[0], num), _number(z_point[1], num)))
+        self.z_point = None if z_point is None else (rat(z_point[0]), rat(z_point[1]))
         if is_identity.__class__ is not bool:
             raise TypeError(f"identity must be a boolean, got {is_identity!r}")
         self.is_identity = is_identity
-        self.exact = exact
 
     @classmethod
     def identity(cls) -> "DiscConfiguration":
@@ -98,9 +81,8 @@ class DiscConfiguration(Record):
     def from_json(cls, data: dict) -> "DiscConfiguration":
         data = require_object(data, "disc configuration")
         mode = data.get("mode", "exact")
-        if mode not in ("exact", "float"):
-            raise ParseError(f"bad configuration: mode must be 'exact' or 'float', "
-                             f"got {mode!r}")
+        if mode != "exact":
+            raise ParseError(f"bad configuration: mode must be 'exact', got {mode!r}")
         try:
             z = data.get("z")
             return cls(points=[Disc(p["re"], p["im"], p["r"])
@@ -108,13 +90,13 @@ class DiscConfiguration(Record):
                        framings=(require_list(data["framings"], "framings")
                                  if "framings" in data else None),
                        z_point=None if z is None else (z["re"], z["im"]),
-                       is_identity=data.get("identity", False), exact=mode == "exact")
+                       is_identity=data.get("identity", False))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad configuration: {exc}") from exc
 
     def to_json(self) -> dict:
         out = {
-            "mode": "exact" if self.exact else "float",
+            "mode": "exact",
             "points": [{"re": str(p.re), "im": str(p.im), "r": str(p.radius)}
                        for p in self.points],
         }
@@ -136,8 +118,6 @@ def validate(config: DiscConfiguration) -> tuple[bool, list[str]]:
     framing restriction on the identity configuration."""
     problems: list[str] = []
     pts = config.points
-    exact = config.exact
-    tol = 0 if exact else EPS  # a float comparison gives EPS to the passing side
     if config.is_identity:
         ok = (len(pts) == 1 and pts[0].re == 0 and pts[0].im == 0
               and pts[0].radius == 1)
@@ -147,9 +127,7 @@ def validate(config: DiscConfiguration) -> tuple[bool, list[str]]:
             problems.append("identity configuration carries only the trivial framing")
         if config.z_point is not None:
             # only the boundary circle remains outside the disc's interior
-            r2 = _abs2(*config.z_point)
-            on_circle = r2 == 1 if exact else abs(r2 - 1) < EPS
-            if not on_circle:
+            if _abs2(*config.z_point) != 1:
                 problems.append("marked point of the identity configuration "
                                 "must lie on the unit circle")
         return not problems, problems
@@ -159,21 +137,21 @@ def validate(config: DiscConfiguration) -> tuple[bool, list[str]]:
             problems.append(f"disc {i}: radius must be positive")
             continue
         # closed disc inside the open unit disc: |center| + r < 1
-        if not (p.radius < 1 + tol and _abs2(p.re, p.im) < (1 - p.radius) ** 2 + tol):
+        if not (p.radius < 1 and _abs2(p.re, p.im) < (1 - p.radius) ** 2):
             problems.append(f"disc {i}: not contained in the open unit disc")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             a, b = pts[i], pts[j]
             dist2 = _abs2(a.re - b.re, a.im - b.im)
             rsum = a.radius + b.radius
-            if not dist2 > rsum * rsum - tol:
+            if not dist2 > rsum * rsum:
                 problems.append(f"discs {i+1} and {j+1} overlap")
     if config.z_point is not None:
         zr, zi = config.z_point
-        if not _abs2(zr, zi) <= 1 + tol:
+        if not _abs2(zr, zi) <= 1:
             problems.append("marked point outside the closed unit disc")
         for i, p in enumerate(pts, start=1):
-            if _abs2(zr - p.re, zi - p.im) < p.radius ** 2 - tol:
+            if _abs2(zr - p.re, zi - p.im) < p.radius ** 2:
                 problems.append(f"marked point inside disc {i}")
     return not problems, problems
 
@@ -183,8 +161,8 @@ def glue(c1: DiscConfiguration, slot: int, c2: DiscConfiguration) -> DiscConfigu
     framing, in place of disc *slot* of c1 (slots are 1-based).
 
     Framings of the inserted discs pick up the slot framing; at most one
-    marked point may survive.  The result is exact when both inputs are
-    and the slot framing is a quarter turn, and in float mode otherwise.
+    marked point may survive.  An invalid input, or a slot framing that is
+    not a quarter turn, is a :class:`GlueError`.
     """
     if not 1 <= slot <= c1.arity():
         raise IndexError(f"slot {slot} out of range 1..{c1.arity()}")
@@ -193,17 +171,14 @@ def glue(c1: DiscConfiguration, slot: int, c2: DiscConfiguration) -> DiscConfigu
     for label, cfg in (("first", c1), ("second", c2)):
         ok, problems = validate(cfg)
         if not ok:
-            raise ValueError(f"{label} configuration invalid: {problems[0]}")
+            raise GlueError(f"{label} configuration invalid: {problems[0]}")
     tau = c1.framing(slot)
-    exact = c1.exact and c2.exact and tau in QUARTER_UNITS
-    angle = 2 * math.pi * float(tau)  # exp(2*pi*i*tau) = (ur, ui)
-    ur, ui = QUARTER_UNITS[tau] if exact else (math.cos(angle), math.sin(angle))
+    if tau not in QUARTER_UNITS:
+        raise GlueError(f"slot framing {tau} is not a quarter turn: its rotation "
+                        f"leaves Q(i)")
+    ur, ui = QUARTER_UNITS[tau]  # exp(2*pi*i*tau)
     host = c1.points[slot - 1]
-    cr, ci = host.re, host.im
-    # in float mode each Fraction here meets a float operand, which converts
-    # it first, giving the floats an up-front conversion would; the radius
-    # product is the one that needs rr to be that float
-    rr = host.radius if exact else float(host.radius)
+    cr, ci, rr = host.re, host.im, host.radius
 
     def send(re, im):
         return (cr + rr * (ur * re - ui * im), ci + rr * (ui * re + ur * im))
@@ -226,8 +201,7 @@ def glue(c1: DiscConfiguration, slot: int, c2: DiscConfiguration) -> DiscConfigu
     framings = None
     if c1.framings is not None or c2.framings is not None or tau != 0:
         framings = new_framings
-    return DiscConfiguration(points=new_points, framings=framings,
-                             z_point=z, exact=exact)
+    return DiscConfiguration(points=new_points, framings=framings, z_point=z)
 
 
 # ---------------------------------------------------------------------------

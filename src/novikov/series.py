@@ -323,7 +323,9 @@ class NovikovSeries:
     def invert(self, order: Trunc | None = None) -> "NovikovSeries":
         """Multiplicative inverse, exact up to ``T - 2*val`` (capped by *order*).
 
-        The leading term must be nonzero within truncation.  An exact
+        The leading term must be nonzero within truncation: inverting a
+        truncated zero such as ``O(q^2)`` is :class:`InsufficientPrecision`,
+        inverting the exact zero a ``ZeroDivisionError``.  An exact
         multi-term series has an infinite inverse expansion, so *order*
         must then be supplied.
 
@@ -344,7 +346,10 @@ class NovikovSeries:
         """
         exps, nums, s = self.exps, self.nums, self.scale
         if not exps:
-            raise ZeroDivisionError("no invertible leading term within truncation")
+            if self.truncation == INF:
+                raise ZeroDivisionError("the exact zero series has no inverse")
+            raise InsufficientPrecision(
+                f"no leading term below q^{self.truncation} to invert")
         if order is not None:
             order = _trunc(order)
         cache = self._cache

@@ -170,26 +170,26 @@ ROW_SHAPES = {
     "axioms-misgraded": {"task": "bv", "checks": ["axioms"],
                          "model": {**_BV_ODD, "product": _BV_ODD["product"] + [
                              {"left": "x", "right": "x", "result": {"e": "1"}}]}},
-    # float mode, which no bundled file reaches: an exact host whose slot
-    # framing 1/12 is not a quarter turn, taking a float insert with a
-    # marked point (its imaginary part prints as 0.06249999999999999) ...
+    # a quarter-turn slot framing beside twelfth turns on the host's other
+    # disc and on the insert, which carries a marked point: all exact ...
     "glue-mixed-pass": {"task": "operad", "action": "glue", "slot": 2, "first": {
         "points": [{"re": "-1/2", "im": "0", "r": "1/4"},
-                   {"re": "1/2", "im": "0", "r": "1/4"}], "framings": ["0", "1/12"]},
-        "second": {"mode": "float", "points": [{"re": "0", "im": "0.5", "r": "0.25"}],
+                   {"re": "1/2", "im": "0", "r": "1/4"}], "framings": ["1/12", "1/4"]},
+        "second": {"points": [{"re": "0", "im": "0.5", "r": "0.25"}], "framings": ["1/3"],
                    "z": {"re": "0.5", "im": "0"}}},
-    # ... an all-float glue at non-quarter framings, the host's marked point kept ...
+    # ... decimal literals, which are rationals, at a half-turn slot framing,
+    # the host's marked point kept ...
     "glue-float-pass": {"task": "operad", "action": "glue", "slot": 2, "first": {
-        "mode": "float", "points": [{"re": "0.5", "im": "0", "r": "0.25"},
+        "mode": "exact", "points": [{"re": "0.5", "im": "0", "r": "0.25"},
                                     {"re": "-0.5", "im": "0", "r": "0.25"}],
-        "framings": ["1/3", "1/6"], "z": {"re": "0", "im": "0.5"}},
-        "second": {"mode": "float", "points": [{"re": "0.5", "im": "0.25", "r": "0.25"},
-                                               {"re": "-0.5", "im": "0", "r": "0.25"}],
+        "framings": ["1/3", "1/2"], "z": {"re": "0", "im": "0.5"}},
+        "second": {"points": [{"re": "0.5", "im": "0.25", "r": "0.25"},
+                              {"re": "-0.5", "im": "0", "r": "0.25"}],
                    "framings": ["1/8", "0"]}},
-    # ... and tangent discs, which pass under the float tolerance only
+    # ... and discs 1/20 apart, which pass, beside tangent discs, which fail
     "validate-float-pass": {"task": "operad", "action": "validate", "config": {
-        "mode": "float", "points": [{"re": "0.5", "im": "0", "r": "0.25"},
-                                    {"re": "0", "im": "0", "r": "0.25"}]}},
+        "mode": "exact", "points": [{"re": "0.5", "im": "0", "r": "0.25"},
+                                    {"re": "0", "im": "0", "r": "0.2"}]}},
     "validate-exact-fail": {"task": "operad", "action": "validate", "config": {
         "points": [{"re": "1/2", "im": "0", "r": "1/4"},
                    {"re": "0", "im": "0", "r": "1/4"}]}},
@@ -252,10 +252,10 @@ ROW_GOLDEN = {
     ("axioms-fail", "text"): "4161c50c98447d17eac1c68a56bccdfcad9389e03f045bae87832e66778df728",
     ("axioms-misgraded", "json"): "1654871b2f92ce3aa60364e42e023033ab54d9866c2cce8b920118d1c5620432",
     ("axioms-misgraded", "text"): "1654871b2f92ce3aa60364e42e023033ab54d9866c2cce8b920118d1c5620432",
-    ("glue-mixed-pass", "json"): "8cc53ef1d2f24651f152d06b22244d6455d264ae79706c94c152ca77ccac3c36",
-    ("glue-mixed-pass", "text"): "5cba60f8b8bf2d88b28ae534ce97fc3eaef615e1106260fd278072b6592d2039",
-    ("glue-float-pass", "json"): "712c6d63c3fe0a9bb9839727612dd7f054dc0dc8bd4aee619fa64bd3a6646b6a",
-    ("glue-float-pass", "text"): "c4e906b51c68ece820cec8f9a5d9fad1b4d29428dc3fafee92666d508c9f4e8f",
+    ("glue-mixed-pass", "json"): "f2279a79ef790ea06e222cbff25e79d2d9f34ee02a3ef86ea5f81e2b5c03011d",
+    ("glue-mixed-pass", "text"): "1d1957bff62b9a33c5a7937f3db3f5fee4569ca5da41930daaffea21ca007bc5",
+    ("glue-float-pass", "json"): "e9db2b4a6cfde094b8c2784da7cddd7d297a9618b08cadfad284c64055f4c9be",
+    ("glue-float-pass", "text"): "1a009157b64b03dfd8a1445b5cfdff96de640bdf7a4a366582080c19971e0253",
     ("validate-float-pass", "json"): "b5e837f2c1e3978d29760d7ca154832fb0cfb91ec787c8f8f3712624fe2b802d",
     ("validate-float-pass", "text"): "1fa35c75b263810b6178b6cc841c4037780ef195817b2944915105343216c2cb",
     ("validate-exact-fail", "json"): "15f8e646a1be7c903e1689c57ff52eec5deaa6e40313682d04d4ed41fef19801",
@@ -423,8 +423,8 @@ def _glue_first(**fields):
 
 
 def _tangent(**fields):
-    # the tangent discs of ROW_SHAPES: a PASS in float mode, a FAIL in exact
-    shape = ROW_SHAPES["validate-float-pass"]
+    # the tangent discs of ROW_SHAPES, a FAIL
+    shape = ROW_SHAPES["validate-exact-fail"]
     return {**shape, "config": {**shape["config"], **fields}}
 
 
@@ -438,29 +438,30 @@ def _tangent(**fields):
     (_glue_first(framings=["1/4", "1/2"]), "one framing per disc: 2 framings for 1 discs"),
     (_glue_first(framings="1/4"), "framings must be a list"),
     # a JSON boolean is no coordinate, radius or framing, though Fraction
-    # and float would read it as 1 or 0
-    (_glue_first(framings=[True]), "not a number: True"),
+    # would read it as 1 or 0
+    (_glue_first(framings=[True]), "not a rational literal: True"),
     ({**_glue(1), "second": {**_glue(1)["second"], "points": [
         {"re": False, "im": "0", "r": "1/10"}, {"re": "-1/2", "im": "0", "r": "1/5"}]}},
-     "not a number: False"),
-    (_glue_first(points=[{"re": "1/2", "im": "0", "r": True}]), "not a number: True"),
-    # a JSON float is no exact coordinate and no framing in either mode:
-    # Fraction would read 0.1 as 3602879701896397/36028797018963968
+     "not a rational literal: False"),
+    (_glue_first(points=[{"re": "1/2", "im": "0", "r": True}]),
+     "not a rational literal: True"),
+    # a JSON float is no coordinate and no framing: Fraction would read 0.1
+    # as 3602879701896397/36028797018963968
     (_glue_first(points=[{"re": 0.1, "im": "0", "r": "1/4"}]),
      "expected a rational, got float"),
     (_glue_first(framings=[0.1]), "expected a rational, got float"),
+    # geometry is exact only, so "float" is refused by name like any other
+    # mode; an identity flag read by bool() took "no" as true
     (_glue_first(mode="float", points=[{"re": 0.5, "im": 0, "r": 0.25}], framings=[0.1]),
-     "expected a rational, got float"),
-    # a mode other than "exact" or "float" read as float mode, where the
-    # tangent discs pass; an identity flag read by bool() took "no" as true
-    *[(_tangent(mode=mode), f"mode must be 'exact' or 'float', got {mode!r}")
-      for mode in ("Exact", "exakt", 7, None)],
+     "mode must be 'exact', got 'float'"),
+    *[(_tangent(mode=mode), f"mode must be 'exact', got {mode!r}")
+      for mode in ("float", "Exact", "exakt", 7, None)],
     *[(_tangent(identity=flag), f"identity must be a boolean, got {flag!r}")
       for flag in ("no", "false", 0.5, 1)],
 ], ids=["glue-slot-0", "glue-slot-2", "compose-slot-2", "points-object",
         "framing-count", "framings-string", "framing-true", "re-false", "r-true",
         "exact-re-float", "framing-float", "float-mode-framing-float",
-        "mode-Exact", "mode-exakt", "mode-7", "mode-null",
+        "mode-float", "mode-Exact", "mode-exakt", "mode-7", "mode-null",
         "identity-no", "identity-false-string", "identity-half", "identity-1"])
 def test_malformed_operad_field_is_parse_error(tmp_path, payload, message):
     task = tmp_path / "operad.json"
@@ -475,7 +476,13 @@ def test_malformed_operad_field_is_parse_error(tmp_path, payload, message):
       "second": {**_glue(1)["second"], "z": {"re": "0", "im": "1/2"}}}, "ZConflict"),
     ({"task": "operad", "action": "sign", "phi1_degree": 1, "phi2_degree": 1,
       "slot": 3, "prefix": [0]}, "needs 2 prefix degrees"),
-], ids=["two-marked-points", "sign-prefix"])
+    # a rotation by 1/12 of a turn leaves Q(i); a framing on a disc other
+    # than the slot only adds, and glues exactly (ROW_SHAPES "glue-mixed-pass")
+    (_glue_first(framings=["1/12"]),
+     "GlueError: slot framing 1/12 is not a quarter turn"),
+    (_glue_first(points=[{"re": "1/2", "im": "0", "r": "1/2"}]),
+     "GlueError: first configuration invalid: disc 1: not contained"),
+], ids=["two-marked-points", "sign-prefix", "slot-framing-twelfth", "invalid-input"])
 def test_operad_domain_errors_stay_domain_errors(tmp_path, payload, error):
     task = tmp_path / "operad.json"
     task.write_text(json.dumps(payload))
@@ -862,6 +869,8 @@ _BV_BASIS = [{"name": "e", "degree": 0}]
       "phi1": [1], "phi2": _OP}, "operation 'phi1' must be an object"),
     # an object of terms was read as the exact zero series, so this passed
     (_ode({"type": "second-order", "rho": {"terms": {}}}), "series terms must be a list"),
+    # a check entry read as an object gave "string indices must be integers"
+    (_ode("chain"), "ode check must be an object, got str"),
     # a check whose input block is missing names what it needs
     ({"task": "gw", "checks": ["gauss-manin"]}, "check 'gauss-manin' needs a problem block"),
     ({"task": "gw", "gw": {}, "checks": ["wdvv"]}, "check 'wdvv' needs model and gw blocks"),
@@ -870,7 +879,7 @@ _BV_BASIS = [{"name": "e", "degree": 0}]
 ], ids=["bv-product-result", "gw-omega", "bv-delta", "bv-elements",
         "gw-restriction", "top-level-array", "task-array", "gw-qpieces-record",
         "gw-block", "operad-config", "operad-operation", "series-terms-object",
-        "gw-no-prob", "gw-no-model", "bv-no-prob"])
+        "ode-check-string", "gw-no-prob", "gw-no-model", "bv-no-prob"])
 def test_vector_field_not_an_object_is_parse_error(tmp_path, payload, message):
     bad = tmp_path / "vector.json"
     bad.write_text(json.dumps(payload))

@@ -74,6 +74,12 @@ def test_sigma_from_rho():
     assert sigma_from_rho(S((0, 1), (1, 1)), prob()) == S((0, -1))
     assert sigma_from_rho(ONE, prob(psi=S((0, 3), (1, 1)), eta=ONE)).is_zero()
     assert sigma_from_rho(S((2, 1)), prob(psi=S((1, 1)))) == S((0, -2))
+    # a constant rho divides by psi's leading term: the exact zero has none,
+    # and O(q^2) may hide one above its truncation
+    with pytest.raises(ZeroDivisionError):
+        sigma_from_rho(ONE, prob(psi=ZERO))
+    with pytest.raises(InsufficientPrecision, match="below q\\^2"):
+        sigma_from_rho(ONE, prob(psi=NovikovSeries.zero(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,23 +479,23 @@ def test_mirror_ode_residual_is_eta_times_the_a_residual(case):
 
 
 def test_mirror_a_geometric_expansion():
-    a = mirror_a(2, ONE, order=4)
+    a = mirror_a(2, log_derivative(ONE, 4), order=4)
     assert a == S((0, -2), (1, -4), (2, -8), (3, -16), trunc=4)
 
 
 def test_mirror_a_zero():
-    assert mirror_a(0, ONE, order=6).is_zero()
+    assert mirror_a(0, log_derivative(ONE, 6), order=6).is_zero()
 
 
 def test_mirror_a_two_pole_sum():
     f = S((0, 1), (1, 1))
-    a = mirror_a(1, f, order=5)
+    a = mirror_a(1, log_derivative(f, 5), order=5)
     # 1/(h-1) - 1/(1+h) = -(1+h+h^2+...) - (1-h+h^2-...) = -2 - 2h^2 - 2h^4...
     assert a == S((0, -2), (2, -2), (4, -2), trunc=5)
 
 
 def test_mirror_a_residual_vanishes():
-    a = mirror_a(2, ONE, order=8)
+    a = mirror_a(2, log_derivative(ONE, 8), order=8)
     assert mirror_a_residual(a, ZERO).is_zero()
 
 
@@ -497,7 +503,7 @@ def test_mirror_a_residual_polynomial_sampling():
     f = S((0, 1), (1, 1), (2, 1))
     l = log_derivative(f, order=10)
     for p0 in (0, 1, -1, 2, -2, 3):
-        a = mirror_a(p0, f, order=10)
+        a = mirror_a(p0, l, order=10)
         assert mirror_a_residual(a, l).is_zero()
 
 
