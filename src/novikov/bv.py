@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import graded
+from .errors import field
 from .graded import (
     Row,
     Vec,
@@ -188,24 +189,17 @@ class BVModel(Record):
         degree in :data:`ELEMENT_DEGREES` (:func:`graded.homogeneous`)."""
         degrees = graded.basis_from_json(data)
 
-        def table(key: str, shift: int) -> dict[tuple[str, str], Vec]:
-            return dict(graded.table_row_from_json(r, degrees, key, shift)
-                        for r in data[key])
+        def table(shift: int):
+            return lambda t: graded.table_from_json(t, degrees, shift)
 
-        product = table("product", 0) if "product" in data else {}
-        delta = graded.vec_map_of_declared(data.get("delta", {}), degrees, "delta", -1)
-        elements = vec_map_from_json(data.get("elements", {}))
-        for name, image in elements.items():
-            if name in ELEMENT_DEGREES:
-                graded.homogeneous(image, degrees, ELEMENT_DEGREES[name],
-                                   f"element {name!r}")
-            else:
-                graded.declared(degrees, f"element {name!r}", *image)
-        unit = data.get("unit", "e")
-        graded.declared(degrees, "unit", unit)
-        bracket = table("bracket", -1) if "bracket" in data else None
-        return cls(degrees=degrees, product=product, delta=delta,
-                   unit=unit, elements=elements, bracket_table=bracket)
+        unit = field(data, "unit", lambda name: graded.declared(degrees, name), None)
+        return cls(degrees=degrees, product=field(data, "product", table(0), {}),
+                   delta=field(data, "delta", lambda m: graded.vec_map_of_declared(
+                       m, degrees, -1), {}),
+                   unit=graded.declared(degrees, "e") if unit is None else unit,
+                   elements=field(data, "elements", lambda m: vec_map_from_json(
+                       m, degrees, ELEMENT_DEGREES.get), {}),
+                   bracket_table=field(data, "bracket", table(-1), None))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +236,7 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
                  model: BVModel) -> tuple[Connection, Vec]:
     """nabla~ x = nabla x - [alpha, x];  a~ = a + Delta(alpha).  An alpha
     outside degree 1 is a :class:`ParseError` (:func:`graded.homogeneous`)."""
-    graded.homogeneous(alpha, model.degrees, 1, "alpha")
+    graded.homogeneous(alpha, model.degrees, 1)
     live = _live(alpha)
     B = {(z, n): model.bracket_row(z, n) for z in live for n in model.degrees}
     linear = {name: accumulate(dict(nabla.linear.get(name, {})), B, live, name, -1)

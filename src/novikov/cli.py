@@ -15,14 +15,8 @@ from fractions import Fraction
 from . import bv as bvmod
 from . import operad as opmod
 from . import quantum as qmod
-from .errors import (
-    InsufficientPrecision,
-    NovikovError,
-    ParseError,
-    require_list,
-    require_object,
-)
-from .graded import homogeneous, vec_from_json
+from .errors import InsufficientPrecision, NovikovError, ParseError, each, field, one_of
+from .graded import vec_from_json
 from .ode import (
     LatticeSeed,
     ODEProblem,
@@ -74,8 +68,8 @@ MAX_BV_N = 24
 MAX_ORDER = 1000
 
 
-def _series(data) -> NovikovSeries:
-    return NovikovSeries.from_json(data)
+def _series(data: dict, key: str) -> NovikovSeries:
+    return field(data, key, NovikovSeries.from_json)
 
 
 def _order(value) -> Fraction:
@@ -90,17 +84,19 @@ def _order(value) -> Fraction:
     return order
 
 
-def _working_order(payload: dict, trunc, fallback, *series_list) -> Fraction | None:
+def _working_order(payload: dict, trunc, fallback, block: str | None = None,
+                   prob: ODEProblem | None = None) -> Fraction | None:
     """*trunc* (``--trunc``, already read) if given, else ``"order"``, else
-    the least finite truncation of *series_list*, else *fallback*."""
-    if trunc is not None:
-        return trunc
-    if "order" in payload:
-        return _order(payload["order"])
-    finite = [s.truncation for s in series_list if s.truncation != INF]
-    if finite:
-        return _order(min(finite))
-    return fallback
+    the least finite truncation of *prob*, the problem at ``payload[block]``,
+    else *fallback*."""
+    order = trunc if trunc is not None else field(payload, "order", _order, None)
+    if order is not None or prob is None:
+        return fallback if order is None else order
+    least, key = min((getattr(prob, key).truncation, key) for key in prob._fields)
+    try:
+        return fallback if least == INF else _order(least)
+    except ParseError as exc:
+        raise exc.at("trunc").at(key).at(block) from None
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +105,19 @@ def _working_order(payload: dict, trunc, fallback, *series_list) -> Fraction | N
 
 
 def run_ode(payload: dict, trunc=None) -> Report:
-    prob = ODEProblem.from_json(payload["problem"])
-    order = _working_order(payload, trunc, Fraction(8), prob.psi, prob.eta, prob.z2)
+    prob = field(payload, "problem", ODEProblem.from_json)
+    order = _working_order(payload, trunc, Fraction(8), "problem", prob)
     report = Report()
-    for check in require_list(payload.get("checks", []), "checks"):
-        kind = require_object(check, "ode check")["type"]
+    # the one-series forms: check type -> the key of its series, its residual
+    forms = {"second-order": ("rho", lambda s: second_order_residual(s, prob, order)),
+             "riccati": ("alpha", lambda s: riccati_residual(s, prob, order)),
+             "projective": ("lambda", lambda s: projective_residual(s, prob)),
+             "schwarzian": ("theta", lambda s: schwarz_residual(s, prob, order))}
+
+    def run_check(check: dict):
+        kind = field(check, "type", one_of(("chain", "system", "solve", *forms)))
         if kind == "chain":
-            rho = _series(check["rho"]).truncate(order)
+            rho = _series(check, "rho").truncate(order)
             sigma = sigma_from_rho(rho, prob, order)
             r1, r2 = system_residual(rho, sigma, prob)
             report.residual("system-1", "d_q rho + psi*sigma = 0", r1)
@@ -132,127 +134,118 @@ def run_ode(payload: dict, trunc=None) -> Report:
                             projective_residual(lam, prob))
         elif kind == "system":
             report.residual("system", "first-order linear system",
-                            *system_residual(_series(check["rho"]),
-                                             _series(check["sigma"]), prob))
-        elif kind == "second-order":
-            report.residual("second-order", "second-order form",
-                            second_order_residual(_series(check["rho"]), prob, order))
-        elif kind == "riccati":
-            report.residual("riccati", "riccati form",
-                            riccati_residual(_series(check["alpha"]), prob, order))
-        elif kind == "projective":
-            report.residual("projective", "projective form",
-                            projective_residual(_series(check["lambda"]), prob))
-        elif kind == "schwarzian":
-            report.residual("schwarzian", "schwarzian form",
-                            schwarz_residual(_series(check["theta"]), prob, order))
+                            *system_residual(_series(check, "rho"),
+                                             _series(check, "sigma"), prob))
         elif kind == "solve":
-            seed = LatticeSeed.from_json(check["seed"])
-            solve_order = rat(check["order"])
+            seed = field(check, "seed", LatticeSeed.from_json)
+            solve_order = field(check, "order", rat)
             if (solve_order - seed.base_exponent) / seed.step > MAX_SOLVE_TERMS:
                 raise ParseError(
                     f"solve order {solve_order} asks for more than MAX_SOLVE_TERMS = "
-                    f"{MAX_SOLVE_TERMS} lattice terms")
+                    f"{MAX_SOLVE_TERMS} lattice terms").at("order")
             rho = solve_second_order(prob, seed, solve_order)
             report.residual("solve", "lattice recursion solves the second-order form",
                             second_order_residual(rho, prob, order),
                             detail=f"rho = {rho.render()}")
         else:
-            raise ParseError(f"unknown ode check type {kind!r}")
+            key, residual = forms[kind]
+            report.residual(kind, f"{kind} form", residual(_series(check, key)))
+
+    field(payload, "checks", lambda checks: each(checks, run_check), [])
     return report
+
+
+#: Each gw check and the name of its function in :mod:`novikov.quantum`,
+#: looked up when it runs, as the benchmark's tracer wraps module functions.
+GW_CHECKS = {"relations": "divisor_relations_check", "wdvv": "wdvv_check",
+             "relative": "relative_z2_check", "psi-eta": "psi_eta_check",
+             "gauss-manin": "gauss_manin_check", "uueq": "uueq_rewrite_check"}
 
 
 def run_gw(payload: dict, trunc=None) -> Report:
     report = Report()
-    model = gw = prob = None
-    if "model" in payload:
-        model = qmod.CohomologyModel.from_json(payload["model"])
-    if "gw" in payload:
-        gw = qmod.GWData.from_json(payload["gw"])
-        if model is not None:
-            for key, degree in (("z0", 4), ("z1", 2), ("z2", 0), ("z2tilde", 2)):
-                homogeneous(getattr(gw, key) or {}, model.degrees, degree, f"gw {key}")
-    if "prob" in payload:
-        prob = ODEProblem.from_json(payload["prob"])
+    model = field(payload, "model", qmod.CohomologyModel.from_json, None)
+    gw = field(payload, "gw", lambda data: qmod.GWData.from_json(
+        data, None if model is None else model.degrees), None)
+    prob = field(payload, "prob", ODEProblem.from_json, None)
     # psi-eta works at --trunc or "order", exactly when neither is given;
     # gauss-manin falls back to the problem's truncation
     psi_eta_order = _working_order(payload, trunc, None)
-    order = None
-    if prob is not None:
-        order = _working_order(payload, trunc, Fraction(8), prob.psi, prob.eta, prob.z2)
-    needs_model = {"relations", "wdvv", "relative", "psi-eta", "uueq"}
-    for name in require_list(payload.get("checks", []), "checks"):
-        if name in needs_model and (model is None or gw is None):
-            raise ParseError(f"check {name!r} needs model and gw blocks")
-        if name == "gauss-manin" and prob is None:
+    order = prob and _working_order(payload, trunc, Fraction(8), "prob", prob)
+
+    def check_name(name) -> str:
+        if one_of(GW_CHECKS)(name) == "gauss-manin" and prob is None:
             raise ParseError("check 'gauss-manin' needs a problem block")
-        if name == "relations":
-            report.checks += qmod.divisor_relations_check(model, gw).checks
-        elif name == "wdvv":
-            report.checks += qmod.wdvv_check(model, gw).checks
-        elif name == "relative":
-            report.checks += qmod.relative_z2_check(model, gw).checks
-        elif name == "psi-eta":
-            report.checks += qmod.psi_eta_check(model, gw, psi_eta_order).checks
-        elif name == "gauss-manin":
-            report.checks += qmod.gauss_manin_check(prob, order).checks
-        elif name == "uueq":
-            report.checks += qmod.uueq_rewrite_check(model, gw).checks
-        else:
-            raise ParseError(f"unknown gw check {name!r}")
+        if name != "gauss-manin" and (model is None or gw is None):
+            raise ParseError(f"check {name!r} needs model and gw blocks")
+        return name
+
+    for name in field(payload, "checks", lambda names: each(names, check_name), []):
+        args = ((prob, order) if name == "gauss-manin" else
+                (model, gw, psi_eta_order) if name == "psi-eta" else (model, gw))
+        report.checks += getattr(qmod, GW_CHECKS[name])(*args).checks
     return report
 
 
 def run_mirror(payload: dict, trunc=None) -> Report:
     report = Report()
     order = _working_order(payload, trunc, Fraction(10))
-    for case in payload.get("a_cases", []):
-        p0 = rat(case["p0"])
-        l = log_derivative(_series(case["f"]), order)
+
+    def a_case(case: dict):
+        p0 = field(case, "p0", rat)
+        l = log_derivative(_series(case, "f"), order)
         a = mirror_a(p0, l, order)
         report.residual(f"mirror-a[p0={p0}]",
                         "d_h a + a^2 + 2*l*a + (d_h l + l^2) = 0",
                         mirror_a_residual(a, l), var="h")
-    for case in payload.get("ode_cases", []):
-        f = _series(case["f"])
+
+    def ode_case(case: dict):
+        f = _series(case, "f")
         l = log_derivative(f, order)
-        eta = case.get("eta", "inverse")
+        eta = field(case, "eta", default="inverse")
         if eta == "inverse":
             cand = f.invert(order)
         elif eta == "h-over-f":
             cand = NovikovSeries.monomial(1, 1) * f.invert(order)
         else:
-            cand = _series(eta)
+            cand = _series(case, "eta")
         report.residual(f"mirror-ode[eta={eta if isinstance(eta, str) else 'series'}]",
                         "d_h^2 eta + 2*l*d_h eta + (d_h l + l^2)*eta = 0",
                         mirror_ode_residual(cand, l), var="h")
+
+    field(payload, "a_cases", lambda cases: each(cases, a_case), [])
+    field(payload, "ode_cases", lambda cases: each(cases, ode_case), [])
     return report
+
+
+BV_CHECKS = ("axioms", "leibniz", "delta-nabla", "gauge", "class-equation",
+             "second-order", "r-endomorphism")
+BV_MODELS = {"polyvector": bvmod.polyvector_model,
+             "polyvector-k": bvmod.polyvector_model_with_k}
 
 
 def run_bv(payload: dict, trunc=None) -> Report:
     report = Report()
-    spec = payload.get("model", "polyvector")
-    n = integer(payload.get("n", 4))
+    n = field(payload, "n", integer, 4)
     if not 2 <= n <= MAX_BV_N:
-        raise ParseError(f"n = {n} is outside the range 2 to MAX_BV_N = {MAX_BV_N}")
-    prob = order = None
-    if "prob" in payload:
-        prob = ODEProblem.from_json(payload["prob"])
-        order = _working_order(payload, trunc, Fraction(8), prob.psi, prob.eta, prob.z2)
-    if spec == "polyvector":
-        model = bvmod.polyvector_model(n)
-    elif spec == "polyvector-k":
-        model = bvmod.polyvector_model_with_k(n)
-    elif isinstance(spec, dict):
-        model = bvmod.BVModel.from_json(spec)
-    else:
-        raise ParseError(f"unknown bv model {spec!r}")
+        raise ParseError(f"n = {n} is outside the range 2 to MAX_BV_N = {MAX_BV_N}").at("n")
+    prob = field(payload, "prob", ODEProblem.from_json, None)
+    order = prob and _working_order(payload, trunc, Fraction(8), "prob", prob)
+    model = field(payload, "model", lambda spec: (
+        bvmod.BVModel.from_json(spec) if isinstance(spec, dict)
+        else BV_MODELS[one_of(BV_MODELS)(spec)](n)), None) or bvmod.polyvector_model(n)
+
+    def check_name(name) -> str:
+        if one_of(BV_CHECKS)(name) in ("class-equation", "second-order") and prob is None:
+            raise ParseError(f"check {name!r} needs a problem block")
+        return name
+
     nabla = bvmod.Connection()
     a = model.distinguished_a()
     # nabla^{-1} and the class-equation suite, each built once per task
     minus1 = functools.cache(lambda: bvmod.nabla_c(nabla, a, -1, model))
     suite = None
-    for name in require_list(payload.get("checks", []), "checks"):
+    for name in field(payload, "checks", lambda names: each(names, check_name), []):
         if name == "axioms":
             report.checks += bvmod.check_bv_axioms(model).checks
         elif name == "leibniz":
@@ -261,7 +254,7 @@ def run_bv(payload: dict, trunc=None) -> Report:
             report.checks += bvmod.check_delta_nabla(nabla, a, model).checks
             report.checks += bvmod.check_minus1_delta(minus1(), a, model).checks
         elif name == "gauge":
-            alpha = vec_from_json(payload.get("alpha", {}))
+            alpha = field(payload, "alpha", lambda x: vec_from_json(x, model.degrees, 1), {})
             tilde, a_tilde = bvmod.gauge_change(nabla, alpha, a, model)
             gauged = bvmod.check_delta_nabla(tilde, a_tilde, model)
             for row in gauged.checks:
@@ -271,9 +264,7 @@ def run_bv(payload: dict, trunc=None) -> Report:
                 minus1(), bvmod.nabla_c(tilde, a_tilde, -1, model), alpha, model).checks
         elif name == "r-endomorphism":
             report.checks += bvmod.r_endomorphism_check(model).checks
-        elif name in ("class-equation", "second-order"):
-            if prob is None:
-                raise ParseError(f"check {name!r} needs a problem block")
+        else:
             if suite is None:
                 suite = bvmod.class_equation_suite(prob, n, order)
             if name == "class-equation":
@@ -285,49 +276,43 @@ def run_bv(payload: dict, trunc=None) -> Report:
             present = {(c.name, c.equation) for c in report.checks}
             report.checks += [c for c in rows
                               if (c.name, c.equation) not in present]
-        else:
-            raise ParseError(f"unknown bv check {name!r}")
     return report
-
-
-def _slot(payload: dict, arity: int) -> int:
-    """The ``"slot"`` field, an input of an operation of *arity* inputs."""
-    slot = integer(payload["slot"])
-    if not 1 <= slot <= arity:
-        raise ParseError(f"slot {slot} out of range 1..{arity}")
-    return slot
 
 
 def run_operad(payload: dict, trunc=None) -> Report:
     report = Report()
-    action = payload.get("action")
+    action = field(payload, "action", one_of(("validate", "glue", "sign", "compose")))
+
+    def slot(arity: int) -> int:
+        """The ``"slot"``, an input of an operation of *arity* inputs."""
+        value = field(payload, "slot", integer)
+        if not 1 <= value <= arity:
+            raise ParseError(f"slot {value} out of range 1..{arity}").at("slot")
+        return value
+
     if action == "validate":
-        cfg = opmod.DiscConfiguration.from_json(payload["config"])
+        cfg = field(payload, "config", opmod.DiscConfiguration.from_json)
         ok, problems = opmod.validate(cfg)
         report.add("validate", "disc configuration invariants", ok,
                    "; ".join(problems) if problems else "valid")
     elif action == "glue":
-        c1 = opmod.DiscConfiguration.from_json(payload["first"])
-        c2 = opmod.DiscConfiguration.from_json(payload["second"])
-        out = opmod.glue(c1, _slot(payload, c1.arity()), c2)
+        c1 = field(payload, "first", opmod.DiscConfiguration.from_json)
+        c2 = field(payload, "second", opmod.DiscConfiguration.from_json)
+        out = opmod.glue(c1, slot(c1.arity()), c2)
         ok, problems = opmod.validate(out)
         report.add("glue", "rescale, rotate, insert", ok,
                    json.dumps(out.to_json(), sort_keys=True))
     elif action == "sign":
-        sign = opmod.koszul_sign(integer(payload["phi1_degree"]),
-                                 integer(payload["phi2_degree"]),
-                                 integer(payload["slot"]),
-                                 [integer(d) for d in
-                                  require_list(payload.get("prefix", []), "prefix")])
+        sign = opmod.koszul_sign(*(field(payload, key, integer) for key in
+                                   ("phi1_degree", "phi2_degree", "slot")),
+                                 field(payload, "prefix", lambda d: each(d, integer), []))
         report.add("sign", "composition-law sign", True, str(sign))
-    elif action == "compose":
-        space = tuple(integer(d) for d in require_list(payload["space"], "space"))
-        phi1 = opmod.GradedOperation.from_json(payload["phi1"], space, "phi1")
-        phi2 = opmod.GradedOperation.from_json(payload["phi2"], space, "phi2")
-        out = opmod.compose(phi1, _slot(payload, phi1.arity), phi2)
-        report.add("compose", "signed operadic insertion", True, out.json_text())
     else:
-        raise ParseError(f"unknown operad action {action!r}")
+        space = tuple(field(payload, "space", lambda d: each(d, integer)))
+        phi1, phi2 = (field(payload, key, lambda d: opmod.GradedOperation.from_json(d, space))
+                      for key in ("phi1", "phi2"))
+        out = opmod.compose(phi1, slot(phi1.arity), phi2)
+        report.add("compose", "signed operadic insertion", True, out.json_text())
     return report
 
 
@@ -368,23 +353,22 @@ def run(path: str, output: str = "text", trunc=None,
         check_override: list[str] | None = None) -> tuple[int, str]:
     try:
         with open(path) as fh:
-            payload = require_object(json.load(fh), "task file")
-    except (OSError, json.JSONDecodeError, ParseError) as exc:
+            payload = json.load(fh)
+    # a ValueError: malformed JSON, bytes that are not UTF-8, or an integer
+    # literal past the interpreter's digit limit
+    except (OSError, ValueError) as exc:
         return EXIT_PARSE, f"parse error: {exc}"
-    task = payload.get("task")
-    if expect_task is not None and task != expect_task:
-        return EXIT_PARSE, (f"parse error: task file declares {task!r}, "
-                            f"subcommand expects {expect_task!r}")
-    if not isinstance(task, str) or task not in RUNNERS:
-        return EXIT_PARSE, f"parse error: unknown task {task!r}"
-    if check_override:
-        payload = dict(payload, checks=check_override)
     try:
+        # a subcommand other than run reads only its own task
+        task = field(payload, "task", one_of(RUNNERS if expect_task is None else (expect_task,)))
+        if check_override:
+            payload = dict(payload, checks=check_override)
         if trunc is not None:
             trunc = _order(trunc)
         report = RUNNERS[task](payload, trunc)
     except ParseError as exc:
-        return EXIT_PARSE, f"parse error: {exc}"
+        at = f" at {exc.pointer}" if exc.path else ""
+        return EXIT_PARSE, f"parse error{at}: {exc}"
     except (KeyError, TypeError) as exc:
         return EXIT_PARSE, f"parse error: missing or malformed field {exc}"
     except InsufficientPrecision as exc:
@@ -400,8 +384,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="novikov",
         description="exact residual checks for the series-equation engine")
     sub = parser.add_subparsers(dest="command", required=True)
-    bv_flags = ("axioms", "leibniz", "delta-nabla", "gauge", "class-equation",
-                "second-order", "r-endomorphism")
     for name in (*RUNNERS, "run"):
         p = sub.add_parser(name)
         p.add_argument("file", help="JSON task file")
@@ -409,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--trunc", default=None,
                        help="override working order, e.g. 8 or 17/2")
         if name == "bv":
-            for flag in bv_flags:
+            for flag in BV_CHECKS:
                 p.add_argument(f"--{flag}", dest="bv_checks",
                                action="append_const", const=flag,
                                help=f"run the {flag} checks")

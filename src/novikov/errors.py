@@ -56,20 +56,72 @@ class GlueError(NovikovError):
 
 
 class ParseError(NovikovError):
-    """An input file or literal could not be parsed."""
+    """An input file or literal could not be parsed.  ``path`` holds the keys
+    and indices of the field it was raised under, innermost first, as the
+    readers below push them."""
+
+    path: tuple = ()
+
+    def at(self, key) -> "ParseError":
+        self.path += (key,)
+        return self
+
+    @property
+    def pointer(self) -> str:
+        """The path as an RFC 6901 JSON Pointer; ``""`` is the whole document."""
+        return "".join("/" + str(k).replace("~", "~0").replace("/", "~1")
+                       for k in reversed(self.path))
 
 
-def require_object(data, what: str) -> dict:
-    """*data* if it is a JSON object; anything else is a :class:`ParseError`
-    naming *what* was expected."""
+def members(data) -> dict:
+    """The JSON object *data*; anything else is a :class:`ParseError`."""
     if not isinstance(data, dict):
-        raise ParseError(f"{what} must be an object, got {type(data).__name__}")
+        raise ParseError(f"expected an object, got {type(data).__name__}")
     return data
 
 
-def require_list(data, what: str) -> list:
-    """*data* if it is a JSON array; anything else is a :class:`ParseError`
-    naming *what* was expected."""
+def each(data, read=None) -> list:
+    """The JSON array *data*, each item read by *read* when given and pushed
+    its index (:func:`field`); anything else is a :class:`ParseError`."""
     if not isinstance(data, list):
-        raise ParseError(f"{what} must be a list, got {type(data).__name__}")
-    return data
+        raise ParseError(f"expected a list, got {type(data).__name__}")
+    if read is None:
+        return data
+    out = []
+    try:
+        for i, item in enumerate(data):
+            out.append(read(item))
+    except ParseError as exc:
+        raise exc.at(i)
+    return out
+
+
+_REQUIRED = object()
+
+
+def field(data, key, read=None, default=_REQUIRED):
+    """The one field reader: ``read(data[key])``, or ``data[key]`` with no
+    *read*, and a :class:`ParseError` that *read* raises is pushed *key*.
+    A *data* that is not an object, or a missing *key* with no *default*,
+    is a :class:`ParseError`; a missing *key* gives *default* unread."""
+    if not isinstance(data, dict):
+        members(data)  # raises the object check's error
+    if key not in data:
+        if default is _REQUIRED:
+            raise ParseError(f"missing field {key!r}")
+        return default
+    if read is None:
+        return data[key]
+    try:
+        return read(data[key])
+    except ParseError as exc:
+        raise exc.at(key)
+
+
+def one_of(names):
+    """A reader of one of the strings *names*."""
+    def read(value):
+        if value.__class__ is not str or value not in names:
+            raise ParseError(f"expected one of {', '.join(names)}, got {value!r}")
+        return value
+    return read

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError, require_object
+from .errors import ParseError, each, field, members
 from .series import INF, NovikovSeries, integer, render_ratio
 
 Vec = dict  # basis name -> NovikovSeries, USeries or row entry
@@ -84,18 +84,21 @@ def vec_render(x: Vec) -> str:
     return " + ".join(parts) or "0"
 
 
-def vec_from_json(data) -> Vec:
-    """Decode ``{basis name: series}``; anything but an object is a
-    :class:`ParseError`."""
-    return {k: NovikovSeries.from_json(v)
-            for k, v in require_object(data, "vector").items()}
+def vec_from_json(data, degrees: dict[str, int] | None = None,
+                  degree: int | None = None) -> Vec:
+    """Decode ``{basis name: series}``; given *degrees*, refused unless it is
+    :func:`homogeneous` in *degree*."""
+    x = {name: field(data, name, NovikovSeries.from_json) for name in members(data)}
+    if degrees is not None:
+        homogeneous(x, degrees, degree)
+    return x
 
 
-def vec_map_from_json(data) -> dict[str, Vec]:
-    """Decode ``{key: vector}``; an outer map that is not an object is a
-    :class:`ParseError` too."""
-    return {k: vec_from_json(v)
-            for k, v in require_object(data, "vector map").items()}
+def vec_map_from_json(data, degrees: dict[str, int], degree_of) -> dict[str, Vec]:
+    """Decode ``{key: vector}``, each vector by :func:`vec_from_json` in the
+    degree ``degree_of(key)``, which may refuse the key."""
+    return {key: field(data, key, lambda x: vec_from_json(x, degrees, degree_of(key)))
+            for key in members(data)}
 
 
 #: Most names a ``"basis"`` may declare.  The BV axioms check is at worst
@@ -107,64 +110,66 @@ MAX_BASIS = 48
 
 def basis_from_json(data) -> dict[str, int]:
     """Decode ``"basis"``, a list of ``{name, degree}``, into the degrees.
-    More than :data:`MAX_BASIS` entries, refused before any is read, or a
-    name declared twice is a :class:`ParseError`."""
-    try:
-        basis = data["basis"]
-        if len(basis) > MAX_BASIS:
-            raise ParseError(f"basis of {len(basis)} names is above "
-                             f"MAX_BASIS = {MAX_BASIS}")
-        degrees = {}
-        for b in basis:
-            name = b["name"]
-            if name in degrees:
-                raise ParseError(f"basis declares {name!r} twice")
-            degrees[name] = integer(b["degree"])
-        return degrees
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad basis declaration: {exc}") from exc
+    More than :data:`MAX_BASIS` entries, refused before any is read, a name
+    that is not a string, or a name declared twice is a :class:`ParseError`."""
+    degrees: dict[str, int] = {}
+
+    def declare(b):
+        name = field(b, "name")
+        if name.__class__ is not str:
+            raise ParseError(f"class name {name!r} is not a string").at("name")
+        if name in degrees:
+            raise ParseError(f"basis declares {name!r} twice").at("name")
+        degrees[name] = field(b, "degree", integer)
+
+    basis = field(data, "basis", each)
+    if len(basis) > MAX_BASIS:
+        raise ParseError(f"basis of {len(basis)} names is above "
+                         f"MAX_BASIS = {MAX_BASIS}").at("basis")
+    field(data, "basis", lambda basis: each(basis, declare))
+    return degrees
 
 
-def declared(degrees: dict[str, int], where: str, *names: str) -> None:
-    """A :class:`ParseError` unless every name is a declared class."""
-    for name in names:
-        if name not in degrees:
-            raise ParseError(f"{where} names undeclared class {name!r}")
+def declared(degrees: dict[str, int], name) -> str:
+    """*name*, a :class:`ParseError` unless it is a declared class."""
+    if name.__class__ is not str or name not in degrees:
+        raise ParseError(f"undeclared class {name!r}")
+    return name
 
 
-def homogeneous(x: Vec, degrees: dict[str, int], degree: int, where: str) -> None:
-    """The grading rule: a :class:`ParseError` unless every class *x* names
-    is declared and every entry of *x* but an exact zero (the entries
-    :func:`compile_vec` drops) sits in degree *degree*.  A truncated zero
-    carries unknown terms, so on a class of another degree it is refused."""
-    declared(degrees, where, *x)
+def homogeneous(x: Vec, degrees: dict[str, int], degree: int | None) -> None:
+    """The grading rule: a :class:`ParseError`, pushed the entry's name,
+    unless every class *x* names is declared and, given *degree*, every
+    entry of *x* but an exact zero (the entries :func:`compile_vec` drops)
+    sits in degree *degree*.  A truncated zero carries unknown terms, so on
+    a class of another degree it is refused."""
     for name, c in x.items():
-        if degrees[name] != degree and (c.exps or c.truncation != INF):
-            raise ParseError(f"{where} has an entry on {name!r} of degree "
-                             f"{degrees[name]}, expected degree {degree}")
+        if name not in degrees:
+            raise ParseError(f"undeclared class {name!r}").at(name)
+        if degree is not None and degrees[name] != degree and (c.exps or c.truncation != INF):
+            raise ParseError(f"entry on {name!r} of degree {degrees[name]}, "
+                             f"expected degree {degree}").at(name)
 
 
-def table_row_from_json(rec, degrees: dict[str, int], where: str,
+def table_from_json(data, degrees: dict[str, int], shift: int) -> dict[tuple[str, str], Vec]:
+    """Decode a structure table, a list of ``{left, right, result}``
+    records, whose product of ``a`` and ``b`` has degree ``|a| + |b| + shift``."""
+    return dict(each(data, lambda rec: table_row_from_json(rec, degrees, shift)))
+
+
+def table_row_from_json(rec, degrees: dict[str, int],
                         shift: int) -> tuple[tuple[str, str], Vec]:
-    """Decode one ``{left, right, result}`` record of a structure table
-    whose product of ``a`` and ``b`` has degree ``|a| + |b| + shift``."""
-    rec = require_object(rec, f"{where} record")
-    pair, result = (rec["left"], rec["right"]), vec_from_json(rec["result"])
-    where = f"{where} row {pair}"
-    declared(degrees, where, *pair)
-    homogeneous(result, degrees, degrees[pair[0]] + degrees[pair[1]] + shift, where)
-    return pair, result
+    """Decode one record of a table (:func:`table_from_json`)."""
+    a, b = (field(rec, key, lambda name: declared(degrees, name)) for key in ("left", "right"))
+    return (a, b), field(rec, "result",
+                         lambda x: vec_from_json(x, degrees, degrees[a] + degrees[b] + shift))
 
 
-def vec_map_of_declared(data, degrees: dict[str, int], where: str,
-                        shift: int) -> dict[str, Vec]:
+def vec_map_of_declared(data, degrees: dict[str, int], shift: int) -> dict[str, Vec]:
     """Decode ``{basis name: vector}`` over declared classes only, the image
     of ``a`` in degree ``|a| + shift``."""
-    out = vec_map_from_json(data)
-    declared(degrees, where, *out)
-    for name, image in out.items():
-        homogeneous(image, degrees, degrees[name] + shift, f"{where} of {name!r}")
-    return out
+    return vec_map_from_json(data, degrees,
+                             lambda name: degrees[declared(degrees, name)] + shift)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import (InconsistentSeed, InsufficientPrecision, LatticeMismatch,
-                     ResonantExponent, require_list)
+                     ResonantExponent, each, field)
 from .record import FrozenRecord
 from .series import INF, NovikovSeries, Trunc, _reduced, rat
 
@@ -57,9 +57,7 @@ class ODEProblem(FrozenRecord):
 
     @classmethod
     def from_json(cls, data: dict) -> "ODEProblem":
-        return cls(psi=NovikovSeries.from_json(data["psi"]),
-                   eta=NovikovSeries.from_json(data["eta"]),
-                   z2=NovikovSeries.from_json(data["z2"]))
+        return cls(*(field(data, key, NovikovSeries.from_json) for key in ("psi", "eta", "z2")))
 
 
 class LatticeSeed(FrozenRecord):
@@ -78,8 +76,8 @@ class LatticeSeed(FrozenRecord):
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeSeed":
-        return cls(step=rat(data["step"]), base_exponent=rat(data["base"]),
-                   coeffs=tuple(map(rat, require_list(data["coeffs"], "seed coeffs"))))
+        return cls(step=field(data, "step", rat), base_exponent=field(data, "base", rat),
+                   coeffs=tuple(field(data, "coeffs", lambda c: each(c, rat))))
 
 
 # ---------------------------------------------------------------------------

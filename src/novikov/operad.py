@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import GlueError, ParseError, ZConflict, require_list, require_object
+from .errors import GlueError, ParseError, ZConflict, each, field, members
 from .record import FrozenRecord, Record
 from .series import integer, rat, ratio, render_ratio
 
@@ -56,12 +56,12 @@ class DiscConfiguration(Record):
         if framings is not None:
             framings = [rat(t) % 1 for t in framings]
             if len(framings) != len(self.points):
-                raise ValueError(f"one framing per disc: {len(framings)} framings "
+                raise ParseError(f"one framing per disc: {len(framings)} framings "
                                  f"for {len(self.points)} discs")
         self.framings = framings
         self.z_point = None if z_point is None else (rat(z_point[0]), rat(z_point[1]))
         if is_identity.__class__ is not bool:
-            raise TypeError(f"identity must be a boolean, got {is_identity!r}")
+            raise ParseError(f"identity must be a boolean, got {is_identity!r}")
         self.is_identity = is_identity
 
     @classmethod
@@ -79,20 +79,12 @@ class DiscConfiguration(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "DiscConfiguration":
-        data = require_object(data, "disc configuration")
-        mode = data.get("mode", "exact")
-        if mode != "exact":
-            raise ParseError(f"bad configuration: mode must be 'exact', got {mode!r}")
-        try:
-            z = data.get("z")
-            return cls(points=[Disc(p["re"], p["im"], p["r"])
-                               for p in require_list(data.get("points", []), "points")],
-                       framings=(require_list(data["framings"], "framings")
-                                 if "framings" in data else None),
-                       z_point=None if z is None else (z["re"], z["im"]),
-                       is_identity=data.get("identity", False))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad configuration: {exc}") from exc
+        if field(data, "mode", default="exact") != "exact":
+            raise ParseError(f"mode must be 'exact', got {data['mode']!r}").at("mode")
+        return cls(points=field(data, "points", lambda ps: each(ps, _disc), []),
+                   framings=field(data, "framings", lambda ts: each(ts, rat), None),
+                   z_point=field(data, "z", _point, None),
+                   is_identity=field(data, "identity", default=False))
 
     def to_json(self) -> dict:
         out = {
@@ -107,6 +99,14 @@ class DiscConfiguration(Record):
         if self.is_identity:
             out["identity"] = True
         return out
+
+
+def _point(data) -> tuple[Fraction, Fraction]:
+    return field(data, "re", rat), field(data, "im", rat)
+
+
+def _disc(data) -> Disc:
+    return Disc(*_point(data), field(data, "r", rat))
 
 
 def _abs2(re, im):
@@ -258,36 +258,37 @@ class GradedOperation(Record):
             {key: {g: ratio(c) for g, c in out.items()} for key, out in table.items()}))
 
     @classmethod
-    def from_json(cls, data, space: tuple[int, ...], name: str) -> "GradedOperation":
+    def from_json(cls, data, space: tuple[int, ...]) -> "GradedOperation":
         """Decode ``{arity, degree, table}`` on *space*, strictly, so that
         :func:`compose`'s join sees only tuples of ``arity`` generators of
-        the space, each at most once; *name* labels the parse errors."""
+        the space, each at most once."""
         n = len(space)
 
-        def generator(x, where: str) -> int:
+        def generator(x) -> int:
             g = x if type(x) is int else integer(x)
             if not 0 <= g < n:
-                raise ParseError(f"{where} names generator {g} outside the "
-                                 f"{n}-generator space")
+                raise ParseError(f"generator {g} outside the {n}-generator space")
             return g
 
-        raw = require_object(data, f"operation {name!r}")
-        arity = integer(raw["arity"])
-        pairs = {}
-        at_record, at_inputs, at_output = (f"{name} table record", f"{name} inputs",
-                                           f"{name} output")
-        for rec in require_list(raw.get("table", []), f"{name} table"):
-            rec = require_object(rec, at_record)
-            inputs = rec["inputs"]
-            if not isinstance(inputs, list) or len(inputs) != arity:
-                raise ParseError(f"{name} inputs must be a list of "
-                                 f"{arity} generators, one per input")
-            key = tuple([generator(g, at_inputs) for g in inputs])
+        def inputs(xs) -> tuple:
+            if len(each(xs)) != arity:
+                raise ParseError(f"{len(xs)} generators, expected {arity}, one per input")
+            key = tuple(each(xs, generator))
             if key in pairs:
-                raise ParseError(f"{name} inputs {list(key)} appear in two records")
-            output = require_object(rec["output"], at_output)
-            pairs[key] = {generator(g, at_output): ratio(c) for g, c in output.items()}
-        return cls(space, arity, integer(raw["degree"]), *_over_one_den(pairs))
+                raise ParseError(f"inputs {list(key)} appear in two records")
+            return key
+
+        def output(out) -> dict:
+            return {generator(g): field(out, g, ratio) for g in members(out)}
+
+        def record(rec):
+            key = field(rec, "inputs", inputs)
+            pairs[key] = field(rec, "output", output)
+
+        arity = field(data, "arity", integer)
+        pairs = {}
+        field(data, "table", lambda t: each(t, record), [])
+        return cls(space, arity, field(data, "degree", integer), *_over_one_den(pairs))
 
     def json_text(self) -> str:
         """The JSON text of arity, degree and the table by inputs, written in

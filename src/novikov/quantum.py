@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import graded
-from .errors import DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed, require_object
+from .errors import DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed, each, field
 from .graded import (
     Vec,
     contract,
@@ -136,31 +136,27 @@ class CohomologyModel(Record):
         degree -2k or a restriction outside degree 0 (:func:`graded.homogeneous`),
         and a quantum-piece record with ``k < 0``."""
         degrees = graded.basis_from_json(data)
-        cup = dict(graded.table_row_from_json(rec, degrees, "cup", 0)
-                   for rec in data.get("cup") or [])
         qpieces: dict[int, dict] = {}
-        for rec in data.get("qpieces", []):
-            k = integer(require_object(rec, "qpieces record").get("k", 0))
+
+        def qpiece(rec):
+            k = field(rec, "k", integer, 0)
             if k < 0:
-                raise ParseError(f"qpieces row {(rec.get('left'), rec.get('right'))} "
-                                 f"has k = {k}: quantum pieces with k < 0 are zero")
-            pair, result = graded.table_row_from_json(rec, degrees, "qpieces", -2 * k)
+                raise ParseError(f"k = {k}: quantum pieces with k < 0 are zero").at("k")
+            pair, result = graded.table_row_from_json(rec, degrees, -2 * k)
             qpieces.setdefault(k, {})[pair] = result
-        omega = vec_from_json(data["omega"]) if "omega" in data else None
-        twists = vec_from_json(data.get("twists", {}))
-        graded.declared(degrees, "omega", *(omega or {}))
-        graded.declared(degrees, "twists", *twists)
-        if "unit" in data:
-            graded.declared(degrees, "unit", data["unit"])
-        if "m_class" in data:
-            graded.declared(degrees, "m_class", data["m_class"])
-        restriction = (graded.vec_map_of_declared(data["restriction"], degrees,
-                                                  "restriction", 0)
-                       if "restriction" in data else None)
-        return cls(degrees=degrees, cup=cup,
-                   qpieces=qpieces, unit=data.get("unit"),
-                   m_class=data.get("m_class", "M"), omega=omega,
-                   twists=twists, restriction=restriction)
+
+        def name(x):
+            return graded.declared(degrees, x)
+
+        cup = field(data, "cup", lambda t: graded.table_from_json(t, degrees, 0), {})
+        field(data, "qpieces", lambda recs: each(recs, qpiece), [])
+        return cls(degrees=degrees, cup=cup, qpieces=qpieces,
+                   unit=field(data, "unit", name, None),
+                   m_class=field(data, "m_class", name, "M"),
+                   omega=field(data, "omega", lambda x: vec_from_json(x, degrees), None),
+                   twists=field(data, "twists", lambda x: vec_from_json(x, degrees), {}),
+                   restriction=field(data, "restriction", lambda m: graded.vec_map_of_declared(
+                       m, degrees, 0), None))
 
 
 class GWData(Record):
@@ -178,14 +174,13 @@ class GWData(Record):
         self.gamma = gamma
 
     @classmethod
-    def from_json(cls, data: dict) -> "GWData":
-        require_object(data, "gw block")
-
-        def load(key):
-            raw = data.get(key)
-            return None if raw is None else vec_from_json(raw)
-        return cls(z0=load("z0"), z1=load("z1"), z2=load("z2"), z2tilde=load("z2tilde"),
-                   gamma=rat(data.get("gamma", 0)))
+    def from_json(cls, data: dict, degrees: dict[str, int] | None = None) -> "GWData":
+        """Decode a gw block; given the model's *degrees*, ``z0``, ``z1``,
+        ``z2`` and ``z2tilde`` must sit in degrees 4, 2, 0 and 2."""
+        return cls(**{key: field(data, key, lambda x, d=degree: vec_from_json(x, degrees, d),
+                                 None) for key, degree in (("z0", 4), ("z1", 2), ("z2", 0),
+                                                           ("z2tilde", 2))},
+                   gamma=field(data, "gamma", rat, Fraction(0)))
 
     def omega_vec(self, m_class: str = "M") -> Vec:
         """q^{-1}[omega] for omega = D + gamma*M."""

@@ -44,7 +44,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
 
-from .errors import InsufficientPrecision, NovikovError, ParseError, require_list
+from .errors import InsufficientPrecision, NovikovError, ParseError, each, field
 
 #: Truncation value meaning "exact": comparisons and sums with Fractions
 #: behave correctly (Fraction < INF, Fraction + INF == INF).
@@ -74,20 +74,18 @@ MAX_INVERT_PRODUCTS = 20000
 
 def rat(x) -> Fraction:
     """A rational literal: a Fraction, an int or a string such as "3/4".
-    A malformed string or a bool (a JSON ``true``, which Python counts as
-    an int) is a ParseError; a float is a TypeError."""
+    Anything else, a malformed string, a float or a bool (a JSON ``true``,
+    which Python counts as an int) included, is a ParseError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise ParseError(f"not a rational literal: {x!r}")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational literal: {x!r}") from exc
-    raise TypeError(f"expected a rational, got {type(x).__name__}")
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"not a rational literal: {x!r}")
 
 
 def integer(x) -> int:
@@ -128,7 +126,9 @@ def ratio(x) -> tuple[int, int]:
 
 
 def _trunc(x) -> Trunc:
-    if x == INF:
+    """A truncation order: ``INF``, spelled ``"inf"`` or ``null`` in JSON as
+    well, or a rational literal."""
+    if x == INF or x is None or x.__class__ is str and x == "inf":
         return INF
     return rat(x)
 
@@ -504,17 +504,18 @@ class NovikovSeries:
     def from_json(cls, data) -> "NovikovSeries":
         if isinstance(data, (int, str)):
             return cls.monomial(data, 0)
-        if not isinstance(data, dict):
-            raise ParseError(f"series must be an object, got {type(data).__name__}")
-        terms = require_list(data.get("terms", []), "series terms")
+        terms = field(data, "terms", each, [])
         if len(terms) > MAX_SERIES_TERMS:
             raise ParseError(f"series literal of {len(terms)} terms is above "
-                             f"MAX_SERIES_TERMS = {MAX_SERIES_TERMS}")
-        trunc: Trunc = INF
-        raw = data.get("trunc", "inf")
-        if raw not in ("inf", None):
-            trunc = rat(raw)
-        return cls([(rec["exp"], rec["coeff"]) for rec in terms], trunc)
+                             f"MAX_SERIES_TERMS = {MAX_SERIES_TERMS}").at("terms")
+        trunc = field(data, "trunc", _trunc, INF)
+        try:
+            return cls([(rec["exp"], rec["coeff"]) for rec in terms], trunc)
+        except (ParseError, KeyError, TypeError):
+            # only now read the terms one at a time, to name the one that fails
+            field(data, "terms", lambda ts: each(ts, lambda rec: (
+                field(rec, "exp", rat), field(rec, "coeff", rat))))
+            raise
 
 
 def _new(exps: list, scale: int, nums: list, den: int, trunc: Trunc) -> NovikovSeries:

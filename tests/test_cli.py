@@ -19,8 +19,8 @@ from novikov.graded import MAX_BASIS
 from novikov.series import MAX_SERIES_TERMS
 
 TASKS = ["riccati_chain.json", "gauss_manin.json", "mirror_suite.json",
-         "divisor_relations.json", "bv_axioms.json", "class_equation.json",
-         "operad_glue.json"]
+         "divisor_relations.json", "quantum_relations.json", "bv_axioms.json",
+         "class_equation.json", "operad_glue.json"]
 
 
 def task_path(name: str) -> str:
@@ -55,6 +55,8 @@ GOLDEN = {
     ("mirror_suite.json", "text"): "ab1dd0cb1184bf15b7fbbb10057ba7d054a4cea9df0e32a6d9ccae505b775107",
     ("divisor_relations.json", "json"): "a9947887ff6e687cd39dfa3ac4334e96e37b5906da9d3b91df326ee9231d7c9d",
     ("divisor_relations.json", "text"): "4a7176ab9af60972b4b06a71cbcefb2e55a4da049f96b563ede0a86634d74d90",
+    ("quantum_relations.json", "json"): "80a8002e5e59b1ba69a7d59adde5151374b1494b477ada3e9d98db8efec6ed36",
+    ("quantum_relations.json", "text"): "0d954482c44850a48d6063af2bf3232fde70c6e54b019dcca108a15b9622d9c0",
     ("bv_axioms.json", "json"): "698758b827af95bfa0cc9cddefb873a9d61fead08a0b8f331300699c2cbcf35d",
     ("bv_axioms.json", "text"): "3414cb63d2e9581a493039357d96858d3ab83afb3924277eb596e6adb3d69527",
     ("class_equation.json", "json"): "f8f16ca2bb62edf486dcdac74d65590265268329145b54951367287b46c5acd3",
@@ -224,14 +226,14 @@ ROW_GOLDEN = {
     ("mirror-fail", "text"): "49c1d611f0632f54e08c49c1423671d1c72771561974f22cefbf54ed126c3f47",
     ("relations-fail", "json"): "c2510942047f8f931425d1095fab10d5dfd6d5cb912a7428c530bae1597c1394",
     ("relations-fail", "text"): "2ce4a40f0be1e4368850aa8370e81121eeb9c531580d0b8167fdb118252442f6",
-    ("psi-eta-misgraded", "json"): "6abe904686db97dad333d197d59ff1f1d812993bd6f4b550ee6cbc6738b2f0e6",
-    ("psi-eta-misgraded", "text"): "6abe904686db97dad333d197d59ff1f1d812993bd6f4b550ee6cbc6738b2f0e6",
+    ("psi-eta-misgraded", "json"): "f11b45873675a3e4b358bb2d2ef3e52df8e48956789f3e2dcde9993aeefece67",
+    ("psi-eta-misgraded", "text"): "f11b45873675a3e4b358bb2d2ef3e52df8e48956789f3e2dcde9993aeefece67",
     ("wdvv-pass", "json"): "0daba317d0485b6d7b9e126de51fe36fc048d22a370e96a97b2bd031b81d5bb6",
     ("wdvv-pass", "text"): "c7ec78a664c97200d95ae8ef93062704b844ce8bd3da4de0271fb47c6a046557",
     ("wdvv-fail", "json"): "06f48ba7f8532958676d0727daeb965bbc0f1a64e2d7d9098b5524c3b598cabc",
     ("wdvv-fail", "text"): "8367e951f58b718329be1300b1cae9ca3e7682e51afee5c53f548a6f612f2725",
-    ("wdvv-misgraded", "json"): "e65fb4050f0405edb7f00558abf18d932c5eb731abc2be9d335ed39a845a7527",
-    ("wdvv-misgraded", "text"): "e65fb4050f0405edb7f00558abf18d932c5eb731abc2be9d335ed39a845a7527",
+    ("wdvv-misgraded", "json"): "da6a2f3482275c1b2dfc4e2d2642c52c875f65de60b836347a269c5371d52f8d",
+    ("wdvv-misgraded", "text"): "da6a2f3482275c1b2dfc4e2d2642c52c875f65de60b836347a269c5371d52f8d",
     ("relative-pass", "json"): "956b8e5332cfd9f83926bd51ec65176d83de4a2353757426e5c2dbcb56e5e1a7",
     ("relative-pass", "text"): "439ddc065a9fb283304b95791e9c1dd2881d7dc1df9a91b924f882e587abaf5a",
     ("relative-fail", "json"): "6024ecfd409d9a4877aa4b9b940cdb38e3d9d4e6fa73bebd374e1ebf4d5b4efd",
@@ -242,16 +244,16 @@ ROW_GOLDEN = {
     ("uueq-pass", "text"): "7fd58828d7e7860e245b430c5ba5510805b5e0398cec5e4d389bce07a66f02e1",
     ("uueq-fail", "json"): "0be338b0becead6907cf9df1f91e9821f8fcae4cd31bd81ffce0a16adf9cf31c",
     ("uueq-fail", "text"): "7e34ef03c3b0039eb9c5360ef6588932acb0d249099d86d293f1aa56b0f926bb",
-    ("uueq-misgraded", "json"): "d64fea07d98f78ba2adc5bb4fe8590a45fcaa49db361cad9dee931dcc3583ae0",
-    ("uueq-misgraded", "text"): "d64fea07d98f78ba2adc5bb4fe8590a45fcaa49db361cad9dee931dcc3583ae0",
+    ("uueq-misgraded", "json"): "64e77d52d6de8570437f41e51082a8773282afdbf28a2ca9c8a6dae3d1e399e1",
+    ("uueq-misgraded", "text"): "64e77d52d6de8570437f41e51082a8773282afdbf28a2ca9c8a6dae3d1e399e1",
     ("r-endomorphism-pass", "json"): "4b3b56b79621950d387c71e1b3ee2794017467c7da1aa9507c2956d1fc15d26b",
     ("r-endomorphism-pass", "text"): "4acc6fb5f85874106dca547109b94edb0742c12c7441c40c1147a5aa11dc45c8",
     ("r-endomorphism-fail", "json"): "e2965c3747c1555b0c31cded539f3f9fcce3038b22b59a876c8e9d1dba49bb8d",
     ("r-endomorphism-fail", "text"): "32c5e86f20170fc7d5c1f3ea7a9a3c1a0ccd7fc5ec716e7a7cbeed32b8c23cd6",
     ("axioms-fail", "json"): "80652a0540f42119a9f51c735108bc5922b302aeb8fa3e24a520ff428ea0ea51",
     ("axioms-fail", "text"): "4161c50c98447d17eac1c68a56bccdfcad9389e03f045bae87832e66778df728",
-    ("axioms-misgraded", "json"): "1654871b2f92ce3aa60364e42e023033ab54d9866c2cce8b920118d1c5620432",
-    ("axioms-misgraded", "text"): "1654871b2f92ce3aa60364e42e023033ab54d9866c2cce8b920118d1c5620432",
+    ("axioms-misgraded", "json"): "73be2b4485cd7c41d97c22ca749504df4cbd654c8f08e115aefd3bf75e945382",
+    ("axioms-misgraded", "text"): "73be2b4485cd7c41d97c22ca749504df4cbd654c8f08e115aefd3bf75e945382",
     ("glue-mixed-pass", "json"): "f2279a79ef790ea06e222cbff25e79d2d9f34ee02a3ef86ea5f81e2b5c03011d",
     ("glue-mixed-pass", "text"): "1d1957bff62b9a33c5a7937f3db3f5fee4569ca5da41930daaffea21ca007bc5",
     ("glue-float-pass", "json"): "e9db2b4a6cfde094b8c2784da7cddd7d297a9618b08cadfad284c64055f4c9be",
@@ -314,7 +316,7 @@ def test_seed_coeffs_must_be_a_list(tmp_path, coeffs):
     task.write_text(json.dumps(_seed(coeffs=coeffs)))
     code, text = cli.run(str(task))
     assert code == cli.EXIT_PARSE, text
-    assert "seed coeffs must be a list" in text
+    assert text.startswith("parse error at /checks/0/seed/coeffs: expected a list")
 
 
 # an object of checks iterated as its keys: a bv object ran them and
@@ -329,7 +331,7 @@ def test_checks_must_be_a_list(tmp_path, payload):
     task.write_text(json.dumps(payload))
     code, text = cli.run(str(task))
     assert code == cli.EXIT_PARSE, text
-    assert "checks must be a list, got dict" in text
+    assert text == "parse error at /checks: expected a list, got dict"
 
 
 def _bundled(name, **fields):
@@ -434,9 +436,9 @@ def _tangent(**fields):
     ({"task": "operad", "action": "compose", "space": [0], "slot": 2,
       "phi1": {"arity": 1, "degree": 0, "table": []},
       "phi2": {"arity": 1, "degree": 0, "table": []}}, "slot 2 out of range 1..1"),
-    (_glue_first(points={}), "points must be a list"),
+    (_glue_first(points={}), "at /first/points: expected a list"),
     (_glue_first(framings=["1/4", "1/2"]), "one framing per disc: 2 framings for 1 discs"),
-    (_glue_first(framings="1/4"), "framings must be a list"),
+    (_glue_first(framings="1/4"), "at /first/framings: expected a list"),
     # a JSON boolean is no coordinate, radius or framing, though Fraction
     # would read it as 1 or 0
     (_glue_first(framings=[True]), "not a rational literal: True"),
@@ -448,8 +450,8 @@ def _tangent(**fields):
     # a JSON float is no coordinate and no framing: Fraction would read 0.1
     # as 3602879701896397/36028797018963968
     (_glue_first(points=[{"re": 0.1, "im": "0", "r": "1/4"}]),
-     "expected a rational, got float"),
-    (_glue_first(framings=[0.1]), "expected a rational, got float"),
+     "at /first/points/0/re: not a rational literal: 0.1"),
+    (_glue_first(framings=[0.1]), "at /first/framings/0: not a rational literal: 0.1"),
     # geometry is exact only, so "float" is refused by name like any other
     # mode; an identity flag read by bool() took "no" as true
     (_glue_first(mode="float", points=[{"re": 0.5, "im": 0, "r": 0.25}], framings=[0.1]),
@@ -609,7 +611,7 @@ def test_undeclared_gw_class_field_is_named(tmp_path, field):
     path.write_text(json.dumps(task))
     code, text = cli.run(str(path))
     assert code == cli.EXIT_PARSE, text
-    assert f"{field} names undeclared class 'zz'" in text
+    assert text == f"parse error at /model/{field}: undeclared class 'zz'"
 
 
 def test_gw_model_with_declared_names_runs(tmp_path):
@@ -618,6 +620,40 @@ def test_gw_model_with_declared_names_runs(tmp_path):
     path.write_text(json.dumps(_gw_with()))
     code, text = cli.run(str(path))
     assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED), text
+
+
+# a value that is not an array read as an empty one: the mirror cases were
+# dropped (exit 0), a gw "cup" was no cup table (exit 0) and a bv "product"
+# a model with no product (exit 1)
+@pytest.mark.parametrize("payload, pointer", [
+    *[(_bundled("mirror_suite.json", **{key: value}), f"/{key}")
+      for key in ("a_cases", "ode_cases") for value in ({}, "")],
+    *[(_gw_with({"cup": value}), "/model/cup") for value in ({}, 0, False, "")],
+    *[(_bv({**_BV_E, "product": value}), "/model/product") for value in ({}, "")],
+], ids=["a-cases-object", "a-cases-string", "ode-cases-object", "ode-cases-string",
+        "cup-object", "cup-zero", "cup-false", "cup-string",
+        "product-object", "product-string"])
+def test_non_array_field_is_parse_error(tmp_path, payload, pointer):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps(payload))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert text.startswith(f"parse error at {pointer}: expected a list, got "), text
+
+
+# a gw check name was hashed ("unhashable type: 'list'" through the
+# catch-all) and a bv one named no field
+@pytest.mark.parametrize("payload", [
+    _gw_with() | {"checks": ["relations", ["relations"]]},
+    {"task": "bv", "model": "polyvector", "n": 2, "checks": ["axioms", ["axioms"]]},
+], ids=["gw", "bv"])
+def test_check_name_must_be_a_string(tmp_path, payload):
+    path = tmp_path / "checks.json"
+    path.write_text(json.dumps(payload))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert text.startswith("parse error at /checks/1: expected one of "), text
+    assert text.endswith(f"got {payload['checks'][1]!r}")
 
 
 def _divisor_k0() -> dict:
@@ -640,26 +676,26 @@ def _bv_axioms(**field) -> dict:
                   {"name": "y", "degree": 0}],
         "product": [{"left": "e", "right": n, "result": {n: "1"}} for n in "exy"],
         "delta": {"x": {"y": "1"}}}},
-     "delta of 'x' has an entry on 'y' of degree 0, expected degree 1"),
+     "at /model/delta/x/y: entry on 'y' of degree 0, expected degree 1"),
     (_divisor_k0() | {"gw": _divisor_relations()["gw"] | {"z0": {"D": "1"}}},
-     "qpieces row ('M', 'M') has an entry on 'D' of degree 2, expected degree 4"),
+     "at /model/qpieces/0/result/D: entry on 'D' of degree 2, expected degree 4"),
     (_divisor_relations() | {"gw": _divisor_relations()["gw"] | {"z0": {"D": "1"}}},
-     "gw z0 has an entry on 'D' of degree 2, expected degree 4"),
+     "at /gw/z0/D: entry on 'D' of degree 2, expected degree 4"),
     (_bv({**_BV_E, "bracket": [{"left": "e", "right": "e", "result": {"e": "1"}}]}),
-     "bracket row ('e', 'e') has an entry on 'e' of degree 0, expected degree -1"),
+     "at /model/bracket/0/result/e: entry on 'e' of degree 0, expected degree -1"),
     (_gw_with({"restriction": {"D": {"e": "1"}}}),
-     "restriction of 'D' has an entry on 'e' of degree 0, expected degree 2"),
+     "at /model/restriction/D/e: entry on 'e' of degree 0, expected degree 2"),
     (_gw_with(gw={"z2tilde": {"e": _s(trunc="3")}}),
-     "gw z2tilde has an entry on 'e' of degree 0, expected degree 2"),
+     "at /gw/z2tilde/e: entry on 'e' of degree 0, expected degree 2"),
     (_bv_axioms(alpha={"t1": "1"}),
-     "alpha has an entry on 't1' of degree 0, expected degree 1"),
+     "at /alpha/t1: entry on 't1' of degree 0, expected degree 1"),
     ({"task": "bv", "checks": ["delta-nabla"],
       "model": {**_BV_ODD, "elements": {"a": {"x": "1"}}}},
-     "element 'a' has an entry on 'x' of degree 1, expected degree 0"),
+     "at /model/elements/a/x: entry on 'x' of degree 1, expected degree 0"),
     (_bv({**_BV_ODD, "elements": {"theta": {"e": "2"}}}),
-     "element 'theta' has an entry on 'e' of degree 0, expected degree 1"),
+     "at /model/elements/theta/e: entry on 'e' of degree 0, expected degree 1"),
     (_bv({**_BV_ODD, "elements": {"kappa": {"x": _s(trunc="3")}}}),
-     "element 'kappa' has an entry on 'x' of degree 1, expected degree 0"),
+     "at /model/elements/kappa/x: entry on 'x' of degree 1, expected degree 0"),
 ], ids=["bv-delta-degree-minus-2", "divisor-k0", "divisor-z0", "bracket",
         "restriction", "z2tilde-truncated-zero", "gauge-alpha", "element-a-odd",
         "element-theta-even", "element-kappa-truncated-zero"])
@@ -668,7 +704,7 @@ def test_misgraded_entry_is_parse_error(tmp_path, task, entry):
     path.write_text(json.dumps(task))
     code, text = cli.run(str(path))
     assert code == cli.EXIT_PARSE, text
-    assert text == f"parse error: {entry}"
+    assert text == f"parse error {entry}"
 
 
 @pytest.mark.parametrize("result", [{"T": "1"}, {"zz": "1"}], ids=["graded", "undeclared"])
@@ -682,7 +718,7 @@ def test_negative_k_quantum_piece_is_parse_error(tmp_path, result):
     path.write_text(json.dumps(task))
     code, text = cli.run(str(path))
     assert code == cli.EXIT_PARSE, text
-    assert text == ("parse error: qpieces row ('M', 'M') has k = -1: "
+    assert text == ("parse error at /model/qpieces/3/k: k = -1: "
                     "quantum pieces with k < 0 are zero")
 
 
@@ -705,7 +741,7 @@ def test_repeated_basis_name_is_parse_error(tmp_path, task, name):
     path.write_text(json.dumps(task))
     code, text = cli.run(str(path))
     assert code == cli.EXIT_PARSE, text
-    assert text == f"parse error: basis declares {name!r} twice"
+    assert text == f"parse error at /model/basis/2/name: basis declares {name!r} twice"
 
 
 def test_exact_zero_on_any_class_is_graded(tmp_path):
@@ -737,23 +773,23 @@ def _row(inputs, output="0"):
 
 
 # an operation table on the 2-generator space (degrees 0, 0): each case is
-# phi1 at arity 1 and the field its parse error must name
-@pytest.mark.parametrize("table, field", [
-    ([_row([1, 1])], "inputs"),
-    ([_row([])], "inputs"),
-    ([{"inputs": 5, "output": {"0": "1"}}], "inputs"),
-    ([_row([5])], "inputs"),
-    ([_row([-1])], "inputs"),
-    ([_row([0], output="2")], "output"),
-    ([_row([1]), _row([1], output="0")], "inputs"),
-    ([_row([1]), _row(["1"])], "inputs"),
-    ([{"inputs": [0], "output": [1]}], "output"),
-    ([[0]], "table"),
-    (5, "table"),
+# phi1 at arity 1 and the pointer its parse error must name
+@pytest.mark.parametrize("table, pointer", [
+    ([_row([1, 1])], "/table/0/inputs"),
+    ([_row([])], "/table/0/inputs"),
+    ([{"inputs": 5, "output": {"0": "1"}}], "/table/0/inputs"),
+    ([_row([5])], "/table/0/inputs/0"),
+    ([_row([-1])], "/table/0/inputs/0"),
+    ([_row([0], output="2")], "/table/0/output"),
+    ([_row([1]), _row([1], output="0")], "/table/1/inputs"),
+    ([_row([1]), _row(["1"])], "/table/1/inputs"),
+    ([{"inputs": [0], "output": [1]}], "/table/0/output"),
+    ([[0]], "/table/0"),
+    (5, "/table"),
 ], ids=["too-long", "empty", "not-a-list", "input-out-of-range",
         "input-negative", "output-out-of-range", "repeated", "repeated-as-string",
         "output-not-an-object", "record-not-an-object", "table-not-a-list"])
-def test_malformed_operation_table_is_parse_error(tmp_path, table, field):
+def test_malformed_operation_table_is_parse_error(tmp_path, table, pointer):
     phi = {"arity": 1, "degree": 0, "table": [_row([0])]}
     payload = {"task": "operad", "action": "compose", "space": [0, 0],
                "slot": 1, "phi1": phi, "phi2": phi}
@@ -764,7 +800,7 @@ def test_malformed_operation_table_is_parse_error(tmp_path, table, field):
     task.write_text(json.dumps({**payload, "phi1": {**phi, "table": table}}))
     code, text = cli.run(str(task))
     assert code == cli.EXIT_PARSE, text
-    assert f"phi1 {field}" in text
+    assert text.startswith(f"parse error at /phi1{pointer}: "), text
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -776,7 +812,7 @@ def test_non_list_space_or_prefix_names_the_field(tmp_path, payload, field):
     task.write_text(json.dumps(payload))
     code, text = cli.run(str(task))
     assert code == cli.EXIT_PARSE, text
-    assert f"{field} must be a list, got int" in text
+    assert text == f"parse error at /{field}: expected a list, got int"
 
 
 @pytest.mark.xfail(strict=True, reason="a residual truncated below the working "
@@ -845,37 +881,40 @@ _BV_BASIS = [{"name": "e", "degree": 0}]
     ({"task": "bv",
       "model": {"basis": _BV_BASIS,
                 "product": [{"left": "e", "right": "e", "result": "1"}]},
-      "checks": ["axioms"]}, "vector must be an object"),
+      "checks": ["axioms"]}, "at /model/product/0/result: expected an object, got str"),
     ({"task": "gw",
       "model": {"basis": [{"name": "M", "degree": 2}], "omega": [1]},
-      "gw": {}, "checks": ["relations"]}, "vector must be an object"),
+      "gw": {}, "checks": ["relations"]}, "at /model/omega: expected an object"),
     ({"task": "bv", "model": {"basis": _BV_BASIS, "delta": [1]},
-      "checks": ["axioms"]}, "vector map must be an object"),
+      "checks": ["axioms"]}, "at /model/delta: expected an object"),
     ({"task": "bv", "model": {"basis": _BV_BASIS, "elements": [1]},
-      "checks": ["axioms"]}, "vector map must be an object"),
+      "checks": ["axioms"]}, "at /model/elements: expected an object"),
     ({"task": "gw",
       "model": {"basis": [{"name": "M", "degree": 2}], "restriction": [1]},
-      "gw": {}, "checks": ["relations"]}, "vector map must be an object"),
-    ([{"task": "bv"}], "task file must be an object"),
-    ({"task": ["bv"]}, "unknown task"),
+      "gw": {}, "checks": ["relations"]}, "at /model/restriction: expected an object"),
+    ([{"task": "bv"}], "parse error: expected an object, got list"),
+    ({"task": ["bv"]}, "at /task: expected one of ode, gw, mirror, bv, operad, got ['bv']"),
     ({"task": "gw",
       "model": {"basis": [{"name": "M", "degree": 2}], "qpieces": [1]},
-      "gw": {}, "checks": ["relations"]}, "qpieces record must be an object"),
+      "gw": {}, "checks": ["relations"]}, "at /model/qpieces/0: expected an object"),
     ({"task": "gw", "model": {"basis": [{"name": "M", "degree": 2}]},
-      "gw": [1], "checks": ["relations"]}, "gw block must be an object"),
+      "gw": [1], "checks": ["relations"]}, "at /gw: expected an object"),
     ({"task": "operad", "action": "glue", "first": [1], "slot": 1,
-      "second": {"points": []}}, "disc configuration must be an object"),
+      "second": {"points": []}}, "at /first: expected an object"),
     ({"task": "operad", "action": "compose", "space": [0], "slot": 1,
-      "phi1": [1], "phi2": _OP}, "operation 'phi1' must be an object"),
+      "phi1": [1], "phi2": _OP}, "at /phi1: expected an object"),
     # an object of terms was read as the exact zero series, so this passed
-    (_ode({"type": "second-order", "rho": {"terms": {}}}), "series terms must be a list"),
+    (_ode({"type": "second-order", "rho": {"terms": {}}}),
+     "at /checks/0/rho/terms: expected a list, got dict"),
     # a check entry read as an object gave "string indices must be integers"
-    (_ode("chain"), "ode check must be an object, got str"),
+    (_ode("chain"), "at /checks/0: expected an object, got str"),
     # a check whose input block is missing names what it needs
-    ({"task": "gw", "checks": ["gauss-manin"]}, "check 'gauss-manin' needs a problem block"),
-    ({"task": "gw", "gw": {}, "checks": ["wdvv"]}, "check 'wdvv' needs model and gw blocks"),
+    ({"task": "gw", "checks": ["gauss-manin"]},
+     "at /checks/0: check 'gauss-manin' needs a problem block"),
+    ({"task": "gw", "gw": {}, "checks": ["wdvv"]},
+     "at /checks/0: check 'wdvv' needs model and gw blocks"),
     ({"task": "bv", "checks": ["class-equation"]},
-     "check 'class-equation' needs a problem block"),
+     "at /checks/0: check 'class-equation' needs a problem block"),
 ], ids=["bv-product-result", "gw-omega", "bv-delta", "bv-elements",
         "gw-restriction", "top-level-array", "task-array", "gw-qpieces-record",
         "gw-block", "operad-config", "operad-operation", "series-terms-object",
@@ -893,6 +932,20 @@ def test_unreadable_json_exit_code(tmp_path):
     bad.write_text("{not json")
     code, _ = cli.run(str(bad))
     assert code == cli.EXIT_PARSE
+
+
+# json.load raises a bare ValueError for these, which left cli.run as a
+# traceback
+@pytest.mark.parametrize("content", [
+    b'{"task": "bv", "n": ' + b"9" * 5000 + b"}",
+    b'{"task": "\xff"}',
+], ids=["integer-past-digit-limit", "not-utf-8"])
+def test_unreadable_file_is_parse_error(tmp_path, content):
+    bad = tmp_path / "unreadable.json"
+    bad.write_bytes(content)
+    code, text = cli.run(str(bad))
+    assert code == cli.EXIT_PARSE, text
+    assert text.startswith("parse error: ")
 
 
 def test_task_mismatch_is_parse_error():
@@ -1174,7 +1227,8 @@ def test_requests_at_the_caps_run(tmp_path):
 # ---------------------------------------------------------------------------
 
 # ill-typed, unreadable, oversized, tiny, negative and non-finite literals
-FUZZ_VALUES = [[1], None, {}, "1/0", 10 ** 400, "-1/1000000", 1.5, True, "", "inf", 0, -2]
+FUZZ_VALUES = [[1], None, {}, "1/0", 10 ** 400, "-1/1000000", 1.5, True, "", "inf", 0, -2,
+               "0", "x", {"a": 1}, ["chain"]]
 
 
 def _leaves(doc, path=()):
@@ -1184,6 +1238,19 @@ def _leaves(doc, path=()):
             yield from _leaves(value, path + (key,))
     else:
         yield path
+
+
+def _resolves(doc, pointer: str) -> bool:
+    """Whether the RFC 6901 JSON Pointer *pointer* names a value in *doc*."""
+    for token in pointer.split("/")[1:]:
+        token = token.replace("~1", "/").replace("~0", "~")
+        if isinstance(doc, list) and token.isdigit() and int(token) < len(doc):
+            doc = doc[int(token)]
+        elif isinstance(doc, dict) and token in doc:
+            doc = doc[token]
+        else:
+            return False
+    return True
 
 
 def _replaced(doc, path, value):
@@ -1199,12 +1266,18 @@ def _replaced(doc, path, value):
 @given(st.sampled_from(TASKS), st.data(), st.sampled_from(FUZZ_VALUES))
 def test_mutated_bundled_task_ends_with_an_exit_code(tmp_path, name, data, value):
     # one leaf of a bundled file replaced: a documented exit code, no
-    # exception, and no run that takes long
+    # exception, and no run that takes long; a parse error points at a
+    # field of the mutant and never leaves through the catch-all
     doc = json.loads(resources.files("novikov").joinpath("taskfiles", name).read_text())
     leaf = data.draw(st.sampled_from(list(_leaves(doc))))
+    mutant = _replaced(doc, leaf, value)
     path = tmp_path / "mutant.json"
-    path.write_text(json.dumps(_replaced(doc, leaf, value)))
+    path.write_text(json.dumps(mutant))
     started = time.perf_counter()
-    code, _ = cli.run(str(path))
+    code, text = cli.run(str(path))
     assert 0 <= code <= 4
     assert time.perf_counter() - started < 5
+    assert "missing or malformed field" not in text
+    if code == cli.EXIT_PARSE:
+        pointer = text.partition(": ")[0].removeprefix("parse error at ")
+        assert text.startswith("parse error at /") and _resolves(mutant, pointer), text

@@ -1,7 +1,9 @@
 """Quantum-product relations, the psi/eta solver, and the rank-3 derivation."""
 
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -315,6 +317,15 @@ def test_uueq_rewrite_passes():
     assert report.passed, [c.detail for c in report.checks if not c.passed]
 
 
+def test_bundled_quantum_relations_file_is_the_uueq_model():
+    # quantum_relations.json runs wdvv, relative and uueq on this model
+    doc = json.loads(resources.files("novikov").joinpath(
+        "taskfiles", "quantum_relations.json").read_text())
+    model = CohomologyModel.from_json(doc["model"])
+    assert (model, GWData.from_json(doc["gw"], model.degrees)) == uueq_model()
+    assert doc["checks"] == ["wdvv", "relative", "uueq"]
+
+
 def test_uueq_prerequisite_failure():
     model, gw = uueq_model()
     # break the associativity instance in a fresh model: the used one keeps its rows
@@ -364,10 +375,11 @@ def test_model_degree_validation():
     deg = model.degrees
     for k, table in model.qpieces.items():
         for (l, r), entry in table.items():
-            homogeneous(entry, deg, deg[l] + deg[r] - 2 * k, f"*{k} row {(l, r)}")
+            homogeneous(entry, deg, deg[l] + deg[r] - 2 * k)
     for k, z in enumerate((gw.z0, gw.z1, gw.z2)):
-        homogeneous(z, deg, 4 - 2 * k, f"z{k}")
+        homogeneous(z, deg, 4 - 2 * k)
     with pytest.raises(ParseError, match="'P' of degree 4, expected degree 2"):
-        homogeneous({"P": ONE}, deg, deg["M"] + deg["M"] - 2, "M *1 M")
-    with pytest.raises(ParseError, match="z1 has an entry on 'P'"):
-        homogeneous({"P": ONE}, deg, 2, "z1")
+        homogeneous({"P": ONE}, deg, deg["M"] + deg["M"] - 2)
+    with pytest.raises(ParseError, match="entry on 'P'") as caught:
+        homogeneous({"P": ONE}, deg, 2)
+    assert caught.value.pointer == "/P"
