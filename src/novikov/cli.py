@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import bv as bvmod
 from . import operad as opmod
 from . import quantum as qmod
-from .errors import InsufficientPrecision, NovikovError, ParseError, each, field, one_of
+from .errors import InsufficientPrecision, NovikovError, ParseError, each, field, one_of, shown
 from .graded import vec_from_json
 from .ode import (
     LatticeSeed,
@@ -78,9 +78,9 @@ def _order(value) -> Fraction:
     below q^0, so a check could pass, or fail, without looking."""
     order = rat(value)
     if order <= 0:
-        raise ParseError(f"working order {order} is not positive")
+        raise ParseError(f"working order {shown(order, str)} is not positive")
     if order > MAX_ORDER:
-        raise ParseError(f"working order {order} is above MAX_ORDER = {MAX_ORDER}")
+        raise ParseError(f"working order {shown(order, str)} is above MAX_ORDER = {MAX_ORDER}")
     return order
 
 
@@ -141,7 +141,7 @@ def run_ode(payload: dict, trunc=None) -> Report:
             solve_order = field(check, "order", rat)
             if (solve_order - seed.base_exponent) / seed.step > MAX_SOLVE_TERMS:
                 raise ParseError(
-                    f"solve order {solve_order} asks for more than MAX_SOLVE_TERMS = "
+                    f"solve order {shown(solve_order, str)} asks for more than MAX_SOLVE_TERMS = "
                     f"{MAX_SOLVE_TERMS} lattice terms").at("order")
             rho = solve_second_order(prob, seed, solve_order)
             report.residual("solve", "lattice recursion solves the second-order form",
@@ -228,7 +228,8 @@ def run_bv(payload: dict, trunc=None) -> Report:
     report = Report()
     n = field(payload, "n", integer, 4)
     if not 2 <= n <= MAX_BV_N:
-        raise ParseError(f"n = {n} is outside the range 2 to MAX_BV_N = {MAX_BV_N}").at("n")
+        raise ParseError(f"n = {shown(n, str)} is outside the range 2 to "
+                         f"MAX_BV_N = {MAX_BV_N}").at("n")
     prob = field(payload, "prob", ODEProblem.from_json, None)
     order = prob and _working_order(payload, trunc, Fraction(8), "prob", prob)
     model = field(payload, "model", lambda spec: (
@@ -287,7 +288,7 @@ def run_operad(payload: dict, trunc=None) -> Report:
         """The ``"slot"``, an input of an operation of *arity* inputs."""
         value = field(payload, "slot", integer)
         if not 1 <= value <= arity:
-            raise ParseError(f"slot {value} out of range 1..{arity}").at("slot")
+            raise ParseError(f"slot {shown(value, str)} out of range 1..{arity}").at("slot")
         return value
 
     if action == "validate":

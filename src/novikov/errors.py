@@ -73,6 +73,22 @@ class ParseError(NovikovError):
                        for k in reversed(self.path))
 
 
+#: Most characters of an input value that an error message echoes.
+MAX_SHOWN = 60
+
+
+def shown(value, text=repr) -> str:
+    """*value* as an error message echoes it, ``text(value)``: whole up to
+    :data:`MAX_SHOWN` characters, else cut there and followed by its full
+    length.  A number past the interpreter's limit on int -> str
+    conversion, which ``str`` refuses, is shown by its size."""
+    try:
+        s = text(value)
+    except ValueError:
+        return f"a number of {value.numerator.bit_length()} bits"
+    return s if len(s) <= MAX_SHOWN else f"{s[:MAX_SHOWN]}... ({len(s)} characters)"
+
+
 def members(data) -> dict:
     """The JSON object *data*; anything else is a :class:`ParseError`."""
     if not isinstance(data, dict):
@@ -122,6 +138,6 @@ def one_of(names):
     """A reader of one of the strings *names*."""
     def read(value):
         if value.__class__ is not str or value not in names:
-            raise ParseError(f"expected one of {', '.join(names)}, got {value!r}")
+            raise ParseError(f"expected one of {', '.join(names)}, got {shown(value)}")
         return value
     return read

@@ -30,9 +30,10 @@ to every table row, linear map and graded input as it is decoded.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import ParseError, each, field, members
+from .errors import ParseError, each, field, members, shown
 from .series import INF, NovikovSeries, integer, render_ratio
 
 Vec = dict  # basis name -> NovikovSeries, USeries or row entry
@@ -117,9 +118,9 @@ def basis_from_json(data) -> dict[str, int]:
     def declare(b):
         name = field(b, "name")
         if name.__class__ is not str:
-            raise ParseError(f"class name {name!r} is not a string").at("name")
+            raise ParseError(f"class name {shown(name)} is not a string").at("name")
         if name in degrees:
-            raise ParseError(f"basis declares {name!r} twice").at("name")
+            raise ParseError(f"basis declares {shown(name)} twice").at("name")
         degrees[name] = field(b, "degree", integer)
 
     basis = field(data, "basis", each)
@@ -133,7 +134,7 @@ def basis_from_json(data) -> dict[str, int]:
 def declared(degrees: dict[str, int], name) -> str:
     """*name*, a :class:`ParseError` unless it is a declared class."""
     if name.__class__ is not str or name not in degrees:
-        raise ParseError(f"undeclared class {name!r}")
+        raise ParseError(f"undeclared class {shown(name)}")
     return name
 
 
@@ -145,9 +146,9 @@ def homogeneous(x: Vec, degrees: dict[str, int], degree: int | None) -> None:
     a class of another degree it is refused."""
     for name, c in x.items():
         if name not in degrees:
-            raise ParseError(f"undeclared class {name!r}").at(name)
+            raise ParseError(f"undeclared class {shown(name)}").at(name)
         if degree is not None and degrees[name] != degree and (c.exps or c.truncation != INF):
-            raise ParseError(f"entry on {name!r} of degree {degrees[name]}, "
+            raise ParseError(f"entry on {shown(name)} of degree {degrees[name]}, "
                              f"expected degree {degree}").at(name)
 
 
@@ -190,6 +191,33 @@ def compile_vec(x: Vec, sign: int = 1) -> Row:
                 c = c.nums[0] if c.den == 1 else Fraction(c.nums[0], c.den)
         out[z] = c if sign > 0 else -c
     return out
+
+
+def integral_rows(rows: dict) -> tuple[dict, int]:
+    """*rows* over one integer denominator: ``(rows', den)``, each row of
+    *rows'* ``den`` times its row of *rows*.  ``den`` is the lcm of the
+    denominators of the rational entries; such an entry becomes the int
+    ``numerator * (den // denominator)``, and a series entry is multiplied
+    by ``den``, which is exact and keeps its truncation.  With no
+    :class:`Fraction` entry, *rows* itself is returned over 1."""
+    dens = {v.denominator for row in rows.values() for v in row.values()
+            if isinstance(v, Fraction)}
+    if not dens:
+        return rows, 1
+    den = math.lcm(*dens)
+    return {key: {z: v.numerator * (den // v.denominator) if isinstance(v, Fraction)
+                  else v * den for z, v in row.items()}
+            for key, row in rows.items()}, den
+
+
+def divided(x: Vec, den: int) -> Vec:
+    """*x* divided back by *den*, the factor of :func:`integral_rows`: a
+    vector that vanishes vanishes at any factor and is returned as it is,
+    as it is over 1; otherwise each entry is divided exactly."""
+    if den == 1 or vec_is_zero(x):
+        return x
+    return {z: Fraction(v, den) if isinstance(v, (int, Fraction)) else v * Fraction(1, den)
+            for z, v in x.items()}
 
 
 def signed_rows(table: dict[tuple[str, str], Vec],

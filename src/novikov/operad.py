@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import GlueError, ParseError, ZConflict, each, field, members
+from .errors import GlueError, ParseError, ZConflict, each, field, members, shown
 from .record import FrozenRecord, Record
 from .series import integer, rat, ratio, render_ratio
 
@@ -57,11 +57,12 @@ class DiscConfiguration(Record):
             framings = [rat(t) % 1 for t in framings]
             if len(framings) != len(self.points):
                 raise ParseError(f"one framing per disc: {len(framings)} framings "
-                                 f"for {len(self.points)} discs")
+                                 f"for {len(self.points)} discs").at("framings")
         self.framings = framings
         self.z_point = None if z_point is None else (rat(z_point[0]), rat(z_point[1]))
         if is_identity.__class__ is not bool:
-            raise ParseError(f"identity must be a boolean, got {is_identity!r}")
+            raise ParseError(f"identity must be a boolean, "
+                             f"got {shown(is_identity)}").at("identity")
         self.is_identity = is_identity
 
     @classmethod
@@ -80,7 +81,7 @@ class DiscConfiguration(Record):
     @classmethod
     def from_json(cls, data: dict) -> "DiscConfiguration":
         if field(data, "mode", default="exact") != "exact":
-            raise ParseError(f"mode must be 'exact', got {data['mode']!r}").at("mode")
+            raise ParseError(f"mode must be 'exact', got {shown(data['mode'])}").at("mode")
         return cls(points=field(data, "points", lambda ps: each(ps, _disc), []),
                    framings=field(data, "framings", lambda ts: each(ts, rat), None),
                    z_point=field(data, "z", _point, None),
@@ -267,7 +268,7 @@ class GradedOperation(Record):
         def generator(x) -> int:
             g = x if type(x) is int else integer(x)
             if not 0 <= g < n:
-                raise ParseError(f"generator {g} outside the {n}-generator space")
+                raise ParseError(f"generator {shown(g, str)} outside the {n}-generator space")
             return g
 
         def inputs(xs) -> tuple:

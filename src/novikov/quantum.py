@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import graded
-from .errors import DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed, each, field
+from .errors import (DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed, each, field,
+                     shown)
 from .graded import (
     Vec,
     contract,
@@ -141,7 +142,7 @@ class CohomologyModel(Record):
         def qpiece(rec):
             k = field(rec, "k", integer, 0)
             if k < 0:
-                raise ParseError(f"k = {k}: quantum pieces with k < 0 are zero").at("k")
+                raise ParseError(f"k = {shown(k, str)}: quantum pieces with k < 0 are zero").at("k")
             pair, result = graded.table_row_from_json(rec, degrees, -2 * k)
             qpieces.setdefault(k, {})[pair] = result
 

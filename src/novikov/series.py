@@ -44,7 +44,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
 
-from .errors import InsufficientPrecision, NovikovError, ParseError, each, field
+from .errors import InsufficientPrecision, NovikovError, ParseError, each, field, shown
 
 #: Truncation value meaning "exact": comparisons and sums with Fractions
 #: behave correctly (Fraction < INF, Fraction + INF == INF).
@@ -85,7 +85,7 @@ def rat(x) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ParseError(f"not a rational literal: {x!r}")
+    raise ParseError(f"not a rational literal: {shown(x)}")
 
 
 def integer(x) -> int:
@@ -97,8 +97,8 @@ def integer(x) -> int:
         try:
             return int(x)
         except ValueError as exc:  # past the interpreter's digit limit
-            raise ParseError(f"not an integer literal: {x[:20]!r}...") from exc
-    raise ParseError(f"not an integer literal: {x!r}")
+            raise ParseError(f"not an integer literal: {shown(x)}") from exc
+    raise ParseError(f"not an integer literal: {shown(x)}")
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

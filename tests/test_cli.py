@@ -380,6 +380,25 @@ def test_non_positive_working_order_is_parse_error(tmp_path, payload, trunc):
     assert "is not positive" in text
 
 
+# a parse error shows at most MAX_SHOWN characters of the value it echoes,
+# and its full length; "1e5000" reads as an int too long for str() at all
+@pytest.mark.parametrize("payload, pointer", [
+    (_bundled("riccati_chain.json", order="x" * 100000), "/order"),
+    (_bundled("riccati_chain.json", order="9" * 4000), "/order"),
+    (_bundled("riccati_chain.json", order="1e5000"), "/order"),
+    (_bundled("bv_axioms.json", n=10 ** 400), "/n"),
+    (_bundled("operad_glue.json", action="x" * 100000), "/action"),
+], ids=["order-100000-characters", "order-4000-digits", "order-1e5000", "n-401-digits",
+        "action-100000-characters"])
+def test_long_value_is_echoed_short(tmp_path, payload, pointer):
+    task = tmp_path / "long.json"
+    task.write_text(json.dumps(payload))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text[:300]
+    assert text.startswith(f"parse error at {pointer}: "), text[:300]
+    assert len(text) < 200, text[:300]
+
+
 def test_class_equation_suite_runs_once_per_task(monkeypatch):
     # both check names read their rows from one suite, so the desk model is
     # built once; second-order alone reports only its own row
@@ -437,7 +456,8 @@ def _tangent(**fields):
       "phi1": {"arity": 1, "degree": 0, "table": []},
       "phi2": {"arity": 1, "degree": 0, "table": []}}, "slot 2 out of range 1..1"),
     (_glue_first(points={}), "at /first/points: expected a list"),
-    (_glue_first(framings=["1/4", "1/2"]), "one framing per disc: 2 framings for 1 discs"),
+    (_glue_first(framings=["1/4", "1/2"]),
+     "at /first/framings: one framing per disc: 2 framings for 1 discs"),
     (_glue_first(framings="1/4"), "at /first/framings: expected a list"),
     # a JSON boolean is no coordinate, radius or framing, though Fraction
     # would read it as 1 or 0
@@ -458,7 +478,7 @@ def _tangent(**fields):
      "mode must be 'exact', got 'float'"),
     *[(_tangent(mode=mode), f"mode must be 'exact', got {mode!r}")
       for mode in ("float", "Exact", "exakt", 7, None)],
-    *[(_tangent(identity=flag), f"identity must be a boolean, got {flag!r}")
+    *[(_tangent(identity=flag), f"at /config/identity: identity must be a boolean, got {flag!r}")
       for flag in ("no", "false", 0.5, 1)],
 ], ids=["glue-slot-0", "glue-slot-2", "compose-slot-2", "points-object",
         "framing-count", "framings-string", "framing-true", "re-false", "r-true",
