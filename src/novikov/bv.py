@@ -34,7 +34,6 @@ from .graded import (
     accumulate,
     compile_vec,
     contract,
-    divided,
     entry_is_zero,
     integral_rows,
     joined,
@@ -286,16 +285,13 @@ def check_bv_axioms(model: BVModel) -> Report:
     the product rows over dP, the Delta rows over dD, the derived bracket
     rows over dB and the supplied ones over dS.  Every identity is
     homogeneous in the families, so a case's residual is the true one
-    times the product of its families' denominators: dP for unit (whose
-    ``-x`` term starts at ``-dP``) and commutativity, dP^2 for
-    associativity, dD^2 for delta-squared, dS*dB for delta-bracket (the
-    supplied term weighted by dB, the derived one by dS), dB for
-    antisymmetry and e-is-ideal, dB*dP for derivation-bracket, dB^2 for
-    jacobi and dB*dD for delta-bracket-2; delta-e renders the model's own
-    Delta row.  A residual that vanishes does so at any factor and is
-    decided as it is; only one that does not is divided back
-    (:func:`graded.divided`), so every verdict and detail is the one the
-    rational rows give.
+    times the product of its families' denominators, the factor each
+    identity passes to :meth:`Report.identity` beside its cases (the unit's
+    ``-x`` term starts at ``-dP``; delta-bracket weights the supplied term
+    by dB and the derived one by dS).  That decides each residual as it
+    comes and divides back only the failing one it renders, so every
+    verdict and detail is the one the rational rows give; delta-e renders
+    the model's own Delta row.
     """
     report = Report()
     names = list(model.degrees)
@@ -329,69 +325,63 @@ def check_bv_axioms(model: BVModel) -> Report:
         return out
 
     report.identity("unit", "e.x = x",
-                    (((n,), divided(accumulate({n: -dP}, P, {e: 1}, n), dP)) for n in names),
-                    "e.{}")
+                    (((n,), accumulate({n: -dP}, P, {e: 1}, n)) for n in names), "e.{}", dP)
 
     report.identity("commutativity", "x1.x2 = (-1)^(|x1||x2|) x2.x1",
-                    (((n1, n2), divided(accumulate(accumulate({}, P, {n1: 1}, n2), P,
-                                                   {n2: -(-1) ** (deg[n1] * deg[n2])}, n1), dP))
-                     for n1, n2 in swaps if (n1, n2) in P or (n2, n1) in P), "[{},{}]")
+                    (((n1, n2), accumulate(accumulate({}, P, {n1: 1}, n2), P,
+                                           {n2: -(-1) ** (deg[n1] * deg[n2])}, n1))
+                     for n1, n2 in swaps if (n1, n2) in P or (n2, n1) in P), "[{},{}]", dP)
 
     reached = joined(P, P) | joined(P, P, left=True)
     report.identity("associativity", "(x1.x2).x3 = x1.(x2.x3)",
-                    (((n1, n2, n3),
-                      divided(accumulate(accumulate({}, P, P.get((n1, n2), {}), n3),
-                                         P, P.get((n2, n3), {}), n1, -1, left=True), dP * dP))
-                     for n1, n2, n3 in sorted(reached, key=ranks)), "({}.{}).{}")
+                    (((n1, n2, n3), accumulate(accumulate({}, P, P.get((n1, n2), {}), n3),
+                                               P, P.get((n2, n3), {}), n1, -1, left=True))
+                     for n1, n2, n3 in sorted(reached, key=ranks)), "({}.{}).{}", dP * dP)
 
     report.residual("delta-e", "Delta e = 0", model.delta_rows.get(e, {}))
 
     reached = mapped(D, D)
     report.identity("delta-squared", "Delta Delta x = 0",
-                    (((n,), divided(accumulate({}, D, D[n]), dD * dD))
-                     for n in names if n in reached), "Delta^2 {}")
+                    (((n,), accumulate({}, D, D[n])) for n in names if n in reached),
+                    "Delta^2 {}", dD * dD)
 
     if model.bracket_table is not None:
         S, dS = integral_rows(model.bracket_rows)
         report.identity("delta-bracket",
                         "[x1,x2] = Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.Delta x2",
-                        (((n1, n2), divided(accumulate(accumulate({}, S, {n1: dB}, n2),
-                                                       B, {n1: -dS}, n2), dS * dB))
+                        (((n1, n2), accumulate(accumulate({}, S, {n1: dB}, n2), B, {n1: -dS}, n2))
                          for n1, n2 in pairs if (n1, n2) in S or B[(n1, n2)]),
-                        "[{},{}]")
+                        "[{},{}]", dS * dB)
 
     report.identity("antisymmetry", "[x2,x1] = (-1)^(|x1||x2|) [x1,x2]",
-                    (((n1, n2),
-                      divided(accumulate(accumulate({}, B, {n2: 1}, n1),
-                                         B, {n1: -(-1) ** (deg[n1] * deg[n2])}, n2), dB))
-                     for n1, n2 in swaps if B[(n1, n2)] or B[(n2, n1)]), "[{1},{0}]")
+                    (((n1, n2), accumulate(accumulate({}, B, {n2: 1}, n1),
+                                           B, {n1: -(-1) ** (deg[n1] * deg[n2])}, n2))
+                     for n1, n2 in swaps if B[(n1, n2)] or B[(n2, n1)]), "[{1},{0}]", dB)
 
     reached = (joined(P, B, left=True) | joined(B, P)
                | {(n1, n2, n3) for n2, n1, n3 in joined(B, P, left=True)})
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
-                    ((t, divided(derivation(*t), dB * dP)) for t in sorted(reached, key=ranks)),
-                    "[{},{}.{}]")
+                    ((t, derivation(*t)) for t in sorted(reached, key=ranks)),
+                    "[{},{}.{}]", dB * dP)
 
     # a term [a,[b,c]] reaches the orbit of (a, b, c), checked at its least rotation
     reached = {min(((a, b, c), (b, c, a), (c, a, b)), key=ranks)
                for a, b, c in joined(B, B, left=True)}
     report.identity("jacobi", "signed cyclic sum of [x1,[x2,x3]] = 0",
-                    ((t, divided(jacobi(*t), dB * dB)) for t in sorted(reached, key=ranks)),
-                    "jacobi({},{},{})")
+                    ((t, jacobi(*t)) for t in sorted(reached, key=ranks)),
+                    "jacobi({},{},{})", dB * dB)
 
     report.identity("e-is-ideal", "[e,x] = 0",
-                    (((n,), divided(B[(e, n)], dB)) for n in names if B[(e, n)]), "[e,{}]")
+                    (((n,), B[(e, n)]) for n in names if B[(e, n)]), "[e,{}]", dB)
 
     reached = mapped(B, D) | joined(live_delta, B) | joined(D, B, left=True)
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
-                    (((n1, n2),
-                      divided(accumulate(accumulate(accumulate({}, D, B[(n1, n2)]),
-                                                    B, live_delta[n1], n2),
-                                         B, D.get(n2, {}), n1, (-1) ** deg[n1], left=True),
-                              dB * dD))
-                     for n1, n2 in pairs if (n1, n2) in reached), "({},{})")
+                    (((n1, n2), accumulate(accumulate(accumulate({}, D, B[(n1, n2)]),
+                                                      B, live_delta[n1], n2),
+                                           B, D.get(n2, {}), n1, (-1) ** deg[n1], left=True))
+                     for n1, n2 in pairs if (n1, n2) in reached), "({},{})", dB * dD)
     return report
 
 

@@ -139,6 +139,9 @@ def run_ode(payload: dict, trunc=None) -> Report:
         elif kind == "solve":
             seed = field(check, "seed", LatticeSeed.from_json)
             solve_order = field(check, "order", rat)
+            if solve_order <= seed.base_exponent:
+                raise ParseError(f"solve order {shown(solve_order, str)} lies at or below "
+                                 f"the base exponent {shown(seed.base_exponent, str)}").at("order")
             if (solve_order - seed.base_exponent) / seed.step > MAX_SOLVE_TERMS:
                 raise ParseError(
                     f"solve order {shown(solve_order, str)} asks for more than MAX_SOLVE_TERMS = "
@@ -178,6 +181,10 @@ def run_gw(payload: dict, trunc=None) -> Report:
             raise ParseError("check 'gauss-manin' needs a problem block")
         if name != "gauss-manin" and (model is None or gw is None):
             raise ParseError(f"check {name!r} needs model and gw blocks")
+        if name == "uueq" and model.unit is None:
+            raise ParseError("check 'uueq' needs a model with a \"unit\" class")
+        if name == "uueq" and gw.z2tilde is None:
+            raise ParseError("check 'uueq' needs a gw block with \"z2tilde\"")
         return name
 
     for name in field(payload, "checks", lambda names: each(names, check_name), []):
@@ -195,7 +202,7 @@ def run_mirror(payload: dict, trunc=None) -> Report:
         p0 = field(case, "p0", rat)
         l = log_derivative(_series(case, "f"), order)
         a = mirror_a(p0, l, order)
-        report.residual(f"mirror-a[p0={p0}]",
+        report.residual(f"mirror-a[p0={shown(p0, str)}]",
                         "d_h a + a^2 + 2*l*a + (d_h l + l^2) = 0",
                         mirror_a_residual(a, l), var="h")
 

@@ -210,16 +210,6 @@ def integral_rows(rows: dict) -> tuple[dict, int]:
             for key, row in rows.items()}, den
 
 
-def divided(x: Vec, den: int) -> Vec:
-    """*x* divided back by *den*, the factor of :func:`integral_rows`: a
-    vector that vanishes vanishes at any factor and is returned as it is,
-    as it is over 1; otherwise each entry is divided exactly."""
-    if den == 1 or vec_is_zero(x):
-        return x
-    return {z: Fraction(v, den) if isinstance(v, (int, Fraction)) else v * Fraction(1, den)
-            for z, v in x.items()}
-
-
 def signed_rows(table: dict[tuple[str, str], Vec],
                 degrees: dict[str, int]) -> dict[tuple[str, str], Row]:
     """The row of every ordered pair of declared names that the table

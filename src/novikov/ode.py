@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import (InconsistentSeed, InsufficientPrecision, LatticeMismatch,
+from .errors import (InconsistentSeed, InsufficientPrecision, LatticeMismatch, ParseError,
                      ResonantExponent, each, field)
 from .record import FrozenRecord
 from .series import INF, NovikovSeries, Trunc, _reduced, rat
@@ -68,10 +68,11 @@ class LatticeSeed(FrozenRecord):
 
     def __init__(self, step: Fraction, base_exponent: Fraction,
                  coeffs: tuple[Fraction, Fraction]):
+        # the one reader of a seed, so its refusals point at their fields
         if step <= 0:
-            raise ValueError("lattice step must be positive")
+            raise ParseError("lattice step must be positive").at("step")
         if len(coeffs) != 2:
-            raise ValueError("a second-order equation takes two leading coefficients")
+            raise ParseError("a second-order equation takes two leading coefficients").at("coeffs")
         self._set(step, base_exponent, coeffs)
 
     @classmethod

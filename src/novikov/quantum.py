@@ -41,7 +41,7 @@ from .graded import (
 from .ode import ODEProblem
 from .record import Record
 from .report import Report, vanishes
-from .series import NovikovSeries, Trunc, integer, rat
+from .series import INF, NovikovSeries, Trunc, integer, rat
 from .useries import USeries
 
 UVec = dict  # name -> USeries
@@ -263,7 +263,8 @@ def solve_psi_eta(model: CohomologyModel, gw: GWData,
     if sorted(h2) != sorted(["D", model.m_class]):
         raise ValueError(f"need a two-dimensional degree-2 basis, have {h2}")
     z1_d = vec_get(gw.z1, "D")
-    if z1_d.is_zero():
+    # a truncated zero is an unseen leading term, which invert refuses
+    if z1_d.is_zero() and z1_d.truncation == INF:
         raise NoSolution("the D-component of z1 vanishes; psi is undefined")
     psi = _Q_INV * z1_d.invert(order)
     eta = psi * vec_get(gw.z1, model.m_class) - Fraction(gw.gamma) * _Q_INV

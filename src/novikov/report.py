@@ -9,7 +9,9 @@ vanishes (:func:`vanishes`) and render the residual as its detail
 
 from __future__ import annotations
 
-from .graded import vec_is_zero, vec_render
+from fractions import Fraction
+
+from .graded import vec_is_zero, vec_render, vec_scale
 from .record import Record
 
 
@@ -61,15 +63,20 @@ class Report(Record):
         return self.add(name, equation, all(map(vanishes, residuals)), detail)
 
     def identity(self, name: str, equation: str, cases,
-                 label: str | None = None) -> CheckResult:
+                 label: str | None = None, den: int = 1) -> CheckResult:
         """One row for an identity over (key, residual) cases: it passes
         when every residual vanishes, and its detail names the first case
         that does not.  No case after that one is evaluated.  The case is
         named by its key, or with a *label* format by ``label.format(*key)``,
-        so only a failing case's label is ever built."""
+        so only a failing case's label is ever built.  Each residual,
+        a vector, may be *den* times the true one for a nonzero integer
+        *den*: it vanishes at any factor, so it is decided as it comes, and
+        only the failing one is divided back before it is rendered."""
         for key, res in cases:
             if not vanishes(res):
                 text = key if label is None else label.format(*key)
+                if den != 1:
+                    res = vec_scale(Fraction(1, den), res)
                 return self.add(name, equation, False, f"{text}: {render(res)}")
         return self.add(name, equation, True, "0")
 

@@ -303,18 +303,19 @@ def as_series(v):
 
 def decided(check, *args):
     """The rows of ``check(*args)`` and every case behind them: (row name,
-    case label, residual with rational entries made series and exact zeros
-    dropped), truncated zeros kept."""
+    case label, residual divided back by the identity's factor, with
+    rational entries made series and exact zeros dropped), truncated zeros
+    kept."""
     cases = []
     identity = Report.identity
 
-    def recording(self, name, equation, items, label=None):
+    def recording(self, name, equation, items, label=None, den=1):
         items = list(items)
         for key, res in items:
-            res = {k: as_series(v) for k, v in res.items()}
+            res = {k: as_series(v) for k, v in vec_scale(F(1, den), res).items()}
             cases.append((name, key if label is None else label.format(*key),
                           {k: s for k, s in res.items() if s.terms or s.truncation != INF}))
-        return identity(self, name, equation, items, label)
+        return identity(self, name, equation, items, label, den)
 
     with mock.patch.object(Report, "identity", recording):
         report = check(*args)
@@ -504,16 +505,24 @@ def test_leibniz_matches_per_tuple_oracle(data):
                           decided(oracle_leibniz, nabla, model))
 
 
-def test_rational_model_axioms_make_no_fraction_arithmetic():
-    # each row family is put over one integer denominator, so once its rows
-    # are built a model of rational rows whose identities hold is checked
-    # with int products and sums alone; the unit keeps scale 1
+def rescaled_rational_model():
+    """``polyvector_model_with_k(2)`` with every class but the unit scaled
+    by a rational, and its supplied brackets: a BV model of rational rows
+    in every family."""
     base = polyvector_model_with_k(2)
     scale = {b: NovikovSeries.monomial(F(1) if b == base.unit else F(2 * i + 3, i + 2), 0)
              for i, b in enumerate(base.degrees)}
     product, delta = rescaled(base, scale)
     model = BVModel(degrees=dict(base.degrees), product=product, delta=delta, unit=base.unit)
     model.bracket_table = supplied_brackets(model)
+    return model
+
+
+def test_rational_model_axioms_make_no_fraction_arithmetic():
+    # each row family is put over one integer denominator, so once its rows
+    # are built a model of rational rows whose identities hold is checked
+    # with int products and sums alone; the unit keeps scale 1
+    model = rescaled_rational_model()
     rows = [model.product_rows, model.delta_rows, model.bracket_rows,
             {(a, b): model.bracket_row(a, b) for a in model.degrees for b in model.degrees}]
     assert all(any(isinstance(v, Fraction) and v.denominator > 1
@@ -533,6 +542,23 @@ def test_rational_model_axioms_make_no_fraction_arithmetic():
         report = check_bv_axioms(model)
     assert report.passed, failures(report)
     assert calls == Counter()
+
+
+def test_each_axiom_case_is_decided_once():
+    # a case's residual comes over its identity's factor and is decided
+    # once, by Report.identity, as it comes; delta-e is the one other row
+    model = rescaled_rational_model()
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return vec_is_zero(x)
+
+    with mock.patch("novikov.report.vec_is_zero", counted), \
+            mock.patch("novikov.graded.vec_is_zero", counted):
+        rows, cases = decided(check_bv_axioms, model)
+    assert all(passed for _, passed, _ in rows)
+    assert len(calls) == len(cases) + 1
 
 
 def test_failing_rational_cases_are_divided_back():

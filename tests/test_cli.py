@@ -399,6 +399,61 @@ def test_long_value_is_echoed_short(tmp_path, payload, pointer):
     assert len(text) < 200, text[:300]
 
 
+def _gw_without_unit(checks, gw):
+    task = _gw(checks, gw)
+    del task["model"]["unit"]
+    return task
+
+
+# task inputs of the wrong shape, each refused where it is read: these
+# ended with exit 4 and the library's bare ValueError
+@pytest.mark.parametrize("payload, pointer", [
+    (_seed(step="0"), "/checks/0/seed/step"),
+    (_seed(coeffs=["1", "1", "1"]), "/checks/0/seed/coeffs"),
+    (_ode({**_SOLVE, "order": "0"}), "/checks/0/order"),
+    (_gw_without_unit(["relations", "uueq"], {"z1": _Z1, "z2tilde": _Z2T}), "/checks/1"),
+    (_gw(["uueq"], {"z1": _Z1}), "/checks/0"),
+], ids=["seed-step-0", "seed-three-coeffs", "solve-order-at-base", "uueq-no-unit",
+        "uueq-no-z2tilde"])
+def test_task_input_shape_error_is_parse_error_at_its_field(tmp_path, payload, pointer):
+    task = tmp_path / "shape.json"
+    task.write_text(json.dumps(payload))
+    code, text = cli.run(str(task))
+    assert code == cli.EXIT_PARSE, text
+    assert text.startswith(f"parse error at {pointer}: "), text
+
+
+@pytest.mark.parametrize("trunc, code, error", [
+    ("inf", cli.EXIT_DOMAIN, "NoSolution: "),
+    ("3", cli.EXIT_PRECISION, "insufficient precision: "),
+], ids=["exact-zero", "truncated-zero"])
+def test_psi_eta_on_a_zero_d_component(tmp_path, trunc, code, error):
+    # only an exact zero leaves psi undefined; a truncated one is an
+    # unseen leading term, which the inverse refuses
+    task = _divisor_relations()
+    task["gw"]["z1"]["D"] = {"terms": [], "trunc": trunc}
+    task["checks"] = ["psi-eta"]
+    path = tmp_path / "psi-eta.json"
+    path.write_text(json.dumps(task))
+    got, text = cli.run(str(path))
+    assert got == code, text
+    assert text.startswith(error), text
+
+
+@pytest.mark.parametrize("p0, name", [
+    ("1e5000", "mirror-a[p0=a number of 16610 bits]"),
+    ("7" * 3000, f"mirror-a[p0={'7' * 60}... (3000 characters)]"),
+], ids=["past-the-digit-limit", "3000-digits"])
+def test_mirror_row_name_shows_p0_short(tmp_path, p0, name):
+    task = _bundled("mirror_suite.json")
+    task["a_cases"] = [{**task["a_cases"][0], "p0": p0}]
+    path = tmp_path / "mirror.json"
+    path.write_text(json.dumps(task))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_OK, text[:300]
+    assert text.startswith(f"PASS {name} "), text[:300]
+
+
 def test_class_equation_suite_runs_once_per_task(monkeypatch):
     # both check names read their rows from one suite, so the desk model is
     # built once; second-order alone reports only its own row
