@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import graded
-from .errors import field
+from .errors import ParseError, field
 from .graded import (
     Row,
     Vec,
@@ -166,7 +166,7 @@ class BVModel(Record):
 
     def element(self, name: str) -> Vec:
         if name not in self.elements:
-            raise KeyError(f"model declares no element {name!r}")
+            raise ParseError(f"model declares no element {name!r}")
         return self.elements[name]
 
     def distinguished_a(self) -> Vec:
@@ -280,18 +280,13 @@ def check_bv_axioms(model: BVModel) -> Report:
     case, the one a row's detail names, is always a representative,
     computed by the one formula of its identity.
 
-    The identities are evaluated in integers.  Each row family is put over
-    one integer denominator once per check (:func:`graded.integral_rows`):
-    the product rows over dP, the Delta rows over dD, the derived bracket
-    rows over dB and the supplied ones over dS.  Every identity is
-    homogeneous in the families, so a case's residual is the true one
-    times the product of its families' denominators, the factor each
-    identity passes to :meth:`Report.identity` beside its cases (the unit's
-    ``-x`` term starts at ``-dP``; delta-bracket weights the supplied term
-    by dB and the derived one by dS).  That decides each residual as it
-    comes and divides back only the failing one it renders, so every
-    verdict and detail is the one the rational rows give; delta-e renders
-    the model's own Delta row.
+    The identities are evaluated in integers: the product, Delta and both
+    bracket row families are put over one integer denominator ``d`` once
+    per check (:func:`graded.integral_rows`).  Each identity is linear or
+    quadratic in the rows, so a case's residual is the true one times ``d``
+    or ``d * d`` (the unit's ``-x`` term starts at ``-d``), the factor it
+    passes to :meth:`Report.identity`, which divides back only the failing
+    residual it renders; delta-e renders the model's own Delta row.
     """
     report = Report()
     names = list(model.degrees)
@@ -304,10 +299,10 @@ def check_bv_axioms(model: BVModel) -> Report:
         return rank[t[0]], rank[t[1]], rank[t[2]]
 
     deg, e = model.degrees, model.unit
-    # each row family over one integer denominator, as said above
-    P, dP = integral_rows(model.product_rows)
-    D, dD = integral_rows(model.delta_rows)
-    B, dB = integral_rows({pair: model.bracket_row(*pair) for pair in pairs})
+    # the row families over one integer denominator, as said above
+    (P, D, B, S), d = integral_rows(model.product_rows, model.delta_rows,
+                                    {pair: model.bracket_row(*pair) for pair in pairs},
+                                    model.bracket_rows or {})
     # the bracket skips a zero coefficient of its first factor
     live_delta = {n: _live(D.get(n, {})) for n in names}
 
@@ -325,55 +320,54 @@ def check_bv_axioms(model: BVModel) -> Report:
         return out
 
     report.identity("unit", "e.x = x",
-                    (((n,), accumulate({n: -dP}, P, {e: 1}, n)) for n in names), "e.{}", dP)
+                    (((n,), accumulate({n: -d}, P, {e: 1}, n)) for n in names), "e.{}", d)
 
     report.identity("commutativity", "x1.x2 = (-1)^(|x1||x2|) x2.x1",
                     (((n1, n2), accumulate(accumulate({}, P, {n1: 1}, n2), P,
                                            {n2: -(-1) ** (deg[n1] * deg[n2])}, n1))
-                     for n1, n2 in swaps if (n1, n2) in P or (n2, n1) in P), "[{},{}]", dP)
+                     for n1, n2 in swaps if (n1, n2) in P or (n2, n1) in P), "[{},{}]", d)
 
     reached = joined(P, P) | joined(P, P, left=True)
     report.identity("associativity", "(x1.x2).x3 = x1.(x2.x3)",
                     (((n1, n2, n3), accumulate(accumulate({}, P, P.get((n1, n2), {}), n3),
                                                P, P.get((n2, n3), {}), n1, -1, left=True))
-                     for n1, n2, n3 in sorted(reached, key=ranks)), "({}.{}).{}", dP * dP)
+                     for n1, n2, n3 in sorted(reached, key=ranks)), "({}.{}).{}", d * d)
 
     report.residual("delta-e", "Delta e = 0", model.delta_rows.get(e, {}))
 
     reached = mapped(D, D)
     report.identity("delta-squared", "Delta Delta x = 0",
                     (((n,), accumulate({}, D, D[n])) for n in names if n in reached),
-                    "Delta^2 {}", dD * dD)
+                    "Delta^2 {}", d * d)
 
     if model.bracket_table is not None:
-        S, dS = integral_rows(model.bracket_rows)
         report.identity("delta-bracket",
                         "[x1,x2] = Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.Delta x2",
-                        (((n1, n2), accumulate(accumulate({}, S, {n1: dB}, n2), B, {n1: -dS}, n2))
+                        (((n1, n2), accumulate(accumulate({}, S, {n1: 1}, n2), B, {n1: -1}, n2))
                          for n1, n2 in pairs if (n1, n2) in S or B[(n1, n2)]),
-                        "[{},{}]", dS * dB)
+                        "[{},{}]", d)
 
     report.identity("antisymmetry", "[x2,x1] = (-1)^(|x1||x2|) [x1,x2]",
                     (((n1, n2), accumulate(accumulate({}, B, {n2: 1}, n1),
                                            B, {n1: -(-1) ** (deg[n1] * deg[n2])}, n2))
-                     for n1, n2 in swaps if B[(n1, n2)] or B[(n2, n1)]), "[{1},{0}]", dB)
+                     for n1, n2 in swaps if B[(n1, n2)] or B[(n2, n1)]), "[{1},{0}]", d)
 
     reached = (joined(P, B, left=True) | joined(B, P)
                | {(n1, n2, n3) for n2, n1, n3 in joined(B, P, left=True)})
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
                     ((t, derivation(*t)) for t in sorted(reached, key=ranks)),
-                    "[{},{}.{}]", dB * dP)
+                    "[{},{}.{}]", d * d)
 
     # a term [a,[b,c]] reaches the orbit of (a, b, c), checked at its least rotation
     reached = {min(((a, b, c), (b, c, a), (c, a, b)), key=ranks)
                for a, b, c in joined(B, B, left=True)}
     report.identity("jacobi", "signed cyclic sum of [x1,[x2,x3]] = 0",
                     ((t, jacobi(*t)) for t in sorted(reached, key=ranks)),
-                    "jacobi({},{},{})", dB * dB)
+                    "jacobi({},{},{})", d * d)
 
     report.identity("e-is-ideal", "[e,x] = 0",
-                    (((n,), B[(e, n)]) for n in names if B[(e, n)]), "[e,{}]", dB)
+                    (((n,), B[(e, n)]) for n in names if B[(e, n)]), "[e,{}]", d)
 
     reached = mapped(B, D) | joined(live_delta, B) | joined(D, B, left=True)
     report.identity("delta-bracket-2",
@@ -381,7 +375,7 @@ def check_bv_axioms(model: BVModel) -> Report:
                     (((n1, n2), accumulate(accumulate(accumulate({}, D, B[(n1, n2)]),
                                                       B, live_delta[n1], n2),
                                            B, D.get(n2, {}), n1, (-1) ** deg[n1], left=True))
-                     for n1, n2 in pairs if (n1, n2) in reached), "({},{})", dB * dD)
+                     for n1, n2 in pairs if (n1, n2) in reached), "({},{})", d * d)
     return report
 
 

@@ -139,9 +139,6 @@ def run_ode(payload: dict, trunc=None) -> Report:
         elif kind == "solve":
             seed = field(check, "seed", LatticeSeed.from_json)
             solve_order = field(check, "order", rat)
-            if solve_order <= seed.base_exponent:
-                raise ParseError(f"solve order {shown(solve_order, str)} lies at or below "
-                                 f"the base exponent {shown(seed.base_exponent, str)}").at("order")
             if (solve_order - seed.base_exponent) / seed.step > MAX_SOLVE_TERMS:
                 raise ParseError(
                     f"solve order {shown(solve_order, str)} asks for more than MAX_SOLVE_TERMS = "
@@ -176,21 +173,18 @@ def run_gw(payload: dict, trunc=None) -> Report:
     psi_eta_order = _working_order(payload, trunc, None)
     order = prob and _working_order(payload, trunc, Fraction(8), "prob", prob)
 
-    def check_name(name) -> str:
-        if one_of(GW_CHECKS)(name) == "gauss-manin" and prob is None:
-            raise ParseError("check 'gauss-manin' needs a problem block")
-        if name != "gauss-manin" and (model is None or gw is None):
+    def run_check(name):
+        if one_of(GW_CHECKS)(name) == "gauss-manin":
+            if prob is None:
+                raise ParseError("check 'gauss-manin' needs a problem block")
+            args = (prob, order)
+        elif model is None or gw is None:
             raise ParseError(f"check {name!r} needs model and gw blocks")
-        if name == "uueq" and model.unit is None:
-            raise ParseError("check 'uueq' needs a model with a \"unit\" class")
-        if name == "uueq" and gw.z2tilde is None:
-            raise ParseError("check 'uueq' needs a gw block with \"z2tilde\"")
-        return name
-
-    for name in field(payload, "checks", lambda names: each(names, check_name), []):
-        args = ((prob, order) if name == "gauss-manin" else
-                (model, gw, psi_eta_order) if name == "psi-eta" else (model, gw))
+        else:
+            args = (model, gw, psi_eta_order) if name == "psi-eta" else (model, gw)
         report.checks += getattr(qmod, GW_CHECKS[name])(*args).checks
+
+    field(payload, "checks", lambda names: each(names, run_check), [])
     return report
 
 
@@ -242,18 +236,16 @@ def run_bv(payload: dict, trunc=None) -> Report:
     model = field(payload, "model", lambda spec: (
         bvmod.BVModel.from_json(spec) if isinstance(spec, dict)
         else BV_MODELS[one_of(BV_MODELS)(spec)](n)), None) or bvmod.polyvector_model(n)
-
-    def check_name(name) -> str:
-        if one_of(BV_CHECKS)(name) in ("class-equation", "second-order") and prob is None:
-            raise ParseError(f"check {name!r} needs a problem block")
-        return name
-
+    alpha = field(payload, "alpha", lambda x: vec_from_json(x, model.degrees, 1), {})
     nabla = bvmod.Connection()
     a = model.distinguished_a()
     # nabla^{-1} and the class-equation suite, each built once per task
     minus1 = functools.cache(lambda: bvmod.nabla_c(nabla, a, -1, model))
-    suite = None
-    for name in field(payload, "checks", lambda names: each(names, check_name), []):
+    suite = functools.cache(lambda: bvmod.class_equation_suite(prob, n, order))
+
+    def run_check(name):
+        if one_of(BV_CHECKS)(name) in ("class-equation", "second-order") and prob is None:
+            raise ParseError(f"check {name!r} needs a problem block")
         if name == "axioms":
             report.checks += bvmod.check_bv_axioms(model).checks
         elif name == "leibniz":
@@ -262,7 +254,6 @@ def run_bv(payload: dict, trunc=None) -> Report:
             report.checks += bvmod.check_delta_nabla(nabla, a, model).checks
             report.checks += bvmod.check_minus1_delta(minus1(), a, model).checks
         elif name == "gauge":
-            alpha = field(payload, "alpha", lambda x: vec_from_json(x, model.degrees, 1), {})
             tilde, a_tilde = bvmod.gauge_change(nabla, alpha, a, model)
             gauged = bvmod.check_delta_nabla(tilde, a_tilde, model)
             for row in gauged.checks:
@@ -273,30 +264,23 @@ def run_bv(payload: dict, trunc=None) -> Report:
         elif name == "r-endomorphism":
             report.checks += bvmod.r_endomorphism_check(model).checks
         else:
-            if suite is None:
-                suite = bvmod.class_equation_suite(prob, n, order)
             if name == "class-equation":
-                rows = suite.checks
+                rows = suite().checks
             else:
-                rows = [c for c in suite.checks if c.name == "second-order-e"]
+                rows = [c for c in suite().checks if c.name == "second-order-e"]
             # the equation suite subsumes the standalone second-order row;
             # a payload asking for both still reports it once
             present = {(c.name, c.equation) for c in report.checks}
             report.checks += [c for c in rows
                               if (c.name, c.equation) not in present]
+
+    field(payload, "checks", lambda names: each(names, run_check), [])
     return report
 
 
 def run_operad(payload: dict, trunc=None) -> Report:
     report = Report()
     action = field(payload, "action", one_of(("validate", "glue", "sign", "compose")))
-
-    def slot(arity: int) -> int:
-        """The ``"slot"``, an input of an operation of *arity* inputs."""
-        value = field(payload, "slot", integer)
-        if not 1 <= value <= arity:
-            raise ParseError(f"slot {shown(value, str)} out of range 1..{arity}").at("slot")
-        return value
 
     if action == "validate":
         cfg = field(payload, "config", opmod.DiscConfiguration.from_json)
@@ -306,7 +290,7 @@ def run_operad(payload: dict, trunc=None) -> Report:
     elif action == "glue":
         c1 = field(payload, "first", opmod.DiscConfiguration.from_json)
         c2 = field(payload, "second", opmod.DiscConfiguration.from_json)
-        out = opmod.glue(c1, slot(c1.arity()), c2)
+        out = opmod.glue(c1, field(payload, "slot", integer), c2)
         ok, problems = opmod.validate(out)
         report.add("glue", "rescale, rotate, insert", ok,
                    json.dumps(out.to_json(), sort_keys=True))
@@ -319,7 +303,7 @@ def run_operad(payload: dict, trunc=None) -> Report:
         space = tuple(field(payload, "space", lambda d: each(d, integer)))
         phi1, phi2 = (field(payload, key, lambda d: opmod.GradedOperation.from_json(d, space))
                       for key in ("phi1", "phi2"))
-        out = opmod.compose(phi1, slot(phi1.arity), phi2)
+        out = opmod.compose(phi1, field(payload, "slot", integer), phi2)
         report.add("compose", "signed operadic insertion", True, out.json_text())
     return report
 

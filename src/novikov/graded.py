@@ -193,21 +193,22 @@ def compile_vec(x: Vec, sign: int = 1) -> Row:
     return out
 
 
-def integral_rows(rows: dict) -> tuple[dict, int]:
-    """*rows* over one integer denominator: ``(rows', den)``, each row of
-    *rows'* ``den`` times its row of *rows*.  ``den`` is the lcm of the
-    denominators of the rational entries; such an entry becomes the int
+def integral_rows(*families: dict) -> tuple[list[dict], int]:
+    """Each family of rows in *families* over one integer denominator:
+    ``([rows', ...], den)``, each row of each *rows'* ``den`` times its row
+    of *rows*.  ``den`` is the lcm of the denominators of the rational
+    entries of every family; such an entry becomes the int
     ``numerator * (den // denominator)``, and a series entry is multiplied
     by ``den``, which is exact and keeps its truncation.  With no
-    :class:`Fraction` entry, *rows* itself is returned over 1."""
-    dens = {v.denominator for row in rows.values() for v in row.values()
+    :class:`Fraction` entry, the families themselves are returned over 1."""
+    dens = {v.denominator for rows in families for row in rows.values() for v in row.values()
             if isinstance(v, Fraction)}
     if not dens:
-        return rows, 1
+        return list(families), 1
     den = math.lcm(*dens)
-    return {key: {z: v.numerator * (den // v.denominator) if isinstance(v, Fraction)
-                  else v * den for z, v in row.items()}
-            for key, row in rows.items()}, den
+    return [{key: {z: v.numerator * (den // v.denominator) if isinstance(v, Fraction)
+                   else v * den for z, v in row.items()}
+             for key, row in rows.items()} for rows in families], den
 
 
 def signed_rows(table: dict[tuple[str, str], Vec],

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import (InconsistentSeed, InsufficientPrecision, LatticeMismatch, ParseError,
-                     ResonantExponent, each, field)
+                     ResonantExponent, each, field, shown)
 from .record import FrozenRecord
 from .series import INF, NovikovSeries, Trunc, _reduced, rat
 
@@ -173,7 +173,8 @@ def _lattice_coeffs(series: NovikovSeries, shift: int, step: Fraction,
 def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
                        order) -> NovikovSeries:
     """Determine rho = sum c_k q^(e0 + k*step) with the seeded c_0, c_1 and
-    second_order_residual(rho) = 0 below *order*.
+    second_order_residual(rho) = 0 below *order*; an *order* at or below
+    e0 is a :class:`ParseError` at ``"order"``.
 
     The coefficient c_k of a yet-undetermined exponent enters the residual
     multiplied by the indicial factor I(d) = d*(d-1) + P_0*d + R_0 at
@@ -194,7 +195,8 @@ def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
     order = Fraction(order)
     e0, step = seed.base_exponent, seed.step
     if e0 >= order:
-        raise ValueError("requested order lies at or below the base exponent")
+        raise ParseError(f"solve order {shown(order, str)} lies at or below "
+                         f"the base exponent {shown(e0, str)}").at("order")
     vpsi = prob.psi.valuation()
     inv_order = order - e0 + 2 + 2 * abs(vpsi if vpsi != INF else 0)
     p, r = second_order_coeffs(prob, order=inv_order)

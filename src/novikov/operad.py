@@ -159,14 +159,15 @@ def validate(config: DiscConfiguration) -> tuple[bool, list[str]]:
 
 def glue(c1: DiscConfiguration, slot: int, c2: DiscConfiguration) -> DiscConfiguration:
     """Insert c2, rescaled by the slot radius and rotated by the slot
-    framing, in place of disc *slot* of c1 (slots are 1-based).
+    framing, in place of disc *slot* of c1 (slots are 1-based; any other
+    is a :class:`ParseError` at ``"slot"``).
 
     Framings of the inserted discs pick up the slot framing; at most one
     marked point may survive.  An invalid input, or a slot framing that is
     not a quarter turn, is a :class:`GlueError`.
     """
     if not 1 <= slot <= c1.arity():
-        raise IndexError(f"slot {slot} out of range 1..{c1.arity()}")
+        raise ParseError(f"slot {shown(slot, str)} out of range 1..{c1.arity()}").at("slot")
     if c1.z_point is not None and c2.z_point is not None:
         raise ZConflict("both configurations carry a marked point")
     for label, cfg in (("first", c1), ("second", c2)):
@@ -339,7 +340,8 @@ def _canonical(table: dict, den: int) -> tuple[dict, int]:
 
 def compose(phi1: GradedOperation, slot: int,
             phi2: GradedOperation) -> GradedOperation:
-    """Signed insertion of phi2 into input *slot* of phi1 (1-based).
+    """Signed insertion of phi2 into input *slot* of phi1 (1-based; any
+    other is a :class:`ParseError` at ``"slot"``).
 
     A join over the two tables: each phi2 entry meets only the phi1
     entries whose *slot* input is one of its output generators, so the
@@ -350,7 +352,7 @@ def compose(phi1: GradedOperation, slot: int,
     if phi1.space != phi2.space:
         raise ValueError("operations live on different spaces")
     if not 1 <= slot <= phi1.arity:
-        raise IndexError(f"slot {slot} out of range 1..{phi1.arity}")
+        raise ParseError(f"slot {shown(slot, str)} out of range 1..{phi1.arity}").at("slot")
     i = slot - 1
     # phi1's entries by their slot input; the sign needs only the prefix
     by_mid: dict[int, list] = {}

@@ -239,14 +239,11 @@ def relative_z2(model: CohomologyModel, gw: GWData) -> Vec:
 
 
 def relative_z2_check(model: CohomologyModel, gw: GWData) -> Report:
-    report = Report()
-    half = relative_z2(model, gw)
     if gw.z2tilde is None:
-        report.add("relative-z2", "z2~|E = (1/2)(z1 *1 M)|E", True,
-                   f"computed {vec_render(half)} (no z2~ supplied to compare)")
-        return report
+        raise ParseError("check 'relative' needs a gw block with \"z2tilde\"")
+    report = Report()
     report.residual("relative-z2", "z2~|E = (1/2)(z1 *1 M)|E",
-                    vec_sub(model.restrict(gw.z2tilde), half))
+                    vec_sub(model.restrict(gw.z2tilde), relative_z2(model, gw)))
     return report
 
 
@@ -261,7 +258,7 @@ def solve_psi_eta(model: CohomologyModel, gw: GWData,
     componentwise on a two-dimensional degree-2 basis {D, M}."""
     h2 = [n for n, d in model.degrees.items() if d == 2]
     if sorted(h2) != sorted(["D", model.m_class]):
-        raise ValueError(f"need a two-dimensional degree-2 basis, have {h2}")
+        raise ParseError(f"need a two-dimensional degree-2 basis, have {shown(h2)}")
     z1_d = vec_get(gw.z1, "D")
     # a truncated zero is an unseen leading term, which invert refuses
     if z1_d.is_zero() and z1_d.truncation == INF:
@@ -367,13 +364,14 @@ def uueq_rewrite_check(model: CohomologyModel, gw: GWData) -> Report:
     """Check that the u^2-level dictionary entry, rewritten through the
     associativity instance and the relative reduction, matches term by term.
 
-    Requires a unit class (z2 is a multiple of it) and a supplied z2~.
-    Raises PrerequisiteFailed when the feeding identities fail.
+    Requires a unit class (z2 is a multiple of it) and a supplied z2~, each
+    else a :class:`ParseError`.  Raises PrerequisiteFailed when the feeding
+    identities fail.
     """
     if model.unit is None:
-        raise ValueError("model needs a unit class to place z2")
+        raise ParseError("check 'uueq' needs a model with a \"unit\" class")
     if gw.z2tilde is None:
-        raise ValueError("the rewrite needs z2~ data")
+        raise ParseError("check 'uueq' needs a gw block with \"z2tilde\"")
     if not vanishes(wdvv_residual(gw.z1, model, gw)):
         raise PrerequisiteFailed("associativity instance fails for z1")
     z2t, half_z1m = model.restrict(gw.z2tilde), relative_z2(model, gw)

@@ -562,10 +562,11 @@ def test_each_axiom_case_is_decided_once():
 
 
 def test_failing_rational_cases_are_divided_back():
-    # a case's residual is evaluated over the product of its row families'
-    # denominators and divided back where it fails.  Here those are
-    # dP = 29393, dD = 374, dB = 2618 and dS = 102, and every identity
-    # fails, so a wrong factor in any one changes its detail
+    # a case's residual is evaluated over d or d * d, d the one denominator
+    # of all four row families, and divided back where it fails.  Here the
+    # families' own denominators are 29393, 374, 2618 and 102, so d is
+    # their lcm 1939938, and every identity fails, so a wrong factor in any
+    # one changes its detail
     base = polyvector_model(3)
     names = list(base.degrees)
     scale = {b: NovikovSeries.monomial(F(p, 2 ** i), 0)
@@ -578,9 +579,9 @@ def test_failing_rational_cases_are_divided_back():
     table[("t1", "t1x")] = vec_add(table[("t1", "t1x")], {"t1": S((0, F(1, 3)))})
     model.bracket_table = table
     bracket = {(a, b): model.bracket_row(a, b) for a in names for b in names}
-    assert [integral_rows(rows)[1] for rows in (
-        model.product_rows, model.delta_rows, bracket, model.bracket_rows)] == [
-        29393, 374, 2618, 102]
+    families = (model.product_rows, model.delta_rows, bracket, model.bracket_rows)
+    assert [integral_rows(rows)[1] for rows in families] == [29393, 374, 2618, 102]
+    assert integral_rows(*families)[1] == 1939938
     assert [(c.name, c.passed, c.detail) for c in check_bv_axioms(model).checks] == [
         ("unit", False, "e.t0: (4)*t0"),
         ("commutativity", False, "[t0,t1]: (-2/7)*t1"),

@@ -153,7 +153,6 @@ ROW_SHAPES = {
     "wdvv-misgraded": _gw(["wdvv"], {"z1": _Z1}, qpieces=_GW_Q1 + _GW_Q0_MISGRADED),
     "relative-pass": _gw(["relative"], {"z1": _Z1, "z2tilde": _Z2T}),
     "relative-fail": _gw(["relative"], {"z1": _Z1, "z2tilde": {"D": "1"}}),
-    "relative-no-z2tilde": _gw(["relative"], {"z1": _Z1}),
     "uueq-pass": _gw(["uueq"], {"z1": _Z1, "z2": {"e": "2"}, "z2tilde": _Z2T}),
     "uueq-fail": _gw(["uueq"], {"z1": _Z1, "z2tilde": _Z2T},
                      qpieces=_GW_Q1 + _GW_Q0, cup=_GW_CUP, extra=[_GW_P]),
@@ -238,8 +237,6 @@ ROW_GOLDEN = {
     ("relative-pass", "text"): "439ddc065a9fb283304b95791e9c1dd2881d7dc1df9a91b924f882e587abaf5a",
     ("relative-fail", "json"): "6024ecfd409d9a4877aa4b9b940cdb38e3d9d4e6fa73bebd374e1ebf4d5b4efd",
     ("relative-fail", "text"): "68db57f000e06e862a1ba78a652904f8b493a40b0e4bb2ef9e06b89ecce0f486",
-    ("relative-no-z2tilde", "json"): "02e3a36dd6d9354e31c0076d7ae1789ca65eebe1836f5ccaa704896ceed1977e",
-    ("relative-no-z2tilde", "text"): "e9d74de4d72c971e4b3ca43af8dd08f3d7ee442bce1adfad1fab2a36b8f3b14e",
     ("uueq-pass", "json"): "98c0d60aff2833c75d457316e716021fea7ea68977b69436d376f0fc551fade5",
     ("uueq-pass", "text"): "7fd58828d7e7860e245b430c5ba5510805b5e0398cec5e4d389bce07a66f02e1",
     ("uueq-fail", "json"): "0be338b0becead6907cf9df1f91e9821f8fcae4cd31bd81ffce0a16adf9cf31c",
@@ -405,16 +402,28 @@ def _gw_without_unit(checks, gw):
     return task
 
 
-# task inputs of the wrong shape, each refused where it is read: these
-# ended with exit 4 and the library's bare ValueError
+def _divisor_relations_with_x():
+    # a third degree-2 class, which psi-eta's two-class basis cannot take
+    task = _bundled("divisor_relations.json")
+    task["model"]["basis"].append({"name": "X", "degree": 2})
+    return task
+
+
+# task inputs of the wrong shape, each refused once, where it is read or
+# by the library function that needs it, and pointed at its field
 @pytest.mark.parametrize("payload, pointer", [
     (_seed(step="0"), "/checks/0/seed/step"),
     (_seed(coeffs=["1", "1", "1"]), "/checks/0/seed/coeffs"),
     (_ode({**_SOLVE, "order": "0"}), "/checks/0/order"),
     (_gw_without_unit(["relations", "uueq"], {"z1": _Z1, "z2tilde": _Z2T}), "/checks/1"),
     (_gw(["uueq"], {"z1": _Z1}), "/checks/0"),
+    (_gw(["relative"], {"z1": _Z1}), "/checks/0"),
+    ({"task": "bv", "checks": ["r-endomorphism"]}, "/checks/0"),
+    (_divisor_relations_with_x(), "/checks/1"),
+    ({"task": "bv", "checks": ["axioms"], "alpha": {"zz": "1"}}, "/alpha/zz"),
 ], ids=["seed-step-0", "seed-three-coeffs", "solve-order-at-base", "uueq-no-unit",
-        "uueq-no-z2tilde"])
+        "uueq-no-z2tilde", "relative-no-z2tilde", "r-endomorphism-no-k",
+        "psi-eta-three-classes", "alpha-unread-by-axioms"])
 def test_task_input_shape_error_is_parse_error_at_its_field(tmp_path, payload, pointer):
     task = tmp_path / "shape.json"
     task.write_text(json.dumps(payload))
@@ -438,6 +447,19 @@ def test_psi_eta_on_a_zero_d_component(tmp_path, trunc, code, error):
     got, text = cli.run(str(path))
     assert got == code, text
     assert text.startswith(error), text
+
+
+def test_gw_checks_run_in_entry_order(tmp_path):
+    # each entry is read and run in turn, so psi-eta's refusal of an exact
+    # zero D component of z1 comes before the malformed name after it
+    task = _bundled("divisor_relations.json")
+    task["gw"]["z1"]["D"] = "0"
+    task["checks"] = ["psi-eta", "bogus"]
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(task))
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_DOMAIN, text
+    assert text.startswith("NoSolution: "), text
 
 
 @pytest.mark.parametrize("p0, name", [

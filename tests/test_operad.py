@@ -177,8 +177,10 @@ def test_glue_rejects_invalid_input():
         glue(bad, 1, good)
     with pytest.raises(GlueError, match="second configuration invalid: disc 1"):
         glue(good, 1, bad)
-    with pytest.raises(IndexError):
+    # a slot out of range is the caller's input, refused at its field
+    with pytest.raises(ParseError, match=r"^slot 2 out of range 1\.\.1$") as info:
         glue(good, 2, good)
+    assert info.value.pointer == "/slot"
 
 
 def test_identity_marked_point_on_circle():
@@ -357,6 +359,14 @@ def test_compose_with_identity():
         assert compose(phi, 1, ident) == phi
         assert compose(phi, 2, ident) == phi
         assert compose(ident, 1, phi) == phi
+
+
+@pytest.mark.parametrize("slot", [0, 3])
+def test_compose_rejects_a_slot_out_of_range(slot):
+    phi = next(elementary_ops((0,), 2, 0))
+    with pytest.raises(ParseError, match=rf"^slot {slot} out of range 1\.\.2$") as info:
+        compose(phi, slot, GradedOperation.identity((0,)))
+    assert info.value.pointer == "/slot"
 
 
 def test_compose_scalar_tables():
