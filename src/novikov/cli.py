@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quoted
 
 from . import bv as bvmod
 from . import operad as opmod
@@ -324,13 +325,17 @@ RUNNERS = {
 
 def render_report(task: str, report: Report, output: str) -> str:
     if output == "json":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "task": task,
-            "status": "pass" if report.passed else "fail",
-            "checks": [c.to_json() for c in report.checks],
-        }
-        return json.dumps(doc, indent=2)
+        # json.dumps(doc, indent=2)'s text in one pass (with an indent it takes
+        # its pure-Python encoder), each string escaped as that encoder does
+        rows = ",".join(
+            f'\n    {{\n      "name": {quoted(c.name)},\n'
+            f'      "equation": {quoted(c.equation)},\n'
+            f'      "status": "{"pass" if c.passed else "fail"}",\n'
+            f'      "detail": {quoted(c.detail)}\n    }}' for c in report.checks)
+        checks = f"[{rows}\n  ]" if rows else "[]"
+        return (f'{{\n  "schema": {SCHEMA_VERSION},\n  "task": {quoted(task)},\n'
+                f'  "status": "{"pass" if report.passed else "fail"}",\n'
+                f'  "checks": {checks}\n}}')
     lines = []
     for c in report.checks:
         mark = "PASS" if c.passed else "FAIL"

@@ -263,7 +263,11 @@ class GradedOperation(Record):
     def from_json(cls, data, space: tuple[int, ...]) -> "GradedOperation":
         """Decode ``{arity, degree, table}`` on *space*, strictly, so that
         :func:`compose`'s join sees only tuples of ``arity`` generators of
-        the space, each at most once."""
+        the space, each at most once, and outputs naming each generator once.
+        A canonical table is read in one plain pass, any other by fields."""
+        plain = _plain_operation(data, space)
+        if plain is not None:
+            return cls(space, *plain)
         n = len(space)
 
         def generator(x) -> int:
@@ -281,7 +285,13 @@ class GradedOperation(Record):
             return key
 
         def output(out) -> dict:
-            return {generator(g): field(out, g, ratio) for g in members(out)}
+            row = {}
+            for g in members(out):
+                gen, c = generator(g), field(out, g, ratio)
+                if gen in row:
+                    raise ParseError(f"generator {gen} named twice").at(g)
+                row[gen] = c
+            return row
 
         def record(rec):
             key = field(rec, "inputs", inputs)
@@ -299,10 +309,15 @@ class GradedOperation(Record):
         as their text ``"g": "c"``, which orders them by generator name as a
         string (``"10"`` before ``"2"``): the closing quote sorts below every
         character of a name."""
-        d, rows = self.den, []
-        for key, out in sorted(self.table.items()):
-            entries = sorted([f'"{g}": "{render_ratio(n, d)}"' for g, n in out.items()])
-            rows.append(f'{{"inputs": {list(key)}, "output": {{{", ".join(entries)}}}}}')
+        d, table, rows = self.den, self.table, []
+        for key in sorted(table):
+            items = table[key].items()
+            if len(items) == 1:
+                [(g, n)] = items
+                entries = f'"{g}": "{render_ratio(n, d)}"'
+            else:
+                entries = ", ".join(sorted(f'"{g}": "{render_ratio(n, d)}"' for g, n in items))
+            rows.append(f'{{"inputs": {list(key)}, "output": {{{entries}}}}}')
         return (f'{{"arity": {self.arity}, "degree": {self.degree}, '
                 f'"table": [{", ".join(rows)}]}}')
 
@@ -313,6 +328,31 @@ class GradedOperation(Record):
                 if coeff and self.space[gen] != want:
                     return False
         return True
+
+
+def _plain_operation(data, space: tuple[int, ...]) -> tuple | None:
+    """``(arity, degree, table, den)`` of a table in canonical form (int
+    arity, degree and inputs, no inputs twice, names as ``str`` writes
+    them, coefficients that :func:`ratio` reads), else ``None``."""
+    n = len(space)
+    names, pairs = {str(g): g for g in range(n)}, {}
+    try:
+        arity, degree, records = data["arity"], data["degree"], data.get("table", [])
+        if type(arity) is not int or type(degree) is not int or type(records) is not list:
+            return None
+        for rec in records:
+            key, out = rec["inputs"], rec["output"]
+            if type(key) is not list or len(key) != arity or type(out) is not dict:
+                return None
+            for g in key:
+                if type(g) is not int or not 0 <= g < n:
+                    return None
+            if (key := tuple(key)) in pairs:
+                return None
+            pairs[key] = {names[name]: ratio(c) for name, c in out.items()}
+    except (KeyError, TypeError, ParseError):
+        return None
+    return arity, degree, *_over_one_den(pairs)
 
 
 def _over_one_den(pairs: dict) -> tuple[dict, int]:

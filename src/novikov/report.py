@@ -36,11 +36,6 @@ class CheckResult(Record):
         self.passed = passed
         self.detail = detail
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "equation": self.equation,
-                "status": "pass" if self.passed else "fail",
-                "detail": self.detail}
-
 
 class Report(Record):
     __slots__ = _fields = ("checks",)

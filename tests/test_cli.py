@@ -10,12 +10,13 @@ import time
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from novikov import bv as bvmod
 from novikov import cli
 from novikov.graded import MAX_BASIS
+from novikov.report import CheckResult, Report
 from novikov.series import MAX_SERIES_TERMS
 
 TASKS = ["riccati_chain.json", "gauss_manin.json", "mirror_suite.json",
@@ -71,6 +72,24 @@ def test_bundled_reports_match_golden_digest(name, output):
     code, text = cli.run(task_path(name), output=output)
     assert code == 0, text
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(name, output)]
+
+
+_ROWS = st.lists(st.tuples(st.text(), st.text(), st.booleans(), st.text()), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(), _ROWS)
+@example("operad", [])
+@example("gw", [("q\"uote", "back\\slash", False, "\x00\x1f\x7f \u00e9 \U0001f600 \ud7ff")])
+def test_json_report_is_the_indented_dump_of_its_document(task, rows):
+    # the JSON report is this document as json.dumps(doc, indent=2) writes it
+    report = Report([CheckResult(*row) for row in rows])
+    doc = {"schema": cli.SCHEMA_VERSION, "task": task,
+           "status": "pass" if report.passed else "fail",
+           "checks": [{"name": name, "equation": equation,
+                       "status": "pass" if passed else "fail", "detail": detail}
+                      for name, equation, passed, detail in rows]}
+    assert cli.render_report(task, report, "json") == json.dumps(doc, indent=2)
 
 
 def _s(*terms, trunc="inf"):
@@ -883,9 +902,12 @@ def _row(inputs, output="0"):
     ([{"inputs": [0], "output": [1]}], "/table/0/output"),
     ([[0]], "/table/0"),
     (5, "/table"),
+    # the last of two spellings of one generator was kept, and exit was 0
+    ([{"inputs": [0], "output": {"1": "2", "01": "3"}}], "/table/0/output/01"),
 ], ids=["too-long", "empty", "not-a-list", "input-out-of-range",
         "input-negative", "output-out-of-range", "repeated", "repeated-as-string",
-        "output-not-an-object", "record-not-an-object", "table-not-a-list"])
+        "output-not-an-object", "record-not-an-object", "table-not-a-list",
+        "generator-named-twice"])
 def test_malformed_operation_table_is_parse_error(tmp_path, table, pointer):
     phi = {"arity": 1, "degree": 0, "table": [_row([0])]}
     payload = {"task": "operad", "action": "compose", "space": [0, 0],

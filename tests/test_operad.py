@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from novikov.operad import (
     Disc,
     DiscConfiguration,
     GradedOperation,
+    _plain_operation,
     compose,
     glue,
     koszul_sign,
@@ -524,6 +526,93 @@ def test_cli_compose_detail_is_the_json_of_the_fraction_oracle(case):
     assert row.detail == json.dumps(
         {"arity": phi1.arity + phi2.arity - 1, "degree": phi1.degree + phi2.degree,
          "table": rendered}, sort_keys=True)
+
+
+# coefficient literals as task files write them: ints, "n" and "n/d" strings
+_LITERALS = st.one_of(st.integers(-10**30, 10**30), st.integers(-9, 9).map(str),
+                      st.fractions(max_denominator=50).map(str),
+                      st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@st.composite
+def operation_tables(draw, min_records=0):
+    """A space and an operation table on it in canonical form, as JSON."""
+    n = draw(st.integers(1, 4))
+    space = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    arity = draw(st.integers(1, 3))
+    gens = st.integers(0, n - 1)
+    keys = draw(st.lists(st.lists(gens, min_size=arity, max_size=arity),
+                         min_size=min_records, max_size=8, unique_by=tuple))
+    table = [{"inputs": key, "output": draw(st.dictionaries(gens.map(str), _LITERALS,
+                                                            max_size=3))} for key in keys]
+    data = {"arity": arity, "degree": draw(st.integers(-2, 2)), "table": table}
+    if not table and draw(st.booleans()):
+        del data["table"]
+    return space, data
+
+
+def decoded(data, space):
+    """from_json's operation, or its ParseError's message and pointer."""
+    try:
+        return GradedOperation.from_json(data, space)
+    except ParseError as exc:
+        return str(exc), exc.pointer
+
+
+def field_read(data, space):
+    """:func:`decoded` through the field reader alone."""
+    with mock.patch("novikov.operad._plain_operation", return_value=None):
+        return decoded(data, space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operation_tables())
+def test_plain_read_and_field_reader_agree_on_canonical_tables(case):
+    space, data = case
+    assert _plain_operation(data, space) is not None
+    op = decoded(data, space)
+    assert op == field_read(data, space)
+    assert (op.space, op.arity, op.degree) == (space, data["arity"], data["degree"])
+
+
+def _first(data, **fields):
+    """*data* with *fields* replaced in its first record."""
+    return {**data, "table": [{**data["table"][0], **fields}, *data["table"][1:]]}
+
+
+# each way out of canonical form, given the table d, the generator count n
+# and the first record's inputs k; the field reader reads a string arity or
+# generator and a "01" or "+1" name, and refuses the rest
+MUTANTS = {
+    "bool-generator": lambda d, n, k: _first(d, inputs=[True, *k[1:]]),
+    "string-generator": lambda d, n, k: _first(d, inputs=[str(g) for g in k]),
+    "generator-out-of-range": lambda d, n, k: _first(d, inputs=[*k[:-1], n]),
+    "inputs-too-long": lambda d, n, k: _first(d, inputs=[*k, 0]),
+    "inputs-object": lambda d, n, k: _first(d, inputs=dict(enumerate(k))),
+    "inputs-repeated": lambda d, n, k: {**d, "table": [*d["table"], d["table"][0]]},
+    "zero-padded-name": lambda d, n, k: _first(d, output={f"0{n - 1}": "1"}),
+    "plus-signed-name": lambda d, n, k: _first(d, output={f"+{n - 1}": "-2/3"}),
+    "name-out-of-range": lambda d, n, k: _first(d, output={str(n): "1"}),
+    "name-twice": lambda d, n, k: _first(d, output={str(n - 1): "1", f"0{n - 1}": "2"}),
+    "output-list": lambda d, n, k: _first(d, output=[1]),
+    "string-arity": lambda d, n, k: {**d, "arity": str(d["arity"])},
+    "bool-arity": lambda d, n, k: {**d, "arity": True},
+    "bool-degree": lambda d, n, k: {**d, "degree": False},
+    "no-degree": lambda d, n, k: {key: v for key, v in d.items() if key != "degree"},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(operation_tables(min_records=1), st.sampled_from(sorted(MUTANTS)))
+def test_a_table_out_of_canonical_form_gets_the_field_readers_answer(case, kind):
+    space, data = case
+    mutant = MUTANTS[kind](data, len(space), data["table"][0]["inputs"])
+    assert _plain_operation(mutant, space) is None
+    got = decoded(mutant, space)
+    assert got == field_read(mutant, space)
+    if kind == "name-twice":
+        g = len(space) - 1
+        assert got == (f"generator {g} named twice", f"/table/0/output/0{g}")
 
 
 def test_homogeneity_validation():
