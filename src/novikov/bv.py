@@ -36,11 +36,12 @@ from .graded import (
     contract,
     entry_is_zero,
     integral_rows,
-    joined,
+    index,
     linear_apply,
     mapped,
     moved,
     signed_rows,
+    sweep,
     vec_map_from_json,
 )
 from .ode import ODEProblem
@@ -87,11 +88,12 @@ class BVModel(Record):
     On first use the product, Delta and a supplied bracket compile to
     signed rows (:func:`graded.signed_rows`), cached on the instance
     outside ``==`` and ``repr``; the bracket of each ordered pair of basis
-    names becomes a row of its own (``_bracket_constants``), computed from
-    those rows, the first time it is needed.  The identity checks read the
-    rows as they are, accumulating each residual (:func:`graded.accumulate`),
-    so neither the tables, which the rows would not follow, nor the rows
-    may be mutated after first use.
+    names becomes a row of its own (``_bracket_constants``), built from
+    those rows together with the other pairs of its first factor the first
+    time one is needed.  The identity checks read the rows as they are,
+    adding each residual's terms straight from them (:func:`graded.sweep`,
+    :func:`graded.accumulate`), so neither the tables, which the rows would
+    not follow, nor the rows may be mutated after first use.
     """
 
     _fields = ("degrees", "product", "delta", "unit", "elements", "bracket_table")
@@ -108,6 +110,7 @@ class BVModel(Record):
         self.elements = {} if elements is None else elements
         self.bracket_table = bracket_table
         self._bracket_constants: dict[tuple[str, str], Row] = {}
+        self._bracketed: set[str] = set()
 
     # -- algebra -------------------------------------------------------------
 
@@ -130,19 +133,38 @@ class BVModel(Record):
         return (None if self.bracket_table is None
                 else signed_rows(self.bracket_table, self.degrees))
 
+    @cached_property
+    def product_index(self) -> dict[str, list]:
+        return index(self.product_rows)
+
     def bracket_row(self, a: str, b: str) -> Row:
-        """The bracket of the basis names a and b, computed once per model:
-        Delta(a.b) - (Delta a).b - (-1)^|a| a.(Delta b).  An entry that
-        cancels keeps its class, as the defining formula does."""
-        row = self._bracket_constants.get((a, b))
-        if row is None:
-            P, D = self.product_rows, self.delta_rows
-            odd = self.degrees[a] % 2
-            row = accumulate({}, D, P.get((a, b), {}))
-            accumulate(row, P, D.get(a, {}), b, -1)
-            accumulate(row, P, D.get(b, {}), a, 1 if odd else -1, left=True)
-            self._bracket_constants[(a, b)] = row
-        return row
+        """The bracket of the basis names a and b, computed once per model
+        (:meth:`_derive_brackets`) together with every pair ``(a, n)``, and
+        empty at a pair that no term of its formula reaches."""
+        if a not in self._bracketed:
+            self._derive_brackets((a,))
+        return self._bracket_constants.get((a, b), {})
+
+    def bracket_constants(self) -> dict[tuple[str, str], Row]:
+        """The nonempty bracket rows of all ordered pairs of basis names, by
+        pair, each built once per model."""
+        missing = [a for a in self.degrees if a not in self._bracketed]
+        if missing:
+            self._derive_brackets(missing)
+        return self._bracket_constants
+
+    def _derive_brackets(self, firsts) -> None:
+        """Cache the bracket row of each pair ``(a, b)``, a in *firsts*, that
+        a term of Delta(a.b) - (Delta a).b - (-1)^|a| a.(Delta b) reaches,
+        one :func:`graded.sweep` per term.  An entry that cancels keeps its
+        class, as the defining formula does."""
+        P, D, deg = self.product_index, self.delta_rows, self.degrees
+        mine = {(a, n): row for a in firsts for n, row in P.get(a, ())}
+        out = sweep({}, mine, index(D), lambda k, n: (k, 1))
+        sweep(out, {a: D[a] for a in firsts if a in D}, P, lambda k, n: ((k, n), -1))
+        sweep(out, D, index(mine, left=True), lambda k, n: ((n, k), -_sign(deg[n])))
+        self._bracket_constants.update(out)
+        self._bracketed.update(firsts)
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         return contract(self.product_rows, x, y)
@@ -160,10 +182,6 @@ class BVModel(Record):
                 raise KeyError(a)
         return contract({(a, b): self.bracket_row(a, b) for a in live for b in x2}, live, x2, out)
 
-    def modified_bracket(self, x1: Vec, x2: Vec) -> Vec:
-        """[x1, x2]^{-1} = [x1, x2] + (Delta x1).x2."""
-        return contract(self.product_rows, self.delta_apply(x1), x2, self.bracket(x1, x2))
-
     def element(self, name: str) -> Vec:
         if name not in self.elements:
             raise ParseError(f"model declares no element {name!r}")
@@ -171,7 +189,8 @@ class BVModel(Record):
 
     def distinguished_a(self) -> Vec:
         """The inner-derivation element: declared directly, or derived as
-        Delta(theta) - kappa from supplied bounding data, else the unit."""
+        Delta(theta) - kappa from supplied bounding data, else the unit
+        over the exact rational 1, as :func:`graded.compile_vec` gives it."""
         if "a" in self.elements:
             return self.elements["a"]
         if "theta" in self.elements:
@@ -179,7 +198,7 @@ class BVModel(Record):
             if "kappa" in self.elements:
                 a = vec_sub(a, self.elements["kappa"])
             return a
-        return self.unit_vec()
+        return {self.unit: 1}
 
     @classmethod
     def from_json(cls, data: dict) -> "BVModel":
@@ -217,19 +236,25 @@ class Connection(Record):
         self.linear = {} if linear is None else linear
 
     def apply(self, x: Vec) -> Vec:
-        # a rational coefficient is a constant, whose d_q is zero
-        return accumulate({k: s.d_q() for k, s in x.items() if isinstance(s, NovikovSeries)},
-                          self.linear, x)
+        return accumulate(_d_q(x), self.linear, x)
+
+
+def _d_q(x: Vec) -> Vec:
+    """d_q of each series coefficient of *x*; a rational coefficient is a
+    constant, whose d_q is zero."""
+    return {k: s.d_q() for k, s in x.items() if isinstance(s, NovikovSeries)}
 
 
 def nabla_c(nabla: Connection, a: Vec, c, model: BVModel) -> Connection:
     """nabla^c x = nabla x + c * a.x as a new connection, each image
-    accumulated from the product rows."""
+    accumulated from the product rows and c*a, scaled once (c an ``int``
+    when whole)."""
     c = Fraction(c)
     if c == 0 or vec_is_zero(a):
         return Connection(dict(nabla.linear))
+    ca = vec_scale(c.numerator if c.denominator == 1 else c, a)
     return Connection({name: accumulate(dict(nabla.linear.get(name, {})),
-                                        model.product_rows, a, name, c)
+                                        model.product_rows, ca, name)
                        for name in model.degrees})
 
 
@@ -240,7 +265,8 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
     graded.homogeneous(alpha, model.degrees, 1)
     live = _live(alpha)
     B = {(z, n): model.bracket_row(z, n) for z in live for n in model.degrees}
-    linear = {name: accumulate(dict(nabla.linear.get(name, {})), B, live, name, -1)
+    minus = vec_scale(-1, live)
+    linear = {name: accumulate(dict(nabla.linear.get(name, {})), B, minus, name)
               for name in model.degrees}
     return Connection(linear), accumulate(dict(a), model.delta_rows, alpha)
 
@@ -250,6 +276,12 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
 # ---------------------------------------------------------------------------
 
 
+def _sign(p: int) -> int:
+    """(-1)^p as an int for every integer p; ``(-1) ** p`` is a float
+    when p is negative."""
+    return -1 if p % 2 else 1
+
+
 def _live(x: Vec) -> Vec:
     """*x* without its zero coefficients, as the bracket reads a first factor."""
     return {k: c for k, c in x.items() if not entry_is_zero(c)}
@@ -257,13 +289,18 @@ def _live(x: Vec) -> Vec:
 
 def check_bv_axioms(model: BVModel) -> Report:
     """Each identity on basis vectors over the exact rational 1, each case's
-    residual accumulated into one vector straight from the product, bracket
-    and Delta rows (:func:`graded.accumulate`), its signs folded into the
-    row coefficients.
+    residual added into one vector straight from the product, bracket and
+    Delta rows, its signs folded into the row coefficients.
 
-    Only the cases that a term of their identity reaches are evaluated
-    (:func:`graded.joined`), in declaration order: no row adds a term to
-    any other case, so its residual is empty and never the first failure.
+    Associativity, derivation-bracket, jacobi and delta-bracket-2 are
+    evaluated in one :func:`graded.sweep` per term, over every case at
+    once: each family of rows is indexed once by the name it meets, and a
+    case exists exactly when some term adds to it.  The other identities
+    accumulate each case (:func:`graded.accumulate`) at the pairs or names
+    whose rows are nonempty.  Either way only the cases that a term of
+    their identity reaches are evaluated, in declaration order: no row adds
+    a term to any other case, so its residual is empty and never the first
+    failure.
 
     Three identities are checked once per orbit of a symmetry of their
     basis tuple, on the case whose tuple of declaration ranks is least.
@@ -278,7 +315,10 @@ def check_bv_axioms(model: BVModel) -> Report:
     So a case fails exactly when its orbit's representative does, and the
     representative comes first in declaration order: the first failing
     case, the one a row's detail names, is always a representative,
-    computed by the one formula of its identity.
+    computed by the one formula of its identity.  The jacobi sweep adds
+    each double bracket ``[a,[b,c]]`` to the representative of its orbit,
+    with the sign of each rotation of the representative that is
+    ``(a, b, c)``: all three when ``a = b = c``.
 
     The identities are evaluated in integers: the product, Delta and both
     bracket row families are put over one integer denominator ``d`` once
@@ -298,40 +338,40 @@ def check_bv_axioms(model: BVModel) -> Report:
     def ranks(t):  # sorts triples into declaration order
         return rank[t[0]], rank[t[1]], rank[t[2]]
 
+    def ranked(cases, key=ranks):
+        return ((t, cases[t]) for t in sorted(cases, key=key))
+
     deg, e = model.degrees, model.unit
     # the row families over one integer denominator, as said above
     (P, D, B, S), d = integral_rows(model.product_rows, model.delta_rows,
-                                    {pair: model.bracket_row(*pair) for pair in pairs},
-                                    model.bracket_rows or {})
-    # the bracket skips a zero coefficient of its first factor
-    live_delta = {n: _live(D.get(n, {})) for n in names}
+                                    model.bracket_constants(), model.bracket_rows or {})
+    # each family indexed once by the name a first factor meets
+    P_right, P_left, B_right, B_left = index(P), index(P, left=True), index(B), index(B, left=True)
 
-    def derivation(n1, n2, n3):
-        out = accumulate({}, B, P.get((n2, n3), {}), n1, left=True)
-        accumulate(out, P, B[(n1, n2)], n3, -1)
-        return accumulate(out, P, B[(n1, n3)], n2,
-                          -(-1) ** ((deg[n1] + 1) * deg[n2]), left=True)
-
-    def jacobi(n1, n2, n3):
-        d1, d2, d3, out = deg[n1], deg[n2], deg[n3], {}
-        for a, b, c, sign in ((n1, n2, n3, d1), (n2, n3, n1, d1 * (d2 + d3) + d2),
-                              (n3, n1, n2, d3 * (d1 + d2 + 1))):
-            accumulate(out, B, B[(b, c)], a, (-1) ** sign, left=True)
-        return out
+    def jacobi(k, n):
+        # [n,[b,c]] enters the sum at the orbit's least rotation r once per
+        # rotation of r equal to (n, b, c), with that rotation's sign; i is
+        # the rotation of r that (n, b, c) is
+        b, c = k
+        x, y, z = rank[n], rank[b], rank[c]
+        i, r = min(((x, y, z), 0, (n, b, c)), ((y, z, x), 2, (b, c, n)),
+                   ((z, x, y), 1, (c, n, b)))[1:]
+        d1, d2, d3 = deg[r[0]], deg[r[1]], deg[r[2]]
+        signs = _sign(d1), _sign(d1 * (d2 + d3) + d2), _sign(d3 * (d1 + d2 + 1))
+        return r, sum(signs) if n == b == c else signs[i]
 
     report.identity("unit", "e.x = x",
                     (((n,), accumulate({n: -d}, P, {e: 1}, n)) for n in names), "e.{}", d)
 
     report.identity("commutativity", "x1.x2 = (-1)^(|x1||x2|) x2.x1",
                     (((n1, n2), accumulate(accumulate({}, P, {n1: 1}, n2), P,
-                                           {n2: -(-1) ** (deg[n1] * deg[n2])}, n1))
+                                           {n2: -_sign(deg[n1] * deg[n2])}, n1))
                      for n1, n2 in swaps if (n1, n2) in P or (n2, n1) in P), "[{},{}]", d)
 
-    reached = joined(P, P) | joined(P, P, left=True)
+    cases = sweep({}, P, P_right, lambda k, n: ((*k, n), 1))
+    sweep(cases, P, P_left, lambda k, n: ((n, *k), -1))
     report.identity("associativity", "(x1.x2).x3 = x1.(x2.x3)",
-                    (((n1, n2, n3), accumulate(accumulate({}, P, P.get((n1, n2), {}), n3),
-                                               P, P.get((n2, n3), {}), n1, -1, left=True))
-                     for n1, n2, n3 in sorted(reached, key=ranks)), "({}.{}).{}", d * d)
+                    ranked(cases), "({}.{}).{}", d * d)
 
     report.residual("delta-e", "Delta e = 0", model.delta_rows.get(e, {}))
 
@@ -344,66 +384,65 @@ def check_bv_axioms(model: BVModel) -> Report:
         report.identity("delta-bracket",
                         "[x1,x2] = Delta(x1.x2) - (Delta x1).x2 - (-1)^|x1| x1.Delta x2",
                         (((n1, n2), accumulate(accumulate({}, S, {n1: 1}, n2), B, {n1: -1}, n2))
-                         for n1, n2 in pairs if (n1, n2) in S or B[(n1, n2)]),
+                         for n1, n2 in pairs if (n1, n2) in S or (n1, n2) in B),
                         "[{},{}]", d)
 
     report.identity("antisymmetry", "[x2,x1] = (-1)^(|x1||x2|) [x1,x2]",
                     (((n1, n2), accumulate(accumulate({}, B, {n2: 1}, n1),
-                                           B, {n1: -(-1) ** (deg[n1] * deg[n2])}, n2))
-                     for n1, n2 in swaps if B[(n1, n2)] or B[(n2, n1)]), "[{1},{0}]", d)
+                                           B, {n1: -_sign(deg[n1] * deg[n2])}, n2))
+                     for n1, n2 in swaps if (n1, n2) in B or (n2, n1) in B), "[{1},{0}]", d)
 
-    reached = (joined(P, B, left=True) | joined(B, P)
-               | {(n1, n2, n3) for n2, n1, n3 in joined(B, P, left=True)})
+    # [x1,x2.x3] - [x1,x2].x3 - (-1)^((|x1|+1)|x2|) x2.[x1,x3]
+    cases = sweep({}, P, B_left, lambda k, n: ((n, *k), 1))
+    sweep(cases, B, P_right, lambda k, n: ((*k, n), -1))
+    sweep(cases, B, P_left, lambda k, n: ((k[0], n, k[1]), -_sign((deg[k[0]] + 1) * deg[n])))
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
-                    ((t, derivation(*t)) for t in sorted(reached, key=ranks)),
-                    "[{},{}.{}]", d * d)
+                    ranked(cases), "[{},{}.{}]", d * d)
 
-    # a term [a,[b,c]] reaches the orbit of (a, b, c), checked at its least rotation
-    reached = {min(((a, b, c), (b, c, a), (c, a, b)), key=ranks)
-               for a, b, c in joined(B, B, left=True)}
     report.identity("jacobi", "signed cyclic sum of [x1,[x2,x3]] = 0",
-                    ((t, jacobi(*t)) for t in sorted(reached, key=ranks)),
-                    "jacobi({},{},{})", d * d)
+                    ranked(sweep({}, B, B_left, jacobi)), "jacobi({},{},{})", d * d)
 
     report.identity("e-is-ideal", "[e,x] = 0",
-                    (((n,), B[(e, n)]) for n in names if B[(e, n)]), "[e,{}]", d)
+                    (((n,), B[(e, n)]) for n in names if (e, n) in B), "[e,{}]", d)
 
-    reached = mapped(B, D) | joined(live_delta, B) | joined(D, B, left=True)
+    # Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2]; the bracket
+    # skips a zero coefficient of its first factor
+    cases = sweep({}, B, index(D), lambda k, n: (k, 1))
+    sweep(cases, {n: _live(row) for n, row in D.items()}, B_right, lambda k, n: ((k, n), 1))
+    sweep(cases, D, B_left, lambda k, n: ((n, k), _sign(deg[n])))
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
-                    (((n1, n2), accumulate(accumulate(accumulate({}, D, B[(n1, n2)]),
-                                                      B, live_delta[n1], n2),
-                                           B, D.get(n2, {}), n1, (-1) ** deg[n1], left=True))
-                     for n1, n2 in pairs if (n1, n2) in reached), "({},{})", d * d)
+                    ranked(cases, lambda t: (rank[t[0]], rank[t[1]])), "({},{})", d * d)
     return report
 
 
 def check_leibniz(nabla: Connection, model: BVModel) -> Report:
-    """Both Leibniz rules on basis vectors, each case accumulated from the
-    product and bracket rows and from nabla's image of each basis name,
-    which is nabla of that name over the exact rational 1.  Only the cases
-    that a term reaches are evaluated, as in :func:`check_bv_axioms`.  A
-    bracket row is built only at a pair its formula reaches, and only if a
-    row has a series entry or nabla a linear part; else none is reached."""
+    """Both Leibniz rules on basis vectors, each term swept over the cases
+    it reaches as in :func:`check_bv_axioms`, from the product and bracket
+    rows and from nabla's image of each basis name, which is nabla of that
+    name over the exact rational 1.  The bracket rows are built only if a
+    row has a series entry or nabla a linear part; else no case is reached."""
     report = Report()
     P, D, L = model.product_rows, model.delta_rows, nabla.linear
-    built = (mapped(P, D) | joined(D, P) | joined(D, P, left=True)
-             if moved(P) or moved(D) or any(L.values()) else ())
-    B = {pair: model.bracket_row(*pair) for pair in built}
+    B = model.bracket_constants() if moved(P) or moved(D) or any(L.values()) else {}
+    rank = {n: i for i, n in enumerate(model.degrees)}
+
+    def ranks(t):  # sorts pairs into declaration order
+        return rank[t[0]], rank[t[1]]
+
     for name, equation, rows, first in (
             ("nabla-product", "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)", P, L),
             ("nabla-bracket", "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]", B,
              {n: _live(row) for n, row in L.items()})):
-        # the terms nabla(row) (d_q moves a series entry), (nabla x1).x2 and x1.(nabla x2)
-        reached = moved(rows) | mapped(rows, L) | joined(first, rows) | joined(L, rows, left=True)
-        report.identity(name, equation,
-                        (((n1, n2),
-                          accumulate(accumulate(nabla.apply(rows.get((n1, n2), {})),
-                                                rows, first.get(n1, {}), n2, -1),
-                                     rows, L.get(n2, {}), n1, -1, left=True))
-                         for n1 in model.degrees for n2 in model.degrees
-                         if (n1, n2) in reached), "({},{})")
+        # nabla(row): d_q moves a series entry, and the linear part maps the row
+        cases = {k: _d_q(rows[k]) for k in moved(rows)}
+        sweep(cases, rows, index(L), lambda k, n: (k, 1))
+        # - (nabla x1).x2 - x1.(nabla x2)
+        sweep(cases, first, index(rows), lambda k, n: ((k, n), -1))
+        sweep(cases, L, index(rows, left=True), lambda k, n: ((n, k), -1))
+        report.identity(name, equation, ((t, cases[t]) for t in sorted(cases, key=ranks)),
+                        "({},{})")
     return report
 
 

@@ -18,9 +18,11 @@ exact ``q^0`` constants as an ``int`` or ``Fraction``, or other series as
 themselves, exact zeros dropped.  Both kinds multiply and add with
 Python's operators (a series operator takes a rational as the exact
 constant) with exactly the results of series arithmetic, so a product
-meets a series only where the table has one.  :func:`accumulate`, the
-one kernel, adds a product or a linear image into a caller's vector;
-:func:`joined` and :func:`mapped` find, without adding, where it would,
+meets a series only where the table has one.  :func:`accumulate` adds
+a product or a linear image into a caller's vector; :func:`sweep` adds
+every product of a family of vectors with rows :func:`index` has keyed
+by the name they meet, one vector per case it reaches, in one pass.
+:func:`mapped` finds, without adding, where a linear image would add,
 and :func:`moved` where d_q would.
 
 The Koszul signs are taken from the declared degrees, so a decoded table
@@ -174,7 +176,7 @@ def vec_map_of_declared(data, degrees: dict[str, int], shift: int) -> dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# compiled rows and the two kernels
+# compiled rows and the kernels
 # ---------------------------------------------------------------------------
 
 
@@ -267,22 +269,45 @@ def linear_apply(images: dict[str, Row], x: Vec) -> Vec:
     return accumulate({}, images, x)
 
 
-def joined(first: dict, rows: dict, left: bool = False) -> set:
-    """The cases that ``accumulate(out, rows, first[k], n, left=left)`` adds
-    to, each the tuple ``(*k, n)`` (``(n, *k)`` when *left*; a name key k
-    counts as ``(k,)``): those where some name ``z`` of ``first[k]`` has a
-    nonempty row at ``(z, n)`` (``(n, z)``).  A sparse join (Gustavson):
-    *rows* is indexed by ``z`` once, so each name meets only its own rows;
-    an empty *first* reaches nothing, and nothing is indexed."""
-    if not first:
-        return set()
-    after: dict[str, list[str]] = {}
-    for (a, b), row in rows.items():
+def index(rows: dict, left: bool = False) -> dict[str, list]:
+    """The nonempty rows of *rows* by the name a first factor's entry meets:
+    ``z -> [(n, row), ...]`` for the row of each pair ``(z, n)`` (``(n, z)``
+    when *left*), or ``z -> [(None, row)]`` for the image of a name ``z``
+    (a linear map)."""
+    after: dict[str, list] = {}
+    for key, row in rows.items():
         if row:
-            after.setdefault(b if left else a, []).append(a if left else b)
-    keyed = ((k if isinstance(k, tuple) else (k,), x) for k, x in first.items())
-    return {(n, *k) if left else (*k, n)
-            for k, x in keyed for z in x for n in after.get(z, ())}
+            if key.__class__ is tuple:
+                z, n = (key[1], key[0]) if left else key
+            else:
+                z, n = key, None
+            after.setdefault(z, []).append((n, row))
+    return after
+
+
+def sweep(out: dict, first: dict, after: dict, case) -> dict:
+    """Every product of a family of vectors with indexed rows, added into
+    the vectors of *out* case by case, in one pass over *first* (Gustavson's
+    row-by-row sparse product): for each entry ``c`` on ``z`` of each
+    ``first[k]`` and each ``(n, row)`` of ``after[z]`` (:func:`index`), with
+    ``key, f = case(k, n)``, ``out[key] += (c*f) * row``, as
+    :func:`accumulate` adds it.  A case's vector is made by the first
+    product added to it, so *out* holds exactly the cases some product
+    reaches; a case that several ``(k, n)`` reach sums their products."""
+    for k, x in first.items():
+        for z, c in x.items():
+            hits = after.get(z)
+            if hits:
+                for n, row in hits:
+                    key, f = case(k, n)
+                    o = out.get(key)
+                    if o is None:
+                        o = out[key] = {}
+                    c_f = c if f == 1 else c * f
+                    for w, v in row.items():
+                        v = c_f * v
+                        o[w] = o[w] + v if w in o else v
+    return out
 
 
 def moved(rows: dict) -> set:

@@ -61,7 +61,9 @@ class Report(Record):
                  label: str | None = None, den: int = 1) -> CheckResult:
         """One row for an identity over (key, residual) cases: it passes
         when every residual vanishes, and its detail names the first case
-        that does not.  No case after that one is evaluated.  The case is
+        that does not.  No case after that one is decided (a lazy *cases*
+        is not evaluated past it; a swept identity's residuals all exist
+        before deciding starts).  The case is
         named by its key, or with a *label* format by ``label.format(*key)``,
         so only a failing case's label is ever built.  Each residual,
         a vector, may be *den* times the true one for a nonzero integer

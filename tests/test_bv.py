@@ -35,9 +35,11 @@ from novikov.bv import (
 from novikov.graded import (
     accumulate,
     contract,
+    index,
     integral_rows,
     linear_apply,
     signed_rows,
+    sweep,
     vec_add,
     vec_get,
     vec_is_zero,
@@ -157,6 +159,26 @@ def test_contract_over_signed_rows_matches_table_oracle(case):
     assert vec_render(got) == vec_render(want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(tables_and_vectors(), st.integers(min_value=-2, max_value=2), st.booleans())
+def test_sweep_adds_each_case_as_accumulate_does(case, f, left):
+    # one pass adds the product of every first vector with every row it
+    # meets; a case that no product reaches is absent, and accumulate
+    # leaves it empty
+    table, degrees, x, y = case
+    rows = signed_rows(table, degrees)
+    # a name with no row has an empty image, which reaches nothing
+    images = {a: {} for a in degrees} | {a: row for (a, _), row in rows.items()}
+    first = {"x": x, "y": y}
+    want = {(k, n): accumulate({}, rows, v, n, f, left)
+            for k, v in first.items() for n in degrees}
+    assert sweep({}, first, index(rows, left), lambda k, n: ((k, n), f)) == {
+        key: v for key, v in want.items() if v}
+    want = {k: accumulate({}, images, v, scale=f) for k, v in first.items()}
+    assert sweep({}, first, index(images), lambda k, n: (k, f)) == {
+        k: v for k, v in want.items() if v}
+
+
 @settings(max_examples=60, deadline=None)
 @given(tables_and_vectors(), st.integers(min_value=-2, max_value=2))
 def test_vector_helpers_and_kernels_leave_their_inputs_as_they_were(case, f):
@@ -170,6 +192,7 @@ def test_vector_helpers_and_kernels_leave_their_inputs_as_they_were(case, f):
     for a in degrees:
         accumulate({}, rows, x, a, f)
         accumulate(dict(x), rows, y, a, y[next(iter(y))], left=True)
+    sweep({}, {"x": x, "y": y}, index(rows, left=True), lambda k, n: ((k, n), f))
     vec_add(x, y, x)
     vec_sub(x, y)
     vec_scale(f, y)
@@ -610,11 +633,44 @@ def test_truncated_zero_first_factor_matches_oracle():
                           decided(oracle_leibniz, nabla, model))
 
 
+def test_jacobi_sums_every_rotation_equal_to_its_triple():
+    # with Delta t0 = t0, [t0,[t0,t0]] = 1*t0 and the three rotations of
+    # (t0,t0,t0) are the one triple, so its residual sums all three signs
+    model = polyvector_model(2)
+    model.delta["t0"] = {"t0": ONE}
+    got = decided(check_bv_axioms, model)
+    assert ("jacobi", "jacobi(t0,t0,t0)", {"t0": S((0, 3))}) in got[1]
+    assert ("jacobi", False, "jacobi(t0,t0,t0): (3)*t0") in got[0]
+    assert_matches_oracle(got, at_representatives(decided(oracle_bv_axioms, model), model))
+
+
+def test_a_negative_degree_signs_as_its_parity():
+    # every sign is (-1)^p for an integer p, which depends on p mod 2 only,
+    # so a class of degree -1 checks as one of degree 1 or 3; the sign
+    # (-1) ** p is the float -1.0 at p = -1, which no entry may become
+    def model(h):
+        names = {"e": 0, "h": h, "g": 0, "k": 1}
+        product = {("e", n): {n: ONE} for n in names}
+        product.update({("e", "h"): {"g": S((0, F(1, 3)))}, ("h", "k"): {"g": S((0, F(1, 2)))},
+                        ("g", "k"): {"h": ONE}})
+        return BVModel(degrees=names, product=product, delta={"k": {"k": 3 * ONE}}, unit="e")
+
+    report = check_bv_axioms(model(-1))
+    assert report == check_bv_axioms(model(1)) == check_bv_axioms(model(3))
+    assert ("jacobi", "jacobi(h,k,k): (9)*h") in failures(report)
+    assert check_leibniz(Connection({"k": {"h": ONE}}), model(-1)) == check_leibniz(
+        Connection({"k": {"h": ONE}}), model(1))
+
+
 def test_checks_evaluate_only_the_cases_a_row_reaches():
-    _, cases = decided(check_bv_axioms, polyvector_model(4))
-    evaluated = Counter(name for name, _, _ in cases)
-    # of the 8^3 = 512 basis triples each
-    assert (evaluated["associativity"], evaluated["derivation-bracket"]) == (80, 114)
+    # the cases each identity reaches; associativity's 80 and
+    # derivation-bracket's 114 are of the 8^3 = 512 basis triples each
+    for model, counts in ((polyvector_model(4), (8, 16, 80, 14, 114, 26, 3, 9)),
+                          (polyvector_model_with_k(2), (8, 14, 64, 9, 72, 16, 2, 6))):
+        _, cases = decided(check_bv_axioms, model)
+        assert Counter(name for name, _, _ in cases) == dict(zip(
+            ("unit", "commutativity", "associativity", "antisymmetry",
+             "derivation-bracket", "jacobi", "e-is-ideal", "delta-bracket-2"), counts))
     # constant rows and no linear part: nabla moves no row, and no bracket
     # row is built to find that out
     model = polyvector_model(8)
@@ -868,7 +924,9 @@ def test_bracket_constants_fill_lazily_and_stay_out_of_the_model():
     model, fresh = polyvector_model(3), polyvector_model(3)
     shown = repr(model)
     model.bracket(model.basis_vec("t1x"), model.basis_vec("t1"))
-    assert list(model._bracket_constants) == [("t1x", "t1")]
+    # the rows of the first factor t1x are built together, and no other
+    assert {a for a, _ in model._bracket_constants} == {"t1x"}
+    assert model._bracket_constants[("t1x", "t1")] == {"t2": 1}
     assert model == fresh
     assert repr(model) == shown == repr(fresh)
 
@@ -881,6 +939,12 @@ def test_bracket_name_without_degree():
     assert model.bracket({"nope": NovikovSeries.zero(3)}, model.basis_vec("t1")) == {}
 
 
+def modified_bracket(model, x1, x2):
+    """[x1, x2]^{-1} = [x1, x2] + (Delta x1).x2, the modified bracket the
+    rotation endomorphism's second form reads."""
+    return vec_add(model.bracket(x1, x2), model.mul(model.delta_apply(x1), x2))
+
+
 def test_modified_bracket_examples():
     model = polyvector_model(4)
     tx, t = model.basis_vec("t1x"), model.basis_vec("t1")
@@ -888,11 +952,11 @@ def test_modified_bracket_examples():
     plain = model.bracket(tx, t)
     assert vec_is_zero(vec_sub(plain, {"t2": ONE}))
     # [tx, t]^{-1} = [tx, t] + Delta(tx).t = t^2 + t^2
-    mod = model.modified_bracket(tx, t)
+    mod = modified_bracket(model, tx, t)
     assert vec_is_zero(vec_sub(mod, {"t2": 2 * ONE}))
     # with Delta x1 = 0 both brackets agree
     x1 = model.basis_vec("t2")
-    assert vec_is_zero(vec_sub(model.modified_bracket(x1, tx),
+    assert vec_is_zero(vec_sub(modified_bracket(model, x1, tx),
                                model.bracket(x1, tx)))
 
 
@@ -904,8 +968,8 @@ def test_modified_bracket_commutes_with_delta():
         sign = (-1) ** model.degrees[n1]
         for n2 in model.degrees:
             x2 = model.basis_vec(n2)
-            lhs = model.modified_bracket(x1, model.delta_apply(x2))
-            rhs = vec_scale(-sign, model.delta_apply(model.modified_bracket(x1, x2)))
+            lhs = modified_bracket(model, x1, model.delta_apply(x2))
+            rhs = vec_scale(-sign, model.delta_apply(modified_bracket(model, x1, x2)))
             assert vec_is_zero(vec_sub(lhs, rhs)), (n1, n2)
 
 
@@ -1077,7 +1141,7 @@ def test_r_endomorphism_defect():
     assert not by_name["delta-k"].passed
     assert not by_name["r-two-forms"].passed
     x = model.basis_vec("t1")
-    diff = vec_sub(model.modified_bracket(model.elements["k"], x),
+    diff = vec_sub(modified_bracket(model, model.elements["k"], x),
                    model.bracket(model.elements["k"], x))
     dk = model.delta_apply(model.elements["k"])
     assert vec_is_zero(vec_sub(diff, model.mul(dk, x)))
