@@ -38,7 +38,6 @@ from .graded import (
     integral_rows,
     index,
     linear_apply,
-    mapped,
     moved,
     signed_rows,
     sweep,
@@ -88,10 +87,10 @@ class BVModel(Record):
     On first use the product, Delta and a supplied bracket compile to
     signed rows (:func:`graded.signed_rows`), cached on the instance
     outside ``==`` and ``repr``; the bracket of each ordered pair of basis
-    names becomes a row of its own (``_bracket_constants``), built from
-    those rows together with the other pairs of its first factor the first
-    time one is needed.  The identity checks read the rows as they are,
-    adding each residual's terms straight from them (:func:`graded.sweep`,
+    names becomes a row of its own (:meth:`brackets_of`), built from those
+    rows together with the other pairs of its first factor the first time
+    one is needed.  The identity checks read the rows as they are, adding
+    each residual's terms straight from them (:func:`graded.sweep`,
     :func:`graded.accumulate`), so neither the tables, which the rows would
     not follow, nor the rows may be mutated after first use.
     """
@@ -137,21 +136,16 @@ class BVModel(Record):
     def product_index(self) -> dict[str, list]:
         return index(self.product_rows)
 
-    def bracket_row(self, a: str, b: str) -> Row:
-        """The bracket of the basis names a and b, computed once per model
-        (:meth:`_derive_brackets`) together with every pair ``(a, n)``, and
-        empty at a pair that no term of its formula reaches."""
-        if a not in self._bracketed:
-            self._derive_brackets((a,))
-        return self._bracket_constants.get((a, b), {})
-
-    def bracket_constants(self) -> dict[tuple[str, str], Row]:
-        """The nonempty bracket rows of all ordered pairs of basis names, by
-        pair, each built once per model."""
-        missing = [a for a in self.degrees if a not in self._bracketed]
+    def brackets_of(self, firsts) -> dict[tuple[str, str], Row]:
+        """The bracket rows of the pairs ``(a, b)``, a in *firsts* and b a
+        basis name, by pair, each built once per model (:meth:`_derive_brackets`)
+        with every pair of its first factor; a pair that no term of its
+        formula reaches has no row."""
+        missing = [a for a in firsts if a not in self._bracketed]
         if missing:
             self._derive_brackets(missing)
-        return self._bracket_constants
+        rows = self._bracket_constants
+        return {(a, b): rows[(a, b)] for a in firsts for b in self.degrees if (a, b) in rows}
 
     def _derive_brackets(self, firsts) -> None:
         """Cache the bracket row of each pair ``(a, b)``, a in *firsts*, that
@@ -172,15 +166,15 @@ class BVModel(Record):
     def delta_apply(self, x: Vec) -> Vec:
         return linear_apply(self.delta_rows, x)
 
-    def bracket(self, x1: Vec, x2: Vec, out: Vec | None = None) -> Vec:
+    def bracket(self, x1: Vec, x2: Vec) -> Vec:
         """The derived bracket, extended bilinearly from the rows that
-        :meth:`bracket_row` builds, added into *out* when given.  A zero
-        coefficient of *x1* is skipped before its name is looked up."""
+        :meth:`brackets_of` builds.  A zero coefficient of *x1* is skipped
+        before its name is looked up."""
         live = _live(x1)
         for a in live:
             if a not in self.degrees:
                 raise KeyError(a)
-        return contract({(a, b): self.bracket_row(a, b) for a in live for b in x2}, live, x2, out)
+        return contract(self.brackets_of(live), live, x2)
 
     def element(self, name: str) -> Vec:
         if name not in self.elements:
@@ -246,29 +240,27 @@ def _d_q(x: Vec) -> Vec:
 
 
 def nabla_c(nabla: Connection, a: Vec, c, model: BVModel) -> Connection:
-    """nabla^c x = nabla x + c * a.x as a new connection, each image
-    accumulated from the product rows and c*a, scaled once (c an ``int``
-    when whole)."""
+    """nabla^c x = nabla x + c * a.x as a new connection, its images added
+    in one :func:`graded.sweep` of a over the product rows with the factor
+    c (an ``int`` when whole)."""
     c = Fraction(c)
     if c == 0 or vec_is_zero(a):
         return Connection(dict(nabla.linear))
-    ca = vec_scale(c.numerator if c.denominator == 1 else c, a)
-    return Connection({name: accumulate(dict(nabla.linear.get(name, {})),
-                                        model.product_rows, ca, name)
-                       for name in model.degrees})
+    f = c.numerator if c.denominator == 1 else c
+    images = {n: dict(nabla.linear.get(n, {})) for n in model.degrees}
+    return Connection(sweep(images, {None: a}, model.product_index, lambda k, n: (n, f)))
 
 
 def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
                  model: BVModel) -> tuple[Connection, Vec]:
-    """nabla~ x = nabla x - [alpha, x];  a~ = a + Delta(alpha).  An alpha
+    """nabla~ x = nabla x - [alpha, x];  a~ = a + Delta(alpha), nabla~ swept
+    from alpha's nonzero coefficients over their bracket rows.  An alpha
     outside degree 1 is a :class:`ParseError` (:func:`graded.homogeneous`)."""
     graded.homogeneous(alpha, model.degrees, 1)
     live = _live(alpha)
-    B = {(z, n): model.bracket_row(z, n) for z in live for n in model.degrees}
-    minus = vec_scale(-1, live)
-    linear = {name: accumulate(dict(nabla.linear.get(name, {})), B, minus, name)
-              for name in model.degrees}
-    return Connection(linear), accumulate(dict(a), model.delta_rows, alpha)
+    images = {n: dict(nabla.linear.get(n, {})) for n in model.degrees}
+    sweep(images, {None: live}, index(model.brackets_of(live)), lambda k, n: (n, -1))
+    return Connection(images), accumulate(dict(a), model.delta_rows, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +284,15 @@ def check_bv_axioms(model: BVModel) -> Report:
     residual added into one vector straight from the product, bracket and
     Delta rows, its signs folded into the row coefficients.
 
-    Associativity, derivation-bracket, jacobi and delta-bracket-2 are
-    evaluated in one :func:`graded.sweep` per term, over every case at
-    once: each family of rows is indexed once by the name it meets, and a
-    case exists exactly when some term adds to it.  The other identities
-    accumulate each case (:func:`graded.accumulate`) at the pairs or names
-    whose rows are nonempty.  Either way only the cases that a term of
-    their identity reaches are evaluated, in declaration order: no row adds
-    a term to any other case, so its residual is empty and never the first
-    failure.
+    An identity that multiplies two row families (associativity,
+    delta-squared, derivation-bracket, jacobi, delta-bracket-2) is one
+    :func:`graded.sweep` per term over every case at once: each family is
+    indexed once by the name it meets, and a case exists exactly when some
+    term adds to it.  An identity linear in the rows reads each case's own
+    rows (:func:`graded.accumulate`) at the pairs whose rows are nonempty.
+    Either way only the cases that a term reaches are decided, in
+    declaration order: no row adds a term to any other case, so its
+    residual is empty and never the first failure.
 
     Three identities are checked once per orbit of a symmetry of their
     basis tuple, on the case whose tuple of declaration ranks is least.
@@ -344,7 +336,7 @@ def check_bv_axioms(model: BVModel) -> Report:
     deg, e = model.degrees, model.unit
     # the row families over one integer denominator, as said above
     (P, D, B, S), d = integral_rows(model.product_rows, model.delta_rows,
-                                    model.bracket_constants(), model.bracket_rows or {})
+                                    model.brackets_of(names), model.bracket_rows or {})
     # each family indexed once by the name a first factor meets
     P_right, P_left, B_right, B_left = index(P), index(P, left=True), index(B), index(B, left=True)
 
@@ -375,10 +367,9 @@ def check_bv_axioms(model: BVModel) -> Report:
 
     report.residual("delta-e", "Delta e = 0", model.delta_rows.get(e, {}))
 
-    reached = mapped(D, D)
+    cases = sweep({}, D, index(D), lambda k, n: (k, 1))
     report.identity("delta-squared", "Delta Delta x = 0",
-                    (((n,), accumulate({}, D, D[n])) for n in names if n in reached),
-                    "Delta^2 {}", d * d)
+                    (((n,), cases[n]) for n in names if n in cases), "Delta^2 {}", d * d)
 
     if model.bracket_table is not None:
         report.identity("delta-bracket",
@@ -425,7 +416,7 @@ def check_leibniz(nabla: Connection, model: BVModel) -> Report:
     row has a series entry or nabla a linear part; else no case is reached."""
     report = Report()
     P, D, L = model.product_rows, model.delta_rows, nabla.linear
-    B = model.bracket_constants() if moved(P) or moved(D) or any(L.values()) else {}
+    B = model.brackets_of(model.degrees) if moved(P) or moved(D) or any(L.values()) else {}
     rank = {n: i for i, n in enumerate(model.degrees)}
 
     def ranks(t):  # sorts pairs into declaration order
@@ -446,49 +437,51 @@ def check_leibniz(nabla: Connection, model: BVModel) -> Report:
     return report
 
 
-def delta_nabla_residual(nabla: Connection, a: Vec, x: Vec, model: BVModel) -> Vec:
-    """nabla(Delta x) - Delta(nabla x) + [a, x]; zero when the connection
-    satisfies the inner-derivation relation."""
-    out = accumulate(nabla.apply(model.delta_apply(x)), model.delta_rows,
-                     nabla.apply(x), scale=-1)
-    return model.bracket(a, x, out)
-
-
-def _delta_nabla_cases(nabla: Connection, a: Vec, model: BVModel):
-    """``(n, delta_nabla_residual)`` at each basis name n that a term reaches,
-    in declaration order: a Delta row that d_q moves or that nabla's linear
-    part meets, and each n with a nonempty bracket row (z, n), z in a."""
+def _commutators(nabla: Connection, model: BVModel) -> dict[str, Vec]:
+    """nabla(Delta n) - Delta(nabla n) at each basis name n that a term
+    reaches, one :func:`graded.sweep` per term: d_q moves a Delta row's
+    series entries, nabla's linear part maps each Delta row, and Delta
+    maps each image of the linear part."""
     D, L = model.delta_rows, nabla.linear
-    reached = moved(D) | mapped(D, L) | mapped(L, D) | {
-        n for z in _live(a) for n in model.degrees if model.bracket_row(z, n)}
-    return ((n, delta_nabla_residual(nabla, a, {n: 1}, model))
-            for n in model.degrees if n in reached)
+    cases = {n: _d_q(D[n]) for n in moved(D)}
+    sweep(cases, D, index(L), lambda k, n: (k, 1))
+    return sweep(cases, L, index(D), lambda k, n: (k, -1))
+
+
+def _in_order(cases: dict, model: BVModel):
+    """The cases of a connection row, by basis name in declaration order."""
+    return ((n, cases[n]) for n in model.degrees if n in cases)
 
 
 def check_delta_nabla(nabla: Connection, a: Vec, model: BVModel) -> Report:
-    """:func:`delta_nabla_residual` at each name a term reaches (:func:`_delta_nabla_cases`)."""
+    """nabla(Delta x) - Delta(nabla x) + [a,x] on each basis name x that a
+    term reaches: the :func:`_commutators`, with [a,x] added in one sweep
+    of a's nonzero coefficients over their bracket rows, the only ones built."""
+    live = _live(a)
+    cases = sweep(_commutators(nabla, model), {None: live}, index(model.brackets_of(live)),
+                  lambda k, n: (n, 1))
     report = Report()
     report.identity("delta-nabla", "nabla(Delta x) = Delta(nabla x) - [a,x]",
-                    _delta_nabla_cases(nabla, a, model))
+                    _in_order(cases, model))
     return report
 
 
 def check_minus1_delta(minus1: Connection, a: Vec, model: BVModel) -> Report:
     """nabla^{-1} Delta - Delta nabla^{-1} = (Delta a) . x, hence zero whenever
     Delta a = 0, *minus1* being nabla^{-1}.  Assumes the delta-nabla relation
-    holds.  Both rows read the commutators, :func:`_delta_nabla_cases` at
-    a = 0; the first also evaluates each n with a product row (z, n), z in Delta a."""
+    holds.  Both rows read the :func:`_commutators` of *minus1*; the first
+    adds -(Delta a).x into copies of them, one sweep over the product rows."""
     report = Report()
-    P, da = model.product_rows, model.delta_apply(a)
-    commutators = dict(_delta_nabla_cases(minus1, {}, model))
+    commutators, da = _commutators(minus1, model), model.delta_apply(a)
+    cases = sweep({n: dict(c) for n, c in commutators.items()}, {None: da},
+                  model.product_index, lambda k, n: (n, -1))
     report.identity("minus1-delta-commutator",
                     "nabla^{-1}(Delta x) - Delta(nabla^{-1} x) = (Delta a).x",
-                    ((n, accumulate(dict(commutators.get(n, {})), P, da, n, -1))
-                     for n in model.degrees if n in commutators or any((z, n) in P for z in da)))
+                    _in_order(cases, model))
     if vec_is_zero(da):
         report.identity("minus1-delta-compatible",
                         "Delta a = 0 => nabla^{-1} commutes with Delta",
-                        commutators.items())
+                        _in_order(commutators, model))
     return report
 
 
@@ -496,16 +489,21 @@ def minus1_ambiguity_check(minus1: Connection, minus1_tilde: Connection,
                            alpha: Vec, model: BVModel) -> Report:
     """Gauge ambiguity of the BV-compatible connection:
     nabla~^{-1} x = nabla^{-1} x - Delta(alpha.x) - alpha.(Delta x), the
-    two connections given, nabla~ the :func:`gauge_change` by alpha.  On a
-    basis name, nabla^{-1} is its linear part, and alpha.n is built once."""
-    report = Report()
+    two connections given, nabla~ the :func:`gauge_change` by alpha, one
+    :func:`graded.sweep` per term.  alpha.n is summed before Delta maps it;
+    alpha.(Delta n) is summed term by term as ``(d * alpha_z) * p``."""
     P, D = model.product_rows, model.delta_rows
+    basis = {n: {n: 1} for n in model.degrees}
+    cases = sweep({}, basis, index(minus1_tilde.linear), lambda k, n: (k, 1))
+    sweep(cases, basis, index(minus1.linear), lambda k, n: (k, -1))
+    alpha_n = sweep({}, {None: alpha}, model.product_index, lambda k, n: (n, 1))
+    sweep(cases, alpha_n, index(D), lambda k, n: (k, 1))
+    sweep(cases, D, index({key: row for key, row in P.items() if key[0] in alpha}, left=True),
+          lambda k, z: (k, alpha[z]))
+    report = Report()
     report.identity("minus1-ambiguity",
                     "nabla~^{-1} x = nabla^{-1} x - Delta(alpha.x) - alpha.Delta x",
-                    ((n, contract(P, alpha, D.get(n, {}), accumulate(
-                        accumulate(dict(minus1_tilde.linear.get(n, {})), minus1.linear,
-                                   {n: 1}, scale=-1), D, accumulate({}, P, alpha, n))))
-                     for n in model.degrees))
+                    _in_order(cases, model))
     return report
 
 
@@ -516,7 +514,7 @@ def r_endomorphism_check(model: BVModel) -> Report:
     report = Report()
     k = model.element("k")
     dk, live = model.delta_apply(k), _live(k)
-    B = {(z, n): model.bracket_row(z, n) for z in live for n in model.degrees}
+    B = model.brackets_of(live)
     report.residual("delta-k", "Delta k = 0", dk)
     # the row names the first failing basis name; no later one is evaluated
     for n in model.degrees:

@@ -19,11 +19,11 @@ themselves, exact zeros dropped.  Both kinds multiply and add with
 Python's operators (a series operator takes a rational as the exact
 constant) with exactly the results of series arithmetic, so a product
 meets a series only where the table has one.  :func:`accumulate` adds
-a product or a linear image into a caller's vector; :func:`sweep` adds
+one product or linear image into a caller's vector; :func:`sweep` adds
 every product of a family of vectors with rows :func:`index` has keyed
-by the name they meet, one vector per case it reaches, in one pass.
-:func:`mapped` finds, without adding, where a linear image would add,
-and :func:`moved` where d_q would.
+by the name they meet, one vector per case it reaches, in one pass, so
+where a term adds is found by adding it.  :func:`moved` finds the rows
+that d_q moves.
 
 The Koszul signs are taken from the declared degrees, so a decoded table
 must respect them: :func:`homogeneous` is the one grading rule, applied
@@ -231,18 +231,16 @@ def signed_rows(table: dict[tuple[str, str], Vec],
     return rows
 
 
-def accumulate(out: Vec, rows: dict, x: Vec, n: str | None = None, scale=1,
-               left: bool = False) -> Vec:
-    """``out += scale * x.n`` (``scale * n.x`` when *left*): each entry ``c``
-    of *x* on ``k`` adds ``(c*scale) * v`` for each entry ``v`` of the row
-    of ``(k, n)`` (``(n, k)``), or of ``k`` when *n* is None (a linear map).
-    A missing row is zero.  A sign or a nonzero exact rational folded into
-    ``c`` gives exactly ``(c*v)*scale``, and series sums are exact, so no
-    grouping of the terms changes the result."""
+def accumulate(out: Vec, rows: dict, x: Vec, n: str | None = None, scale=1) -> Vec:
+    """``out += scale * x.n``: each entry ``c`` of *x* on ``k`` adds
+    ``(c*scale) * v`` for each entry ``v`` of the row of ``(k, n)``, or of
+    ``k`` when *n* is None (a linear map).  A missing row is zero.  A sign
+    or a nonzero exact rational folded into ``c`` gives exactly
+    ``(c*v)*scale``, and series sums are exact, so no grouping of the
+    terms changes the result."""
     scaled = scale != 1
     for k, c in x.items():
-        key = k if n is None else (n, k) if left else (k, n)
-        row = rows.get(key)
+        row = rows.get(k if n is None else (k, n))
         if row:
             if scaled:
                 c = c * scale
@@ -252,12 +250,10 @@ def accumulate(out: Vec, rows: dict, x: Vec, n: str | None = None, scale=1,
     return out
 
 
-def contract(rows: dict[tuple[str, str], Row], x: Vec, y: Vec,
-             out: Vec | None = None) -> Vec:
+def contract(rows: dict[tuple[str, str], Row], x: Vec, y: Vec) -> Vec:
     """The bilinear product of *x* and *y* whose basis pairs multiply to
-    their rows, added into *out* when given: the sum of ``(x[a]*y[b]) * c``
-    over each row entry."""
-    out = {} if out is None else out
+    their rows: the sum of ``(x[a]*y[b]) * c`` over each row entry."""
+    out: Vec = {}
     for b, sb in y.items():
         accumulate(out, rows, x, b, sb)
     return out
@@ -315,7 +311,3 @@ def moved(rows: dict) -> set:
     return {k for k, row in rows.items()
             if any(isinstance(c, NovikovSeries) for c in row.values())}
 
-
-def mapped(first: dict, images: dict) -> set:
-    """Each key ``k`` at which ``linear_apply(images, first[k])`` adds anything."""
-    return {k for k, x in first.items() if any(images.get(z) for z in x)} if images else set()

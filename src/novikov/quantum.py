@@ -133,9 +133,10 @@ class CohomologyModel(Record):
     @classmethod
     def from_json(cls, data: dict) -> "CohomologyModel":
         """Decode a model; a class outside ``"basis"`` is a :class:`ParseError`,
-        and so is a cup row outside degree 0, a quantum-piece row outside
-        degree -2k or a restriction outside degree 0 (:func:`graded.homogeneous`),
-        and a quantum-piece record with ``k < 0``."""
+        the default ``m_class`` ``"M"`` included, and so is a cup row outside
+        degree 0, a quantum-piece row outside degree -2k or a restriction
+        outside degree 0 (:func:`graded.homogeneous`), and a quantum-piece
+        record with ``k < 0``."""
         degrees = graded.basis_from_json(data)
         qpieces: dict[int, dict] = {}
 
@@ -151,9 +152,10 @@ class CohomologyModel(Record):
 
         cup = field(data, "cup", lambda t: graded.table_from_json(t, degrees, 0), {})
         field(data, "qpieces", lambda recs: each(recs, qpiece), [])
+        m_class = field(data, "m_class", name, None)
         return cls(degrees=degrees, cup=cup, qpieces=qpieces,
                    unit=field(data, "unit", name, None),
-                   m_class=field(data, "m_class", name, "M"),
+                   m_class=name("M") if m_class is None else m_class,
                    omega=field(data, "omega", lambda x: vec_from_json(x, degrees), None),
                    twists=field(data, "twists", lambda x: vec_from_json(x, degrees), {}),
                    restriction=field(data, "restriction", lambda m: graded.vec_map_of_declared(
@@ -194,6 +196,10 @@ class GWData(Record):
 
 
 def divisor_relations_check(model: CohomologyModel, gw: GWData) -> Report:
+    """The divisor relations, W the model's ``"omega"`` or else, on a declared
+    ``D``, :meth:`GWData.omega_vec`; with neither a :class:`ParseError`."""
+    if model.omega is None and "D" not in model.degrees:
+        raise ParseError("check 'relations' needs a model with \"omega\" or a \"D\" class")
     report = Report()
     m = model.m_vec()
     w = model.omega if model.omega is not None else gw.omega_vec(m_class=model.m_class)

@@ -6,6 +6,10 @@ adequate: pick the two indicial roots d1 <= d2 on (1/2)Z, then synthesize
 integer exponent gaps, which decouples the even and odd coefficient chains;
 with adjacent roots (d2 = d1 + 1/2) both seed coefficients are genuinely
 free and the solver produces two independent solutions on one lattice.
+
+The BV suites share one oracle here too: :func:`delta_nabla_residual`, the
+inner-derivation residual of a connection on one vector, built from the
+model's own operations.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from novikov.graded import vec_add, vec_scale
 from novikov.ode import ODEProblem, LatticeSeed
 from novikov.series import NovikovSeries
 
@@ -53,3 +58,10 @@ def adjacent_root_problem(rng: random.Random, trunc=10):
 
 def seed_for(root: Fraction, coeffs=(F(1), F(0))) -> LatticeSeed:
     return LatticeSeed(step=F(1, 2), base_exponent=root, coeffs=tuple(coeffs))
+
+
+def delta_nabla_residual(nabla, a, x, model):
+    """nabla(Delta x) - Delta(nabla x) + [a, x]; zero when the connection
+    satisfies the inner-derivation relation."""
+    return vec_add(nabla.apply(model.delta_apply(x)),
+                   vec_scale(-1, model.delta_apply(nabla.apply(x))), model.bracket(a, x))

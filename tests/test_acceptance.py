@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from _generators import adjacent_root_problem, random_problem, seed_for
+from _generators import adjacent_root_problem, delta_nabla_residual, random_problem, seed_for
 from novikov import cli
 from novikov.bv import (
     ClassTerms,
@@ -18,7 +18,6 @@ from novikov.bv import (
     check_delta_nabla,
     check_leibniz,
     class_equation_suite,
-    delta_nabla_residual,
     gauge_change,
     minus1_ambiguity_check,
     nabla_c,

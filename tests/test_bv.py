@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _generators import adjacent_root_problem
+from _generators import adjacent_root_problem, delta_nabla_residual
 from novikov import bv
 from novikov.bv import (
     BVModel,
@@ -20,7 +20,6 @@ from novikov.bv import (
     check_delta_nabla,
     check_leibniz,
     check_minus1_delta,
-    delta_nabla_residual,
     gauge_change,
     minus1_ambiguity_check,
     nabla_c,
@@ -167,10 +166,12 @@ def test_sweep_adds_each_case_as_accumulate_does(case, f, left):
     # leaves it empty
     table, degrees, x, y = case
     rows = signed_rows(table, degrees)
+    # the reference for a left index reads each row under its swapped pair
+    reference = {(b, a): row for (a, b), row in rows.items()} if left else rows
     # a name with no row has an empty image, which reaches nothing
     images = {a: {} for a in degrees} | {a: row for (a, _), row in rows.items()}
     first = {"x": x, "y": y}
-    want = {(k, n): accumulate({}, rows, v, n, f, left)
+    want = {(k, n): accumulate({}, reference, v, n, f)
             for k, v in first.items() for n in degrees}
     assert sweep({}, first, index(rows, left), lambda k, n: ((k, n), f)) == {
         key: v for key, v in want.items() if v}
@@ -186,12 +187,13 @@ def test_vector_helpers_and_kernels_leave_their_inputs_as_they_were(case, f):
     table, degrees, x, y = case
     rows = signed_rows(table, degrees)
     images = {a: row for (a, _), row in rows.items()}
+    swapped = {(b, a): row for (a, b), row in rows.items()}
     before = copy.deepcopy((rows, x, y))
     contract(rows, x, y)
     linear_apply(images, x)
     for a in degrees:
         accumulate({}, rows, x, a, f)
-        accumulate(dict(x), rows, y, a, y[next(iter(y))], left=True)
+        accumulate(dict(x), swapped, y, a, y[next(iter(y))])
     sweep({}, {"x": x, "y": y}, index(rows, left=True), lambda k, n: ((k, n), f))
     vec_add(x, y, x)
     vec_sub(x, y)
@@ -547,7 +549,7 @@ def test_rational_model_axioms_make_no_fraction_arithmetic():
     # with int products and sums alone; the unit keeps scale 1
     model = rescaled_rational_model()
     rows = [model.product_rows, model.delta_rows, model.bracket_rows,
-            {(a, b): model.bracket_row(a, b) for a in model.degrees for b in model.degrees}]
+            model.brackets_of(model.degrees)]
     assert all(any(isinstance(v, Fraction) and v.denominator > 1
                    for row in family.values() for v in row.values()) for family in rows)
     calls = Counter()
@@ -601,7 +603,7 @@ def test_failing_rational_cases_are_divided_back():
     table = supplied_brackets(model)
     table[("t1", "t1x")] = vec_add(table[("t1", "t1x")], {"t1": S((0, F(1, 3)))})
     model.bracket_table = table
-    bracket = {(a, b): model.bracket_row(a, b) for a in names for b in names}
+    bracket = model.brackets_of(names)
     families = (model.product_rows, model.delta_rows, bracket, model.bracket_rows)
     assert [integral_rows(rows)[1] for rows in families] == [29393, 374, 2618, 102]
     assert integral_rows(*families)[1] == 1939938
@@ -681,6 +683,18 @@ def test_checks_evaluate_only_the_cases_a_row_reaches():
     # nor does Delta commute with it, and a = 0 brackets nothing
     rows, cases = decided(check_delta_nabla, Connection(), {}, polyvector_model(8))
     assert (rows, cases) == ([("delta-nabla", True, "0")], [])
+    # the connection rows at the default connection and a, then gauged:
+    # delta-nabla, delta-nabla[gauged], minus1-delta-commutator and
+    # minus1-delta-compatible
+    for model, counts in ((polyvector_model(4), [3, 4, 3, 3]),
+                          (polyvector_model_with_k(2), [2, 4, 2, 2])):
+        nabla, a = Connection(), model.distinguished_a()
+        tilde, a_tilde = gauge_change(nabla, random_alpha(model, random.Random(3)), a, model)
+        _, minus1_cases = decided(check_minus1_delta, nabla_c(nabla, a, -1, model), a, model)
+        reached = Counter(name for name, _, _ in minus1_cases)
+        assert [len(decided(check_delta_nabla, nabla, a, model)[1]),
+                len(decided(check_delta_nabla, tilde, a_tilde, model)[1]),
+                reached["minus1-delta-commutator"], reached["minus1-delta-compatible"]] == counts
 
 
 def oracle_apply(nabla, x):
@@ -805,9 +819,7 @@ def test_minus1_ambiguity_sums_alpha_delta_x_as_the_oracle():
 
 def rows_of(model):
     """Every row the identity checks read, each bracket row filled first."""
-    for a in model.degrees:
-        for b in model.degrees:
-            model.bracket_row(a, b)
+    model.brackets_of(model.degrees)
     return (model.product_rows, model.delta_rows, model.bracket_rows,
             model._bracket_constants)
 

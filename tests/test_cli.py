@@ -730,6 +730,22 @@ def test_undeclared_gw_class_field_is_named(tmp_path, field):
     assert text == f"parse error at /model/{field}: undeclared class 'zz'"
 
 
+@pytest.mark.parametrize("model, z1, text", [
+    ({"basis": [{"name": "D", "degree": 2}, {"name": "N", "degree": 2}],
+      "qpieces": [{"left": "N", "right": "N", "k": 1, "result": {"D": "1"}}]}, {"D": "1"},
+     "parse error at /model: undeclared class 'M'"),
+    ({"basis": [{"name": "M", "degree": 2}]}, {"M": "1"},
+     "parse error at /checks/0: check 'relations' needs a model with \"omega\" or a \"D\" class"),
+], ids=["default-m-class", "no-d-class"])
+def test_relations_refuse_a_class_the_basis_does_not_declare(tmp_path, model, z1, text):
+    # M is the default m_class, and W = q^-1 (D + gamma*M) without "omega":
+    # neither may stand for a class outside the basis
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps({"task": "gw", "model": model, "gw": {"z1": z1},
+                                "checks": ["relations"]}))
+    assert cli.run(str(path)) == (cli.EXIT_PARSE, text)
+
+
 def test_gw_model_with_declared_names_runs(tmp_path):
     # the base of the gw payloads above decodes and checks
     path = tmp_path / "declared.json"

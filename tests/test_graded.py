@@ -65,7 +65,7 @@ def graded_models(draw):
         decode = BVModel.from_json
     else:
         k = draw(st.integers(min_value=0, max_value=2))
-        model.update(cup=rows(0), qpieces=rows(-2 * k, k=k), restriction=images(0))
+        model.update(m_class="a", cup=rows(0), qpieces=rows(-2 * k, k=k), restriction=images(0))
         decode = CohomologyModel.from_json
     return model, decode, slots, degrees
 
