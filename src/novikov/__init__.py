@@ -8,7 +8,6 @@ rank-3 derivation), bv (graded algebra checks with connections), operad
 """
 
 from .errors import (
-    DegreeMismatch,
     GlueError,
     InconsistentSeed,
     InsufficientPrecision,
@@ -35,7 +34,6 @@ __all__ = [
     "LatticeMismatch",
     "InconsistentSeed",
     "NoSolution",
-    "DegreeMismatch",
     "PrerequisiteFailed",
     "ZConflict",
     "GlueError",

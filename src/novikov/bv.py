@@ -34,11 +34,11 @@ from .graded import (
     accumulate,
     compile_vec,
     contract,
-    entry_is_zero,
     integral_rows,
     index,
     linear_apply,
     moved,
+    nonzero,
     signed_rows,
     sweep,
     vec_map_from_json,
@@ -168,9 +168,9 @@ class BVModel(Record):
 
     def bracket(self, x1: Vec, x2: Vec) -> Vec:
         """The derived bracket, extended bilinearly from the rows that
-        :meth:`brackets_of` builds.  A zero coefficient of *x1* is skipped
-        before its name is looked up."""
-        live = _live(x1)
+        :meth:`brackets_of` builds.  An exact zero of *x1* is dropped
+        (:func:`graded.nonzero`) before its name is looked up."""
+        live = nonzero(x1)
         for a in live:
             if a not in self.degrees:
                 raise KeyError(a)
@@ -257,7 +257,7 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
     from alpha's nonzero coefficients over their bracket rows.  An alpha
     outside degree 1 is a :class:`ParseError` (:func:`graded.homogeneous`)."""
     graded.homogeneous(alpha, model.degrees, 1)
-    live = _live(alpha)
+    live = nonzero(alpha)
     images = {n: dict(nabla.linear.get(n, {})) for n in model.degrees}
     sweep(images, {None: live}, index(model.brackets_of(live)), lambda k, n: (n, -1))
     return Connection(images), accumulate(dict(a), model.delta_rows, alpha)
@@ -272,11 +272,6 @@ def _sign(p: int) -> int:
     """(-1)^p as an int for every integer p; ``(-1) ** p`` is a float
     when p is negative."""
     return -1 if p % 2 else 1
-
-
-def _live(x: Vec) -> Vec:
-    """*x* without its zero coefficients, as the bracket reads a first factor."""
-    return {k: c for k, c in x.items() if not entry_is_zero(c)}
 
 
 def check_bv_axioms(model: BVModel) -> Report:
@@ -397,10 +392,9 @@ def check_bv_axioms(model: BVModel) -> Report:
     report.identity("e-is-ideal", "[e,x] = 0",
                     (((n,), B[(e, n)]) for n in names if (e, n) in B), "[e,{}]", d)
 
-    # Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2]; the bracket
-    # skips a zero coefficient of its first factor
+    # Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2]
     cases = sweep({}, B, index(D), lambda k, n: (k, 1))
-    sweep(cases, {n: _live(row) for n, row in D.items()}, B_right, lambda k, n: ((k, n), 1))
+    sweep(cases, D, B_right, lambda k, n: ((k, n), 1))
     sweep(cases, D, B_left, lambda k, n: ((n, k), _sign(deg[n])))
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
@@ -425,7 +419,7 @@ def check_leibniz(nabla: Connection, model: BVModel) -> Report:
     for name, equation, rows, first in (
             ("nabla-product", "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)", P, L),
             ("nabla-bracket", "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]", B,
-             {n: _live(row) for n, row in L.items()})):
+             {n: nonzero(row) for n, row in L.items()})):
         # nabla(row): d_q moves a series entry, and the linear part maps the row
         cases = {k: _d_q(rows[k]) for k in moved(rows)}
         sweep(cases, rows, index(L), lambda k, n: (k, 1))
@@ -457,7 +451,7 @@ def check_delta_nabla(nabla: Connection, a: Vec, model: BVModel) -> Report:
     """nabla(Delta x) - Delta(nabla x) + [a,x] on each basis name x that a
     term reaches: the :func:`_commutators`, with [a,x] added in one sweep
     of a's nonzero coefficients over their bracket rows, the only ones built."""
-    live = _live(a)
+    live = nonzero(a)
     cases = sweep(_commutators(nabla, model), {None: live}, index(model.brackets_of(live)),
                   lambda k, n: (n, 1))
     report = Report()
@@ -513,7 +507,7 @@ def r_endomorphism_check(model: BVModel) -> Report:
     residual is accumulated from the rows, both forms kept in the sum."""
     report = Report()
     k = model.element("k")
-    dk, live = model.delta_apply(k), _live(k)
+    dk, live = model.delta_apply(k), nonzero(k)
     B = model.brackets_of(live)
     report.residual("delta-k", "Delta k = 0", dk)
     # the row names the first failing basis name; no later one is evaluated

@@ -36,11 +36,6 @@ class NoSolution(NovikovError):
     """The linear system defining the requested quantities is unsolvable."""
 
 
-class DegreeMismatch(NovikovError):
-    """A class-valued input lies outside the degrees or classes a check
-    requires."""
-
-
 class PrerequisiteFailed(NovikovError):
     """A check that depends on earlier checks was run on a model where
     those earlier checks fail."""

@@ -5,8 +5,11 @@ A vector is a dict from basis name to coefficient.  The coefficients are
 u-extension), or row entries as the kernels below produce them (exact
 rationals and series mixed); every helper here except :func:`vec_get` and
 the JSON decoders works for each.  A missing name is a zero coefficient.
-:func:`entry_is_zero` decides a coefficient of any of these kinds, so a
-residual is decided and rendered as the kernels leave it.
+Two zero rules hold for every kind.  Storage drops exact zeros only
+(:func:`exact_zero`): a truncated zero such as ``O(q^2)`` stands for terms
+not yet seen, so a vector, row or u-series keeps it.  A verdict reads "no
+nonzero term" (:func:`entry_is_zero`), so a residual is decided and
+rendered as the kernels leave it.
 
 A structure table (the cup product, a quantum piece, the BV product or a
 supplied BV bracket) maps an ordered pair of basis names to the vector of
@@ -66,8 +69,19 @@ def vec_sub(x: Vec, y: Vec) -> Vec:
     return vec_add(x, vec_scale(-1, y))
 
 
+def exact_zero(v) -> bool:
+    """The storage rule: True for a zero rational and for an exact series
+    with no term, the only zeros a vector, row or u-series drops."""
+    return not v if isinstance(v, (int, Fraction)) else not v.exps and v.truncation == INF
+
+
+def nonzero(x: Vec) -> Vec:
+    """*x* without its exact zeros (:func:`exact_zero`)."""
+    return {k: c for k, c in x.items() if not exact_zero(c)}
+
+
 def entry_is_zero(v) -> bool:
-    """True for a zero rational and for a series with no nonzero term."""
+    """The verdict rule: True for a zero rational or a series with no nonzero term."""
     return not v if isinstance(v, (int, Fraction)) else v.is_zero()
 
 
@@ -143,13 +157,12 @@ def declared(degrees: dict[str, int], name) -> str:
 def homogeneous(x: Vec, degrees: dict[str, int], degree: int | None) -> None:
     """The grading rule: a :class:`ParseError`, pushed the entry's name,
     unless every class *x* names is declared and, given *degree*, every
-    entry of *x* but an exact zero (the entries :func:`compile_vec` drops)
-    sits in degree *degree*.  A truncated zero carries unknown terms, so on
-    a class of another degree it is refused."""
+    entry of *x* but an exact zero (:func:`exact_zero`) sits in degree
+    *degree*.  A truncated zero carries unknown terms, so it is refused off it."""
     for name, c in x.items():
         if name not in degrees:
             raise ParseError(f"undeclared class {shown(name)}").at(name)
-        if degree is not None and degrees[name] != degree and (c.exps or c.truncation != INF):
+        if degree is not None and degrees[name] != degree and not exact_zero(c):
             raise ParseError(f"entry on {shown(name)} of degree {degrees[name]}, "
                              f"expected degree {degree}").at(name)
 
@@ -186,11 +199,10 @@ def compile_vec(x: Vec, sign: int = 1) -> Row:
     other series stays itself."""
     out = {}
     for z, c in x.items():
-        if c.truncation == INF:
-            if not c.exps:
-                continue
-            if c.exps == [0]:
-                c = c.nums[0] if c.den == 1 else Fraction(c.nums[0], c.den)
+        if c.exps == [0] and c.truncation == INF:
+            c = c.nums[0] if c.den == 1 else Fraction(c.nums[0], c.den)
+        elif exact_zero(c):
+            continue
         out[z] = c if sign > 0 else -c
     return out
 

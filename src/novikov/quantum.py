@@ -24,11 +24,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import graded
-from .errors import (DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed, each, field,
-                     shown)
+from .errors import NoSolution, ParseError, PrerequisiteFailed, each, field, shown
 from .graded import (
     Vec,
     contract,
+    exact_zero,
     linear_apply,
     signed_rows,
     vec_add,
@@ -41,7 +41,7 @@ from .graded import (
 from .ode import ODEProblem
 from .record import Record
 from .report import Report, vanishes
-from .series import INF, NovikovSeries, Trunc, integer, rat
+from .series import NovikovSeries, Trunc, integer, rat
 from .useries import USeries
 
 UVec = dict  # name -> USeries
@@ -267,7 +267,7 @@ def solve_psi_eta(model: CohomologyModel, gw: GWData,
         raise ParseError(f"need a two-dimensional degree-2 basis, have {shown(h2)}")
     z1_d = vec_get(gw.z1, "D")
     # a truncated zero is an unseen leading term, which invert refuses
-    if z1_d.is_zero() and z1_d.truncation == INF:
+    if exact_zero(z1_d):
         raise NoSolution("the D-component of z1 vanishes; psi is undefined")
     psi = _Q_INV * z1_d.invert(order)
     eta = psi * vec_get(gw.z1, model.m_class) - Fraction(gw.gamma) * _Q_INV
@@ -370,12 +370,14 @@ def uueq_rewrite_check(model: CohomologyModel, gw: GWData) -> Report:
     """Check that the u^2-level dictionary entry, rewritten through the
     associativity instance and the relative reduction, matches term by term.
 
-    Requires a unit class (z2 is a multiple of it) and a supplied z2~, each
-    else a :class:`ParseError`.  Raises PrerequisiteFailed when the feeding
-    identities fail.
+    Requires a unit class, a z2 with no nonzero coefficient off it, and a
+    supplied z2~, each else a :class:`ParseError` before anything is
+    computed.  Raises PrerequisiteFailed when the feeding identities fail.
     """
     if model.unit is None:
         raise ParseError("check 'uueq' needs a model with a \"unit\" class")
+    if any(k != model.unit and not s.is_zero() for k, s in gw.z2.items()):
+        raise ParseError("check 'uueq' needs z2 to be a multiple of the unit class")
     if gw.z2tilde is None:
         raise ParseError("check 'uueq' needs a gw block with \"z2tilde\"")
     if not vanishes(wdvv_residual(gw.z1, model, gw)):
@@ -389,9 +391,6 @@ def uueq_rewrite_check(model: CohomologyModel, gw: GWData) -> Report:
     m = model.m_vec()
     unit_e = model.restrict(model.basis_vec(model.unit))
     z2_scalar = vec_get(gw.z2, model.unit)
-    off_unit = {k: s for k, s in gw.z2.items() if k != model.unit and not s.is_zero()}
-    if off_unit:
-        raise DegreeMismatch("z2 must be a multiple of the unit class")
 
     lhs = _u_vec(model.restrict(vec_scale(half, model.quantum_piece(gw.z1, gw.z1, 0))),
                  half_z1m,

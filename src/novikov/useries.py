@@ -2,13 +2,15 @@
 
 Desk-scale stand-in for the completed ``K[[u]]``: finitely many u-powers,
 each with a :class:`NovikovSeries` coefficient.  Every u-power is exact;
-precision lives only in the coefficients' q-truncations.
+precision lives only in the coefficients' q-truncations, so a coefficient
+is dropped only when it is an exact zero (:func:`graded.exact_zero`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .graded import exact_zero
 from .series import NovikovSeries
 
 _ZERO = NovikovSeries.zero()
@@ -24,7 +26,7 @@ class USeries:
                 raise ValueError("u-powers are nonnegative")
             if not isinstance(s, NovikovSeries):
                 s = NovikovSeries.monomial(s, 0)
-            if not s.is_zero():
+            if not exact_zero(s):
                 acc[k] = s
         self.coeffs = dict(sorted(acc.items()))
 
@@ -37,7 +39,7 @@ class USeries:
         return cls({k: NovikovSeries.one()})
 
     def is_zero(self) -> bool:
-        return not self.coeffs  # the constructor drops zero coefficients
+        return all(s.is_zero() for s in self.coeffs.values())
 
     def coefficient(self, k: int) -> NovikovSeries:
         return self.coeffs.get(k, _ZERO)

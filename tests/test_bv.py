@@ -222,7 +222,8 @@ class Oracle:
         return linear_apply(self.model.delta, x)
 
     def bracket(self, x1, x2):
-        live = {k: s for k, s in x1.items() if not s.is_zero()}
+        # an exact zero is dropped; a truncated one carries unseen terms
+        live = {k: s for k, s in x1.items() if s.exps or s.truncation != INF}
         for a in live:
             if a not in self.degrees:
                 raise KeyError(a)
@@ -623,7 +624,7 @@ def test_failing_rational_cases_are_divided_back():
 
 
 def test_truncated_zero_first_factor_matches_oracle():
-    # bracket() skips a first factor that is a truncated zero, as the
+    # bracket() keeps a first factor that is a truncated zero, as the
     # oracle's bracket does; here it meets one in [Delta x1, x2] and in
     # [nabla x1, x2]
     model = polyvector_model(4)
@@ -947,8 +948,30 @@ def test_bracket_name_without_degree():
     model = polyvector_model(2)
     with pytest.raises(KeyError):
         model.bracket({"nope": ONE}, model.basis_vec("t1"))
-    # a zero coefficient is skipped before its degree is looked up
-    assert model.bracket({"nope": NovikovSeries.zero(3)}, model.basis_vec("t1")) == {}
+    # an exact zero is dropped before its degree is looked up
+    assert model.bracket({"nope": NovikovSeries.zero()}, model.basis_vec("t1")) == {}
+    # a truncated zero stands for unseen terms, so its name is looked up
+    with pytest.raises(KeyError):
+        model.bracket({"nope": NovikovSeries.zero(3)}, model.basis_vec("t1"))
+
+
+def least_truncation(x):
+    """The least truncation over the entries of *x*; a rational is exact."""
+    return min((c.truncation for c in x.values() if isinstance(c, NovikovSeries)),
+               default=INF)
+
+
+@settings(max_examples=120, deadline=None)
+@given(model_and_vectors(st.one_of(st.just(INF), st.integers(min_value=1, max_value=6))))
+def test_bracket_keeps_truncations_in_either_order(case):
+    model, x, y = case
+    assert least_truncation(model.bracket(x, y)) == least_truncation(model.bracket(y, x))
+
+
+def test_bracket_keeps_a_truncated_zero_of_its_first_factor():
+    model, t1, zero2 = polyvector_model(2), {"t1": ONE}, NovikovSeries.zero(2)
+    assert model.bracket({"t0x": zero2}, t1) == {"t1": zero2}
+    assert model.bracket(t1, {"t0x": zero2}) == {"t1": zero2}
 
 
 def modified_bracket(model, x1, x2):

@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from _generators import adjacent_root_problem
-from novikov.errors import DegreeMismatch, NoSolution, ParseError, PrerequisiteFailed
+from novikov.errors import NoSolution, ParseError, PrerequisiteFailed
 from novikov.graded import homogeneous, vec_add, vec_is_zero, vec_scale, vec_sub
 from novikov.ode import ODEProblem
 from novikov.quantum import (
@@ -299,6 +299,19 @@ def test_gauss_manin_degenerate_dictionary():
     assert u_gamma_s.get("e_eq", USeries()).is_zero()
 
 
+def test_gauss_manin_difference_keeps_the_input_truncation():
+    # gauss_manin.json's inputs are cut at q^8, so the difference that
+    # cancels is O(q^8), not an exact zero
+    doc = json.loads(resources.files("novikov").joinpath(
+        "taskfiles", "gauss_manin.json").read_text())
+    prob = ODEProblem.from_json(doc["prob"])
+    gamma_e, _ = gauss_manin_derivation(prob, 8)
+    diff = vec_sub(gamma_e, {"s_eq": USeries({1: prob.psi})})
+    assert diff == {"s_eq": USeries({1: NovikovSeries.zero(8)})}
+    assert diff != {"s_eq": USeries()}
+    assert vec_is_zero(diff)
+
+
 # ---------------------------------------------------------------------------
 # u^2-level rewrite
 # ---------------------------------------------------------------------------
@@ -355,8 +368,14 @@ def test_uueq_zero_z1():
 def test_uueq_rejects_off_unit_z2():
     model, gw = uueq_model()
     gw.z2 = {"D": ONE}
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(ParseError, match="multiple of the unit class"):
         uueq_rewrite_check(model, gw)
+    # refused before the prerequisites, so a failing wdvv does not decide it
+    qp0 = {**model.qpieces[0], ("D", "D"): {"P": ONE}}
+    broken = CohomologyModel(model.degrees, model.cup, {**model.qpieces, 0: qp0}, model.unit,
+                             restriction=model.restriction)
+    with pytest.raises(ParseError, match="multiple of the unit class"):
+        uueq_rewrite_check(broken, gw)
 
 
 def test_degree_bookkeeping():

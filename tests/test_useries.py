@@ -22,6 +22,19 @@ def test_construction_drops_zero_and_out_of_range():
         USeries({-1: ONE})
 
 
+def test_construction_keeps_a_truncated_zero():
+    # an exact zero is dropped; O(q^2) stands for unseen terms and stays
+    u = USeries({0: NovikovSeries.zero(), 1: NovikovSeries.zero(2)})
+    assert u.coeffs == {1: NovikovSeries.zero(2)}
+    assert u.is_zero()
+    assert u != USeries()
+    assert not USeries({1: NovikovSeries.zero(2), 2: ONE}).is_zero()
+    # a difference that cancels keeps the least truncation of its terms
+    diff = USeries({1: S((0, 1), trunc=8)}) - USeries({1: ONE})
+    assert diff.coeffs == {1: NovikovSeries.zero(8)}
+    assert repr(diff) == "USeries((O(q^8))*u^1)"
+
+
 def test_add_and_scale():
     a = USeries({0: ONE, 1: S((1, 2))})
     b = USeries({1: S((1, -2)), 2: ONE})
