@@ -39,6 +39,7 @@ from .graded import (
     linear_apply,
     moved,
     nonzero,
+    parity_sign,
     signed_rows,
     sweep,
     vec_map_from_json,
@@ -156,7 +157,7 @@ class BVModel(Record):
         mine = {(a, n): row for a in firsts for n, row in P.get(a, ())}
         out = sweep({}, mine, index(D), lambda k, n: (k, 1))
         sweep(out, {a: D[a] for a in firsts if a in D}, P, lambda k, n: ((k, n), -1))
-        sweep(out, D, index(mine, left=True), lambda k, n: ((n, k), -_sign(deg[n])))
+        sweep(out, D, index(mine, left=True), lambda k, n: ((n, k), -parity_sign(deg[n])))
         self._bracket_constants.update(out)
         self._bracketed.update(firsts)
 
@@ -268,12 +269,6 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
 # ---------------------------------------------------------------------------
 
 
-def _sign(p: int) -> int:
-    """(-1)^p as an int for every integer p; ``(-1) ** p`` is a float
-    when p is negative."""
-    return -1 if p % 2 else 1
-
-
 def check_bv_axioms(model: BVModel) -> Report:
     """Each identity on basis vectors over the exact rational 1, each case's
     residual added into one vector straight from the product, bracket and
@@ -344,7 +339,7 @@ def check_bv_axioms(model: BVModel) -> Report:
         i, r = min(((x, y, z), 0, (n, b, c)), ((y, z, x), 2, (b, c, n)),
                    ((z, x, y), 1, (c, n, b)))[1:]
         d1, d2, d3 = deg[r[0]], deg[r[1]], deg[r[2]]
-        signs = _sign(d1), _sign(d1 * (d2 + d3) + d2), _sign(d3 * (d1 + d2 + 1))
+        signs = parity_sign(d1), parity_sign(d1 * (d2 + d3) + d2), parity_sign(d3 * (d1 + d2 + 1))
         return r, sum(signs) if n == b == c else signs[i]
 
     report.identity("unit", "e.x = x",
@@ -352,7 +347,7 @@ def check_bv_axioms(model: BVModel) -> Report:
 
     report.identity("commutativity", "x1.x2 = (-1)^(|x1||x2|) x2.x1",
                     (((n1, n2), accumulate(accumulate({}, P, {n1: 1}, n2), P,
-                                           {n2: -_sign(deg[n1] * deg[n2])}, n1))
+                                           {n2: -parity_sign(deg[n1] * deg[n2])}, n1))
                      for n1, n2 in swaps if (n1, n2) in P or (n2, n1) in P), "[{},{}]", d)
 
     cases = sweep({}, P, P_right, lambda k, n: ((*k, n), 1))
@@ -375,13 +370,13 @@ def check_bv_axioms(model: BVModel) -> Report:
 
     report.identity("antisymmetry", "[x2,x1] = (-1)^(|x1||x2|) [x1,x2]",
                     (((n1, n2), accumulate(accumulate({}, B, {n2: 1}, n1),
-                                           B, {n1: -_sign(deg[n1] * deg[n2])}, n2))
+                                           B, {n1: -parity_sign(deg[n1] * deg[n2])}, n2))
                      for n1, n2 in swaps if (n1, n2) in B or (n2, n1) in B), "[{1},{0}]", d)
 
     # [x1,x2.x3] - [x1,x2].x3 - (-1)^((|x1|+1)|x2|) x2.[x1,x3]
     cases = sweep({}, P, B_left, lambda k, n: ((n, *k), 1))
     sweep(cases, B, P_right, lambda k, n: ((*k, n), -1))
-    sweep(cases, B, P_left, lambda k, n: ((k[0], n, k[1]), -_sign((deg[k[0]] + 1) * deg[n])))
+    sweep(cases, B, P_left, lambda k, n: ((k[0], n, k[1]), -parity_sign((deg[k[0]] + 1) * deg[n])))
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
                     ranked(cases), "[{},{}.{}]", d * d)
@@ -395,7 +390,7 @@ def check_bv_axioms(model: BVModel) -> Report:
     # Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2]
     cases = sweep({}, B, index(D), lambda k, n: (k, 1))
     sweep(cases, D, B_right, lambda k, n: ((k, n), 1))
-    sweep(cases, D, B_left, lambda k, n: ((n, k), _sign(deg[n])))
+    sweep(cases, D, B_left, lambda k, n: ((n, k), parity_sign(deg[n])))
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
                     ranked(cases, lambda t: (rank[t[0]], rank[t[1]])), "({},{})", d * d)
@@ -530,39 +525,35 @@ def r_endomorphism_check(model: BVModel) -> Report:
 class ClassTerms:
     """The pieces that the forms of the class equation share on a model,
     each built once by :meth:`of` in the operand order of its formula:
-    the class s, a = -psi*s, s.s, 4*z2*psi and 4*z2*psi^2."""
+    the class s, a = -psi*s and s.s.  The scalar coefficients are the
+    problem's own (:class:`ODEProblem`)."""
 
-    __slots__ = ("prob", "model", "s", "a", "ss", "fz", "fz2")
+    __slots__ = ("prob", "model", "s", "a", "ss")
 
-    def __init__(self, prob: ODEProblem, model: BVModel, s: Vec, a: Vec, ss: Vec,
-                 fz: NovikovSeries, fz2: NovikovSeries):
+    def __init__(self, prob: ODEProblem, model: BVModel, s: Vec, a: Vec, ss: Vec):
         self.prob = prob
         self.model = model
         self.s = s
         self.a = a
         self.ss = ss
-        self.fz = fz
-        self.fz2 = fz2
 
     @classmethod
     def of(cls, prob: ODEProblem, model: BVModel, s: Vec) -> "ClassTerms":
-        fz = 4 * prob.z2 * prob.psi
-        return cls(prob, model, s, vec_scale(-prob.psi, s), model.mul(s, s),
-                   fz, fz * prob.psi)
+        return cls(prob, model, s, vec_scale(-prob.psi, s), model.mul(s, s))
 
 
 def nonlinear_a_residual(nabla: Connection, t: ClassTerms, p: NovikovSeries) -> Vec:
     """nabla a + a.a + p*a - 4*z2*psi^2*e, with p = eta - psi'/psi
     (:meth:`ODEProblem.p_coefficient`)."""
     return vec_add(nabla.apply(t.a), t.model.mul(t.a, t.a), vec_scale(p, t.a),
-                   vec_scale(-t.fz2, t.model.unit_vec()))
+                   vec_scale(t.prob.r_coefficient, t.model.unit_vec()))
 
 
 def nablac_s_residual(conn: Connection, c, t: ClassTerms) -> Vec:
     """nabla^c s + (c-1)*psi*(s.s) + eta*s + 4*z2*psi*e, where *conn* is
     nabla^c, :func:`nabla_c` of nabla and a = -psi*s."""
     return vec_add(conn.apply(t.s), vec_scale((Fraction(c) - 1) * t.prob.psi, t.ss),
-                   vec_scale(t.prob.eta, t.s), vec_scale(t.fz, t.model.unit_vec()))
+                   vec_scale(t.prob.eta, t.s), vec_scale(t.prob.coupling, t.model.unit_vec()))
 
 
 def second_order_on_e(one: Connection, t: ClassTerms, p: NovikovSeries) -> Vec:
@@ -574,7 +565,7 @@ def second_order_on_e(one: Connection, t: ClassTerms, p: NovikovSeries) -> Vec:
     unit-class analogue of the scalar second-order equation."""
     e = t.model.unit_vec()
     first = one.apply(e)
-    return vec_add(one.apply(first), vec_scale(p, first), vec_scale(-t.fz2, e))
+    return vec_add(one.apply(first), vec_scale(p, first), vec_scale(t.prob.r_coefficient, e))
 
 
 def class_equation_suite(prob: ODEProblem, n: int = 4, order: Trunc | None = None) -> Report:
@@ -672,7 +663,7 @@ def nilpotent_class_model(prob: ODEProblem, n: int = 4) -> tuple[BVModel, Connec
     s = model.basis_vec("s1")
     nabla_s = vec_add(vec_scale(prob.psi, model.mul(s, s)),
                       vec_scale(-prob.eta, s),
-                      vec_scale(-4 * prob.z2 * prob.psi, model.unit_vec()))
+                      vec_scale(-prob.coupling, model.unit_vec()))
     linear: dict[str, Vec] = {}
     for i in range(1, n):
         prev = model.basis_vec(f"s{i-1}")

@@ -126,7 +126,7 @@ def run_ode(payload: dict, trunc=None) -> Report:
             report.residual("second-order",
                             "d_q^2 rho + (eta - psi'/psi) d_q rho - 4*z2*psi^2*rho = 0",
                             second_order_residual(rho, prob, order))
-            alpha = rho.invert(order) * rho.d_q()
+            alpha = log_derivative(rho, order)
             report.residual("riccati",
                             "d_q a + a^2 + (eta - psi'/psi)*a - 4*z2*psi^2 = 0",
                             riccati_residual(alpha, prob, order))

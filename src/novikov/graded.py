@@ -225,6 +225,11 @@ def integral_rows(*families: dict) -> tuple[list[dict], int]:
              for key, row in rows.items()} for rows in families], den
 
 
+def parity_sign(p: int) -> int:
+    """(-1)^p as an int; ``(-1) ** p`` is a float when p is negative."""
+    return -1 if p % 2 else 1
+
+
 def signed_rows(table: dict[tuple[str, str], Vec],
                 degrees: dict[str, int]) -> dict[tuple[str, str], Row]:
     """The row of every ordered pair of declared names that the table
@@ -235,7 +240,7 @@ def signed_rows(table: dict[tuple[str, str], Vec],
         for b in degrees:
             entry, sign = table.get((a, b)), 1
             if entry is None:
-                entry, sign = table.get((b, a)), (-1) ** (degrees[a] * degrees[b])
+                entry, sign = table.get((b, a)), parity_sign(degrees[a] * degrees[b])
             if entry:
                 row = compile_vec(entry, sign)
                 if row:

@@ -17,6 +17,8 @@ and, writing p = eta - (d_q psi)/psi, passes through
                    for theta a quotient of two solutions,
 
 with S_q theta = d_q(d_q^2 theta / d_q theta) - (d_q^2 theta / d_q theta)^2 / 2.
+:class:`ODEProblem` owns p, 4*z2*psi and r = -4*z2*psi^2 for every form
+here and in the class-equation and Gauss-Manin checks.
 
 Each ``*_residual`` function returns the left-hand side; a solution makes it
 vanish up to the propagated truncation.  ``solve_second_order`` builds
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .errors import (InconsistentSeed, InsufficientPrecision, LatticeMismatch, ParseError,
@@ -39,9 +42,10 @@ from .series import INF, NovikovSeries, Trunc, _reduced, rat
 
 class ODEProblem(FrozenRecord):
     """Coefficient triple; psi must have a nonzero leading term whenever a
-    transform divides by it."""
+    transform divides by it.  4*z2*psi and r are built on first read and
+    kept, never in ``__init__``, so a refused task makes no product."""
 
-    __slots__ = _fields = ("psi", "eta", "z2")
+    _fields = ("psi", "eta", "z2")
 
     def __init__(self, psi: NovikovSeries, eta: NovikovSeries, z2: NovikovSeries):
         self._set(psi, eta, z2)
@@ -49,15 +53,27 @@ class ODEProblem(FrozenRecord):
     def p_coefficient(self, order: Trunc | None = None) -> NovikovSeries:
         """eta - (d_q psi)/psi, the first-order coefficient of the second
         order form."""
-        return self.eta - self.psi.d_q() * self.psi.invert(order)
+        return self.eta - log_derivative(self.psi, order)
 
+    @cached_property
+    def coupling(self) -> NovikovSeries:
+        """4*z2*psi, the coefficient of rho in the sigma equation."""
+        return 4 * self.z2 * self.psi
+
+    @cached_property
     def r_coefficient(self) -> NovikovSeries:
         """-4*z2*psi^2, the zeroth-order coefficient."""
-        return -4 * self.z2 * self.psi * self.psi
+        return self.coupling * -self.psi
 
     @classmethod
     def from_json(cls, data: dict) -> "ODEProblem":
         return cls(*(field(data, key, NovikovSeries.from_json) for key in ("psi", "eta", "z2")))
+
+
+def log_derivative(f: NovikovSeries, order: Trunc | None = None) -> NovikovSeries:
+    """(d_q f)/f, the package's one log-derivative (the mirror side reads
+    q as h); requires f invertible."""
+    return f.d_q() * f.invert(order)
 
 
 class LatticeSeed(FrozenRecord):
@@ -89,7 +105,7 @@ class LatticeSeed(FrozenRecord):
 def system_residual(rho: NovikovSeries, sigma: NovikovSeries,
                     prob: ODEProblem) -> tuple[NovikovSeries, NovikovSeries]:
     first = rho.d_q() + prob.psi * sigma
-    second = sigma.d_q() + 4 * prob.z2 * prob.psi * rho + prob.eta * sigma
+    second = sigma.d_q() + prob.coupling * rho + prob.eta * sigma
     return first, second
 
 
@@ -102,32 +118,23 @@ def sigma_from_rho(rho: NovikovSeries, prob: ODEProblem,
     return -(prob.psi.invert(order) * d)
 
 
-def second_order_coeffs(prob: ODEProblem,
-                        order: Trunc | None = None) -> tuple[NovikovSeries, NovikovSeries]:
-    return prob.p_coefficient(order), prob.r_coefficient()
-
-
 def second_order_residual(rho: NovikovSeries, prob: ODEProblem,
                           order: Trunc | None = None) -> NovikovSeries:
-    p, r = second_order_coeffs(prob, order)
-    return rho.d_q().d_q() + p * rho.d_q() + r * rho
+    return rho.d_q().d_q() + prob.p_coefficient(order) * rho.d_q() + prob.r_coefficient * rho
 
 
 def riccati_residual(alpha: NovikovSeries, prob: ODEProblem,
                      order: Trunc | None = None) -> NovikovSeries:
-    p = prob.p_coefficient(order)
-    return alpha.d_q() + alpha * alpha + p * alpha - 4 * prob.z2 * prob.psi * prob.psi
+    return alpha.d_q() + alpha * alpha + prob.p_coefficient(order) * alpha + prob.r_coefficient
 
 
 def projective_residual(lam: NovikovSeries, prob: ODEProblem) -> NovikovSeries:
-    return (lam.d_q() - prob.psi * lam * lam + prob.eta * lam
-            + 4 * prob.z2 * prob.psi)
+    return lam.d_q() - prob.psi * lam * lam + prob.eta * lam + prob.coupling
 
 
 def schwarzian(theta: NovikovSeries, order: Trunc | None = None) -> NovikovSeries:
     """S_q theta; requires d_q theta invertible."""
-    d1 = theta.d_q()
-    ratio = d1.d_q() * d1.invert(order)
+    ratio = log_derivative(theta.d_q(), order)
     return ratio.d_q() - Fraction(1, 2) * ratio * ratio
 
 
@@ -135,7 +142,7 @@ def schwarz_residual(theta: NovikovSeries, prob: ODEProblem,
                      order: Trunc | None = None) -> NovikovSeries:
     p = prob.p_coefficient(order)
     return (schwarzian(theta, order) + p.d_q() + Fraction(1, 2) * p * p
-            + 8 * prob.z2 * prob.psi * prob.psi)
+            - 2 * prob.r_coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +206,7 @@ def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
                          f"the base exponent {shown(e0, str)}").at("order")
     vpsi = prob.psi.valuation()
     inv_order = order - e0 + 2 + 2 * abs(vpsi if vpsi != INF else 0)
-    p, r = second_order_coeffs(prob, order=inv_order)
+    p, r = prob.p_coefficient(inv_order), prob.r_coefficient
     kmax = int((order - e0) / step)
     if e0 + kmax * step >= order:
         kmax -= 1
@@ -268,11 +275,6 @@ def solve_second_order(prob: ODEProblem, seed: LatticeSeed,
 # ---------------------------------------------------------------------------
 # mirror-side identities (auxiliary variable h)
 # ---------------------------------------------------------------------------
-
-
-def log_derivative(f: NovikovSeries, order: Trunc | None = None) -> NovikovSeries:
-    """(d_h f) / f."""
-    return f.d_q() * f.invert(order)
 
 
 def mirror_a(p0, l: NovikovSeries, order: Trunc) -> NovikovSeries:

@@ -41,7 +41,7 @@ from .graded import (
 from .ode import ODEProblem
 from .record import Record
 from .report import Report, vanishes
-from .series import NovikovSeries, Trunc, integer, rat
+from .series import INF, NovikovSeries, Trunc, integer, rat
 from .useries import USeries
 
 UVec = dict  # name -> USeries
@@ -266,6 +266,9 @@ def solve_psi_eta(model: CohomologyModel, gw: GWData,
     if sorted(h2) != sorted(["D", model.m_class]):
         raise ParseError(f"need a two-dimensional degree-2 basis, have {shown(h2)}")
     z1_d = vec_get(gw.z1, "D")
+    if order is None and z1_d.truncation == INF and len(z1_d.exps) > 1:
+        raise ParseError("check 'psi-eta' needs an \"order\" or --trunc to invert the "
+                         "exact multi-term D-component of z1")
     # a truncated zero is an unseen leading term, which invert refuses
     if exact_zero(z1_d):
         raise NoSolution("the D-component of z1 vanishes; psi is undefined")
@@ -328,16 +331,15 @@ def gauss_manin_derivation(prob: ODEProblem, order: Trunc | None = None) -> tupl
 
     using d_q w = -q^{-1} w; *psi^{-1}* is ``psi.invert(order)``.
     """
-    psi, eta, z2 = prob.psi, prob.eta, prob.z2
+    psi = prob.psi
     psi_inv = psi.invert(order)
-    log_psi = psi.d_q() * psi_inv
     u = USeries.u_power(1)
     u2 = USeries.u_power(2)
     w = {S_EQ: u.scale(psi)}
     ww = {
         SS_EQ: u2.scale(2 * psi * psi),
-        S_EQ: u2.scale(-(psi * (eta - log_psi - _Q_INV))),
-        E_EQ: u2.scale(-4 * z2 * psi * psi),
+        S_EQ: u2.scale(-(psi * (prob.p_coefficient(order) - _Q_INV))),
+        E_EQ: u2.scale(prob.r_coefficient),
     }
     w_coeff = USeries({1: psi_inv.d_q() - psi_inv * _Q_INV})
     u_gamma_s = vec_add(vec_scale(w_coeff, w), vec_scale(USeries.scalar(psi_inv), ww))
@@ -349,12 +351,11 @@ def gauss_manin_check(prob: ODEProblem, order: Trunc | None = None) -> Report:
     - 4*z2*psi*e_eq), as the derivation must find them (Gamma(ss_eq) is
     outside the modeled range)."""
     report = Report()
-    psi, eta, z2 = prob.psi, prob.eta, prob.z2
     gamma_e, u_gamma_s = gauss_manin_derivation(prob, order)
     report.residual("gauss-manin-e", "Gamma(e_eq) = u*psi*s_eq",
-                    vec_sub(gamma_e, {S_EQ: USeries({1: psi})}), detail=vec_render(gamma_e))
-    expect_s = {SS_EQ: USeries({2: 2 * psi}), S_EQ: USeries({2: -eta}),
-                E_EQ: USeries({2: -4 * z2 * psi})}
+                    vec_sub(gamma_e, {S_EQ: USeries({1: prob.psi})}), detail=vec_render(gamma_e))
+    expect_s = {SS_EQ: USeries({2: 2 * prob.psi}), S_EQ: USeries({2: -prob.eta}),
+                E_EQ: USeries({2: -prob.coupling})}
     report.residual("gauss-manin-s",
                     "u*Gamma(s_eq) = 2u^2*psi*ss_eq - u^2*eta*s_eq - 4u^2*z2*psi*e_eq",
                     vec_sub(u_gamma_s, expect_s), detail=vec_render(u_gamma_s))

@@ -887,13 +887,16 @@ def test_exact_zero_on_any_class_is_graded(tmp_path):
 
 def test_gw_order_is_the_psi_eta_working_order(tmp_path):
     # psi = q^-1/(q^2 + q^3) needs a working order: "order" gives it, as
-    # --trunc does
+    # --trunc does, and without either the endless inverse is refused
     task = _divisor_relations()
     task["gw"]["z1"]["D"]["terms"].append({"exp": "3", "coeff": "1"})
     task["checks"] = ["psi-eta"]
     path = tmp_path / "psi-eta.json"
     path.write_text(json.dumps(task))
-    assert cli.run(str(path))[0] == cli.EXIT_DOMAIN
+    code, text = cli.run(str(path))
+    assert code == cli.EXIT_PARSE, text
+    assert text.startswith("parse error at /checks/0: check 'psi-eta' needs an "
+                           "\"order\" or --trunc"), text
     by_trunc = cli.run(str(path), trunc="6")
     path.write_text(json.dumps(task | {"order": "6"}))
     assert cli.run(str(path)) == by_trunc

@@ -8,6 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import adjacent_root_problem, random_problem, seed_for
+from novikov import cli
+from novikov.bv import (
+    ClassTerms,
+    nabla_c,
+    nablac_s_residual,
+    nilpotent_class_model,
+    nonlinear_a_residual,
+    second_order_on_e,
+)
 from novikov.errors import (
     InconsistentSeed,
     InsufficientPrecision,
@@ -27,13 +36,15 @@ from novikov.ode import (
     riccati_residual,
     schwarz_residual,
     schwarzian,
-    second_order_coeffs,
     second_order_residual,
     sigma_from_rho,
     solve_second_order,
     system_residual,
 )
+from novikov.graded import vec_add, vec_scale
+from novikov.quantum import E_EQ, S_EQ, SS_EQ, gauss_manin_derivation
 from novikov.series import INF, NovikovSeries
+from novikov.useries import USeries
 
 F = Fraction
 ONE = NovikovSeries.one()
@@ -88,18 +99,21 @@ def test_sigma_from_rho():
 
 
 def test_second_order_coeffs_trivial():
-    p, r = second_order_coeffs(prob())
+    pr = prob()
+    p, r = pr.p_coefficient(), pr.r_coefficient
     assert p.is_zero() and r.is_zero()
 
 
 def test_second_order_coeffs_log_term():
-    p, r = second_order_coeffs(prob(psi=S((1, 1))))
+    pr = prob(psi=S((1, 1)))
+    p, r = pr.p_coefficient(), pr.r_coefficient
     assert p == S((-1, -1))
     assert r.is_zero()
 
 
 def test_second_order_coeffs_constant_potential():
-    p, r = second_order_coeffs(prob(z2=S((0, F(1, 4)))))
+    pr = prob(z2=S((0, F(1, 4))))
+    p, r = pr.p_coefficient(), pr.r_coefficient
     assert p.is_zero()
     assert r == S((0, -1))
 
@@ -282,7 +296,7 @@ def oracle_solve(prob, seed, order):
         raise ValueError("requested order lies at or below the base exponent")
     vpsi = prob.psi.valuation()
     inv_order = order - e0 + 2 + 2 * abs(vpsi if vpsi != INF else 0)
-    p, r = second_order_coeffs(prob, order=inv_order)
+    p, r = prob.p_coefficient(inv_order), prob.r_coefficient
     P0, R0 = p.coefficient(-1), r.coefficient(-2)
     kmax = int((order - e0) / step)
     if e0 + kmax * step >= order:
@@ -366,7 +380,7 @@ def solver_cases(draw):
     c1 = draw(mixed_coeffs)
     if draw(st.booleans()):
         # fit c_1 to the order-1 equation where its factor allows
-        p, r = second_order_coeffs(pr, order=12)
+        p, r = pr.p_coefficient(12), pr.r_coefficient
         d = e0 + step
         factor = d * (d - 1) + (1 - d1 - d2) * d + d1 * d2
         if factor:
@@ -444,6 +458,115 @@ def test_system_residuals_of_sigma_from_rho(case):
     rhs = -(pr.psi.invert(order) * second_order_residual(rho, pr, order))
     assert second == rhs
     assert second.truncation == order - 2
+
+
+# ---------------------------------------------------------------------------
+# the problem's coefficients: one definition, each built once
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def formula_draws(draw):
+    """A problem with psi of valuation 0 truncated at q^order, eta and z2
+    truncated or exact, and truncated inputs for every form: each at its own
+    order, theta with an invertible d_q theta."""
+    order = draw(st.integers(min_value=4, max_value=10))
+
+    def series(val, n, trunc=None):
+        trunc = trunc or draw(st.sampled_from([INF, order, order + 2]))
+        lead = draw(mixed_coeffs.filter(bool))
+        return NovikovSeries([(val, lead)] + [(val + k, draw(mixed_coeffs))
+                                              for k in range(1, n)], trunc)
+
+    def problem():
+        return ODEProblem(series(0, 3, order), series(draw(st.sampled_from([-1, 0])), 3),
+                          series(draw(st.sampled_from([-2, -1, 0])), 3))
+
+    inputs = [series(v, order, draw(st.integers(min_value=2, max_value=order)))
+              for v in (0, 0, 0, 0, 1)]
+    return problem(), problem(), inputs, order
+
+
+# Each form equals its formula written out here, in the operand order it
+# had before the problem owned 4*z2*psi and r; == compares truncations too.
+@settings(max_examples=100, deadline=None)
+@given(formula_draws())
+def test_forms_equal_their_written_out_formulas(case):
+    pr, other, (rho, sigma, alpha, lam, theta), order = case
+    psi, eta, z2 = pr.psi, pr.eta, pr.z2
+    p = eta - psi.d_q() * psi.invert(order)
+    assert pr.p_coefficient(order) == p
+    assert pr.coupling == 4 * z2 * psi
+    assert pr.r_coefficient == -4 * z2 * psi * psi
+    assert system_residual(rho, sigma, pr) == (
+        rho.d_q() + psi * sigma, sigma.d_q() + 4 * z2 * psi * rho + eta * sigma)
+    assert second_order_residual(rho, pr, order) == (
+        rho.d_q().d_q() + p * rho.d_q() + -4 * z2 * psi * psi * rho)
+    assert riccati_residual(alpha, pr, order) == (
+        alpha.d_q() + alpha * alpha + p * alpha - 4 * z2 * psi * psi)
+    assert projective_residual(lam, pr) == (
+        lam.d_q() - psi * lam * lam + eta * lam + 4 * z2 * psi)
+    d1 = theta.d_q()
+    ratio = d1.d_q() * d1.invert(order)
+    assert schwarz_residual(theta, pr, order) == (
+        ratio.d_q() - F(1, 2) * ratio * ratio + p.d_q() + F(1, 2) * p * p
+        + 8 * z2 * psi * psi)
+
+    # the class-equation forms of pr under the connection that solves other
+    model, nabla, s = nilpotent_class_model(other, 4)
+    e = model.unit_vec()
+    nabla_s = vec_add(vec_scale(other.psi, model.mul(s, s)), vec_scale(-other.eta, s),
+                      vec_scale(-4 * other.z2 * other.psi, e))
+    assert nabla.apply(s) == nabla_s
+    t = ClassTerms.of(pr, model, s)
+    fz = 4 * z2 * psi
+    assert nonlinear_a_residual(nabla, t, p) == vec_add(
+        nabla.apply(t.a), model.mul(t.a, t.a), vec_scale(p, t.a), vec_scale(-(fz * psi), e))
+    for c in (-1, 0, 1):
+        conn = nabla_c(nabla, t.a, c, model)
+        assert nablac_s_residual(conn, c, t) == vec_add(
+            conn.apply(s), vec_scale((F(c) - 1) * psi, t.ss), vec_scale(eta, s),
+            vec_scale(fz, e))
+    one = nabla_c(nabla, t.a, 1, model)
+    first = one.apply(e)
+    assert second_order_on_e(one, t, p) == vec_add(
+        one.apply(first), vec_scale(p, first), vec_scale(-(fz * psi), e))
+
+    psi_inv, q_inv = psi.invert(order), NovikovSeries.monomial(1, -1)
+    log_psi = psi.d_q() * psi_inv
+    u, u2 = USeries.u_power(1), USeries.u_power(2)
+    w = {S_EQ: u.scale(psi)}
+    ww = {SS_EQ: u2.scale(2 * psi * psi), S_EQ: u2.scale(-(psi * (eta - log_psi - q_inv))),
+          E_EQ: u2.scale(-4 * z2 * psi * psi)}
+    w_coeff = USeries({1: psi_inv.d_q() - psi_inv * q_inv})
+    assert gauss_manin_derivation(pr, order) == (
+        w, vec_add(vec_scale(w_coeff, w), vec_scale(USeries.scalar(psi_inv), ww)))
+
+
+def test_each_coefficient_is_built_once_per_problem(monkeypatch):
+    pr = prob(psi=S((0, 2), (1, 1), trunc=6), z2=S((0, 3), (2, 1), trunc=6))
+    assert pr.coupling is pr.coupling
+    assert pr.r_coefficient is pr.r_coefficient
+    # one chain task makes the product z2*psi^2, of either sign, once
+    task = {"task": "ode", "order": "6", "checks": [{"type": "chain", "rho": {
+                "terms": [{"exp": "0", "coeff": "1"}, {"exp": "1", "coeff": "5"}]}}],
+            "problem": {"psi": pr.psi.to_json(), "eta": "0", "z2": pr.z2.to_json()}}
+    r = pr.r_coefficient
+    built = []
+    real = NovikovSeries.__mul__
+
+    def spy(a, b):
+        out = real(a, b)
+        if out == r or out == -r:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(NovikovSeries, "__mul__", spy)
+    monkeypatch.setattr(NovikovSeries, "__rmul__", spy)
+    report = cli.run_ode(task)
+    assert [c.name for c in report.checks] == [
+        "system-1", "system-2", "second-order", "riccati", "projective"]
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
