@@ -34,6 +34,7 @@ from .graded import (
     accumulate,
     compile_vec,
     contract,
+    in_order,
     integral_rows,
     index,
     linear_apply,
@@ -42,6 +43,7 @@ from .graded import (
     parity_sign,
     signed_rows,
     sweep,
+    vec_d_q,
     vec_map_from_json,
 )
 from .ode import ODEProblem
@@ -137,6 +139,11 @@ class BVModel(Record):
     def product_index(self) -> dict[str, list]:
         return index(self.product_rows)
 
+    @cached_property
+    def rank(self) -> dict[str, int]:
+        """Each basis name's place in declaration order (:func:`graded.in_order`)."""
+        return {n: i for i, n in enumerate(self.degrees)}
+
     def brackets_of(self, firsts) -> dict[tuple[str, str], Row]:
         """The bracket rows of the pairs ``(a, b)``, a in *firsts* and b a
         basis name, by pair, each built once per model (:meth:`_derive_brackets`)
@@ -231,25 +238,24 @@ class Connection(Record):
         self.linear = {} if linear is None else linear
 
     def apply(self, x: Vec) -> Vec:
-        return accumulate(_d_q(x), self.linear, x)
+        return accumulate(vec_d_q(x), self.linear, x)
 
 
-def _d_q(x: Vec) -> Vec:
-    """d_q of each series coefficient of *x*; a rational coefficient is a
-    constant, whose d_q is zero."""
-    return {k: s.d_q() for k, s in x.items() if isinstance(s, NovikovSeries)}
+def _plus_swept(nabla: Connection, x: Vec, after: dict, f, model: BVModel) -> Connection:
+    """nabla plus f times x.(.), added into copies of nabla's images in one
+    :func:`graded.sweep` of *x* over the indexed rows *after*."""
+    images = {n: dict(nabla.linear.get(n, {})) for n in model.degrees}
+    return Connection(sweep(images, {None: x}, after, lambda k, n: (n, f)))
 
 
 def nabla_c(nabla: Connection, a: Vec, c, model: BVModel) -> Connection:
-    """nabla^c x = nabla x + c * a.x as a new connection, its images added
-    in one :func:`graded.sweep` of a over the product rows with the factor
-    c (an ``int`` when whole)."""
+    """nabla^c x = nabla x + c * a.x as a new connection, a swept over the
+    product rows with the factor c (an ``int`` when whole)."""
     c = Fraction(c)
     if c == 0 or vec_is_zero(a):
         return Connection(dict(nabla.linear))
-    f = c.numerator if c.denominator == 1 else c
-    images = {n: dict(nabla.linear.get(n, {})) for n in model.degrees}
-    return Connection(sweep(images, {None: a}, model.product_index, lambda k, n: (n, f)))
+    return _plus_swept(nabla, a, model.product_index,
+                       c.numerator if c.denominator == 1 else c, model)
 
 
 def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
@@ -259,9 +265,8 @@ def gauge_change(nabla: Connection, alpha: Vec, a: Vec,
     outside degree 1 is a :class:`ParseError` (:func:`graded.homogeneous`)."""
     graded.homogeneous(alpha, model.degrees, 1)
     live = nonzero(alpha)
-    images = {n: dict(nabla.linear.get(n, {})) for n in model.degrees}
-    sweep(images, {None: live}, index(model.brackets_of(live)), lambda k, n: (n, -1))
-    return Connection(images), accumulate(dict(a), model.delta_rows, alpha)
+    return (_plus_swept(nabla, live, index(model.brackets_of(live)), -1, model),
+            accumulate(dict(a), model.delta_rows, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +286,8 @@ def check_bv_axioms(model: BVModel) -> Report:
     term adds to it.  An identity linear in the rows reads each case's own
     rows (:func:`graded.accumulate`) at the pairs whose rows are nonempty.
     Either way only the cases that a term reaches are decided, in
-    declaration order: no row adds a term to any other case, so its
-    residual is empty and never the first failure.
+    declaration order (:func:`graded.in_order`): no row adds a term to any
+    other case, so its residual is empty and never the first failure.
 
     Three identities are checked once per orbit of a symmetry of their
     basis tuple, on the case whose tuple of declaration ranks is least.
@@ -315,15 +320,7 @@ def check_bv_axioms(model: BVModel) -> Report:
     pairs = [(n1, n2) for n1 in names for n2 in names]
     # the orbit representatives of the pairs, in declaration order
     swaps = [(n1, n2) for i, n1 in enumerate(names) for n2 in names[i:]]
-    rank = {n: i for i, n in enumerate(names)}
-
-    def ranks(t):  # sorts triples into declaration order
-        return rank[t[0]], rank[t[1]], rank[t[2]]
-
-    def ranked(cases, key=ranks):
-        return ((t, cases[t]) for t in sorted(cases, key=key))
-
-    deg, e = model.degrees, model.unit
+    deg, e, rank = model.degrees, model.unit, model.rank
     # the row families over one integer denominator, as said above
     (P, D, B, S), d = integral_rows(model.product_rows, model.delta_rows,
                                     model.brackets_of(names), model.bracket_rows or {})
@@ -353,13 +350,13 @@ def check_bv_axioms(model: BVModel) -> Report:
     cases = sweep({}, P, P_right, lambda k, n: ((*k, n), 1))
     sweep(cases, P, P_left, lambda k, n: ((n, *k), -1))
     report.identity("associativity", "(x1.x2).x3 = x1.(x2.x3)",
-                    ranked(cases), "({}.{}).{}", d * d)
+                    in_order(cases, rank), "({}.{}).{}", d * d)
 
     report.residual("delta-e", "Delta e = 0", model.delta_rows.get(e, {}))
 
-    cases = sweep({}, D, index(D), lambda k, n: (k, 1))
     report.identity("delta-squared", "Delta Delta x = 0",
-                    (((n,), cases[n]) for n in names if n in cases), "Delta^2 {}", d * d)
+                    in_order(sweep({}, D, index(D), lambda k, n: ((k,), 1)), rank),
+                    "Delta^2 {}", d * d)
 
     if model.bracket_table is not None:
         report.identity("delta-bracket",
@@ -379,10 +376,10 @@ def check_bv_axioms(model: BVModel) -> Report:
     sweep(cases, B, P_left, lambda k, n: ((k[0], n, k[1]), -parity_sign((deg[k[0]] + 1) * deg[n])))
     report.identity("derivation-bracket",
                     "[x1,x2.x3] = [x1,x2].x3 + (-1)^((|x1|+1)|x2|) x2.[x1,x3]",
-                    ranked(cases), "[{},{}.{}]", d * d)
+                    in_order(cases, rank), "[{},{}.{}]", d * d)
 
     report.identity("jacobi", "signed cyclic sum of [x1,[x2,x3]] = 0",
-                    ranked(sweep({}, B, B_left, jacobi)), "jacobi({},{},{})", d * d)
+                    in_order(sweep({}, B, B_left, jacobi), rank), "jacobi({},{},{})", d * d)
 
     report.identity("e-is-ideal", "[e,x] = 0",
                     (((n,), B[(e, n)]) for n in names if (e, n) in B), "[e,{}]", d)
@@ -393,7 +390,7 @@ def check_bv_axioms(model: BVModel) -> Report:
     sweep(cases, D, B_left, lambda k, n: ((n, k), parity_sign(deg[n])))
     report.identity("delta-bracket-2",
                     "Delta[x1,x2] + [Delta x1,x2] + (-1)^|x1| [x1,Delta x2] = 0",
-                    ranked(cases, lambda t: (rank[t[0]], rank[t[1]])), "({},{})", d * d)
+                    in_order(cases, rank), "({},{})", d * d)
     return report
 
 
@@ -406,23 +403,17 @@ def check_leibniz(nabla: Connection, model: BVModel) -> Report:
     report = Report()
     P, D, L = model.product_rows, model.delta_rows, nabla.linear
     B = model.brackets_of(model.degrees) if moved(P) or moved(D) or any(L.values()) else {}
-    rank = {n: i for i, n in enumerate(model.degrees)}
-
-    def ranks(t):  # sorts pairs into declaration order
-        return rank[t[0]], rank[t[1]]
-
     for name, equation, rows, first in (
             ("nabla-product", "nabla(x1.x2) = (nabla x1).x2 + x1.(nabla x2)", P, L),
             ("nabla-bracket", "nabla[x1,x2] = [nabla x1,x2] + [x1,nabla x2]", B,
              {n: nonzero(row) for n, row in L.items()})):
         # nabla(row): d_q moves a series entry, and the linear part maps the row
-        cases = {k: _d_q(rows[k]) for k in moved(rows)}
+        cases = {k: vec_d_q(rows[k]) for k in moved(rows)}
         sweep(cases, rows, index(L), lambda k, n: (k, 1))
         # - (nabla x1).x2 - x1.(nabla x2)
         sweep(cases, first, index(rows), lambda k, n: ((k, n), -1))
         sweep(cases, L, index(rows, left=True), lambda k, n: ((n, k), -1))
-        report.identity(name, equation, ((t, cases[t]) for t in sorted(cases, key=ranks)),
-                        "({},{})")
+        report.identity(name, equation, in_order(cases, model.rank), "({},{})")
     return report
 
 
@@ -432,14 +423,9 @@ def _commutators(nabla: Connection, model: BVModel) -> dict[str, Vec]:
     series entries, nabla's linear part maps each Delta row, and Delta
     maps each image of the linear part."""
     D, L = model.delta_rows, nabla.linear
-    cases = {n: _d_q(D[n]) for n in moved(D)}
+    cases = {n: vec_d_q(D[n]) for n in moved(D)}
     sweep(cases, D, index(L), lambda k, n: (k, 1))
     return sweep(cases, L, index(D), lambda k, n: (k, -1))
-
-
-def _in_order(cases: dict, model: BVModel):
-    """The cases of a connection row, by basis name in declaration order."""
-    return ((n, cases[n]) for n in model.degrees if n in cases)
 
 
 def check_delta_nabla(nabla: Connection, a: Vec, model: BVModel) -> Report:
@@ -451,7 +437,7 @@ def check_delta_nabla(nabla: Connection, a: Vec, model: BVModel) -> Report:
                   lambda k, n: (n, 1))
     report = Report()
     report.identity("delta-nabla", "nabla(Delta x) = Delta(nabla x) - [a,x]",
-                    _in_order(cases, model))
+                    in_order(cases, model.rank))
     return report
 
 
@@ -466,11 +452,11 @@ def check_minus1_delta(minus1: Connection, a: Vec, model: BVModel) -> Report:
                   model.product_index, lambda k, n: (n, -1))
     report.identity("minus1-delta-commutator",
                     "nabla^{-1}(Delta x) - Delta(nabla^{-1} x) = (Delta a).x",
-                    _in_order(cases, model))
+                    in_order(cases, model.rank))
     if vec_is_zero(da):
         report.identity("minus1-delta-compatible",
                         "Delta a = 0 => nabla^{-1} commutes with Delta",
-                        _in_order(commutators, model))
+                        in_order(commutators, model.rank))
     return report
 
 
@@ -492,7 +478,7 @@ def minus1_ambiguity_check(minus1: Connection, minus1_tilde: Connection,
     report = Report()
     report.identity("minus1-ambiguity",
                     "nabla~^{-1} x = nabla^{-1} x - Delta(alpha.x) - alpha.Delta x",
-                    _in_order(cases, model))
+                    in_order(cases, model.rank))
     return report
 
 

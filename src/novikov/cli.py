@@ -169,8 +169,8 @@ def run_gw(payload: dict, trunc=None) -> Report:
     gw = field(payload, "gw", lambda data: qmod.GWData.from_json(
         data, None if model is None else model.degrees), None)
     prob = field(payload, "prob", ODEProblem.from_json, None)
-    # psi-eta works at --trunc or "order", exactly when neither is given;
-    # gauss-manin falls back to the problem's truncation
+    # psi-eta works at --trunc or "order" when one is given, else at z1's
+    # own precision; gauss-manin falls back to the problem's truncation
     psi_eta_order = _working_order(payload, trunc, None)
     order = prob and _working_order(payload, trunc, Fraction(8), "prob", prob)
 
@@ -265,15 +265,12 @@ def run_bv(payload: dict, trunc=None) -> Report:
         elif name == "r-endomorphism":
             report.checks += bvmod.r_endomorphism_check(model).checks
         else:
-            if name == "class-equation":
-                rows = suite().checks
-            else:
-                rows = [c for c in suite().checks if c.name == "second-order-e"]
+            rows = suite().checks
+            if name == "second-order":
+                rows = [c for c in rows if c.name == "second-order-e"]
             # the equation suite subsumes the standalone second-order row;
-            # a payload asking for both still reports it once
-            present = {(c.name, c.equation) for c in report.checks}
-            report.checks += [c for c in rows
-                              if (c.name, c.equation) not in present]
+            # a payload asking for both still reports that row object once
+            report.checks += [c for c in rows if all(c is not r for r in report.checks)]
 
     field(payload, "checks", lambda names: each(names, run_check), [])
     return report

@@ -26,7 +26,8 @@ one product or linear image into a caller's vector; :func:`sweep` adds
 every product of a family of vectors with rows :func:`index` has keyed
 by the name they meet, one vector per case it reaches, in one pass, so
 where a term adds is found by adding it.  :func:`moved` finds the rows
-that d_q moves.
+that d_q moves, :func:`vec_d_q` moves a vector, and :func:`in_order`
+orders an identity's cases.
 
 The Koszul signs are taken from the declared degrees, so a decoded table
 must respect them: :func:`homogeneous` is the one grading rule, applied
@@ -67,6 +68,11 @@ def vec_sub(x: Vec, y: Vec) -> Vec:
     # the (-1)-multiple, not the negation, so that y's coefficients take
     # the truncation rule of multiplication like every other scaled term
     return vec_add(x, vec_scale(-1, y))
+
+
+def vec_d_q(x: Vec) -> Vec:
+    """d_q of each coefficient of *x*, a rational dropped as a constant."""
+    return {k: s.d_q() for k, s in x.items() if not isinstance(s, (int, Fraction))}
 
 
 def exact_zero(v) -> bool:
@@ -321,6 +327,19 @@ def sweep(out: dict, first: dict, after: dict, case) -> dict:
                         v = c_f * v
                         o[w] = o[w] + v if w in o else v
     return out
+
+
+def in_order(cases: dict, rank: dict[str, int]):
+    """The case-order rule: the ``(key, residual)`` items of *cases* by the
+    declaration ranks (*rank*) of the names in each key, a name or a tuple
+    of one to three names.  Every identity of every check orders its cases
+    here, and ranks read by index cost less than a ``map`` over the key."""
+    first = next(iter(cases), "")
+    if first.__class__ is str:  # names, or no case
+        return ((n, cases[n]) for n in rank if n in cases)
+    key = (lambda t: rank[t[0]], lambda t: (rank[t[0]], rank[t[1]]),
+           lambda t: (rank[t[0]], rank[t[1]], rank[t[2]]))[len(first) - 1]
+    return ((t, cases[t]) for t in sorted(cases, key=key))
 
 
 def moved(rows: dict) -> set:

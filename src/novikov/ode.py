@@ -42,8 +42,8 @@ from .series import INF, NovikovSeries, Trunc, _reduced, rat
 
 class ODEProblem(FrozenRecord):
     """Coefficient triple; psi must have a nonzero leading term whenever a
-    transform divides by it.  4*z2*psi and r are built on first read and
-    kept, never in ``__init__``, so a refused task makes no product."""
+    transform divides by it.  p (per order), 4*z2*psi and r are built on
+    first read and kept, never in ``__init__``, so a refused task makes no product."""
 
     _fields = ("psi", "eta", "z2")
 
@@ -52,8 +52,13 @@ class ODEProblem(FrozenRecord):
 
     def p_coefficient(self, order: Trunc | None = None) -> NovikovSeries:
         """eta - (d_q psi)/psi, the first-order coefficient of the second
-        order form."""
-        return self.eta - log_derivative(self.psi, order)
+        order form, built once per *order*."""
+        kept = self._p_by_order
+        if order not in kept:
+            kept[order] = self.eta - log_derivative(self.psi, order)
+        return kept[order]
+
+    _p_by_order = cached_property(lambda self: {})
 
     @cached_property
     def coupling(self) -> NovikovSeries:

@@ -32,6 +32,7 @@ from .graded import (
     linear_apply,
     signed_rows,
     vec_add,
+    vec_d_q,
     vec_from_json,
     vec_get,
     vec_render,
@@ -97,14 +98,11 @@ class CohomologyModel(Record):
         return self.basis_vec(self.m_class)
 
     def d_q(self, x: Vec) -> Vec:
-        """Coefficientwise d_q; a twisted class (W = q^{-1}[omega]) also
-        differentiates itself: d_q(f*W) = (d_q f)*W - q^{-1} f*W."""
-        out: Vec = {}
-        for k, s in x.items():
-            d = s.d_q()
-            if k in self.twists:
-                d = d + self.twists[k] * s
-            out[k] = d
+        """:func:`graded.vec_d_q`, where a twisted class (W = q^{-1}[omega])
+        also differentiates itself: d_q(f*W) = (d_q f)*W - q^{-1} f*W."""
+        out = vec_d_q(x)
+        for k in self.twists.keys() & out.keys():
+            out[k] = out[k] + self.twists[k] * x[k]
         return out
 
     @cached_property

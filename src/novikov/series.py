@@ -284,9 +284,6 @@ class NovikovSeries:
         ea, eb, s = _common(ea, sa, eb, sb)
         na, nb = self.nums, other.nums
         d = self.den * other.den
-        if len(ea) == 1 and len(eb) == 1:
-            # e_a < T_a and e_b < T_b, so the one product lies below trunc
-            return _reduced([ea[0] + eb[0]], s, [na[0] * nb[0]], d, trunc)
         bound = _bound(trunc, s)
         la, lb = len(ea), len(eb)
         spa, spb = ea[-1] - ea[0] + 1, eb[-1] - eb[0] + 1
@@ -355,25 +352,22 @@ class NovikovSeries:
         cache = self._cache
         if cache is not None and order in cache:
             return cache[order]
-        v = Fraction(exps[0], s)
-        target = _plus(self.truncation, -2 * v)
+        # the valuation v is shift/scale, so T - 2v is one integer shift
+        n0, shift = nums[0], exps[0]
+        target = _shift(self.truncation, -2 * shift, s)
         if order is not None:
             target = _min(target, order)
         if target == INF and len(exps) > 1:
             raise ValueError(
                 "inverse of a multi-term exact series is infinite; pass order=")
         # 1/lead = den/n0; its sign goes to the numerators
-        n0, shift = nums[0], exps[0]
         sign = 1 if n0 > 0 else -1
-        if len(exps) == 1:
-            return _store(self, order, _cut(_new([-shift], s, [sign * self.den], abs(n0),
-                                                 target), target))
         # c_i = n_i/n0 = -m_i/dc with dc > 0, at d_i*scale = k_i - shift
         g = math.gcd(n0, *nums[1:])
         dc = abs(n0) // g
         steps = [(k - shift, -sign * (n // g)) for k, n in zip(exps[1:], nums[1:])]
         offsets = [step for step, _ in steps]
-        bound = _bound(target + v, s)
+        bound = _bound(target, s) + shift  # the bound of target + v
         # a pending sum is an integer over dc*L, where L is the lcm of the
         # denominators of the b_e finished so far; b_0 = 1 = dc/(dc*1)
         L = 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import exact_zero
+from .graded import exact_zero, vec_d_q
 from .series import NovikovSeries
 
 _ZERO = NovikovSeries.zero()
@@ -72,7 +72,7 @@ class USeries:
         return USeries({k: f * s for k, s in self.coeffs.items()})
 
     def d_q(self) -> "USeries":
-        return USeries({k: s.d_q() for k, s in self.coeffs.items()})
+        return USeries(vec_d_q(self.coeffs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, USeries):

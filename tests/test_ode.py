@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _generators import adjacent_root_problem, random_problem, seed_for
-from novikov import cli
+from novikov import cli, ode
 from novikov.bv import (
     ClassTerms,
     nabla_c,
@@ -547,7 +547,9 @@ def test_each_coefficient_is_built_once_per_problem(monkeypatch):
     pr = prob(psi=S((0, 2), (1, 1), trunc=6), z2=S((0, 3), (2, 1), trunc=6))
     assert pr.coupling is pr.coupling
     assert pr.r_coefficient is pr.r_coefficient
-    # one chain task makes the product z2*psi^2, of either sign, once
+    assert pr.p_coefficient(6) is pr.p_coefficient(6)
+    # one chain task makes the product z2*psi^2, of either sign, once, and
+    # takes the log-derivative of psi, for p, once
     task = {"task": "ode", "order": "6", "checks": [{"type": "chain", "rho": {
                 "terms": [{"exp": "0", "coeff": "1"}, {"exp": "1", "coeff": "5"}]}}],
             "problem": {"psi": pr.psi.to_json(), "eta": "0", "z2": pr.z2.to_json()}}
@@ -561,12 +563,21 @@ def test_each_coefficient_is_built_once_per_problem(monkeypatch):
             built.append(out)
         return out
 
+    logged = []
+    real_log = ode.log_derivative
+
+    def log_spy(f, order=None):
+        logged.append(f)
+        return real_log(f, order)
+
     monkeypatch.setattr(NovikovSeries, "__mul__", spy)
     monkeypatch.setattr(NovikovSeries, "__rmul__", spy)
+    monkeypatch.setattr(ode, "log_derivative", log_spy)
     report = cli.run_ode(task)
     assert [c.name for c in report.checks] == [
         "system-1", "system-2", "second-order", "riccati", "projective"]
     assert len(built) == 1
+    assert [f for f in logged if f == pr.psi] == [pr.psi]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,9 @@ def test_configuration_json_round_trip(cfg):
 def test_identity_configuration_is_valid():
     ok, problems = validate(DiscConfiguration.identity())
     assert ok, problems
+    # the flag holds only for the unit disc at 0
+    flagged = DiscConfiguration(points=[Disc(F(0), F(0), F(1, 2))], is_identity=True)
+    assert validate(flagged) == (False, ["identity flag requires a single unit disc at 0"])
 
 
 def test_overlapping_discs_invalid():
@@ -371,6 +374,11 @@ def test_compose_rejects_a_slot_out_of_range(slot):
     assert info.value.pointer == "/slot"
 
 
+def test_compose_refuses_operations_on_different_spaces():
+    with pytest.raises(ValueError, match="^operations live on different spaces$"):
+        compose(GradedOperation.identity((0,)), 1, GradedOperation.identity((1,)))
+
+
 def test_compose_scalar_tables():
     space = (0,)
     phi = GradedOperation.from_rationals(space, 2, 0, {(0, 0): {0: F(3, 2)}})
@@ -479,6 +487,9 @@ _op = GradedOperation.from_rationals
           _op((0, 0), 1, 0, {(0,): {0: F(1), 1: F(1)}, (1,): {0: F(2)}})))
 @example((_op((1, 0), 2, 0, {(0, 1): {0: F(1), 1: F(3)}}), 2,
           _op((1, 0), 1, 1, {(0,): {1: F(1)}})))
+# at input (0,) the output 0 cancels and the output 1 survives
+@example((_op((0, 0), 1, 0, {(0,): {0: F(1), 1: F(1)}, (1,): {0: F(-1), 1: F(1)}}), 1,
+          _op((0, 0), 1, 0, {(0,): {0: F(1), 1: F(1)}})))
 # a phi1 row with no generators meets a phi2 entry: no key may be left
 @example((_op((0,), 1, 0, {(0,): {}}), 1, _op((0,), 1, 0, {(0,): {0: F(1)}})))
 def test_compose_matches_enumeration_oracle(case):

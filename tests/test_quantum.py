@@ -402,3 +402,6 @@ def test_model_degree_validation():
     with pytest.raises(ParseError, match="entry on 'P'") as caught:
         homogeneous({"P": ONE}, deg, 2)
     assert caught.value.pointer == "/P"
+    # a piece of negative k is zero by definition, so none may be given
+    with pytest.raises(ValueError, match="k < 0 must be zero"):
+        CohomologyModel(deg, qpieces={-1: {}})

@@ -28,6 +28,7 @@ def test_construction_keeps_a_truncated_zero():
     assert u.coeffs == {1: NovikovSeries.zero(2)}
     assert u.is_zero()
     assert u != USeries()
+    assert USeries({1: ONE}) != ONE and USeries() != 0
     assert not USeries({1: NovikovSeries.zero(2), 2: ONE}).is_zero()
     # a difference that cancels keeps the least truncation of its terms
     diff = USeries({1: S((0, 1), trunc=8)}) - USeries({1: ONE})
@@ -44,6 +45,8 @@ def test_add_and_scale():
     assert out.coefficient(2) == ONE
     scaled = a.scale(S((1, 3)))
     assert scaled.coefficient(1) == S((2, 6))
+    # equal u-series hash alike
+    assert hash(a + b) == hash(USeries({0: ONE, 1: NovikovSeries.zero(), 2: ONE}))
 
 
 def test_d_q_acts_on_coefficients():
@@ -54,3 +57,4 @@ def test_d_q_acts_on_coefficients():
 def test_render():
     a = USeries({0: ONE, 2: S((1, 2))})
     assert a.render() == "1 + (2*q^1)*u^2"
+    assert USeries().render() == "0"
